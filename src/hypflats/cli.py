@@ -48,6 +48,13 @@ def _curvature(value: str) -> float:
     return K
 
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_cfg_args(p, curvature=True):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -131,7 +138,7 @@ def build_parser():
     _add_tol_arg(p)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads (default: available parallelism)")
 
     return parser

@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import DomainError, RankError
 
-__all__ = ["Basis", "orthonormalize", "project", "min_norm_solution"]
+__all__ = ["Basis", "orthonormalize", "project", "min_norm_solution",
+           "min_norm_solutions"]
 
 _GRAM_TOL = 1e-12
 _DEFAULT_RANK_TOL = 1e-10
@@ -22,9 +23,7 @@ class Basis:
         columns = np.ascontiguousarray(columns, dtype=float)
         if columns.ndim != 2 or not 1 <= columns.shape[1] <= columns.shape[0]:
             raise DomainError(f"basis must be d x m with 1 <= m <= d, got {columns.shape}")
-        gram = columns.T @ columns
-        if np.max(np.abs(gram - np.eye(columns.shape[1]))) > _GRAM_TOL:
-            raise DomainError("columns are not orthonormal to 1e-12")
+        require_orthonormal(columns)
         columns.flags.writeable = False
         self.columns = columns
 
@@ -38,6 +37,14 @@ class Basis:
 
     def __repr__(self):
         return f"Basis(dim={self.dim}, ambient_dim={self.ambient_dim})"
+
+
+def require_orthonormal(frames: np.ndarray) -> None:
+    """Raise DomainError unless every (..., d, m) frame has orthonormal columns."""
+    gram = np.swapaxes(frames, -1, -2) @ frames
+    gram -= np.eye(frames.shape[-1])
+    if np.max(np.abs(gram)) > _GRAM_TOL:
+        raise DomainError("columns are not orthonormal to 1e-12")
 
 
 def orthonormalize(vectors, tol: float = _DEFAULT_RANK_TOL) -> Basis:
@@ -115,3 +122,48 @@ def min_norm_solution(M, b, rank_tol: float = _DEFAULT_RANK_TOL):
     if np.linalg.norm(M @ c - b) > threshold:
         return None
     return c
+
+
+def min_norm_solutions(M, b, rank_tol: float = _DEFAULT_RANK_TOL):
+    """min_norm_solution for a stack of systems M[i] c = b[i].
+
+    M is (n, m, q) and b is (n, m).  Returns (c, ok): c is (n, q) and ok
+    is False on the rows that are inconsistent (their c is NaN).  Up to six
+    rows per system, the normal equations are solved for the whole stack
+    at once; a system whose residual fails the min_norm_solution test, or
+    whose normal matrix is singular, goes through min_norm_solution on its
+    own, as do all systems with more than six rows.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if M.ndim != 3 or b.shape != M.shape[:2]:
+        raise DomainError(f"shape mismatch: M {M.shape}, b {b.shape}")
+    n, m, q = M.shape
+    c = np.full((n, q), np.nan)
+    pending = np.ones(n, dtype=bool)
+    if m <= 6:
+        Mt = np.swapaxes(M, 1, 2)
+        G = M @ Mt
+        rows = np.arange(n)
+        try:
+            y = np.linalg.solve(G, b[:, :, None])
+        except np.linalg.LinAlgError:
+            # an exactly singular system stops the stacked solve: leave the
+            # systems whose determinant vanishes to the one-system path
+            det = np.linalg.det(G)
+            rows = np.flatnonzero(np.isfinite(det) & (det != 0.0))
+            y = np.linalg.solve(G[rows], b[rows, :, None])
+        trial = (Mt[rows] @ y)[:, :, 0]
+        residual = np.linalg.norm((M[rows] @ trial[:, :, None])[:, :, 0] - b[rows], axis=1)
+        # NaN residuals compare False and go to the one-system path too
+        good = residual <= rank_tol * (1.0 + np.linalg.norm(b[rows], axis=1))
+        c[rows[good]] = trial[good]
+        pending[rows[good]] = False
+    ok = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(pending):
+        ci = min_norm_solution(M[i], b[i], rank_tol)
+        if ci is None:
+            ok[i] = False
+        else:
+            c[i] = ci
+    return c, ok

@@ -1,24 +1,32 @@
 """Monte Carlo sampler for the two random flats and the distance law.
 
-Randomness is counter-based: trial i of a run with seed s uses its own
-Philox stream keyed by (s, i), so results are bit-identical for any thread
-count and a run over [0, N) equals the concatenation of [0, N/2) and
-[N/2, N).
+Trials run in blocks of a fixed size that depends on (d, q) only.  Block
+j of a run with seed s draws all its trials at once from one Philox
+stream keyed by (s, j), in a fixed order: the frames of the central
+subspaces, the normal frames of the random flats, their offset
+directions, then their offset radii.  Every block is drawn whole and the
+last one is cut to the requested trial count, and threads only decide
+which block runs where.  So a run's output is bit-identical for any
+thread count, and the first N trials of a run equal a run of N trials.
+The one-flat functions (sample_central_subspace, HittingFlatSampler.sample
+and _sample_radius) are the n = 1 case of the same batched draws.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError
-from .klein import AffineFlat, intersect_with_central_subspace
-from .linalg import Basis
+from .errors import ConstructionError, DomainError
+from .klein import AffineFlat, intersect_batch
+# re-exported: perfbench's traced run looks it up on this module
+from .klein import intersect_with_central_subspace  # noqa: F401
+from .linalg import Basis, require_orthonormal
 from .special import Curvature, FlatConfig, klein_radius
 
 __all__ = [
@@ -32,8 +40,11 @@ __all__ = [
     "ks_statistic",
 ]
 
-_TRIAL_CHUNK = 2048
+_BLOCK_TRIALS = 1024
+_BLOCK_BYTES = 4 << 20
 _INVERSE_CDF_POINTS = 1024
+_QR_ATTEMPTS = 8
+_REJECTION_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,26 +82,50 @@ def _check_seed(seed):
     return seed
 
 
-def _trial_rng(seed, index):
-    key = np.array([seed, index], dtype=np.uint64)
+def _trial_rng(seed, block):
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_central_subspace(d: int, q: int, rng) -> Basis:
-    """Haar-distributed q-dimensional subspace of R^d.
+def _block_size(d, q):
+    """Trials per block: 1024, halved while a block's d x q frames exceed 4 MB."""
+    size = _BLOCK_TRIALS
+    while size > 1 and size * d * q * 8 > _BLOCK_BYTES:
+        size //= 2
+    return size
 
-    QR of a Gaussian matrix with the R-diagonal signs fixed; degenerate
-    draws (never seen in practice) are silently resampled.
+
+def _haar_frames(d, q, rng, n):
+    """n Haar-distributed orthonormal d x q frames, shape (n, d, q).
+
+    QR of Gaussian matrices with the R-diagonal signs fixed.  Degenerate
+    draws (never seen in practice) are redrawn from rng, at most
+    _QR_ATTEMPTS times in all.
     """
     if not 1 <= q <= d - 1:
         raise DomainError(f"need 1 <= q <= d-1, got q={q}, d={d}")
-    while True:
-        A = rng.standard_normal((d, q))
-        Q, R = np.linalg.qr(A)
-        diag = np.diagonal(R)
-        if np.min(np.abs(diag)) <= 1e-10 * np.max(np.abs(diag)):
-            continue
-        return Basis(Q * np.sign(diag))
+    frames, R = np.linalg.qr(rng.standard_normal((n, d, q)))
+    diag = np.diagonal(R, axis1=1, axis2=2).copy()
+    todo = np.arange(n)
+    for attempt in range(_QR_ATTEMPTS):
+        mag = np.abs(diag[todo])
+        todo = todo[np.min(mag, axis=1) <= 1e-10 * np.max(mag, axis=1)]
+        if todo.size == 0:
+            frames *= np.sign(diag)[:, None, :]
+            require_orthonormal(frames)
+            return frames
+        if attempt + 1 < _QR_ATTEMPTS:
+            frames[todo], R = np.linalg.qr(rng.standard_normal((todo.size, d, q)))
+            diag[todo] = np.diagonal(R, axis1=1, axis2=2)
+    raise ConstructionError(
+        f"{todo.size} Gaussian {d} x {q} draws stayed rank deficient "
+        f"after {_QR_ATTEMPTS} attempts"
+    )
+
+
+def sample_central_subspace(d: int, q: int, rng) -> Basis:
+    """Haar-distributed q-dimensional subspace of R^d (one frame of _haar_frames)."""
+    return Basis(_haar_frames(d, q, rng, 1)[0])
 
 
 class HittingFlatSampler:
@@ -105,8 +140,8 @@ class HittingFlatSampler:
     lookup from a tabulated quadrature of the radial density.  The switch
     depends only on (cfg, K), keeping runs deterministic.
 
-    proposals/accepted count rejection traffic for diagnostics; under
-    threads they are best-effort.
+    proposals/accepted count rejection traffic for diagnostics; the
+    Monte Carlo runs add each block's counts after their workers finish.
     """
 
     def __init__(self, cfg: FlatConfig, K: Curvature,
@@ -119,6 +154,7 @@ class HittingFlatSampler:
         self.log_ratio_at_R = math.log1p(K.K * self.R * self.R)
         self.proposals = 0
         self.accepted = 0
+        self._count_lock = threading.Lock()
         rate = self._acceptance_rate_estimate()
         self.mode = "rejection" if rate >= inverse_threshold else "inverse"
         self._inv_cdf = self._build_inverse_cdf() if self.mode == "inverse" else None
@@ -135,6 +171,8 @@ class HittingFlatSampler:
         return float(np.trapezoid(pdf * np.exp(self._log_accept(r)), r))
 
     def _build_inverse_cdf(self):
+        from scipy.interpolate import PchipInterpolator
+
         r = np.linspace(0.0, self.R, _INVERSE_CDF_POINTS + 1)
         logd = np.full(r.shape, -np.inf)
         logd[1:] = (self.m - 1) * np.log(r[1:]) - 0.5 * (self.cfg.d + 1) * np.log1p(
@@ -146,22 +184,54 @@ class HittingFlatSampler:
         keep = np.concatenate(([True], np.diff(cdf) > 0))
         return PchipInterpolator(cdf[keep], r[keep])
 
-    def _sample_radius(self, rng):
+    def _count(self, proposals, accepted):
+        with self._count_lock:
+            self.proposals += proposals
+            self.accepted += accepted
+
+    def _draw_radii(self, rng, n):
+        """n offset radii and the (proposals, accepted) spent on them.
+
+        Rejection runs in rounds: each row still pending draws a (radius,
+        acceptance) pair of uniforms from rng, until every row is accepted.
+        """
         if self.mode == "inverse":
-            return float(self._inv_cdf(rng.random()))
-        while True:
-            self.proposals += 1
-            r = self.R * rng.random() ** (1.0 / self.m)
-            if math.log(rng.random()) < self._log_accept(r):
-                self.accepted += 1
-                return r
+            return self._inv_cdf(rng.random(n)), 0, 0
+        radii = np.empty(n)
+        todo = np.arange(n)
+        proposals = 0
+        for _ in range(_REJECTION_ROUNDS):
+            u = rng.random((todo.size, 2))
+            r = self.R * u[:, 0] ** (1.0 / self.m)
+            keep = np.log(u[:, 1]) < self._log_accept(r)
+            radii[todo[keep]] = r[keep]
+            proposals += todo.size
+            todo = todo[~keep]
+            if todo.size == 0:
+                return radii, proposals, n
+        raise ConstructionError(
+            f"{todo.size} radii still rejected after {_REJECTION_ROUNDS} rounds"
+        )
+
+    def _sample_radius(self, rng):
+        radii, proposals, accepted = self._draw_radii(rng, 1)
+        self._count(proposals, accepted)
+        return float(radii[0])
+
+    def _draw(self, rng, n):
+        """n flats as normal frames (n, d, m) and offsets (n, d), plus the
+        rejection counts; draws the frames, the directions, then the radii."""
+        W = _haar_frames(self.cfg.d, self.m, rng, n)
+        g = rng.standard_normal((n, self.m))
+        radii, proposals, accepted = self._draw_radii(rng, n)
+        unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+        offsets = (W @ (radii[:, None] * unit)[:, :, None])[:, :, 0]
+        return W, offsets, proposals, accepted
 
     def sample(self, rng) -> AffineFlat:
-        W = sample_central_subspace(self.cfg.d, self.m, rng)
-        r = self._sample_radius(rng)
-        g = rng.standard_normal(self.m)
-        direction = W.columns @ (g / np.linalg.norm(g))
-        return AffineFlat(W, r * direction)
+        W, offsets, proposals, accepted = self._draw(rng, 1)
+        self._count(proposals, accepted)
+        return AffineFlat(Basis(W[0]), offsets[0])
 
 
 @lru_cache(maxsize=32)
@@ -180,26 +250,23 @@ def _run_trials(cfg, K, trials, seed, threads=None):
         raise DomainError("need trials >= 1")
     seed = _check_seed(seed)
     sampler = _get_sampler(cfg, K)
+    size = _block_size(cfg.d, cfg.q)
 
-    def run_chunk(bounds):
-        lo, hi = bounds
-        out = np.empty(hi - lo)
-        for i in range(lo, hi):
-            rng = _trial_rng(seed, i)
-            L = sample_central_subspace(cfg.d, cfg.q, rng)
-            E = sampler.sample(rng)
-            hit = intersect_with_central_subspace(E, L, K)
-            out[i - lo] = hit.hyper_dist if hit.meets else math.inf
-        return out
+    def run_block(block):
+        rng = _trial_rng(seed, block)
+        L = _haar_frames(cfg.d, cfg.q, rng, size)
+        W, offsets, proposals, accepted = sampler._draw(rng, size)
+        _, hyper = intersect_batch(W, offsets, L, K)
+        return hyper, proposals, accepted
 
-    chunks = [(lo, min(lo + _TRIAL_CHUNK, trials))
-              for lo in range(0, trials, _TRIAL_CHUNK)]
-    if threads is not None and threads > 1 and len(chunks) > 1:
+    blocks = range(-(-trials // size))
+    if threads is not None and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+            parts = list(pool.map(run_block, blocks))
     else:
-        parts = [run_chunk(c) for c in chunks]
-    return np.concatenate(parts)
+        parts = [run_block(b) for b in blocks]
+    sampler._count(sum(p[1] for p in parts), sum(p[2] for p in parts))
+    return np.concatenate([p[0] for p in parts])[:trials]
 
 
 def estimate_intersection_probability(cfg: FlatConfig, K: Curvature,

@@ -174,6 +174,14 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] < 5.0
         assert 0.0 <= doc["ks_statistic"] <= 1.0
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", *BASE, "--trials", "10", "--seed", "1",
+                 "--threads", threads])
+        assert exc.value.code == EXIT_USAGE
+        assert "threads" in capsys.readouterr().err
+
     def test_repeat_identical(self, capsys):
         _, out1, _ = invoke(
             capsys, "simulate", *BASE, "--trials", "1000", "--seed", "7",

@@ -11,7 +11,9 @@ from hypflats import (
     flat_from_normal_offset,
     intersect_with_central_subspace,
     klein_radius_inv,
+    min_norm_solution,
 )
+from hypflats.klein import intersect_batch
 
 K1 = Curvature(-1.0)
 E1 = Basis(np.eye(2)[:, :1])          # normal = span(e1)
@@ -123,6 +125,69 @@ class TestIntersect:
             if out.meets:
                 assert out.euclid_dist == pytest.approx(out2.euclid_dist, abs=1e-10)
                 assert out.hyper_dist == pytest.approx(out2.hyper_dist, abs=1e-10)
+
+
+def reference_intersection(W, x, B, K):
+    """The per-flat intersection the library ran before it was batched."""
+    edge = K.ball_radius * (1.0 - 1e-14)
+    if np.linalg.norm(x) >= edge:
+        return None
+    c = min_norm_solution(W.T @ B, W.T @ x)
+    if c is None:
+        return None
+    r = float(np.linalg.norm(B @ c))
+    if r >= edge:
+        return None
+    return r, klein_radius_inv(K, r)
+
+
+def random_rows(rng, n, d, q, m, ball):
+    """Flats and subspaces with misses, grazing offsets and parallel cases."""
+    W = np.stack([np.linalg.qr(rng.standard_normal((d, m)))[0] for _ in range(n)])
+    B = np.stack([np.linalg.qr(rng.standard_normal((d, q)))[0] for _ in range(n)])
+    g = rng.standard_normal((n, m))
+    unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+    radius = ball * rng.uniform(0.0, 1.2, n)
+    radius[:6] = ball * np.array([1 - 1e-13, 1 - 1e-15, 1 + 1e-13, 1.0, 0.0, 1e-9])
+    x = np.einsum("nij,nj->ni", W, radius[:, None] * unit)
+    if q + m <= d:
+        # L inside the orthogonal complement of W: parallel, or through the
+        # origin when the offset is zero
+        for i in (6, 7):
+            B[i] = np.linalg.qr(
+                (np.eye(d) - W[i] @ W[i].T) @ rng.standard_normal((d, q)))[0]
+        x[7] = 0.0
+    return W, x, B
+
+
+class TestIntersectBatch:
+    @pytest.mark.parametrize("d,q,m", [(2, 1, 1), (3, 2, 1), (5, 2, 3), (6, 3, 2),
+                                       (6, 4, 4), (9, 5, 7), (12, 8, 8)])
+    def test_rows_match_reference_and_scalar(self, d, q, m):
+        K = Curvature(-2.0)
+        rng = np.random.default_rng(100 * d + 10 * q + m)
+        W, x, B = random_rows(rng, 40, d, q, m, K.ball_radius)
+        euclid, hyper = intersect_batch(W, x, B, K)
+        outcomes = 0
+        for i in range(len(x)):
+            ref = reference_intersection(W[i], x[i], B[i], K)
+            one = intersect_with_central_subspace(
+                flat_from_normal_offset(Basis(W[i]), x[i]), Basis(B[i]), K)
+            assert np.isfinite(euclid[i]) == (ref is not None) == one.meets
+            assert np.isfinite(hyper[i]) == one.meets
+            if one.meets:
+                outcomes += 1
+                assert euclid[i] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
+                assert hyper[i] == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
+                assert one.euclid_dist == pytest.approx(euclid[i], rel=1e-12, abs=1e-15)
+                assert one.hyper_dist == pytest.approx(hyper[i], rel=1e-12, abs=1e-15)
+        # both outcomes occur in every group
+        assert 0 < outcomes < len(x)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            intersect_batch(np.zeros((1, 3, 1)), np.zeros((1, 3)),
+                            np.zeros((1, 2, 1)), K1)
 
 
 class TestOutcome:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypflats import (
+    ConstructionError,
     Curvature,
     DomainError,
     FlatConfig,
@@ -15,6 +16,7 @@ from hypflats import (
     sample_hitting_flat,
     simulate_distance_distribution,
 )
+import hypflats.montecarlo as mc
 from hypflats.montecarlo import _trial_rng
 from oracles import radial_cdf_oracle
 
@@ -61,6 +63,38 @@ class TestSampleCentralSubspace:
     def test_dimension_check(self):
         with pytest.raises(DomainError):
             sample_central_subspace(3, 3, np.random.default_rng(0))
+
+    def test_degenerate_draws_raise_after_bounded_attempts(self):
+        class Zeros:
+            calls = 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                return np.zeros(size)
+
+        rng = Zeros()
+        with pytest.raises(ConstructionError):
+            sample_central_subspace(4, 2, rng)
+        assert rng.calls == mc._QR_ATTEMPTS
+
+    def test_degenerate_rows_are_redrawn(self):
+        class ZerosFirst:
+            def __init__(self):
+                self.inner = np.random.default_rng(9)
+                self.calls = 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                out = self.inner.standard_normal(size)
+                if self.calls == 1:
+                    out[1] = 0.0
+                return out
+
+        rng = ZerosFirst()
+        frames = mc._haar_frames(4, 2, rng, 3)
+        assert rng.calls == 2
+        for F in frames:
+            np.testing.assert_allclose(F.T @ F, np.eye(2), atol=1e-12)
 
 
 class TestHittingFlatSampler:
@@ -112,6 +146,27 @@ class TestHittingFlatSampler:
         cdf = radial_cdf_oracle(cfg.d, cfg.q - cfg.gamma, sampler.R, K1.K, radii)
         assert ks_statistic(radii, cdf) < 0.015
 
+    def test_one_radius_matches_scalar_rejection_loop(self):
+        # the loop the sampler used before radii were drawn in batches
+        sampler = HittingFlatSampler(CFG, K1)
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(200):
+            while True:
+                r = sampler.R * b.random() ** (1.0 / sampler.m)
+                if math.log(b.random()) < sampler._log_accept(r):
+                    break
+            assert sampler._sample_radius(a) == pytest.approx(r, rel=1e-14)
+
+    def test_rejection_rounds_are_bounded(self):
+        class NearOne:
+            # radius just under R, acceptance uniform just under 1: always rejected
+            def random(self, size):
+                return np.full(size, 1.0 - 1e-6)
+
+        sampler = HittingFlatSampler(CFG, K1)
+        with pytest.raises(ConstructionError):
+            sampler._draw_radii(NearOne(), 3)
+
     def test_wrapper(self):
         rng = np.random.default_rng(6)
         E = sample_hitting_flat(CFG, K1, rng)
@@ -147,6 +202,42 @@ class TestEstimates:
     def test_trials_validation(self):
         with pytest.raises(DomainError):
             estimate_intersection_probability(CFG, K1, 0, 1)
+
+
+class TestBlocks:
+    def test_block_size_depends_on_dimensions_only(self):
+        assert mc._block_size(3, 2) == 1024
+        assert mc._block_size(50, 2) == 1024
+        small = mc._block_size(1000, 999)
+        assert 1 <= small < 1024
+        for d, q in ((3, 2), (300, 200), (1000, 999)):
+            assert mc._block_size(d, q) * d * q * 8 <= max(mc._BLOCK_BYTES, d * q * 8)
+
+    def test_prefix_of_a_longer_run(self):
+        full = mc._run_trials(CFG, K1, 4096, 11)
+        for n in (10, 2 * mc._block_size(CFG.d, CFG.q) + 517):
+            np.testing.assert_array_equal(mc._run_trials(CFG, K1, n, 11), full[:n])
+
+    def test_identical_across_thread_counts(self):
+        cfg = FlatConfig(12, 4, 1, 1.5)
+        n = 3 * mc._block_size(cfg.d, cfg.q) + 100
+        one = mc._run_trials(cfg, K1, n, 23, threads=1)
+        four = mc._run_trials(cfg, K1, n, 23, threads=4)
+        np.testing.assert_array_equal(one, four)
+        assert one.size == n and 0 < np.count_nonzero(np.isfinite(one)) < n
+
+    def test_radius_counts_exact_under_threads(self):
+        sampler = mc._get_sampler(CFG, K1)
+        assert sampler.mode == "rejection"
+        counts = []
+        for threads in (1, 4):
+            before = (sampler.proposals, sampler.accepted)
+            mc._run_trials(CFG, K1, 5000, 31, threads=threads)
+            counts.append((sampler.proposals - before[0], sampler.accepted - before[1]))
+        assert counts[0] == counts[1]
+        blocks = -(-5000 // mc._block_size(CFG.d, CFG.q))
+        assert counts[0][1] == blocks * mc._block_size(CFG.d, CFG.q)
+        assert counts[0][0] > counts[0][1]
 
 
 class TestKsStatistic:
