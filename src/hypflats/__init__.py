@@ -6,7 +6,6 @@ quadrature; the Monte Carlo layer validates them by direct simulation in
 the Beltrami-Klein model.
 """
 
-from ._backend import available_backends, backend_name, set_backend
 from .analytic import (
     MomentResult,
     PhaseMode,
@@ -71,9 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "available_backends",
-    "backend_name",
-    "set_backend",
     # special
     "Curvature",
     "FlatConfig",

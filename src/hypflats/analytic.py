@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _backend
-from .errors import DomainError, ProbabilityRangeError
+from .errors import DomainError, ProbabilityRangeError, QuadratureError
 from .quadrature import (
     DEFAULT_TOLERANCE,
     QuadResult,
@@ -36,6 +36,7 @@ __all__ = [
     "PhaseMode",
     "crofton_constant",
     "log_crofton_constant",
+    "log_radial_mass",
     "intersection_probability",
     "euclidean_intersection_probability",
     "distance_cdf",
@@ -92,23 +93,51 @@ class PhaseMode:
         return cls("critical", kappa)
 
 
+_MOMENT_TAIL_DOUBLINGS = 20
+_RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=1e-300)
+
+
 def _log_cosh(x):
     x = np.asarray(x, dtype=float)
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
-def _log_sinh(x):
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = xp + np.log1p(-np.exp(-2.0 * xp)) - math.log(2.0)
-    return out
+def log_radial_mass(d: int, m: int, rho: float) -> float:
+    """log of the radial mass, the integral of sinh^(m-1) t cosh^(d-m) t over [0, rho].
+
+    With omega_m in front it is the Crofton constant of (d-m)-flats at
+    K = -1, and it is the total mass of the offset-radius law of a flat
+    with normal dimension m hitting the ball of radius rho.  The mass can
+    sit in a layer about 1/((d-m) tanh rho) wide below rho.  The integrand
+    is divided by its value at rho and multiplied by 1/rho plus its
+    log-slope there, so the integral is O(1) and only the relative
+    tolerance of 1e-12 decides convergence: a panel that misses most of
+    the layer is refined, not accepted as absolutely small.
+    """
+    if not (d >= 2 and 1 <= m <= d):
+        raise DomainError(f"need d >= 2 and 1 <= m <= d, got m={m}, d={d}")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise DomainError(f"need rho > 0, got {rho}")
+
+    def log_g(t):
+        val = (d - 1) * _log_cosh(t)
+        if m > 1:
+            val = val + (m - 1) * np.log(np.tanh(t))
+        return val
+
+    top = float(log_g(rho))
+    log_scale = math.log(1.0 / rho + (m - 1) / math.tanh(rho) + (d - m) * math.tanh(rho))
+    res = integrate_adaptive(log_g, 0.0, rho, _RADIAL_MASS_TOLERANCE, log_form=True,
+                             log_offset=log_scale - top)
+    return top - log_scale + math.log(res.value)
 
 
-def log_crofton_constant(d: int, k: int, u: float, K: Curvature,
-                         tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """log of the total invariant measure of k-flats hitting the radius-u ball."""
+def log_crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
+    """log of the total invariant measure of k-flats hitting the radius-u ball.
+
+    At K < 0 it is omega_(d-k) (-K)^((k-d)/2) times the radial mass
+    log_radial_mass(d, d-k, sqrt(-K) u).
+    """
     if not 0 <= k <= d - 1:
         raise DomainError(f"need 0 <= k <= d-1, got k={k}, d={d}")
     if not u > 0:
@@ -117,24 +146,12 @@ def log_crofton_constant(d: int, k: int, u: float, K: Curvature,
     if K.is_flat:
         return log_sphere_surface(n) + n * math.log(u) - math.log(n)
     s = K.scale
-    e = n - 1
-
-    def logint(r):
-        val = k * _log_cosh(s * np.asarray(r, dtype=float))
-        if e:
-            val = val + e * _log_sinh(s * r)
-        return val
-
-    shift = float(logint(np.array([u]))[0])
-    res = integrate_adaptive(logint, 0.0, u, tol, log_form=True,
-                             log_offset=-shift)
-    return (log_sphere_surface(n) + (k + 1 - d) * math.log(s)
-            + shift + math.log(res.value))
+    return (log_sphere_surface(n) + (k - d) * math.log(s)
+            + log_radial_mass(d, n, s * u))
 
 
-def crofton_constant(d: int, k: int, u: float, K: Curvature,
-                     tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    return math.exp(log_crofton_constant(d, k, u, K, tol))
+def crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
+    return math.exp(log_crofton_constant(d, k, u, K))
 
 
 def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
@@ -165,21 +182,23 @@ def _as_probability(res: QuadResult) -> float:
     return v
 
 
-def _log_prefactor(cfg1: FlatConfig, tol: Tolerance) -> float:
-    """log(D omega_{d-gamma} / C) at unit curvature with ball radius cfg1.u."""
+def _log_prefactor(cfg1: FlatConfig) -> float:
+    """log(D omega_{d-gamma} / C) at unit curvature with ball radius cfg1.u.
+
+    Each public function computes it once and passes it down.
+    """
     return (
         log_constant_D(cfg1)
         + log_sphere_surface(cfg1.d - cfg1.gamma)
-        - log_crofton_constant(cfg1.d, cfg1.k, cfg1.u, Curvature(-1.0), tol)
+        - log_crofton_constant(cfg1.d, cfg1.k, cfg1.u, Curvature(-1.0))
     )
 
 
-def _integrand_parts(cfg1: FlatConfig, tol: Tolerance):
+def _integrand_parts(cfg1: FlatConfig):
     """Shared pieces of the unit-curvature double integral."""
     d, q = cfg1.d, cfg1.q
     c = q - cfg1.gamma - 1
     Ru = math.tanh(cfg1.u)
-    pref = _log_prefactor(cfg1, tol)
 
     def logg(r, theta):
         val = _backend.log_kernel_theta(float(d), float(q), -1.0, r, theta)
@@ -190,7 +209,7 @@ def _integrand_parts(cfg1: FlatConfig, tol: Tolerance):
     def inner_upper(r):
         return math.asin(min(1.0, Ru / r))
 
-    return logg, inner_upper, _peak_break_points, pref, Ru
+    return logg, inner_upper, _peak_break_points, Ru
 
 
 def _peak_break_points(r, theta_max):
@@ -211,14 +230,14 @@ def _peak_break_points(r, theta_max):
     )
 
 
-def _hyper_double_integral(cfg1: FlatConfig, outer_hi: float,
+def _hyper_double_integral(cfg1: FlatConfig, pref: float, outer_hi: float,
                            tol: Tolerance, outer_lo: float = 0.0) -> QuadResult:
-    """The radial-angular double integral at unit curvature, prefactor included.
+    """The radial-angular double integral at unit curvature, times exp(pref).
 
     Integrates r^(q-gamma-1) times the kernel over r in (outer_lo, outer_hi),
     theta in (0, arcsin(min(1, R(u)/r))).
     """
-    logg, inner_upper, inner_breaks, pref, Ru = _integrand_parts(cfg1, tol)
+    logg, inner_upper, inner_breaks, Ru = _integrand_parts(cfg1)
     return integrate_iterated_2d(
         logg, outer_lo, outer_hi, inner_upper, tol,
         log_form=True, log_offset=pref,
@@ -231,7 +250,7 @@ def intersection_probability(cfg: FlatConfig, K: Curvature,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Probability that the moving flat meets the central q-flat."""
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return _as_probability(_hyper_double_integral(cfg1, 1.0, tol))
+    return _as_probability(_hyper_double_integral(cfg1, _log_prefactor(cfg1), 1.0, tol))
 
 
 def euclidean_intersection_probability(cfg: FlatConfig) -> float:
@@ -254,7 +273,8 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
         return 0.0
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     outer_hi = math.tanh(K.scale * delta)
-    return _as_probability(_hyper_double_integral(cfg1, outer_hi, tol))
+    return _as_probability(
+        _hyper_double_integral(cfg1, _log_prefactor(cfg1), outer_hi, tol))
 
 
 def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
@@ -262,20 +282,27 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     """distance_cdf on an ascending grid, via cumulative segment integrals.
 
     One outer sweep instead of len(deltas) independent double integrals.
+    Each value carries the summed error estimates of its segments, and
+    leaving [0, 1] by more than them raises ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size and (np.any(deltas < 0) or np.any(np.diff(deltas) < 0)):
         raise DomainError("deltas must be ascending and >= 0")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    pref = _log_prefactor(cfg1)
     bounds = np.tanh(K.scale * deltas)
     out = np.empty(deltas.shape)
-    acc = 0.0
+    acc = QuadResult(0.0, 0.0, 0, True)
     lo = 0.0
     for i, hi in enumerate(bounds):
         if hi > lo:
-            acc += _hyper_double_integral(cfg1, hi, tol, outer_lo=lo).value
+            seg = _hyper_double_integral(cfg1, pref, hi, tol, outer_lo=lo)
+            acc = QuadResult(acc.value + seg.value,
+                             acc.error_estimate + seg.error_estimate,
+                             acc.evaluations + seg.evaluations,
+                             acc.converged and seg.converged)
             lo = hi
-        out[i] = min(max(acc, 0.0), 1.0)
+        out[i] = _as_probability(acc)
     return out
 
 
@@ -285,17 +312,17 @@ def distance_density(cfg: FlatConfig, K: Curvature, delta: float,
     if not delta > 0:
         raise DomainError(f"need delta > 0, got {delta}")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return K.scale * _density_reduced(cfg1, K.scale * delta, tol)
+    return K.scale * _density_reduced(cfg1, _log_prefactor(cfg1), K.scale * delta, tol)
 
 
-def _density_reduced(cfg1: FlatConfig, dv: float, tol: Tolerance) -> float:
+def _density_reduced(cfg1: FlatConfig, pref: float, dv: float, tol: Tolerance) -> float:
     """Density at unit curvature, evaluated at reduced distance dv > 0."""
     d, q = cfg1.d, cfg1.q
     c = q - cfg1.gamma - 1
     Ru = math.tanh(cfg1.u)
     Rd = math.tanh(dv)
     theta_max = math.asin(min(1.0, Ru / Rd))
-    offset = _log_prefactor(cfg1, tol) - 2.0 * float(_log_cosh(dv))
+    offset = pref - 2.0 * float(_log_cosh(dv))
     if c:
         offset += c * math.log(Rd)
 
@@ -314,7 +341,10 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
 
     Divergence is decided by the analytic criterion: the unconditional
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
-    alpha > gamma - q.  Quadrature only runs on the finite branch.
+    alpha > gamma - q.  Quadrature only runs on the finite branch: [0, 10],
+    then tail segments [t, 2t] until one adds less than rel_tol of the
+    total.  After _MOMENT_TAIL_DOUBLINGS segments it raises QuadratureError
+    with the partial result attached.
     """
     K.require_hyperbolic()
     lo = cfg.gamma - cfg.q
@@ -324,21 +354,31 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
         return MomentResult(alpha, conditional, 1.0)
 
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    pref = _log_prefactor(cfg1)
 
     def integrand(dv):
         out = np.empty(dv.shape)
         for i, x in enumerate(dv):
-            out[i] = x ** alpha * _density_reduced(cfg1, x, tol)
+            out[i] = x ** alpha * _density_reduced(cfg1, pref, x, tol)
         return out
 
-    total = integrate_adaptive(integrand, 0.0, 10.0, tol).value
-    t_lo, t_hi = 10.0, 20.0
-    while True:
-        seg = integrate_adaptive(integrand, t_lo, t_hi, tol).value
-        total += seg
-        if abs(seg) < tol.rel_tol * abs(total):
+    res = integrate_adaptive(integrand, 0.0, 10.0, tol)
+    total, err, evals = res.value, res.error_estimate, res.evaluations
+    t_lo = 10.0
+    for _ in range(_MOMENT_TAIL_DOUBLINGS):
+        seg = integrate_adaptive(integrand, t_lo, 2.0 * t_lo, tol)
+        total += seg.value
+        err += seg.error_estimate
+        evals += seg.evaluations
+        if abs(seg.value) < tol.rel_tol * abs(total):
             break
-        t_lo, t_hi = t_hi, 2.0 * t_hi
+        t_lo *= 2.0
+    else:
+        raise QuadratureError(
+            f"moment tail still above rel_tol at reduced distance {t_lo} "
+            f"after {_MOMENT_TAIL_DOUBLINGS} doublings",
+            partial=QuadResult(total, err, evals, False),
+        )
     value = K.scale ** (-alpha) * total
     if conditional:
         value /= intersection_probability(cfg, K, tol)
@@ -357,7 +397,7 @@ def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
     pref = (
         log_constant_D(cfg)
         + log_sphere_surface(d - cfg.gamma)
-        - log_crofton_constant(d, cfg.k, u, Curvature(0.0), tol)
+        - log_crofton_constant(d, cfg.k, u, Curvature(0.0))
     )
 
     def logg(r, theta):

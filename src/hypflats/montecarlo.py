@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .analytic import _log_cosh, log_radial_mass
 from .errors import ConstructionError, DomainError
 from .klein import AffineFlat, intersect_batch
 # re-exported: perfbench's traced run looks it up on this module
@@ -42,7 +43,6 @@ __all__ = [
 
 _BLOCK_TRIALS = 1024
 _BLOCK_BYTES = 4 << 20
-_INVERSE_CDF_POINTS = 1024
 _QR_ATTEMPTS = 8
 _REJECTION_ROUNDS = 10_000
 
@@ -131,58 +131,75 @@ def sample_central_subspace(d: int, q: int, rng) -> Basis:
 class HittingFlatSampler:
     """Samples flats of dimension d - q + gamma conditioned to hit the ball.
 
-    The normal space is Haar, the offset direction uniform on its unit
-    sphere, and the offset radius follows the invariant-measure density
-    r^(m-1) (1 + K r^2)^(-(d+1)/2) on [0, R(u)], m = q - gamma.  Radii come
-    from rejection against the r^(m-1) envelope (the density ratio is
-    maximal at r = R(u), where acceptance is exactly 1); when the a priori
-    acceptance rate falls below 5% the sampler switches to inverse-CDF
-    lookup from a tabulated quadrature of the radial density.  The switch
-    depends only on (cfg, K), keeping runs deterministic.
+    The normal space is Haar and the offset direction uniform on its unit
+    sphere.  With m = q - gamma and v = sqrt(-K) u, the offset has Klein
+    radius r = tanh(rho) / sqrt(-K), and rho has the invariant law
+    sinh^(m-1) rho cosh^(d-m) rho on [0, v].  Radii are drawn by rejection
+    against one of two envelopes, each at least the law everywhere:
+
+    - "power": r^(m-1) in Klein r, where the law is
+      r^(m-1) (1 + K r^2)^(-(d+1)/2); equal to the law at r = R(u);
+    - "exponential": tanh^(m-1)(v) exp(lam rho) in rho, with
+      lam = (d-1) log cosh(v) / v the chord of log cosh on [0, v], drawn
+      by truncated-exponential inversion; equal to the law at rho = v.
+
+    The sampler takes the envelope with the larger a priori acceptance,
+    the radial mass log_radial_mass(d, m, v) over the envelope's mass.
+    Both envelopes give the exact law, so the choice, which depends on
+    (cfg, K) only, changes the speed and never the law.
 
     proposals/accepted count rejection traffic for diagnostics; the
     Monte Carlo runs add each block's counts after their workers finish.
     """
 
-    def __init__(self, cfg: FlatConfig, K: Curvature,
-                 inverse_threshold: float = 0.05):
+    def __init__(self, cfg: FlatConfig, K: Curvature):
         K.require_hyperbolic()
         self.cfg = cfg
         self.K = K
         self.m = cfg.q - cfg.gamma
         self.R = klein_radius(K, cfg.u)
-        self.log_ratio_at_R = math.log1p(K.K * self.R * self.R)
         self.proposals = 0
         self.accepted = 0
         self._count_lock = threading.Lock()
-        rate = self._acceptance_rate_estimate()
-        self.mode = "rejection" if rate >= inverse_threshold else "inverse"
-        self._inv_cdf = self._build_inverse_cdf() if self.mode == "inverse" else None
+        d, m = cfg.d, self.m
+        v = self._v = K.scale * cfg.u
+        self._tanh_v = math.tanh(v)
+        log_tanh_v = math.log(self._tanh_v)
+        log_cosh_v = float(_log_cosh(v))
+        # chord of (d-1) log cosh on [0, v]: slope and the drop e^(-lam v) - 1
+        self._lam = (d - 1) * log_cosh_v / v
+        self._drop = math.expm1(-(d - 1) * log_cosh_v)
+        log_mass = log_radial_mass(d, m, v)
+        log_power = m * log_tanh_v - math.log(m) + (d + 1) * log_cosh_v
+        log_envelopes = {"power": log_power}
+        if self._drop < 0.0:  # else (d-1) log cosh v is lost to rounding (v below ~1e-8)
+            log_envelopes["exponential"] = ((m - 1) * log_tanh_v + (d - 1) * log_cosh_v
+                                            + math.log(-self._drop) - math.log(self._lam))
+        self._envelope = min(log_envelopes, key=log_envelopes.get)
+        self._acceptance = math.exp(log_mass - log_envelopes[self._envelope])
 
-    def _log_accept(self, r):
-        # target/envelope ratio, normalized to 1 at r = R
-        return -0.5 * (self.cfg.d + 1) * (
-            np.log1p(self.K.K * r * r) - self.log_ratio_at_R
-        )
+    @property
+    def envelope(self) -> str:
+        """"power" or "exponential": the rejection envelope in use."""
+        return self._envelope
 
-    def _acceptance_rate_estimate(self):
-        r = np.linspace(0.0, self.R, 8193)[1:]
-        pdf = self.m * r ** (self.m - 1) / self.R**self.m
-        return float(np.trapezoid(pdf * np.exp(self._log_accept(r)), r))
+    @property
+    def acceptance(self) -> float:
+        """Exact a priori acceptance of the envelope in use."""
+        return self._acceptance
 
-    def _build_inverse_cdf(self):
-        from scipy.interpolate import PchipInterpolator
-
-        r = np.linspace(0.0, self.R, _INVERSE_CDF_POINTS + 1)
-        logd = np.full(r.shape, -np.inf)
-        logd[1:] = (self.m - 1) * np.log(r[1:]) - 0.5 * (self.cfg.d + 1) * np.log1p(
-            self.K.K * r[1:] ** 2
-        )
-        w = np.exp(logd - np.max(logd))
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(r))))
-        cdf /= cdf[-1]
-        keep = np.concatenate(([True], np.diff(cdf) > 0))
-        return PchipInterpolator(cdf[keep], r[keep])
+    def _propose(self, u):
+        """Reduced Klein radii tanh(rho) for proposal uniforms u, and the
+        log of their acceptance (law over envelope, at most 0)."""
+        d, m, top = self.cfg.d, self.m, self._tanh_v
+        if self._envelope == "power":
+            r = top * u ** (1.0 / m)
+            return r, -0.5 * (d + 1) * (np.log1p(-r * r) - math.log1p(-top * top))
+        rho = self._v + np.log1p((1.0 - u) * self._drop) / self._lam
+        log_accept = (d - 1) * _log_cosh(rho) - self._lam * rho
+        if m > 1:
+            log_accept = log_accept + (m - 1) * (np.log(np.tanh(rho)) - math.log(top))
+        return np.tanh(rho), log_accept
 
     def _count(self, proposals, accepted):
         with self._count_lock:
@@ -192,19 +209,17 @@ class HittingFlatSampler:
     def _draw_radii(self, rng, n):
         """n offset radii and the (proposals, accepted) spent on them.
 
-        Rejection runs in rounds: each row still pending draws a (radius,
+        Rejection runs in rounds: each row still pending draws a (proposal,
         acceptance) pair of uniforms from rng, until every row is accepted.
         """
-        if self.mode == "inverse":
-            return self._inv_cdf(rng.random(n)), 0, 0
         radii = np.empty(n)
         todo = np.arange(n)
         proposals = 0
         for _ in range(_REJECTION_ROUNDS):
             u = rng.random((todo.size, 2))
-            r = self.R * u[:, 0] ** (1.0 / self.m)
-            keep = np.log(u[:, 1]) < self._log_accept(r)
-            radii[todo[keep]] = r[keep]
+            r, log_accept = self._propose(u[:, 0])
+            keep = np.log(u[:, 1]) < log_accept
+            radii[todo[keep]] = r[keep] / self.K.scale
             proposals += todo.size
             todo = todo[~keep]
             if todo.size == 0:

@@ -23,7 +23,10 @@ from hypflats import (
     phase_limit,
     reduce_to_unit_curvature,
 )
-from oracles import P_STAR_3_2_1, probability_oracle
+import hypflats.analytic as analytic
+from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
+from hypflats.analytic import log_crofton_constant, log_radial_mass
+from oracles import P_STAR_3_2_1, log_radial_mass_oracle, probability_oracle
 
 TOL = Tolerance()
 CFG = FlatConfig(3, 2, 1, 1.0)
@@ -38,18 +41,18 @@ class TestCroftonConstant:
 
     def test_hyperbolic_plane_lines(self):
         # d=2, k=1, K=-1: 2 sinh(u)
-        val = crofton_constant(2, 1, 1.0, K1, TOL)
+        val = crofton_constant(2, 1, 1.0, K1)
         assert val == pytest.approx(2 * math.sinh(1.0), rel=1e-10)
 
     def test_points_k0(self):
         # k=0: volume-type integral of sinh^(d-1)
-        val = crofton_constant(2, 0, 1.0, K1, TOL)
+        val = crofton_constant(2, 0, 1.0, K1)
         assert val == pytest.approx(2 * math.pi * (math.cosh(1.0) - 1), rel=1e-10)
 
     def test_large_dimension_log_safe(self):
         import hypflats
 
-        lv = hypflats.analytic.log_crofton_constant(400, 200, 1.0, K1, TOL)
+        lv = hypflats.analytic.log_crofton_constant(400, 200, 1.0, K1)
         assert math.isfinite(lv)
 
     def test_domain(self):
@@ -57,6 +60,48 @@ class TestCroftonConstant:
             crofton_constant(3, 3, 1.0, K1)
         with pytest.raises(DomainError):
             crofton_constant(3, 1, 0.0, K1)
+
+
+def log_omega(n):
+    return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
+
+
+class TestRadialMass:
+    def test_matches_mpmath(self):
+        for d in (3, 4, 10, 40, 150, 600, 1000):
+            for m in sorted({1, 2, 3, d // 2, d - 1}):
+                for rho in (0.05, 0.3, 1.0, 4.0, 8.0, 12.0):
+                    ref = log_radial_mass_oracle(d, m, rho)
+                    got = log_radial_mass(d, m, rho)
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (d, m, rho)
+
+    def test_tiny_radius(self):
+        # sinh^(m-1) t cosh^(d-m) t ~ t^(m-1) as t -> 0
+        for d, m in ((3, 1), (10, 4), (1000, 999)):
+            assert log_radial_mass(d, m, 1e-200) == pytest.approx(
+                m * math.log(1e-200) - math.log(m), rel=1e-12)
+
+    def test_crofton_constant_in_thin_layer(self):
+        # (d - 1) v >= 7000: the mass sits in a layer of width ~1/d below v
+        for d, v in ((600, 12.0), (800, 8.0), (1000, 7.0)):
+            for k in (0, 1, d // 2, d - 1):
+                ref = log_omega(d - k) + log_radial_mass_oracle(d, d - k, v)
+                got = log_crofton_constant(d, k, v, K1)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (d, k, v)
+
+    def test_crofton_constant_curvature_scaling(self):
+        # C_K(u) = (-K)^((k-d)/2) C_{-1}(sqrt(-K) u); lines in the plane: 2 sinh(s u) / s
+        assert crofton_constant(2, 1, 1.0, Curvature(-4.0)) == pytest.approx(
+            math.sinh(2.0), rel=1e-12)
+        got = log_crofton_constant(40, 10, 1.5, Curvature(-4.0))
+        ref = log_omega(30) - 30 * math.log(2.0) + log_radial_mass_oracle(40, 30, 3.0)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_domain(self):
+        for d, m, rho in ((3, 0, 1.0), (3, 4, 1.0), (1, 1, 1.0), (3, 1, 0.0),
+                          (3, 1, math.inf)):
+            with pytest.raises(DomainError):
+                log_radial_mass(d, m, rho)
 
 
 class TestReduction:
@@ -187,6 +232,54 @@ class TestMoment:
     def test_negative_unconditional_finite(self):
         res = moment(CFG, K1, -0.5, False, TOL)
         assert not res.divergent and res.value > 0
+
+
+class TestPrefactor:
+    @pytest.fixture
+    def crofton_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return log_crofton_constant(*args)
+
+        monkeypatch.setattr(analytic, "log_crofton_constant", spy)
+        return calls
+
+    def test_moment_computes_the_crofton_constant_once(self, crofton_calls):
+        # the second call is conditional=True's intersection probability
+        moment(CFG, K1, 1.0, True, TOL)
+        assert len(crofton_calls) <= 2
+
+    def test_cdf_grid_computes_the_crofton_constant_once(self, crofton_calls):
+        distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL)
+        assert len(crofton_calls) == 1
+
+
+class TestGuards:
+    def test_moment_tail_is_bounded(self, monkeypatch):
+        # a density that never decays: the tail loop gives up and says so
+        monkeypatch.setattr(analytic, "_density_reduced", lambda cfg1, pref, dv, tol: 1.0)
+        with pytest.raises(QuadratureError) as info:
+            moment(CFG, K1, 0.5, True, TOL)
+        assert info.value.partial is not None
+        assert not info.value.partial.converged
+        assert info.value.partial.value > 0
+
+    def test_cdf_grid_checks_its_range(self, monkeypatch):
+        def segment(value, err):
+            return lambda *args, **kwargs: QuadResult(value, err, 15, True)
+
+        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(0.6, 1e-13))
+        with pytest.raises(ProbabilityRangeError):
+            distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
+        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(-1e-3, 1e-13))
+        with pytest.raises(ProbabilityRangeError):
+            distance_cdf_grid(CFG, K1, [0.5], TOL)
+        # an overshoot within the summed error estimates is clamped
+        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(0.5 + 1e-10, 1e-9))
+        np.testing.assert_array_equal(
+            distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL), [0.5 + 1e-10, 1.0])
 
 
 class TestEuclideanCdf:

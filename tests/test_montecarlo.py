@@ -18,7 +18,7 @@ from hypflats import (
 )
 import hypflats.montecarlo as mc
 from hypflats.montecarlo import _trial_rng
-from oracles import radial_cdf_oracle
+from oracles import probability_closed_form_oracle, radial_cdf_oracle, radial_cdf_rho_oracle
 
 CFG = FlatConfig(3, 2, 1, 1.0)
 K1 = Curvature(-1.0)
@@ -97,6 +97,34 @@ class TestSampleCentralSubspace:
             np.testing.assert_allclose(F.T @ F, np.eye(2), atol=1e-12)
 
 
+# configurations that select each envelope (checked in
+# test_power_envelope_at_small_v_and_large_m)
+POWER_CFG = FlatConfig(10, 9, 1, 0.3)
+EXPONENTIAL_CFG = CFG
+
+
+def reference_radius(sampler, rng):
+    """One radius by a scalar rejection loop written from the envelope's formula."""
+    d, m, K = sampler.cfg.d, sampler.m, sampler.K
+    v = K.scale * sampler.cfg.u
+    while True:
+        u, w = rng.random(), rng.random()
+        if sampler.envelope == "power":
+            # r^(m-1) in Klein r, equal to r^(m-1) (1 + K r^2)^(-(d+1)/2) at R
+            r = sampler.R * u ** (1.0 / m)
+            log_accept = -0.5 * (d + 1) * (math.log1p(K.K * r * r)
+                                           - math.log1p(K.K * sampler.R ** 2))
+        else:
+            # tanh^(m-1)(v) exp(lam rho) on [0, v], inverted in closed form
+            lam = (d - 1) * math.log(math.cosh(v)) / v
+            rho = v + math.log(u + (1.0 - u) * math.exp(-lam * v)) / lam
+            log_accept = ((d - 1) * math.log(math.cosh(rho)) - lam * rho
+                          + (m - 1) * (math.log(math.tanh(rho)) - math.log(math.tanh(v))))
+            r = math.tanh(rho) / K.scale
+        if math.log(w) < log_accept:
+            return r
+
+
 class TestHittingFlatSampler:
     def test_flat_dimension_and_hitting(self):
         from hypflats import klein_radius_inv
@@ -112,21 +140,48 @@ class TestHittingFlatSampler:
             assert klein_radius_inv(K1, min(r, R)) <= CFG.u + 1e-10
 
     def test_acceptance_at_envelope_max_is_one(self):
-        sampler = HittingFlatSampler(CFG, K1)
-        assert sampler._log_accept(sampler.R) == pytest.approx(0.0, abs=1e-14)
+        # each envelope touches the law at the top of its range and lies
+        # above it everywhere else
+        u = np.linspace(0.0, 1.0, 2001)[1:]
+        for cfg in (POWER_CFG, EXPONENTIAL_CFG, FlatConfig(1000, 500, 0, 1.0)):
+            sampler = HittingFlatSampler(cfg, K1)
+            r, log_accept = sampler._propose(u)
+            assert r[-1] == pytest.approx(math.tanh(cfg.u), rel=1e-15)
+            assert log_accept[-1] == pytest.approx(0.0, abs=1e-12 * cfg.d * cfg.u)
+            assert np.all(log_accept <= 1e-12 * cfg.d * cfg.u)
 
-    def test_switches_to_inverse_cdf_for_large_d(self):
+    def test_exponential_envelope_at_large_d(self):
         cfg = FlatConfig(400, 2, 1, 1.0)
         sampler = HittingFlatSampler(cfg, K1)
-        assert sampler.mode == "inverse"
+        assert sampler.envelope == "exponential"
         rng = np.random.default_rng(3)
         for _ in range(20):
             r = np.linalg.norm(sampler.sample(rng).offset)
             assert 0.0 <= r <= sampler.R * (1 + 1e-9)
 
-    def test_rejection_mode_for_small_d(self):
-        sampler = HittingFlatSampler(CFG, K1)
-        assert sampler.mode == "rejection"
+    def test_power_envelope_at_small_v_and_large_m(self):
+        sampler = HittingFlatSampler(POWER_CFG, K1)
+        assert sampler.envelope == "power"
+        assert HittingFlatSampler(EXPONENTIAL_CFG, K1).envelope == "exponential"
+        # where (d-1) log cosh v is lost to rounding only power is offered
+        tiny = HittingFlatSampler(FlatConfig(3, 2, 1, 1e-200), K1)
+        assert tiny.envelope == "power"
+        assert tiny.acceptance == pytest.approx(1.0)
+        assert 0.0 <= tiny._sample_radius(np.random.default_rng(7)) <= tiny.R
+
+    def test_envelope_choice_and_exact_acceptance(self):
+        # the chosen envelope accepts at least 0.418 of proposals over the
+        # documented domain; the counters agree with the exact value
+        for cfg in (POWER_CFG, EXPONENTIAL_CFG, FlatConfig(1000, 500, 0, 1.0),
+                    FlatConfig(60, 3, 1, 2.5), FlatConfig(40, 39, 38, 12.0)):
+            sampler = HittingFlatSampler(cfg, K1)
+            assert 0.418 <= sampler.acceptance <= 1.0
+            _, proposals, accepted = sampler._draw_radii(np.random.default_rng(13), 20000)
+            rate = accepted / proposals
+            se = math.sqrt(sampler.acceptance * (1 - sampler.acceptance) / proposals)
+            assert abs(rate - sampler.acceptance) <= 5 * se
+        with pytest.raises(AttributeError):
+            sampler.envelope = "power"
 
     def test_radial_law_matches_oracle(self):
         sampler = HittingFlatSampler(CFG, K1)
@@ -136,36 +191,40 @@ class TestHittingFlatSampler:
         cdf = radial_cdf_oracle(CFG.d, CFG.q - CFG.gamma, sampler.R, K1.K, radii)
         assert ks_statistic(radii, cdf) < 0.015
 
-    def test_inverse_mode_radial_law(self):
-        cfg = FlatConfig(120, 3, 2, 1.0)
-        sampler = HittingFlatSampler(cfg, K1)
-        assert sampler.mode == "inverse"
-        rng = np.random.default_rng(5)
-        radii = np.sort([np.linalg.norm(sampler.sample(rng).offset)
-                         for _ in range(20000)])
-        cdf = radial_cdf_oracle(cfg.d, cfg.q - cfg.gamma, sampler.R, K1.K, radii)
-        assert ks_statistic(radii, cdf) < 0.015
+    def test_radial_law_matches_mpmath(self):
+        # large v and d, where the law sits in a thin layer below v; the
+        # mpmath CDF is taken at every 40th sorted draw and interpolated,
+        # which moves the statistic by at most one cell's mass (about 0.002)
+        for cfg in (FlatConfig(10, 9, 8, 8.0), FlatConfig(10, 9, 8, 4.0),
+                    FlatConfig(30, 2, 1, 4.0), FlatConfig(60, 3, 1, 2.5), POWER_CFG):
+            sampler = HittingFlatSampler(cfg, K1)
+            rng = np.random.default_rng(5)
+            rho = np.sort(np.arctanh([sampler._sample_radius(rng) for _ in range(20000)]))
+            knots = np.concatenate(([0.0], rho[::40], [cfg.u]))
+            cdf = np.interp(rho, knots, radial_cdf_rho_oracle(cfg.d, sampler.m, cfg.u, knots))
+            assert ks_statistic(rho, cdf) <= 0.015, cfg
 
     def test_one_radius_matches_scalar_rejection_loop(self):
-        # the loop the sampler used before radii were drawn in batches
-        sampler = HittingFlatSampler(CFG, K1)
-        a, b = np.random.default_rng(12), np.random.default_rng(12)
-        for _ in range(200):
-            while True:
-                r = sampler.R * b.random() ** (1.0 / sampler.m)
-                if math.log(b.random()) < sampler._log_accept(r):
-                    break
-            assert sampler._sample_radius(a) == pytest.approx(r, rel=1e-14)
+        for cfg in (POWER_CFG, EXPONENTIAL_CFG):
+            sampler = HittingFlatSampler(cfg, K1)
+            a, b = np.random.default_rng(12), np.random.default_rng(12)
+            for _ in range(200):
+                assert sampler._sample_radius(a) == pytest.approx(
+                    reference_radius(sampler, b), rel=1e-12)
 
     def test_rejection_rounds_are_bounded(self):
-        class NearOne:
-            # radius just under R, acceptance uniform just under 1: always rejected
+        class Interior:
+            # proposal in the middle of the range, acceptance uniform just
+            # under 1: every envelope rejects it
             def random(self, size):
-                return np.full(size, 1.0 - 1e-6)
+                out = np.full(size, 1.0 - 1e-12)
+                out[:, 0] = 0.5
+                return out
 
-        sampler = HittingFlatSampler(CFG, K1)
-        with pytest.raises(ConstructionError):
-            sampler._draw_radii(NearOne(), 3)
+        for cfg in (POWER_CFG, EXPONENTIAL_CFG):
+            sampler = HittingFlatSampler(cfg, K1)
+            with pytest.raises(ConstructionError):
+                sampler._draw_radii(Interior(), 3)
 
     def test_wrapper(self):
         rng = np.random.default_rng(6)
@@ -199,6 +258,15 @@ class TestEstimates:
         assert len(s.finite_samples) + s.empty_count == s.trials
         assert np.all(np.diff(s.finite_samples) >= 0)
 
+    def test_probability_at_large_radius(self):
+        # p from the mpmath closed form; at u = 8 the radius law sits in a
+        # layer about 0.1 wide below v
+        for u in (8.0, 4.0):
+            p = probability_closed_form_oracle(10, 9, 8, u)
+            est = estimate_intersection_probability(FlatConfig(10, 9, 8, u), K1,
+                                                    100_000, 41)
+            assert abs(est.p_hat - p) <= 4 * est.std_err, (u, est.p_hat, p)
+
     def test_trials_validation(self):
         with pytest.raises(DomainError):
             estimate_intersection_probability(CFG, K1, 0, 1)
@@ -228,7 +296,6 @@ class TestBlocks:
 
     def test_radius_counts_exact_under_threads(self):
         sampler = mc._get_sampler(CFG, K1)
-        assert sampler.mode == "rejection"
         counts = []
         for threads in (1, 4):
             before = (sampler.proposals, sampler.accepted)

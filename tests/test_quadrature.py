@@ -231,25 +231,3 @@ class TestLogKernelOp:
         v = log_kernel(5000, 3, K, 0.9, 0.5)
         assert math.isfinite(v)
 
-
-class TestBackendAgreement:
-    def test_backends_match(self):
-        import hypflats
-        from hypflats import _backend
-
-        if "cython" not in hypflats.available_backends():
-            pytest.skip("compiled backend unavailable")
-        z = np.linspace(0.0, 0.999, 57)
-        theta = np.linspace(0.0, math.pi / 2 - 1e-9, 57)
-        for d, q, r in [(3, 2, 0.5), (10, 4, 0.9), (300, 2, 0.01)]:
-            ref_z = hypflats._kernels_py.log_kernel(d, q, -1.0, r, z)
-            ref_t = hypflats._kernels_py.log_kernel_theta(d, q, -1.0, r, theta)
-            cur = _backend.backend_name()
-            try:
-                _backend.set_backend("cython")
-                got_z = _backend.log_kernel(float(d), float(q), -1.0, r, z)
-                got_t = _backend.log_kernel_theta(float(d), float(q), -1.0, r, theta)
-            finally:
-                _backend.set_backend(cur)
-            np.testing.assert_allclose(got_z, ref_z, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(got_t, ref_t, rtol=1e-13, atol=1e-13)
