@@ -2,8 +2,10 @@
 flats hitting a ball in d-dimensional hyperbolic space (curvature K < 0).
 
 The analytic layer evaluates the closed-form double integrals by adaptive
-quadrature; the Monte Carlo layer validates them by direct simulation in
-the Beltrami-Klein model.
+quadrature; the Monte Carlo layer validates them by simulation in the
+Beltrami-Klein model, where rotation invariance reduces a trial to two
+m x m Wishart matrices (m = q - gamma), and the one-flat geometry API
+(bases, flats, their intersection) gives the same law with full frames.
 """
 
 from .analytic import (
@@ -53,7 +55,6 @@ from .quadrature import (
     Tolerance,
     integrate_adaptive,
     integrate_iterated_2d,
-    log_kernel,
 )
 from .special import (
     Curvature,
@@ -84,7 +85,6 @@ __all__ = [
     "QuadResult",
     "integrate_adaptive",
     "integrate_iterated_2d",
-    "log_kernel",
     # analytic
     "MomentResult",
     "PhaseMode",

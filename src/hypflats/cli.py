@@ -269,7 +269,11 @@ def _cmd_simulate(args, tol):
     p = analytic.intersection_probability(cfg, K, tol)
     a = 1.0 - p
     atom_hat = summary.empty_count / args.trials
-    atom_se = math.sqrt(max(atom_hat * (1 - atom_hat), 1e-300) / args.trials)
+    # |p_hat - p| = |atom_hat - a| in units of the analytic binomial standard
+    # error; the estimate's own std_err is 0 whenever p_hat is 0 or 1
+    se = math.sqrt(p * a / args.trials)
+    gap = abs(est.p_hat - p)
+    deviation = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
     if hits:
         grid = np.linspace(0.0, float(summary.finite_samples[-1]), 129)[1:]
         cdf_grid = analytic.distance_cdf_grid(cfg, K, grid, tol) / p
@@ -288,11 +292,9 @@ def _cmd_simulate(args, tol):
         "trials": args.trials, "seed": summary.seed,
         "p_hat": est.p_hat, "std_err": est.std_err,
         "analytic_p": p,
-        "p_deviation_sigmas": (abs(est.p_hat - p) / est.std_err
-                               if est.std_err > 0 else 0.0),
+        "p_deviation_sigmas": deviation,
         "atom_hat": atom_hat, "analytic_atom": a,
-        "atom_deviation_sigmas": (abs(atom_hat - a) / atom_se
-                                  if atom_se > 0 else 0.0),
+        "atom_deviation_sigmas": deviation,
         "ks_statistic": ks,
         "version": __version__,
     }

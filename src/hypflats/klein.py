@@ -12,13 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .linalg import Basis, min_norm_solutions, project
-# re-exported: perfbench's traced run looks it up on this module
-from .linalg import min_norm_solution  # noqa: F401
-from .special import Curvature
+from .linalg import Basis, min_norm_solution, project
+from .special import Curvature, klein_radius_inv
 
 __all__ = ["AffineFlat", "IntersectionOutcome", "flat_from_normal_offset",
-           "intersect_with_central_subspace", "intersect_batch"]
+           "intersect_with_central_subspace"]
 
 _OFFSET_TOL = 1e-6
 _BOUNDARY_TOL = 1e-14
@@ -87,40 +85,26 @@ def intersect_with_central_subspace(E: AffineFlat, L: Basis,
                                     K: Curvature) -> IntersectionOutcome:
     """Intersection of a flat E with the central subspace L inside the Klein ball.
 
-    The one-flat case of intersect_batch.
-    """
-    euclid, hyper = intersect_batch(E.normal_basis.columns[None], E.offset[None],
-                                    L.columns[None], K)
-    if not np.isfinite(euclid[0]):
-        return IntersectionOutcome.empty()
-    return IntersectionOutcome(float(euclid[0]), float(hyper[0]))
-
-
-def intersect_batch(W, x, B, K: Curvature):
-    """Intersections of n flats {y : P_W y = x} with n central subspaces span(B).
-
-    W is (n, d, m) with orthonormal columns, x is (n, d) in span(W), and B
-    is (n, d, q) with orthonormal columns.  Row i solves P_W (B c) = x over
-    coefficients c of B; the minimum-norm solution is the Euclidean-closest
-    intersection point, which is also the hyperbolically closest one since
-    the hyperbolic distance to the origin increases with Euclidean norm.
-    Returns the Euclidean and hyperbolic distances of that point from the
-    origin, both +inf where the row misses.
+    With W the normal basis of E, x its offset and B the basis of L, the
+    intersection points are B c with W^T B c = W^T x.  The minimum-norm
+    solution is the Euclidean-closest intersection point, which is also
+    the hyperbolically closest one since the hyperbolic distance to the
+    origin increases with Euclidean norm.
     """
     K.require_hyperbolic()
-    if W.shape[1] != B.shape[1]:
+    W, x, B = E.normal_basis.columns, E.offset, L.columns
+    if W.shape[0] != B.shape[0]:
         raise DomainError("ambient dimensions of E and L differ")
     edge = K.ball_radius * (1.0 - _BOUNDARY_TOL)
-    Wt = np.swapaxes(W, 1, 2)
-    c, ok = min_norm_solutions(Wt @ B, (Wt @ x[:, :, None])[:, :, 0])
     # the offset is the flat's closest point to the origin, so a flat whose
     # offset falls outside the open ball misses the model space entirely
-    ok &= np.linalg.norm(x, axis=1) < edge
-    euclid = np.full(len(x), np.inf)
-    euclid[ok] = np.linalg.norm((B[ok] @ c[ok, :, None])[:, :, 0], axis=1)
+    if np.linalg.norm(x) >= edge:
+        return IntersectionOutcome.empty()
+    c = min_norm_solution(W.T @ B, W.T @ x)
+    if c is None:
+        return IntersectionOutcome.empty()
+    r = float(np.linalg.norm(B @ c))
     # the Klein ball is open; boundary grazing counts as empty
-    euclid[euclid >= edge] = np.inf
-    hyper = np.full(len(x), np.inf)
-    meets = np.isfinite(euclid)
-    hyper[meets] = np.arctanh(K.scale * euclid[meets]) / K.scale
-    return euclid, hyper
+    if r >= edge:
+        return IntersectionOutcome.empty()
+    return IntersectionOutcome(r, klein_radius_inv(K, r))

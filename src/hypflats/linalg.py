@@ -7,8 +7,7 @@ import numpy as np
 
 from .errors import DomainError, RankError
 
-__all__ = ["Basis", "orthonormalize", "project", "min_norm_solution",
-           "min_norm_solutions"]
+__all__ = ["Basis", "orthonormalize", "project", "min_norm_solution"]
 
 _GRAM_TOL = 1e-12
 _DEFAULT_RANK_TOL = 1e-10
@@ -122,48 +121,3 @@ def min_norm_solution(M, b, rank_tol: float = _DEFAULT_RANK_TOL):
     if np.linalg.norm(M @ c - b) > threshold:
         return None
     return c
-
-
-def min_norm_solutions(M, b, rank_tol: float = _DEFAULT_RANK_TOL):
-    """min_norm_solution for a stack of systems M[i] c = b[i].
-
-    M is (n, m, q) and b is (n, m).  Returns (c, ok): c is (n, q) and ok
-    is False on the rows that are inconsistent (their c is NaN).  Up to six
-    rows per system, the normal equations are solved for the whole stack
-    at once; a system whose residual fails the min_norm_solution test, or
-    whose normal matrix is singular, goes through min_norm_solution on its
-    own, as do all systems with more than six rows.
-    """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if M.ndim != 3 or b.shape != M.shape[:2]:
-        raise DomainError(f"shape mismatch: M {M.shape}, b {b.shape}")
-    n, m, q = M.shape
-    c = np.full((n, q), np.nan)
-    pending = np.ones(n, dtype=bool)
-    if m <= 6:
-        Mt = np.swapaxes(M, 1, 2)
-        G = M @ Mt
-        rows = np.arange(n)
-        try:
-            y = np.linalg.solve(G, b[:, :, None])
-        except np.linalg.LinAlgError:
-            # an exactly singular system stops the stacked solve: leave the
-            # systems whose determinant vanishes to the one-system path
-            det = np.linalg.det(G)
-            rows = np.flatnonzero(np.isfinite(det) & (det != 0.0))
-            y = np.linalg.solve(G[rows], b[rows, :, None])
-        trial = (Mt[rows] @ y)[:, :, 0]
-        residual = np.linalg.norm((M[rows] @ trial[:, :, None])[:, :, 0] - b[rows], axis=1)
-        # NaN residuals compare False and go to the one-system path too
-        good = residual <= rank_tol * (1.0 + np.linalg.norm(b[rows], axis=1))
-        c[rows[good]] = trial[good]
-        pending[rows[good]] = False
-    ok = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(pending):
-        ci = min_norm_solution(M[i], b[i], rank_tol)
-        if ci is None:
-            ok[i] = False
-        else:
-            c[i] = ci
-    return c, ok

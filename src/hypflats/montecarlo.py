@@ -1,15 +1,21 @@
 """Monte Carlo sampler for the two random flats and the distance law.
 
-Trials run in blocks of a fixed size that depends on (d, q) only.  Block
-j of a run with seed s draws all its trials at once from one Philox
-stream keyed by (s, j), in a fixed order: the frames of the central
-subspaces, the normal frames of the random flats, their offset
-directions, then their offset radii.  Every block is drawn whole and the
-last one is cut to the requested trial count, and threads only decide
-which block runs where.  So a run's output is bit-identical for any
-thread count, and the first N trials of a run equal a run of N trials.
-The one-flat functions (sample_central_subspace, HittingFlatSampler.sample
-and _sample_radius) are the n = 1 case of the same batched draws.
+The law of the intersection distance is rotation-invariant: L is a
+uniform q-flat through the origin o, and E is independent of L with an
+O(d)-invariant law.  So L can be fixed to the first q coordinate axes,
+and the distance then depends on E only through an m x m Wishart pair,
+m = q - gamma (see _block_distances).  A trial costs O(m^3) whatever d is.
+
+Trials run in blocks whose size depends on m only.  Block j of a run with
+seed s draws all its trials at once from one Philox stream keyed by
+(s, j), in a fixed order: the Bartlett factors of A ~ Wishart_m(q), the
+matrices B ~ Wishart_m(d - q), the unit offset directions, then the
+offset radii.  Every block is drawn whole and the last one is cut to the
+requested trial count, and threads only decide which block runs where.
+So a run's output is bit-identical for any thread count, and the first N
+trials of a run equal a run of N trials.  The one-flat functions
+(sample_central_subspace, HittingFlatSampler.sample) draw full Haar
+frames in R^d.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .analytic import _log_cosh, log_radial_mass
 from .errors import ConstructionError, DomainError
-from .klein import AffineFlat, intersect_batch
+from .klein import _BOUNDARY_TOL, AffineFlat
 # re-exported: perfbench's traced run looks it up on this module
 from .klein import intersect_with_central_subspace  # noqa: F401
 from .linalg import Basis, require_orthonormal
@@ -87,10 +93,10 @@ def _trial_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_size(d, q):
-    """Trials per block: 1024, halved while a block's d x q frames exceed 4 MB."""
+def _block_size(m):
+    """Trials per block: 1024, halved while a block's m x m matrices exceed 4 MB."""
     size = _BLOCK_TRIALS
-    while size > 1 and size * d * q * 8 > _BLOCK_BYTES:
+    while size > 1 and size * m * m * 8 > _BLOCK_BYTES:
         size //= 2
     return size
 
@@ -233,20 +239,12 @@ class HittingFlatSampler:
         self._count(proposals, accepted)
         return float(radii[0])
 
-    def _draw(self, rng, n):
-        """n flats as normal frames (n, d, m) and offsets (n, d), plus the
-        rejection counts; draws the frames, the directions, then the radii."""
-        W = _haar_frames(self.cfg.d, self.m, rng, n)
-        g = rng.standard_normal((n, self.m))
-        radii, proposals, accepted = self._draw_radii(rng, n)
-        unit = g / np.linalg.norm(g, axis=1, keepdims=True)
-        offsets = (W @ (radii[:, None] * unit)[:, :, None])[:, :, 0]
-        return W, offsets, proposals, accepted
-
     def sample(self, rng) -> AffineFlat:
-        W, offsets, proposals, accepted = self._draw(rng, 1)
-        self._count(proposals, accepted)
-        return AffineFlat(Basis(W[0]), offsets[0])
+        """One flat; draws its normal frame, offset direction, then radius."""
+        W = _haar_frames(self.cfg.d, self.m, rng, 1)[0]
+        g = rng.standard_normal(self.m)
+        radius = self._sample_radius(rng)
+        return AffineFlat(Basis(W), W @ (radius * g / np.linalg.norm(g)))
 
 
 @lru_cache(maxsize=32)
@@ -259,20 +257,68 @@ def sample_hitting_flat(cfg: FlatConfig, K: Curvature, rng) -> AffineFlat:
     return _get_sampler(cfg, K).sample(rng)
 
 
+def _bartlett(dof, m, rng, n):
+    """Lower Bartlett factors T, shape (n, m, m), of n Wishart_m(dof)
+    matrices T T^T: the square roots of chi-squares with dof, dof - 1, ...,
+    dof - m + 1 degrees of freedom on the diagonal, N(0, 1) below it."""
+    T = np.zeros((n, m, m))
+    diag = np.arange(m)
+    T[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(n, m)))
+    below = np.tril_indices(m, -1)
+    T[:, below[0], below[1]] = rng.standard_normal((n, below[0].size))
+    return T
+
+
+def _block_distances(sampler, rng, n):
+    """Hyperbolic distances of n trials (+inf marks a miss), and the
+    rejection counts of their radii.
+
+    Let W = G R^-1 be E's normal frame, with G a d x m Gaussian and R the
+    upper triangular factor of its QR with a positive diagonal: W is Haar.
+    E is {y : W^T y = r xi} with xi uniform on the unit sphere of R^m, and
+    L is the span of the first q axes.  The point of E and L closest to
+    the origin is the minimum-norm solution of M c = r xi, with M the
+    first q columns of W^T, and its squared norm is r^2 xi^T (M M^T)^-1 xi.
+    Split G into its first q rows G1 and the rest G2.  Then
+    M M^T = R^-T A R^-1 with A = G1^T G1 ~ Wishart_m(q), and
+    R^T R = G^T G = A + B with B = G2^T G2 ~ Wishart_m(d - q) independent
+    of A.  With A = T_A T_A^T and Lc = R^T = cholesky(A + B), the norm is
+    r |T_A^-1 eta| with eta = R^T xi = Lc xi.  A has q >= m degrees of
+    freedom, so it is positive definite: E and L always meet in R^d, and
+    a trial misses when that closest point is not inside the open Klein
+    ball.  B is drawn by Bartlett when d - q >= m, else as G2^T G2.
+    """
+    cfg, K = sampler.cfg, sampler.K
+    d, q, m = cfg.d, cfg.q, sampler.m
+    T = _bartlett(q, m, rng, n)
+    if d - q >= m:
+        Tb = _bartlett(d - q, m, rng, n)
+        B = Tb @ np.swapaxes(Tb, 1, 2)
+    else:
+        G2 = rng.standard_normal((n, d - q, m))
+        B = np.swapaxes(G2, 1, 2) @ G2
+    g = rng.standard_normal((n, m))
+    radii, proposals, accepted = sampler._draw_radii(rng, n)
+    eta = np.linalg.cholesky(T @ np.swapaxes(T, 1, 2) + B) @ (
+        g / np.linalg.norm(g, axis=1, keepdims=True))[:, :, None]
+    norm = radii * np.linalg.norm(np.linalg.solve(T, eta)[:, :, 0], axis=1)
+    # the Klein ball is open; boundary grazing counts as a miss
+    hyper = np.full(n, np.inf)
+    meets = norm < K.ball_radius * (1.0 - _BOUNDARY_TOL)
+    hyper[meets] = np.arctanh(K.scale * norm[meets]) / K.scale
+    return hyper, proposals, accepted
+
+
 def _run_trials(cfg, K, trials, seed, threads=None):
     """Hyperbolic intersection distance per trial; +inf marks a miss."""
     if trials < 1:
         raise DomainError("need trials >= 1")
     seed = _check_seed(seed)
     sampler = _get_sampler(cfg, K)
-    size = _block_size(cfg.d, cfg.q)
+    size = _block_size(sampler.m)
 
     def run_block(block):
-        rng = _trial_rng(seed, block)
-        L = _haar_frames(cfg.d, cfg.q, rng, size)
-        W, offsets, proposals, accepted = sampler._draw(rng, size)
-        _, hyper = intersect_batch(W, offsets, L, K)
-        return hyper, proposals, accepted
+        return _block_distances(sampler, _trial_rng(seed, block), size)
 
     blocks = range(-(-trials // size))
     if threads is not None and threads > 1 and len(blocks) > 1:

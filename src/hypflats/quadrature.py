@@ -17,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import DomainError, QuadratureError
-from .special import Curvature
 
 __all__ = [
     "Tolerance",
     "QuadResult",
     "integrate_adaptive",
     "integrate_iterated_2d",
-    "log_kernel",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -96,6 +93,19 @@ _TS_ENDPOINT_DEPTH = 12
 _TS_INTERIOR_DEPTH = 40
 _TS_TMAX = 6.1
 _TS_MAX_LEVEL = 11
+# largest log of a panel's scale factor: e^709 is within a factor 2.2 of
+# the largest double
+_MAX_LOG_SCALE = 709.0
+
+
+def _exp_scale(log_scale, a, b):
+    """exp(log_scale), or QuadratureError where it would overflow a double."""
+    if log_scale > _MAX_LOG_SCALE:
+        raise QuadratureError(
+            f"log-integrand reaches {log_scale:.6g} on [{a}, {b}]; "
+            f"its exponential overflows a double"
+        )
+    return math.exp(log_scale)
 
 
 def _gk_panel(f, a, b, log_form, log_offset):
@@ -114,7 +124,7 @@ def _gk_panel(f, a, b, log_form, log_offset):
             return 0.0, 0.0, 15
         if not math.isfinite(m):
             raise QuadratureError(f"non-finite log-integrand on [{a}, {b}]")
-        scale = math.exp(min(m + log_offset, 709.0))
+        scale = _exp_scale(m + log_offset, a, b)
         vals = np.exp(y - m)
     else:
         if not np.all(np.isfinite(y)):
@@ -161,9 +171,7 @@ def _tanh_sinh_panel(f, a, b, target, log_form, log_offset):
             if m == -math.inf:
                 s = 0.0
             else:
-                s = math.exp(min(m + log_offset, 709.0)) * float(
-                    np.sum(np.exp(logc - m))
-                )
+                s = _exp_scale(m + log_offset, a, b) * float(np.sum(np.exp(logc - m)))
         else:
             s = float(w @ y)
         if prev is not None:
@@ -352,19 +360,3 @@ def integrate_iterated_2d(g, a, b, inner_upper, tol: Tolerance = DEFAULT_TOLERAN
         outer.converged,
     )
 
-
-def log_kernel(d: int, q: int, K: Curvature, r: float, z):
-    """Log of the radial-angular integrand z^q (1-z^2)^((d-q)/2-1) (1+K r^2 z^2)^(-(d+1)/2).
-
-    Accepts a scalar or array z with 0 <= z < 1 (z = 0 maps to -inf for
-    q >= 1); requires r z inside the Klein ball when K < 0.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any((z_arr < 0.0) | (z_arr >= 1.0)):
-        raise DomainError("need 0 <= z < 1")
-    if r < 0.0:
-        raise DomainError("need r >= 0")
-    if K.K < 0.0 and r * float(np.max(z_arr, initial=0.0)) >= K.ball_radius:
-        raise DomainError("r z must lie inside the open Klein ball")
-    out = _backend.log_kernel(float(d), float(q), K.K, float(r), z_arr)
-    return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out

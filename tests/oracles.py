@@ -161,11 +161,6 @@ def probability_closed_form_oracle(d, q, g, v, dps=30):
 #   probability_oracle(5, 3, 0, sqrt(0.5) * 1.5)     -> 0.316475766703500
 P_STAR_3_2_1 = 0.835422319722953
 P_STAR_5_3_0_HALF = 0.316475766703500
-
-# Frozen Monte Carlo reference for (d, q, gamma, K, u) = (3, 2, 1, -1, 1),
-# run with estimate_intersection_probability before the analytic values
-# were compared: 10^6 trials, seed 271828, 8 threads.
-P_STAR_MC_3_2_1 = 0.835750
-P_STAR_MC_3_2_1_STD_ERR = 0.000371
-P_STAR_MC_3_2_1_TRIALS = 1_000_000
-P_STAR_MC_3_2_1_SEED = 271828
+# probability_closed_form_oracle(3, 2, 1, 1.0), mpmath at 30 digits; it
+# lies 1.9e-11 from the scipy value above
+P_STAR_3_2_1_MPMATH = 0.835422319704187

@@ -16,6 +16,7 @@ from hypflats import (
     distance_cdf,
     distance_cdf_grid,
     distance_density,
+    estimate_intersection_probability,
     euclidean_distance_cdf,
     euclidean_intersection_probability,
     intersection_probability,
@@ -26,7 +27,8 @@ from hypflats import (
 import hypflats.analytic as analytic
 from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
-from oracles import P_STAR_3_2_1, log_radial_mass_oracle, probability_oracle
+from oracles import (P_STAR_3_2_1, P_STAR_3_2_1_MPMATH, log_radial_mass_oracle,
+                     probability_oracle)
 
 TOL = Tolerance()
 CFG = FlatConfig(3, 2, 1, 1.0)
@@ -120,11 +122,15 @@ class TestIntersectionProbability:
         p = intersection_probability(CFG, K1, TOL)
         assert p == pytest.approx(P_STAR_3_2_1, abs=2e-9)
 
-    def test_matches_frozen_monte_carlo(self):
-        from oracles import P_STAR_MC_3_2_1, P_STAR_MC_3_2_1_STD_ERR
-
+    def test_matches_mpmath_closed_form(self):
         p = intersection_probability(CFG, K1, TOL)
-        assert abs(p - P_STAR_MC_3_2_1) <= 4 * P_STAR_MC_3_2_1_STD_ERR
+        assert p == pytest.approx(P_STAR_3_2_1_MPMATH, rel=1e-11, abs=0.0)
+
+    def test_matches_frozen_monte_carlo(self):
+        # a Monte Carlo run at a frozen seed: 10^6 trials, standard error 3.7e-4
+        est = estimate_intersection_probability(CFG, K1, 1_000_000, 271828)
+        p = intersection_probability(CFG, K1, TOL)
+        assert abs(p - est.p_hat) <= 4 * math.sqrt(p * (1 - p) / est.trials)
 
     def test_oracle_second_config(self):
         cfg = FlatConfig(4, 2, 0, 0.8)

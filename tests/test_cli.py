@@ -174,6 +174,21 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] < 5.0
         assert 0.0 <= doc["ks_statistic"] <= 1.0
 
+    def test_deviation_uses_the_analytic_standard_error(self, capsys):
+        # p_hat = 1 here, so the estimate's own standard error is 0
+        code, out, _ = invoke(
+            capsys, "simulate", "--d", "3", "--q", "2", "--gamma", "1", "--K", "-1",
+            "--u", "0.01", "--trials", "2000", "--seed", "3",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        p, n = doc["analytic_p"], doc["trials"]
+        expect = abs(doc["p_hat"] - p) / math.sqrt(p * (1 - p) / n)
+        assert doc["p_deviation_sigmas"] == doc["atom_deviation_sigmas"]
+        assert doc["p_deviation_sigmas"] == pytest.approx(expect, rel=1e-9)
+        assert doc["p_deviation_sigmas"] < 4.0
+        assert doc["std_err"] == math.sqrt(doc["p_hat"] * (1 - doc["p_hat"]) / n)
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, threads):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from hypflats import (
     klein_radius_inv,
     min_norm_solution,
 )
-from hypflats.klein import intersect_batch
 
 K1 = Curvature(-1.0)
 E1 = Basis(np.eye(2)[:, :1])          # normal = span(e1)
@@ -128,7 +127,8 @@ class TestIntersect:
 
 
 def reference_intersection(W, x, B, K):
-    """The per-flat intersection the library ran before it was batched."""
+    """The per-flat intersection by a minimum-norm solve, kept apart from the
+    library; the Monte Carlo tests rebuild the full geometry with it."""
     edge = K.ball_radius * (1.0 - 1e-14)
     if np.linalg.norm(x) >= edge:
         return None
@@ -161,33 +161,32 @@ def random_rows(rng, n, d, q, m, ball):
 
 
 class TestIntersectBatch:
+    """Batches of rows from random_rows, solved one flat at a time."""
+
     @pytest.mark.parametrize("d,q,m", [(2, 1, 1), (3, 2, 1), (5, 2, 3), (6, 3, 2),
                                        (6, 4, 4), (9, 5, 7), (12, 8, 8)])
     def test_rows_match_reference_and_scalar(self, d, q, m):
+        # each row of random_rows through the one-flat solve and the reference
         K = Curvature(-2.0)
         rng = np.random.default_rng(100 * d + 10 * q + m)
         W, x, B = random_rows(rng, 40, d, q, m, K.ball_radius)
-        euclid, hyper = intersect_batch(W, x, B, K)
         outcomes = 0
         for i in range(len(x)):
             ref = reference_intersection(W[i], x[i], B[i], K)
             one = intersect_with_central_subspace(
                 flat_from_normal_offset(Basis(W[i]), x[i]), Basis(B[i]), K)
-            assert np.isfinite(euclid[i]) == (ref is not None) == one.meets
-            assert np.isfinite(hyper[i]) == one.meets
+            assert (ref is not None) == one.meets
             if one.meets:
                 outcomes += 1
-                assert euclid[i] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
-                assert hyper[i] == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
-                assert one.euclid_dist == pytest.approx(euclid[i], rel=1e-12, abs=1e-15)
-                assert one.hyper_dist == pytest.approx(hyper[i], rel=1e-12, abs=1e-15)
+                assert one.euclid_dist == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
+                assert one.hyper_dist == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
         # both outcomes occur in every group
         assert 0 < outcomes < len(x)
 
     def test_dimension_mismatch(self):
+        E = flat_from_normal_offset(Basis(np.eye(3)[:, :1]), np.zeros(3))
         with pytest.raises(DomainError):
-            intersect_batch(np.zeros((1, 3, 1)), np.zeros((1, 3)),
-                            np.zeros((1, 2, 1)), K1)
+            intersect_with_central_subspace(E, Basis(np.eye(2)[:, :1]), K1)
 
 
 class TestOutcome:

@@ -11,7 +11,7 @@ from hypflats import (
     orthonormalize,
     project,
 )
-from hypflats.linalg import min_norm_solutions, require_orthonormal
+from hypflats.linalg import require_orthonormal
 
 
 class TestBasis:
@@ -125,47 +125,3 @@ class TestMinNormSolution:
     def test_shape_check(self):
         with pytest.raises(DomainError):
             min_norm_solution(np.eye(2), np.ones(3))
-
-
-class TestMinNormSolutions:
-    @pytest.mark.parametrize("m,q", [(1, 3), (2, 2), (3, 5), (6, 8), (7, 9), (4, 2)])
-    def test_rows_match_one_system_solver(self, m, q):
-        rng = np.random.default_rng(10 * m + q)
-        M = rng.standard_normal((30, m, q))
-        b = rng.standard_normal((30, m))
-        M[3] = 0.0                   # zero system: consistent only for b = 0
-        M[4, -1] = M[4, 0]           # repeated row, consistent right-hand side
-        b[4, -1] = b[4, 0]
-        M[5, -1] = M[5, 0]           # repeated row, inconsistent right-hand side
-        b[5, -1] = b[5, 0] + 1.0
-        b[6] = 0.0
-        c, ok = min_norm_solutions(M, b)
-        for i in range(len(b)):
-            ref = min_norm_solution(M[i], b[i])
-            assert ok[i] == (ref is not None)
-            if ref is None:
-                assert np.all(np.isnan(c[i]))
-            else:
-                np.testing.assert_allclose(c[i], ref, rtol=1e-12, atol=1e-14)
-
-    def test_only_failing_systems_solved_one_at_a_time(self, monkeypatch):
-        import hypflats.linalg as la
-
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((20, 2, 4))
-        b = rng.standard_normal((20, 2))
-        M[7] = 0.0
-        seen = []
-
-        def spy(Mi, bi, rank_tol):
-            seen.append(Mi)
-            return min_norm_solution(Mi, bi, rank_tol)
-
-        monkeypatch.setattr(la, "min_norm_solution", spy)
-        c, ok = min_norm_solutions(M, b)
-        assert len(seen) == 1 and not np.any(seen[0])
-        assert ok.sum() == 19 and not ok[7]
-
-    def test_shape_check(self):
-        with pytest.raises(DomainError):
-            min_norm_solutions(np.zeros((2, 1, 3)), np.zeros((2, 2)))

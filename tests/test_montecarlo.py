@@ -19,6 +19,9 @@ from hypflats import (
 import hypflats.montecarlo as mc
 from hypflats.montecarlo import _trial_rng
 from oracles import probability_closed_form_oracle, radial_cdf_oracle, radial_cdf_rho_oracle
+from scipy.linalg import solve_triangular
+from scipy.stats import ks_2samp
+from test_klein import reference_intersection
 
 CFG = FlatConfig(3, 2, 1, 1.0)
 K1 = Curvature(-1.0)
@@ -272,23 +275,99 @@ class TestEstimates:
             estimate_intersection_probability(CFG, K1, 0, 1)
 
 
+def full_geometry_distances(cfg, K, n, seed):
+    """n trials in R^d: Haar L and Haar normal frames of E, offsets from the
+    sampler's radii, intersected one flat at a time."""
+    rng = np.random.default_rng(seed)
+    sampler = HittingFlatSampler(cfg, K)
+    L = mc._haar_frames(cfg.d, cfg.q, rng, n)
+    W = mc._haar_frames(cfg.d, sampler.m, rng, n)
+    g = rng.standard_normal((n, sampler.m))
+    radii, _, _ = sampler._draw_radii(rng, n)
+    x = np.einsum("nij,nj->ni", W, radii[:, None] * g / np.linalg.norm(g, axis=1, keepdims=True))
+    out = np.full(n, np.inf)
+    for i in range(n):
+        hit = reference_intersection(W[i], x[i], L[i], K)
+        if hit is not None:
+            out[i] = hit[1]
+    return out
+
+
+class TestInvariantKernel:
+    # (12, 8, 1) has m = 7; (20, 5, 0) has gamma = 0; (10, 9, 1) has d - q < m
+    @pytest.mark.parametrize("d,q,gamma,u", [(3, 2, 1, 1.0), (12, 8, 1, 1.0),
+                                             (20, 5, 0, 1.0), (10, 9, 1, 0.3)])
+    def test_matches_full_geometry(self, d, q, gamma, u):
+        cfg, n = FlatConfig(d, q, gamma, u), 30000
+        ref = full_geometry_distances(cfg, K1, n, 1000 + d)
+        got = mc._run_trials(cfg, K1, n, 2000 + d)
+        hit_ref, hit_got = np.isfinite(ref), np.isfinite(got)
+        p = (hit_ref.sum() + hit_got.sum()) / (2 * n)
+        assert 0 < p < 1
+        assert abs(hit_ref.mean() - hit_got.mean()) <= 4 * math.sqrt(p * (1 - p) * 2 / n)
+        assert ks_2samp(ref[hit_ref], got[hit_got]).pvalue >= 1e-3
+
+    def test_large_m_matches_closed_form(self):
+        # m = 38 with d - q = 1: a one-dimensional B and 256-trial blocks
+        cfg = FlatConfig(40, 39, 1, 0.3)
+        p = probability_closed_form_oracle(40, 39, 1, 0.3)
+        est = estimate_intersection_probability(cfg, K1, 10000, 43)
+        assert abs(est.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / est.trials)
+
+    def test_bartlett_factor_is_wishart(self):
+        T = mc._bartlett(5, 3, np.random.default_rng(3), 20000)
+        diag = np.diagonal(T, axis1=1, axis2=2)
+        assert np.all(np.triu(T, 1) == 0.0) and np.all(diag > 0.0)
+        # squared diagonal: chi-squares with 5, 4, 3 degrees of freedom;
+        # T T^T has mean 5 I
+        np.testing.assert_allclose(np.mean(diag**2, axis=0), [5.0, 4.0, 3.0], rtol=0.03)
+        A = T @ np.swapaxes(T, 1, 2)
+        np.testing.assert_allclose(A.mean(axis=0), 5.0 * np.eye(3), atol=0.15)
+
+    def test_block_draw_order(self):
+        # block 1 of seed 11, rebuilt trial by trial from its stream: the
+        # Bartlett factors of A, of B (d - q = 6 >= m = 3), the directions,
+        # then the radii
+        cfg = FlatConfig(10, 4, 1, 1.5)
+        sampler = mc._get_sampler(cfg, K1)
+        n = mc._block_size(3)
+        rng = _trial_rng(11, 1)
+        TA = mc._bartlett(4, 3, rng, n)
+        TB = mc._bartlett(6, 3, rng, n)
+        g = rng.standard_normal((n, 3))
+        radii, _, _ = sampler._draw_radii(rng, n)
+        expect = np.full(n, np.inf)
+        for i in range(n):
+            Lc = np.linalg.cholesky(TA[i] @ TA[i].T + TB[i] @ TB[i].T)
+            eta = Lc @ (g[i] / np.linalg.norm(g[i]))
+            norm = radii[i] * np.linalg.norm(solve_triangular(TA[i], eta, lower=True))
+            if norm < 1.0 - 1e-14:
+                expect[i] = math.atanh(norm)
+        got = mc._run_trials(cfg, K1, 2 * n, 11)[n:]
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert 0 < np.count_nonzero(np.isfinite(got)) < n
+
+
 class TestBlocks:
     def test_block_size_depends_on_dimensions_only(self):
-        assert mc._block_size(3, 2) == 1024
-        assert mc._block_size(50, 2) == 1024
-        small = mc._block_size(1000, 999)
-        assert 1 <= small < 1024
-        for d, q in ((3, 2), (300, 200), (1000, 999)):
-            assert mc._block_size(d, q) * d * q * 8 <= max(mc._BLOCK_BYTES, d * q * 8)
+        # on m = q - gamma only: the largest power of two up to 1024 whose
+        # m x m matrices fit in 4 MB
+        assert mc._block_size(1) == mc._block_size(22) == 1024
+        assert mc._block_size(298) == 4
+        assert mc._block_size(1000) == 1
+        for m in (1, 2, 7, 23, 100, 298, 1000):
+            size = mc._block_size(m)
+            assert size * m * m * 8 <= max(mc._BLOCK_BYTES, m * m * 8)
+            assert size == 1024 or 2 * size * m * m * 8 > mc._BLOCK_BYTES
 
     def test_prefix_of_a_longer_run(self):
         full = mc._run_trials(CFG, K1, 4096, 11)
-        for n in (10, 2 * mc._block_size(CFG.d, CFG.q) + 517):
+        for n in (10, 2 * mc._block_size(CFG.q - CFG.gamma) + 517):
             np.testing.assert_array_equal(mc._run_trials(CFG, K1, n, 11), full[:n])
 
     def test_identical_across_thread_counts(self):
         cfg = FlatConfig(12, 4, 1, 1.5)
-        n = 3 * mc._block_size(cfg.d, cfg.q) + 100
+        n = 3 * mc._block_size(cfg.q - cfg.gamma) + 100
         one = mc._run_trials(cfg, K1, n, 23, threads=1)
         four = mc._run_trials(cfg, K1, n, 23, threads=4)
         np.testing.assert_array_equal(one, four)
@@ -302,8 +381,8 @@ class TestBlocks:
             mc._run_trials(CFG, K1, 5000, 31, threads=threads)
             counts.append((sampler.proposals - before[0], sampler.accepted - before[1]))
         assert counts[0] == counts[1]
-        blocks = -(-5000 // mc._block_size(CFG.d, CFG.q))
-        assert counts[0][1] == blocks * mc._block_size(CFG.d, CFG.q)
+        blocks = -(-5000 // mc._block_size(CFG.q - CFG.gamma))
+        assert counts[0][1] == blocks * mc._block_size(CFG.q - CFG.gamma)
         assert counts[0][0] > counts[0][1]
 
 

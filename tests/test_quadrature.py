@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from hypflats import (
-    Curvature,
     DomainError,
     QuadratureError,
     Tolerance,
     integrate_adaptive,
     integrate_iterated_2d,
-    log_kernel,
 )
+from hypflats._backend import log_kernel_theta
 
 TOL = Tolerance()
 
@@ -102,6 +101,15 @@ class TestIntegrateAdaptive:
         with pytest.raises(QuadratureError):
             integrate_adaptive(lambda x: np.full(x.shape, np.nan), 0.0, 1.0, TOL)
 
+    def test_overflowing_log_integrand_raises(self):
+        # e^800 is not a double: raise rather than return a capped value
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(lambda x: np.full(x.shape, 800.0), 0.0, 1.0, TOL,
+                               log_form=True)
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(lambda x: np.zeros_like(x), 0.0, 1.0, TOL,
+                               log_form=True, log_offset=800.0)
+
 
 class TestKnownIntegrals:
     def test_polynomials_degree_10_exact(self):
@@ -119,23 +127,22 @@ class TestKnownIntegrals:
         assert res.value == pytest.approx(math.sinh(u) ** 2 / 2, rel=1e-12)
 
     def test_splitting_invariance_on_kernel(self):
-        # the radial-angular kernel at (d, q, K, u) = (5, 3, -1, 1)
-        K = Curvature(-1.0)
-        r = 0.5
-        f = lambda z: np.exp(log_kernel(5, 3, K, r, np.minimum(z, 0.999999)))
-        whole = integrate_adaptive(f, 0.0, 0.9, TOL)
-        left = integrate_adaptive(f, 0.0, 0.37, TOL)
-        right = integrate_adaptive(f, 0.37, 0.9, TOL)
+        # the radial-angular kernel at (d, q, K) = (5, 3, -1), r = 0.5
+        f = lambda t: np.exp(log_kernel_theta(5, 3, -1.0, 0.5, t))
+        top, cut = math.asin(0.9), math.asin(0.37)
+        whole = integrate_adaptive(f, 0.0, top, TOL)
+        left = integrate_adaptive(f, 0.0, cut, TOL)
+        right = integrate_adaptive(f, cut, top, TOL)
         combined_err = whole.error_estimate + left.error_estimate + right.error_estimate
         assert abs(whole.value - (left.value + right.value)) <= combined_err + 1e-14
 
     def test_error_estimate_honesty_on_kernel(self):
-        K = Curvature(-1.0)
         tight = Tolerance(rel_tol=1e-10, abs_tol=1e-13)
+        top = math.asin(0.95)
         for r in (0.2, 0.5, 0.8):
-            f = lambda z: np.exp(log_kernel(5, 3, K, r, z))
-            res = integrate_adaptive(f, 0.0, 0.95, TOL)
-            ref = integrate_adaptive(f, 0.0, 0.95, tight)
+            f = lambda t: np.exp(log_kernel_theta(5, 3, -1.0, r, t))
+            res = integrate_adaptive(f, 0.0, top, TOL)
+            ref = integrate_adaptive(f, 0.0, top, tight)
             assert abs(res.value - ref.value) <= 10 * res.error_estimate + 1e-14
 
 
@@ -178,24 +185,31 @@ class TestIterated2D:
         assert res.value == pytest.approx(0.125, rel=1e-9)
 
 
+def z_form(d, q, K, r, z):
+    """Log of the kernel z^q (1-z^2)^((d-q)/2-1) (1+K r^2 z^2)^(-(d+1)/2)
+    times dz/dtheta = sqrt(1-z^2), the Jacobian of z = sin(theta)."""
+    return (q * np.log(z) + ((d - q) / 2 - 0.5) * np.log1p(-z * z)
+            - (d + 1) / 2 * np.log1p(K * r * r * z * z))
+
+
 class TestLogKernelOp:
+    """log_kernel_theta at z = sin(theta)."""
+
     def test_matches_direct_formula(self):
-        K = Curvature(-1.0)
         z = np.array([0.1, 0.5, 0.9])
         d, q, r = 5, 3, 0.7
-        expect = (q * np.log(z) + ((d - q) / 2 - 1) * np.log1p(-z * z)
-                  - (d + 1) / 2 * np.log1p(K.K * r * r * z * z))
-        got = log_kernel(d, q, K, r, z)
-        np.testing.assert_allclose(got, expect, rtol=1e-13)
+        got = log_kernel_theta(d, q, -1.0, r, np.arcsin(z))
+        np.testing.assert_allclose(got, z_form(d, q, -1.0, r, z), rtol=1e-13)
 
     def test_hand_computed_point(self):
-        # (d=3, q=2, K=-1, r=0.5, z=0.5)
-        K = Curvature(-1.0)
-        expect = math.log(0.25) - 0.5 * math.log(0.75) - 2 * math.log(0.9375)
-        assert log_kernel(3, 2, K, 0.5, 0.5) == pytest.approx(expect, rel=1e-13)
+        # (d=3, q=2, K=-1, r=0.5, z=0.5): z^2 (1 - z^2)^(-1/2) (1 - z^2/4)^(-2)
+        # times the Jacobian cos(pi/6) = (1 - z^2)^(1/2)
+        expect = math.log(0.25) - 2 * math.log(0.9375)
+        got = log_kernel_theta(3, 2, -1.0, 0.5, np.array([math.pi / 6]))
+        assert got[0] == pytest.approx(expect, rel=1e-13)
 
     def test_exp_matches_direct_small_d(self):
-        K = Curvature(-0.5)
+        K = -0.5
         rng = np.random.default_rng(13)
         for _ in range(50):
             d = int(rng.integers(3, 31))
@@ -203,31 +217,14 @@ class TestLogKernelOp:
             r = float(rng.uniform(0.0, 1.0))
             z = float(rng.uniform(0.01, 0.99))
             direct = (z**q * (1 - z * z) ** ((d - q) / 2 - 1)
-                      * (1 + K.K * r * r * z * z) ** (-(d + 1) / 2))
-            assert math.exp(log_kernel(d, q, K, r, z)) == pytest.approx(
-                direct, rel=1e-12
-            )
+                      * (1 + K * r * r * z * z) ** (-(d + 1) / 2) * math.sqrt(1 - z * z))
+            got = log_kernel_theta(d, q, K, r, np.array([math.asin(z)]))
+            assert math.exp(got[0]) == pytest.approx(direct, rel=1e-12)
 
     def test_zero_maps_to_neg_inf(self):
-        K = Curvature(-1.0)
-        assert log_kernel(4, 2, K, 0.5, 0.0) == -math.inf
-
-    def test_scalar_round_trip(self):
-        K = Curvature(-1.0)
-        v = log_kernel(4, 2, K, 0.5, 0.3)
-        assert isinstance(v, float)
-
-    def test_domain_checks(self):
-        K = Curvature(-1.0)
-        with pytest.raises(DomainError):
-            log_kernel(4, 2, K, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            log_kernel(4, 2, K, -0.1, 0.5)
-        with pytest.raises(DomainError):
-            log_kernel(4, 2, Curvature(-4.0), 0.9, 0.9)  # r z outside ball
+        got = log_kernel_theta(4, 2, -1.0, 0.5, np.array([0.0, math.pi / 4]))
+        assert got[0] == -math.inf and math.isfinite(got[1])
 
     def test_large_dimension_finite(self):
-        K = Curvature(-1.0)
-        v = log_kernel(5000, 3, K, 0.9, 0.5)
-        assert math.isfinite(v)
-
+        v = log_kernel_theta(5000, 3, -1.0, 0.9, np.array([math.pi / 6]))
+        assert math.isfinite(v[0])
