@@ -1,7 +1,8 @@
 """Intersection probabilities and distance laws for random totally geodesic
 flats hitting a ball in d-dimensional hyperbolic space (curvature K < 0).
 
-The analytic layer evaluates the closed-form double integrals by adaptive
+The analytic layer evaluates the closed-form distance density and its 1-d
+integrals (the probability itself still by a double integral) by adaptive
 quadrature; the Monte Carlo layer validates them by simulation in the
 Beltrami-Klein model, where rotation invariance reduces a trial to two
 m x m Wishart matrices (m = q - gamma), and the one-flat geometry API

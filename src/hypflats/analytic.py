@@ -3,9 +3,23 @@ distance CDF/density, atom mass, moments, Euclidean baselines and the
 critical phase constant.
 
 Every hyperbolic evaluation first rescales to unit curvature (K = -1 with
-ball radius v = sqrt(-K) u), which fixes the outer integration interval at
-[0, 1].  Inner integrals use the substitution z = sin(theta), which removes
-the (1 - z^2)^(-1/2) endpoint singularity of the d - q = 1 case entirely.
+ball radius v = sqrt(-K) u).  On the event that the flats meet, the
+distance t from the origin to the intersection has the closed-form density
+
+    f(t) = A sinh^(m-1) t cosh^gamma t I_x((q+1)/2, (d-q)/2),
+
+m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
+incomplete beta function and A = B((q+1)/2, (d-q)/2) D omega_(d-gamma) / (2 C)
+(_log_density, in log space).  The density is that formula; the CDF, the
+CDF grid and the moments are 1-d integrals of it.
+
+Three functions still evaluate the older radial-angular double integral
+(integrate_iterated_2d over the kernel of _backend, whose inner
+substitution z = sin(theta) removes the (1 - z^2)^(-1/2) endpoint
+singularity of the d - q = 1 case): intersection_probability,
+euclidean_distance_cdf and critical_constant_rho.  The benchmark's tracer
+expects intersection_probability to do 2-d quadrature and kernel work, so
+these move to the closed form together with that tracer.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import betainc, betaln, hyp2f1
 
 from . import _backend
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
@@ -94,12 +109,18 @@ class PhaseMode:
 
 
 _MOMENT_TAIL_DOUBLINGS = 20
-_RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=1e-300)
+_RELATIVE_ONLY_ABS_TOL = 1e-300
+_RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=_RELATIVE_ONLY_ABS_TOL)
 
 
 def _log_cosh(x):
     x = np.asarray(x, dtype=float)
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _log_sinh(t):
+    t = np.asarray(t, dtype=float)
+    return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
 def log_radial_mass(d: int, m: int, rho: float) -> float:
@@ -231,17 +252,17 @@ def _peak_break_points(r, theta_max):
 
 
 def _hyper_double_integral(cfg1: FlatConfig, pref: float, outer_hi: float,
-                           tol: Tolerance, outer_lo: float = 0.0) -> QuadResult:
+                           tol: Tolerance) -> QuadResult:
     """The radial-angular double integral at unit curvature, times exp(pref).
 
-    Integrates r^(q-gamma-1) times the kernel over r in (outer_lo, outer_hi),
+    Integrates r^(q-gamma-1) times the kernel over r in (0, outer_hi),
     theta in (0, arcsin(min(1, R(u)/r))).
     """
     logg, inner_upper, inner_breaks, Ru = _integrand_parts(cfg1)
     return integrate_iterated_2d(
-        logg, outer_lo, outer_hi, inner_upper, tol,
+        logg, 0.0, outer_hi, inner_upper, tol,
         log_form=True, log_offset=pref,
-        outer_break_points=(Ru,) if outer_lo < Ru < outer_hi else (),
+        outer_break_points=(Ru,),
         inner_break_points=lambda r: inner_breaks(r, inner_upper(r)),
     )
 
@@ -264,6 +285,89 @@ def atom_mass(cfg: FlatConfig, K: Curvature,
     return 1.0 - intersection_probability(cfg, K, tol)
 
 
+def _log_incomplete_beta_tail(a: float, b: float, x, log_x):
+    """log(B_x(a, b) / x^a) for 0 <= x < 1, B_x the incomplete beta function.
+
+    From scipy's regularized betainc wherever that is a normal double; where
+    it underflows, from B_x(a, b) = x^a (1 - x)^b / a * 2F1(a + b, 1; a + 1; x),
+    whose series converges fast there (x lies far below the mean a/(a+b)).
+    """
+    i = betainc(a, b, x)
+    with np.errstate(divide="ignore"):
+        out = np.log(i) + betaln(a, b) - a * log_x
+    under = i < np.finfo(float).tiny
+    if under.any():
+        xu = x[under]
+        out[under] = (b * np.log1p(-xu) - math.log(a)
+                      + np.log(hyp2f1(a + b, 1.0, a + 1.0, xu)))
+    return out
+
+
+def _log_density(cfg1: FlatConfig, pref: float, t) -> np.ndarray:
+    """log of the distance density at unit curvature, elementwise on reduced distances t > 0.
+
+    f(t) = A sinh^(m-1) t cosh^gamma t I_x(a, b), m = q - gamma,
+    a = (q+1)/2, b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t) with v = cfg1.u,
+    A = B(a, b) exp(pref) / 2.  For t > v the factor x^a of I_x is taken
+    out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
+    so no power of order d multiplies a log of sinh t there.
+    """
+    t = np.asarray(t, dtype=float)
+    d, q, g = cfg1.d, cfg1.q, cfg1.gamma
+    m = q - g
+    a, b = 0.5 * (q + 1), 0.5 * (d - q)
+    ls_t = _log_sinh(t)
+    ls_v = float(_log_sinh(cfg1.u))
+    log_x = np.minimum(0.0, 2.0 * (ls_v - ls_t))
+    far = log_x < 0.0
+    out = np.full(t.shape, pref - math.log(2.0))
+    if g:
+        out += g * _log_cosh(t)
+    near = ~far
+    out[near] += betaln(a, b)
+    if m > 1:  # at m = 1 the power is 0 and sinh^0 = 1, also at t = 0
+        out[near] += (m - 1) * ls_t[near]
+    if far.any():
+        lx = log_x[far]
+        out[far] += ((q + 1) * ls_v - (g + 2) * ls_t[far]
+                     + _log_incomplete_beta_tail(a, b, np.exp(lx), lx))
+    return out
+
+
+def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
+                      tol: Tolerance, alpha: float = 0.0) -> QuadResult:
+    """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
+
+    Past v the density has a (t - v)^((d-q)/2) term, a square root at
+    d - q = 1, which Gauss-Kronrod resolves slowly.  That part runs in
+    s = sqrt(t - v), where the integrand 2 s g(v + s^2) is smooth.
+
+    Only tol's relative tolerance decides convergence.  The density peaks
+    at v in a layer that can be far narrower than a panel (about 1/d wide
+    below v at gamma near q, and thin in s for large upper limits), and a
+    first panel whose nodes all miss it sees a value orders of magnitude
+    below the true one; an absolute tolerance would accept that.
+    """
+    v = cfg1.u
+    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
+
+    def log_g(t):
+        val = _log_density(cfg1, pref, t)
+        return val + alpha * np.log(t) if alpha else val
+
+    parts = []
+    if lo < v:
+        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
+    if hi > v:
+        parts.append(integrate_adaptive(lambda s: math.log(2.0) + np.log(s) + log_g(v + s * s),
+                                        math.sqrt(max(lo - v, 0.0)), math.sqrt(hi - v), tol,
+                                        log_form=True))
+    return QuadResult(math.fsum(r.value for r in parts),
+                      math.fsum(r.error_estimate for r in parts),
+                      sum(r.evaluations for r in parts),
+                      all(r.converged for r in parts))
+
+
 def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """P(distance of the intersection to the origin <= delta)."""
@@ -272,16 +376,15 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
     if delta == 0:
         return 0.0
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    outer_hi = math.tanh(K.scale * delta)
     return _as_probability(
-        _hyper_double_integral(cfg1, _log_prefactor(cfg1), outer_hi, tol))
+        _density_integral(cfg1, _log_prefactor(cfg1), 0.0, K.scale * delta, tol))
 
 
 def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """distance_cdf on an ascending grid, via cumulative segment integrals.
 
-    One outer sweep instead of len(deltas) independent double integrals.
+    One sweep of 1-d segments instead of len(deltas) integrals from 0.
     Each value carries the summed error estimates of its segments, and
     leaving [0, 1] by more than them raises ProbabilityRangeError.
     """
@@ -290,13 +393,12 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         raise DomainError("deltas must be ascending and >= 0")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     pref = _log_prefactor(cfg1)
-    bounds = np.tanh(K.scale * deltas)
     out = np.empty(deltas.shape)
     acc = QuadResult(0.0, 0.0, 0, True)
     lo = 0.0
-    for i, hi in enumerate(bounds):
+    for i, hi in enumerate(K.scale * deltas):
         if hi > lo:
-            seg = _hyper_double_integral(cfg1, pref, hi, tol, outer_lo=lo)
+            seg = _density_integral(cfg1, pref, lo, hi, tol)
             acc = QuadResult(acc.value + seg.value,
                              acc.error_estimate + seg.error_estimate,
                              acc.evaluations + seg.evaluations,
@@ -308,31 +410,14 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
 
 def distance_density(cfg: FlatConfig, K: Curvature, delta: float,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Density of the absolutely continuous part of the distance law."""
+    """Density of the absolutely continuous part of the distance law.
+
+    Closed form, so tol is not used; it is accepted like everywhere else.
+    """
     if not delta > 0:
         raise DomainError(f"need delta > 0, got {delta}")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return K.scale * _density_reduced(cfg1, _log_prefactor(cfg1), K.scale * delta, tol)
-
-
-def _density_reduced(cfg1: FlatConfig, pref: float, dv: float, tol: Tolerance) -> float:
-    """Density at unit curvature, evaluated at reduced distance dv > 0."""
-    d, q = cfg1.d, cfg1.q
-    c = q - cfg1.gamma - 1
-    Ru = math.tanh(cfg1.u)
-    Rd = math.tanh(dv)
-    theta_max = math.asin(min(1.0, Ru / Rd))
-    offset = pref - 2.0 * float(_log_cosh(dv))
-    if c:
-        offset += c * math.log(Rd)
-
-    def logf(theta):
-        return _backend.log_kernel_theta(float(d), float(q), -1.0, Rd, theta)
-
-    res = integrate_adaptive(logf, 0.0, theta_max, tol,
-                             log_form=True, log_offset=offset,
-                             break_points=_peak_break_points(Rd, theta_max))
-    return max(res.value, 0.0)
+    return K.scale * math.exp(_log_density(cfg1, _log_prefactor(cfg1), K.scale * delta))
 
 
 def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
@@ -356,17 +441,11 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     pref = _log_prefactor(cfg1)
 
-    def integrand(dv):
-        out = np.empty(dv.shape)
-        for i, x in enumerate(dv):
-            out[i] = x ** alpha * _density_reduced(cfg1, pref, x, tol)
-        return out
-
-    res = integrate_adaptive(integrand, 0.0, 10.0, tol)
+    res = _density_integral(cfg1, pref, 0.0, 10.0, tol, alpha)
     total, err, evals = res.value, res.error_estimate, res.evaluations
     t_lo = 10.0
     for _ in range(_MOMENT_TAIL_DOUBLINGS):
-        seg = integrate_adaptive(integrand, t_lo, 2.0 * t_lo, tol)
+        seg = _density_integral(cfg1, pref, t_lo, 2.0 * t_lo, tol, alpha)
         total += seg.value
         err += seg.error_estimate
         evals += seg.evaluations

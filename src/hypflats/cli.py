@@ -48,11 +48,22 @@ def _curvature(value: str) -> float:
     return K
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+# largest grid of density-scan and scan-K
+MAX_STEPS = 100_000
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi], or >= lo when hi is None."""
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def _add_cfg_args(p, curvature=True):
@@ -92,7 +103,8 @@ def build_parser():
     _add_tol_arg(p)
     p.add_argument("--delta-min", type=float, required=True)
     p.add_argument("--delta-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_in(1, MAX_STEPS), required=True,
+                   help=f"grid points, 1..{MAX_STEPS}")
 
     p = sub.add_parser("moment", help="moment of the intersection distance")
     _add_cfg_args(p)
@@ -120,7 +132,8 @@ def build_parser():
     _add_cfg_args(p, curvature=False)
     p.add_argument("--K-min", type=_curvature, required=True)
     p.add_argument("--K-max", type=_curvature, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_in(2, MAX_STEPS), required=True,
+                   help=f"grid points, 2..{MAX_STEPS}")
     p.add_argument("--log-spaced", action="store_true")
     _add_tol_arg(p)
 
@@ -138,8 +151,9 @@ def build_parser():
     _add_tol_arg(p)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker threads (default: available parallelism)")
+    p.add_argument("--threads", type=_int_in(1), default=1,
+                   help="worker threads over trial blocks (default 1; the output "
+                        "does not depend on it)")
 
     return parser
 
@@ -182,8 +196,8 @@ def _cmd_cdf(args, tol):
 def _cmd_density_scan(args, tol):
     cfg = FlatConfig(args.d, args.q, args.gamma, args.u)
     K = Curvature(args.K)
-    if args.steps < 1 or args.delta_min <= 0 or args.delta_max < args.delta_min:
-        raise HypflatsError("need 0 < delta-min <= delta-max and steps >= 1")
+    if args.delta_min <= 0 or args.delta_max < args.delta_min:
+        raise HypflatsError("need 0 < delta-min <= delta-max")
     deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
     rows = [(float(dd), analytic.distance_density(cfg, K, float(dd), tol))
             for dd in deltas]
@@ -216,8 +230,6 @@ def _cmd_scan_d(args, tol):
 
 def _cmd_scan_K(args, tol):
     cfg = FlatConfig(args.d, args.q, args.gamma, args.u)
-    if args.steps < 2:
-        raise HypflatsError("need steps >= 2")
     if args.log_spaced:
         Ks = -np.geomspace(-args.K_min, -args.K_max, args.steps)
     else:
@@ -256,13 +268,10 @@ def _cmd_scan_phase(args, tol):
 
 
 def _cmd_simulate(args, tol):
-    import os
-
     cfg = FlatConfig(args.d, args.q, args.gamma, args.u)
     K = Curvature(args.K)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     summary = montecarlo.simulate_distance_distribution(
-        cfg, K, args.trials, args.seed, threads
+        cfg, K, args.trials, args.seed, args.threads
     )
     hits = len(summary.finite_samples)
     est = montecarlo.SimEstimate.from_counts(args.trials, hits, summary.seed)

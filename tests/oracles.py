@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own quadrature: the
 probability oracle uses scipy's QAGS on the raw (r, z) form of the double
 integral, the critical-constant oracle is a plain midpoint Riemann sum,
 one radial-law oracle is a dense trapezoid CDF, and the radial mass, its
-CDF and the closed-form probability are evaluated by mpmath at high
-precision.
+CDF, the closed-form distance density and the probability it integrates
+to are evaluated by mpmath at high precision.
 """
 
 import math
@@ -125,35 +125,51 @@ def radial_cdf_rho_oracle(d, m, v, rho_values, dps=30):
                          for r in np.asarray(rho_values, dtype=float)])
 
 
-def probability_closed_form_oracle(d, q, g, v, dps=30):
-    """Intersection probability at K = -1 by mpmath from the one-dimensional
-    closed form of the distance density,
+def _mp_density(d, q, g, v):
+    """The closed-form distance density at K = -1 as an mpmath function,
 
-        f(delta) = A sinh^(q-g-1)(delta) cosh^g(delta) I_x((q+1)/2, (d-q)/2),
+        f(t) = A sinh^(q-g-1)(t) cosh^g(t) I_x((q+1)/2, (d-q)/2),
 
-    x = min(1, sinh^2 v / sinh^2 delta), A = B((q+1)/2, (d-q)/2) D omega_(d-g) / (2 C),
-    with C from the mpmath radial mass.
+    x = min(1, sinh^2 v / sinh^2 t), A = B((q+1)/2, (d-q)/2) D omega_(d-g) / (2 C),
+    with C from the mpmath radial mass.  Call it inside mp.workdps.
     """
+    import mpmath as mp
+
+    v = mp.mpf(v)
+    m = q - g
+
+    def om(n):
+        return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+    C = om(m) * _mp_radial_mass(d, m, v)
+    D = om(g + 1) * om(m) * om(d - q) / (om(d - q + g + 1) * om(d - g))
+    a, b = mp.mpf(q + 1) / 2, mp.mpf(d - q) / 2
+    A = mp.beta(a, b) / 2 * D * om(d - g) / C
+
+    def f(t):
+        x = min(mp.mpf(1), mp.sinh(v) ** 2 / mp.sinh(t) ** 2)
+        return (A * mp.sinh(t) ** (m - 1) * mp.cosh(t) ** g
+                * mp.betainc(a, b, 0, x, regularized=True))
+
+    return f
+
+
+def log_density_oracle(d, q, g, v, t, dps=50):
+    """log of the closed-form distance density at K = -1 and distance t, by mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return float(mp.log(_mp_density(d, q, g, v)(mp.mpf(t))))
+
+
+def probability_closed_form_oracle(d, q, g, v, dps=30):
+    """Intersection probability at K = -1 by mpmath: the closed-form
+    distance density integrated over (0, inf)."""
     import mpmath as mp
 
     with mp.workdps(dps):
         v = mp.mpf(v)
-        m = q - g
-
-        def om(n):
-            return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
-
-        C = om(m) * _mp_radial_mass(d, m, v)
-        D = om(g + 1) * om(m) * om(d - q) / (om(d - q + g + 1) * om(d - g))
-        a, b = mp.mpf(q + 1) / 2, mp.mpf(d - q) / 2
-        A = mp.beta(a, b) / 2 * D * om(d - g) / C
-
-        def f(t):
-            x = min(mp.mpf(1), mp.sinh(v) ** 2 / mp.sinh(t) ** 2)
-            return (A * mp.sinh(t) ** (m - 1) * mp.cosh(t) ** g
-                    * mp.betainc(a, b, 0, x, regularized=True))
-
-        return float(mp.quad(f, [0, v, v + 1, v + 4, v + 16, mp.inf]))
+        return float(mp.quad(_mp_density(d, q, g, v), [0, v, v + 1, v + 4, v + 16, mp.inf]))
 
 
 # Frozen reference values (probability_oracle above, scipy 1.x, 2026-08):
@@ -164,3 +180,19 @@ P_STAR_5_3_0_HALF = 0.316475766703500
 # probability_closed_form_oracle(3, 2, 1, 1.0), mpmath at 30 digits; it
 # lies 1.9e-11 from the scipy value above
 P_STAR_3_2_1_MPMATH = 0.835422319704187
+# probability_closed_form_oracle at 30 digits, 2026-10; the same to 20
+# digits at 40 digits with the quadrature also split at v - k/d and v + h
+# for k in 1..64 and h in 0.001..32:
+#   (10, 9, 8, v=8)  -> 0.0017573099289213724
+#   (40, 39, 38, v=6) -> 0.02518608778412233
+# The 2-d double integral of intersection_probability returns 0.001043 and
+# 0.02016 at these configurations.
+P_STAR_10_9_8_V8_MPMATH = 0.0017573099289213724
+P_STAR_40_39_38_V6_MPMATH = 0.02518608778412233
+# (1000, 999, 998, v=12): the mass below v sits in a layer about 1/1000
+# wide.  probability_closed_form_oracle at 30 digits gives
+# 0.00031013106614781824; split at v - k/1000 (k = 1..200) and v + h, the
+# two halves are 1.229458277304e-05 and 2.978364833747792e-04 (sum
+# 3.1013106614781e-04), and the half below v equals
+# B(a, b) D omega_(d-g) / (2 C) times the mpmath radial mass (999, 1, 12).
+P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824

@@ -26,9 +26,13 @@ from hypflats import (
 )
 import hypflats.analytic as analytic
 from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
+from hypflats._backend import log_kernel_theta
 from hypflats.analytic import log_crofton_constant, log_radial_mass
-from oracles import (P_STAR_3_2_1, P_STAR_3_2_1_MPMATH, log_radial_mass_oracle,
-                     probability_oracle)
+from hypflats.quadrature import integrate_adaptive
+from oracles import (P_STAR_3_2_1, P_STAR_3_2_1_MPMATH, P_STAR_10_9_8_V8_MPMATH,
+                     P_STAR_40_39_38_V6_MPMATH, P_STAR_1000_999_998_V12_MPMATH,
+                     log_density_oracle,
+                     log_radial_mass_oracle, probability_oracle)
 
 TOL = Tolerance()
 CFG = FlatConfig(3, 2, 1, 1.0)
@@ -240,6 +244,101 @@ class TestMoment:
         assert not res.divergent and res.value > 0
 
 
+# the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
+BENCH_CONFIGS = [
+    (FlatConfig(3, 2, 1, 1.0), K1),
+    (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
+    (FlatConfig(4, 2, 0, 0.8), K1),
+    (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
+    (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
+]
+
+
+def density_2d(cfg, K, delta):
+    """The density as the angular integral of the 2-d path at r = tanh(t)."""
+    cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    t = K.scale * delta
+    r = math.tanh(t)
+    theta_max = math.asin(min(1.0, math.tanh(cfg1.u) / r))
+    offset = (analytic._log_prefactor(cfg1) - 2.0 * math.log(math.cosh(t))
+              + (cfg.q - cfg.gamma - 1) * math.log(r))
+    res = integrate_adaptive(
+        lambda theta: log_kernel_theta(cfg.d, cfg.q, -1.0, r, theta), 0.0, theta_max, TOL,
+        log_form=True, log_offset=offset,
+        break_points=analytic._peak_break_points(r, theta_max))
+    return K.scale * res.value
+
+
+class TestClosedForm:
+    """The 1-d closed-form density against the 2-d path and against mpmath."""
+
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS)
+    def test_density_matches_2d_path(self, cfg, K):
+        for x in (0.3, 0.9, 1.1, 2.0, 4.0):
+            delta = x * cfg.u
+            assert distance_density(cfg, K, delta, TOL) == pytest.approx(
+                density_2d(cfg, K, delta), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS)
+    def test_cdf_grid_matches_2d_path(self, cfg, K):
+        deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
+        grid = distance_cdf_grid(cfg, K, deltas, TOL)
+        cfg1, _ = reduce_to_unit_curvature(cfg, K)
+        pref = analytic._log_prefactor(cfg1)
+        for i in (15, 41, 127):   # 0.5 u, 1.3 u and 4 u
+            ref = analytic._hyper_double_integral(
+                cfg1, pref, math.tanh(K.scale * deltas[i]), TOL).value
+            assert grid[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS[:2])
+    def test_cdf_limit_is_the_2d_probability(self, cfg, K):
+        p = intersection_probability(cfg, K, TOL)
+        assert distance_cdf(cfg, K, 50.0 / K.scale, TOL) == pytest.approx(p, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg, p", [
+        (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
+        (FlatConfig(40, 39, 38, 6.0), P_STAR_40_39_38_V6_MPMATH),
+    ])
+    def test_cdf_limit_matches_mpmath(self, cfg, p):
+        # intersection_probability is still wrong here (0.001043 and 0.02016)
+        assert distance_cdf(cfg, K1, cfg.u + 40.0, TOL) == pytest.approx(p, rel=1e-11, abs=0.0)
+
+    def test_cdf_finds_the_layer_below_v(self):
+        # 4% of the mass lies within about 1/1000 below v = 12, far from
+        # every node of a first Gauss-Kronrod panel on [0, 12]
+        cfg = FlatConfig(1000, 999, 998, 12.0)
+        assert distance_cdf(cfg, K1, 72.0, TOL) == pytest.approx(
+            P_STAR_1000_999_998_V12_MPMATH, rel=1e-9, abs=0.0)
+
+    def test_cdf_at_huge_distance(self):
+        # the peak at v is a vanishing part of a panel reaching 10^6
+        far = distance_cdf(CFG, K1, 1e6, TOL)
+        assert far == pytest.approx(P_STAR_3_2_1_MPMATH, rel=1e-11, abs=0.0)
+        np.testing.assert_allclose(
+            distance_cdf_grid(CFG, K1, [40.0, 1e3, 1e6], TOL), far, rtol=1e-12)
+
+    def test_log_density_where_betainc_underflows(self):
+        from scipy.special import betainc
+
+        cfg1 = FlatConfig(1000, 999, 1, 1.0)
+        pref = analytic._log_prefactor(cfg1)
+        for t in (1.5, 3.0, 6.0):
+            ref = log_density_oracle(1000, 999, 1, 1.0, t)
+            got = float(analytic._log_density(cfg1, pref, t))
+            assert abs(got - ref) <= 1e-12, t
+        # I_x(500, 1/2) underflows at t = 3 and 6
+        x = (math.sinh(1.0) / np.sinh([3.0, 6.0])) ** 2
+        assert np.all(betainc(500.0, 0.5, x) == 0.0)
+
+    def test_log_density_far_out(self):
+        # no overflow past t = 710; the tail decays like e^(-2t)
+        cfg1 = FlatConfig(40, 39, 38, 6.0)
+        pref = analytic._log_prefactor(cfg1)
+        lf = analytic._log_density(cfg1, pref, np.array([400.0, 800.0, 1600.0]))
+        assert np.all(np.isfinite(lf))
+        np.testing.assert_allclose(np.diff(lf), [-800.0, -1600.0], rtol=1e-12)
+
+
 class TestPrefactor:
     @pytest.fixture
     def crofton_calls(self, monkeypatch):
@@ -265,7 +364,8 @@ class TestPrefactor:
 class TestGuards:
     def test_moment_tail_is_bounded(self, monkeypatch):
         # a density that never decays: the tail loop gives up and says so
-        monkeypatch.setattr(analytic, "_density_reduced", lambda cfg1, pref, dv, tol: 1.0)
+        monkeypatch.setattr(analytic, "_log_density",
+                            lambda cfg1, pref, t: np.zeros(np.shape(t)))
         with pytest.raises(QuadratureError) as info:
             moment(CFG, K1, 0.5, True, TOL)
         assert info.value.partial is not None
@@ -276,14 +376,14 @@ class TestGuards:
         def segment(value, err):
             return lambda *args, **kwargs: QuadResult(value, err, 15, True)
 
-        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(0.6, 1e-13))
+        monkeypatch.setattr(analytic, "_density_integral", segment(0.6, 1e-13))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
-        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(-1e-3, 1e-13))
+        monkeypatch.setattr(analytic, "_density_integral", segment(-1e-3, 1e-13))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5], TOL)
         # an overshoot within the summed error estimates is clamped
-        monkeypatch.setattr(analytic, "_hyper_double_integral", segment(0.5 + 1e-10, 1e-9))
+        monkeypatch.setattr(analytic, "_density_integral", segment(0.5 + 1e-10, 1e-9))
         np.testing.assert_array_equal(
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL), [0.5 + 1e-10, 1.0])
 

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from hypflats.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run
+import hypflats.cli as cli
+from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
+                          run)
 from oracles import P_STAR_3_2_1
 
 BASE = ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"]
@@ -159,6 +161,36 @@ class TestMomentPhase:
         assert 0.0 < float(out) < 1.0
 
 
+SCAN_ARGS = {
+    "density-scan": [*BASE, "--delta-min", "0.2", "--delta-max", "1.0"],
+    "scan-K": ["--d", "3", "--q", "2", "--gamma", "1", "--u", "1",
+               "--K-min=-1", "--K-max=-0.5"],
+}
+
+
+class TestStepsBound:
+    @pytest.mark.parametrize("command, steps", [
+        ("density-scan", 0), ("density-scan", MAX_STEPS + 1), ("density-scan", 10**12),
+        ("scan-K", 1), ("scan-K", MAX_STEPS + 1), ("scan-K", 10**12),
+    ])
+    def test_out_of_range_exits_2_at_parse_time(self, capsys, monkeypatch, command, steps):
+        def no_grid(args, tol):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, no_grid)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *SCAN_ARGS[command], "--steps", str(steps)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, lo", [("density-scan", 1), ("scan-K", 2)])
+    def test_range_ends_are_accepted(self, command, lo):
+        for steps in (lo, MAX_STEPS):
+            args = build_parser().parse_args([command, *SCAN_ARGS[command],
+                                              "--steps", str(steps)])
+            assert args.steps == steps
+
+
 class TestSimulate:
     def test_json_fields(self, capsys):
         code, out, _ = invoke(
@@ -188,6 +220,10 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] == pytest.approx(expect, rel=1e-9)
         assert doc["p_deviation_sigmas"] < 4.0
         assert doc["std_err"] == math.sqrt(doc["p_hat"] * (1 - doc["p_hat"]) / n)
+
+    def test_threads_default_to_one(self):
+        args = build_parser().parse_args(["simulate", *BASE, "--seed", "1"])
+        assert args.threads == 1
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, threads):
