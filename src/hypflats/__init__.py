@@ -1,12 +1,14 @@
 """Intersection probabilities and distance laws for random totally geodesic
 flats hitting a ball in d-dimensional hyperbolic space (curvature K < 0).
 
-The analytic layer evaluates the closed-form distance density and its 1-d
-integrals (the probability itself still by a double integral) by adaptive
-quadrature; the Monte Carlo layer validates them by simulation in the
-Beltrami-Klein model, where rotation invariance reduces a trial to two
-m x m Wishart matrices (m = q - gamma), and the one-flat geometry API
-(bases, flats, their intersection) gives the same law with full frames.
+The analytic layer evaluates the distance density and the flat-space
+distance CDF in closed form, and the distance CDF, the moments and the
+critical constant as 1-d integrals by adaptive quadrature; one function,
+the probability itself, is still a double integral.  The Monte Carlo
+layer validates them by simulation in the Beltrami-Klein model, where
+rotation invariance reduces a trial to two m x m Wishart matrices
+(m = q - gamma), and the one-flat geometry API (bases, flats, their
+intersection) gives the same law with full frames.
 """
 
 from .analytic import (
@@ -51,12 +53,7 @@ from .montecarlo import (
     sample_hitting_flat,
     simulate_distance_distribution,
 )
-from .quadrature import (
-    QuadResult,
-    Tolerance,
-    integrate_adaptive,
-    integrate_iterated_2d,
-)
+from .quadrature import QuadResult, Tolerance, integrate_adaptive
 from .special import (
     Curvature,
     FlatConfig,
@@ -85,7 +82,6 @@ __all__ = [
     "Tolerance",
     "QuadResult",
     "integrate_adaptive",
-    "integrate_iterated_2d",
     # analytic
     "MomentResult",
     "PhaseMode",

@@ -11,15 +11,14 @@ distance t from the origin to the intersection has the closed-form density
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) D omega_(d-gamma) / (2 C)
 (_log_density, in log space).  The density is that formula; the CDF, the
-CDF grid and the moments are 1-d integrals of it.
+CDF grid and the moments are 1-d integrals of it.  The flat-space (K -> 0)
+distance CDF is closed form, and the critical constant rho is one 1-d
+integral whose inner integral is a lower incomplete gamma function.
 
-Three functions still evaluate the older radial-angular double integral
-(integrate_iterated_2d over the kernel of _backend, whose inner
-substitution z = sin(theta) removes the (1 - z^2)^(-1/2) endpoint
-singularity of the d - q = 1 case): intersection_probability,
-euclidean_distance_cdf and critical_constant_rho.  The benchmark's tracer
-expects intersection_probability to do 2-d quadrature and kernel work, so
-these move to the closed form together with that tracer.
+Only intersection_probability still evaluates the older radial-angular
+double integral (integrate_iterated_2d over the kernel of _backend); the
+benchmark's tracer expects its 2-d quadrature and kernel work, so it moves
+to the closed form together with that tracer.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaln, hyp2f1
+from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1, hyp2f1
 
 from . import _backend
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
@@ -215,24 +214,6 @@ def _log_prefactor(cfg1: FlatConfig) -> float:
     )
 
 
-def _integrand_parts(cfg1: FlatConfig):
-    """Shared pieces of the unit-curvature double integral."""
-    d, q = cfg1.d, cfg1.q
-    c = q - cfg1.gamma - 1
-    Ru = math.tanh(cfg1.u)
-
-    def logg(r, theta):
-        val = _backend.log_kernel_theta(float(d), float(q), -1.0, r, theta)
-        if c:
-            val = val + c * math.log(r)
-        return val
-
-    def inner_upper(r):
-        return math.asin(min(1.0, Ru / r))
-
-    return logg, inner_upper, _peak_break_points, Ru
-
-
 def _peak_break_points(r, theta_max):
     """Panel seeds resolving the (1 + K r^2 sin^2)^(-(d+1)/2) boundary layer.
 
@@ -258,12 +239,24 @@ def _hyper_double_integral(cfg1: FlatConfig, pref: float, outer_hi: float,
     Integrates r^(q-gamma-1) times the kernel over r in (0, outer_hi),
     theta in (0, arcsin(min(1, R(u)/r))).
     """
-    logg, inner_upper, inner_breaks, Ru = _integrand_parts(cfg1)
+    d, q = cfg1.d, cfg1.q
+    c = q - cfg1.gamma - 1
+    Ru = math.tanh(cfg1.u)
+
+    def logg(r, theta):
+        val = _backend.log_kernel_theta(float(d), float(q), -1.0, r, theta)
+        if c:
+            val = val + c * math.log(r)
+        return val
+
+    def inner_upper(r):
+        return math.asin(min(1.0, Ru / r))
+
     return integrate_iterated_2d(
         logg, 0.0, outer_hi, inner_upper, tol,
         log_form=True, log_offset=pref,
         outer_break_points=(Ru,),
-        inner_break_points=lambda r: inner_breaks(r, inner_upper(r)),
+        inner_break_points=lambda r: _peak_break_points(r, inner_upper(r)),
     )
 
 
@@ -300,6 +293,23 @@ def _log_incomplete_beta_tail(a: float, b: float, x, log_x):
         xu = x[under]
         out[under] = (b * np.log1p(-xu) - math.log(a)
                       + np.log(hyp2f1(a + b, 1.0, a + 1.0, xu)))
+    return out
+
+
+def _log_lower_gamma_tail(a: float, c):
+    """log(gamma(a, c) / c^a) for c >= 0, gamma the lower incomplete gamma function.
+
+    From scipy's regularized gammainc wherever that is a normal double; where
+    it underflows (or c = 0), from gamma(a, c) = c^a e^(-c) / a * M(1, a + 1, c)
+    (DLMF 8.5.1), whose series converges fast there (c lies far below a).
+    """
+    p = gammainc(a, c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(p) + gammaln(a) - a * np.log(c)
+    under = p < np.finfo(float).tiny
+    if under.any():
+        cu = c[under]
+        out[under] = -cu - math.log(a) + np.log(hyp1f1(1.0, a + 1.0, cu))
     return out
 
 
@@ -408,16 +418,21 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     return out
 
 
-def distance_density(cfg: FlatConfig, K: Curvature, delta: float,
-                     tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def distance_density(cfg: FlatConfig, K: Curvature, delta,
+                     tol: Tolerance = DEFAULT_TOLERANCE):
     """Density of the absolutely continuous part of the distance law.
 
-    Closed form, so tol is not used; it is accepted like everywhere else.
+    delta is a distance (the result is a float) or an array of them (the
+    result is an array of the same shape, computed with one Crofton
+    constant).  Closed form, so tol is not used; it is accepted like
+    everywhere else.
     """
-    if not delta > 0:
+    t = np.asarray(delta, dtype=float)
+    if not np.all(t > 0):
         raise DomainError(f"need delta > 0, got {delta}")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return K.scale * math.exp(_log_density(cfg1, _log_prefactor(cfg1), K.scale * delta))
+    f = K.scale * np.exp(_log_density(cfg1, _log_prefactor(cfg1), K.scale * t))
+    return float(f) if f.ndim == 0 else f
 
 
 def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
@@ -466,86 +481,69 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
 
 def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
                            tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Flat-space distance CDF (the K -> 0 limit of distance_cdf)."""
+    """Flat-space distance CDF (the K -> 0 limit of distance_cdf).
+
+    The K = 0 density is proportional to t^(m-1) I_x(a, b), m = q - gamma,
+    a = (q+1)/2, b = (d-q)/2, x = min(1, u^2 / t^2), with total mass 1.
+    Integrating by parts, with a' = (gamma+1)/2 and x = u^2 / delta^2:
+
+        F(delta) = (delta/u)^m B(a, b) / B(a', b)                        delta <= u,
+        F(delta) = x^a' (B_x(a, b) / x^a) / B(a', b) + 1 - I_x(a', b)    delta > u.
+
+    Closed form, so tol is not used; it is accepted like everywhere else.
+    """
     if delta < 0:
         raise DomainError(f"need delta >= 0, got {delta}")
     if delta == 0:
         return 0.0
-    d, q, u = cfg.d, cfg.q, cfg.u
-    c = q - cfg.gamma - 1
-    pref = (
-        log_constant_D(cfg)
-        + log_sphere_surface(d - cfg.gamma)
-        - log_crofton_constant(d, cfg.k, u, Curvature(0.0))
-    )
-
-    def logg(r, theta):
-        val = _backend.log_kernel_theta(float(d), float(q), 0.0, r, theta)
-        if c:
-            val = val + c * math.log(r)
-        return val
-
-    def inner_upper(r):
-        return math.asin(min(1.0, u / r))
-
-    res = integrate_iterated_2d(
-        logg, 0.0, delta, inner_upper, tol,
-        log_form=True, log_offset=pref,
-        outer_break_points=(u,) if u < delta else (),
-    )
-    return _as_probability(res)
+    d, q, g, u = cfg.d, cfg.q, cfg.gamma, cfg.u
+    a, b, a1 = 0.5 * (q + 1), 0.5 * (d - q), 0.5 * (g + 1)
+    if delta <= u:
+        value = math.exp((q - g) * math.log(delta / u) + betaln(a, b) - betaln(a1, b))
+    else:
+        log_x = np.array([2.0 * math.log(u / delta)])
+        x = np.exp(log_x)
+        head = a1 * log_x + _log_incomplete_beta_tail(a, b, x, log_x) - betaln(a1, b)
+        value = float(np.exp(head[0]) + betaincc(a1, b, x[0]))
+    return _as_probability(QuadResult(value, 0.0, 0, True))
 
 
 def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
                           tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Limit of the intersection probability in the critical regime -K d -> kappa."""
+    """Limit of the intersection probability in the critical regime -K d -> kappa.
+
+    rho = P * integral over r in (0, 1) of r^(-(gamma+2)) gamma(a, c) / (2 c^a),
+    a = (q+1)/2, c = (u^2 kappa / 2)(1 - r^2) / r^2, where gamma(a, c) / (2 c^a)
+    is the inner integral of w^q e^(-c w^2) over w in (0, 1), and
+    P = omega_(gamma+1) (2 pi)^(-(gamma+1)/2) u^(q+1) kappa^((gamma+1)/2) / N
+    with N the integral of e^(kappa s^2 / 2) s^(q-gamma-1) over s in (0, u).
+    Both 1-d integrals converge on tol's relative tolerance alone.
+    """
     if not 0 <= gamma <= q - 1:
         raise DomainError(f"need 0 <= gamma <= q-1, got gamma={gamma}, q={q}")
     if not u > 0:
         raise DomainError(f"need u > 0, got {u}")
     if not kappa > 0:
         raise DomainError(f"need kappa > 0, got {kappa}")
+    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
     c = q - gamma - 1
 
-    # normalizer: integral of exp(kappa s^2 / 2) s^(q-gamma-1) over (0, u)
     def log_norm(s):
-        s = np.asarray(s, dtype=float)
         val = 0.5 * kappa * s * s
-        if c:
-            with np.errstate(divide="ignore"):
-                val = val + c * np.log(s)
-        return val
+        return val + c * np.log(s) if c else val
 
     shift = 0.5 * kappa * u * u + (c * math.log(u) if c else 0.0)
-    norm = integrate_adaptive(log_norm, 0.0, u, tol, log_form=True,
-                              log_offset=-shift)
-    log_a = shift + math.log(norm.value)
+    norm = integrate_adaptive(log_norm, 0.0, u, tol, log_form=True, log_offset=-shift)
+    pref = (log_sphere_surface(gamma + 1) + 0.5 * (gamma + 1) * math.log(kappa / (2.0 * math.pi))
+            + (1 + q) * math.log(u) - shift - math.log(2.0 * norm.value))
+    a, half_uk = 0.5 * (q + 1), 0.5 * u * u * kappa
 
-    pref = (
-        log_sphere_surface(gamma + 1)
-        - 0.5 * (gamma + 1) * math.log(2.0 * math.pi)
-        + (1 + q) * math.log(u)
-        + 0.5 * (gamma + 1) * math.log(kappa)
-        - log_a
-    )
+    def log_outer(r):
+        with np.errstate(over="ignore"):  # c = inf where r is tiny: the term is 0
+            c_r = half_uk * (1.0 - r) * (1.0 + r) / (r * r)
+        return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
-    # inner variable w = r v maps the (0, 1/r) range onto (0, 1)
-    half_uk = 0.5 * u * u * kappa
-
-    def logg(r, w):
-        w = np.asarray(w, dtype=float)
-        out = np.full(w.shape, -np.inf)
-        pos = w > 0.0
-        wp = w[pos]
-        out[pos] = (
-            q * np.log(wp)
-            - (gamma + 2) * math.log(r)
-            - half_uk * (wp / r) ** 2 * (1.0 - r * r)
-        )
-        return out
-
-    res = integrate_iterated_2d(logg, 0.0, 1.0, lambda r: 1.0, tol,
-                                log_form=True, log_offset=pref)
+    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref)
     return _as_probability(res)
 
 

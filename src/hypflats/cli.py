@@ -199,8 +199,7 @@ def _cmd_density_scan(args, tol):
     if args.delta_min <= 0 or args.delta_max < args.delta_min:
         raise HypflatsError("need 0 < delta-min <= delta-max")
     deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
-    rows = [(float(dd), analytic.distance_density(cfg, K, float(dd), tol))
-            for dd in deltas]
+    rows = zip(deltas.tolist(), analytic.distance_density(cfg, K, deltas, tol).tolist())
     return _emit_csv(args, "delta,f", rows)
 
 

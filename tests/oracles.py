@@ -2,10 +2,15 @@
 
 Everything here deliberately avoids the library's own quadrature: the
 probability oracle uses scipy's QAGS on the raw (r, z) form of the double
-integral, the critical-constant oracle is a plain midpoint Riemann sum,
+integral, one critical-constant oracle is a plain midpoint Riemann sum,
 one radial-law oracle is a dense trapezoid CDF, and the radial mass, its
 CDF, the closed-form distance density and the probability it integrates
-to are evaluated by mpmath at high precision.
+to, the flat-space distance CDF and the critical constant are evaluated
+by mpmath at high precision.
+
+mpmath's quad stops when its error estimate falls below an absolute
+epsilon, so each mpmath integrand is scaled to be of order one (or of
+order 1/d) before it is integrated.
 """
 
 import math
@@ -125,6 +130,17 @@ def radial_cdf_rho_oracle(d, m, v, rho_values, dps=30):
                          for r in np.asarray(rho_values, dtype=float)])
 
 
+def _mp_omega(n):
+    import mpmath as mp
+
+    return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+
+def _mp_dimension_constant(d, q, g):
+    return (_mp_omega(g + 1) * _mp_omega(q - g) * _mp_omega(d - q)
+            / (_mp_omega(d - q + g + 1) * _mp_omega(d - g)))
+
+
 def _mp_density(d, q, g, v):
     """The closed-form distance density at K = -1 as an mpmath function,
 
@@ -137,14 +153,9 @@ def _mp_density(d, q, g, v):
 
     v = mp.mpf(v)
     m = q - g
-
-    def om(n):
-        return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
-
-    C = om(m) * _mp_radial_mass(d, m, v)
-    D = om(g + 1) * om(m) * om(d - q) / (om(d - q + g + 1) * om(d - g))
+    C = _mp_omega(m) * _mp_radial_mass(d, m, v)
     a, b = mp.mpf(q + 1) / 2, mp.mpf(d - q) / 2
-    A = mp.beta(a, b) / 2 * D * om(d - g) / C
+    A = mp.beta(a, b) / 2 * _mp_dimension_constant(d, q, g) * _mp_omega(d - g) / C
 
     def f(t):
         x = min(mp.mpf(1), mp.sinh(v) ** 2 / mp.sinh(t) ** 2)
@@ -164,12 +175,79 @@ def log_density_oracle(d, q, g, v, t, dps=50):
 
 def probability_closed_form_oracle(d, q, g, v, dps=30):
     """Intersection probability at K = -1 by mpmath: the closed-form
-    distance density integrated over (0, inf)."""
+    distance density, divided by its value at v, integrated over (0, inf)
+    split at v, at unit steps up to v + 16, then at v + 32, v + 64, ...,
+    v + 1024."""
     import mpmath as mp
 
     with mp.workdps(dps):
         v = mp.mpf(v)
-        return float(mp.quad(_mp_density(d, q, g, v), [0, v, v + 1, v + 4, v + 16, mp.inf]))
+        f = _mp_density(d, q, g, v)
+        peak = f(v)
+        pts = ([0, v] + [v + k for k in range(1, 17)]
+               + [v + 16 * 2**j for j in range(1, 7)] + [mp.inf])
+        return float(peak * mp.quad(lambda t: f(t) / peak, pts))
+
+
+def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
+    """Flat-space P(intersection distance <= delta) with ball radius u, by mpmath.
+
+    The K = 0 density A0 t^(m-1) I_x((q+1)/2, (d-q)/2), m = q - g,
+    x = min(1, u^2 / t^2), A0 = B((q+1)/2, (d-q)/2) D omega_(d-g) / (2 C0)
+    with C0 = omega_m u^m / m, integrated in s = t / u over (0, delta / u),
+    split at 1 and at 1 + 2^j / (4 d) for j = 0, 1, ...: past u the
+    density falls within about u / d.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        u, s_max = mp.mpf(u), mp.mpf(delta) / mp.mpf(u)
+        m = q - g
+        a, b = mp.mpf(q + 1) / 2, mp.mpf(d - q) / 2
+        A0 = (mp.beta(a, b) / 2 * _mp_dimension_constant(d, q, g) * _mp_omega(d - g)
+              / (_mp_omega(m) * u**m / m))
+
+        def f(s):
+            return s ** (m - 1) * mp.betainc(a, b, 0, min(1, 1 / s**2), regularized=True)
+
+        pts = [0, min(1, s_max)]
+        h = mp.mpf(1) / (4 * d)
+        while 1 + h < s_max:
+            pts.append(1 + h)
+            h *= 2
+        if s_max > 1:
+            pts.append(s_max)
+        return float(A0 * u**m * mp.quad(f, pts))
+
+
+def rho_mp_oracle(u, q, g, kappa, dps=30):
+    """Critical-regime limit constant by mpmath, the inner integral as a lower
+    incomplete gamma function.
+
+    rho = P * integral over r in (0, 1) of r^(-(g+2)) gamma(a, c) / (2 c^a),
+    a = (q+1)/2, c = h (1 - r^2) / r^2, h = u^2 kappa / 2, and
+    P = omega_(g+1) (2 pi)^(-(g+1)/2) u^(q+1) kappa^((g+1)/2) / N with
+    N = u^m times the integral of e^(h y^2) y^(m-1) over (0, 1), m = q - g.
+    The r-integral is split at k/16 and at 1 - 2^-j for j = 4..39.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        u, kappa = mp.mpf(u), mp.mpf(kappa)
+        m, a, h = q - g, mp.mpf(q + 1) / 2, u * u * kappa / 2
+        N = u**m * mp.quad(lambda y: mp.exp(h * y * y) * y ** (m - 1), [0, 1])
+        P = (_mp_omega(g + 1) * (2 * mp.pi) ** (-mp.mpf(g + 1) / 2)
+             * u ** (q + 1) * kappa ** (mp.mpf(g + 1) / 2) / N)
+
+        def f(r):
+            c = h * (1 - r * r) / (r * r)
+            if c == 0:
+                return r ** (-(g + 2)) / (2 * a)
+            return r ** (-(g + 2)) * mp.gammainc(a, 0, c) / (2 * c**a)
+
+        pts = sorted({mp.mpf(k) / 16 for k in range(16)}
+                     | {1 - mp.mpf(2) ** -j for j in range(4, 40)} | {mp.mpf(1)})
+        return float(P * mp.quad(f, pts))
 
 
 # Frozen reference values (probability_oracle above, scipy 1.x, 2026-08):
@@ -196,3 +274,33 @@ P_STAR_40_39_38_V6_MPMATH = 0.02518608778412233
 # 3.1013106614781e-04), and the half below v equals
 # B(a, b) D omega_(d-g) / (2 C) times the mpmath radial mass (999, 1, 12).
 P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824
+
+# euclidean_cdf_mp_oracle at 30 digits, 2026-10; the same to 16 digits at
+# 40 digits, with the split ratio sqrt(2) instead of 2 (the delta = 2.2
+# entry with the same split).  Keys (d, q, g, u, delta).
+EUCLID_CDF_MPMATH = {
+    (2, 1, 0, 1.0, 0.25): 0.15915494309189535,
+    (2, 1, 0, 1.0, 5.0): 0.9361232232052524,
+    (3, 2, 1, 1.0, 0.3): 0.23561944901923448,
+    (3, 2, 1, 1.0, 2.0): 0.9566114774905182,
+    (3, 2, 1, 1.0, 10.0): 0.998330824361109,
+    (100, 50, 10, 2.0, 0.6): 8.059045130410414e-31,
+    (100, 50, 10, 2.0, 4.0): 0.19610951249729217,
+    (100, 50, 10, 2.0, 2.2): 3.000135004340674e-08,   # 1 - I_x(a', b) near x = 1
+    (1000, 999, 1, 1.0, 1.5): 0.7459518023517755,
+    (600, 300, 0, 1.0, 30.0): 0.5652165126933559,
+}
+# rho_mp_oracle at 30 digits, 2026-10; the same to 16 digits at 40 digits
+# with the r-integral split at k/32 and 1 - 2^-j for j = 4..59 (the last
+# entry with the same split).  Keys (u, q, g, kappa).  The 2-d integral of
+# the previous critical_constant_rho gave 0.0065107929 and 0.96028437 at
+# the third and fourth.
+RHO_MPMATH = {
+    (1.0, 2, 1, 1.0): 0.8368497327356573,
+    (1.5, 3, 0, 2.0): 0.09042767582461149,
+    (2.0, 4, 2, 4.0): 0.006510795423060275,
+    (2.0, 20, 19, 3.0): 0.96033022649109,
+    (1.0, 200, 1, 1.0): 0.6095483723889904,
+    (0.5, 200, 1, 1.0): 0.8835945489823468,
+    (3.0, 200, 199, 50.0): 6.106478794567012e-21,   # tiny: needs a relative tolerance
+}

@@ -29,10 +29,12 @@ from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
 from hypflats._backend import log_kernel_theta
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
-from oracles import (P_STAR_3_2_1, P_STAR_3_2_1_MPMATH, P_STAR_10_9_8_V8_MPMATH,
-                     P_STAR_40_39_38_V6_MPMATH, P_STAR_1000_999_998_V12_MPMATH,
-                     log_density_oracle,
-                     log_radial_mass_oracle, probability_oracle)
+from oracles import (EUCLID_CDF_MPMATH, P_STAR_3_2_1, P_STAR_3_2_1_MPMATH,
+                     P_STAR_10_9_8_V8_MPMATH, P_STAR_40_39_38_V6_MPMATH,
+                     P_STAR_1000_999_998_V12_MPMATH, RHO_MPMATH, euclidean_cdf_mp_oracle,
+                     log_density_oracle, log_radial_mass_oracle,
+                     probability_closed_form_oracle, probability_oracle, rho_mp_oracle,
+                     rho_riemann_oracle)
 
 TOL = Tolerance()
 CFG = FlatConfig(3, 2, 1, 1.0)
@@ -213,6 +215,18 @@ class TestDistanceDensity:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             distance_density(CFG, K1, 0.0, TOL)
+        with pytest.raises(DomainError):
+            distance_density(CFG, K1, np.array([0.5, 0.0]), TOL)
+
+    @pytest.mark.parametrize("cfg, K", [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
+                                        (FlatConfig(1000, 999, 1, 1.0), K1)])
+    def test_array_is_the_scalar_calls(self, cfg, K):
+        deltas = np.linspace(0.01, 4.0 * cfg.u, 24).reshape(4, 6)
+        f = distance_density(cfg, K, deltas, TOL)
+        assert f.shape == deltas.shape
+        np.testing.assert_array_equal(
+            f, [[distance_density(cfg, K, float(x), TOL) for x in row] for row in deltas])
+        assert type(distance_density(cfg, K, 0.5, TOL)) is float
 
 
 class TestMoment:
@@ -302,6 +316,13 @@ class TestClosedForm:
     def test_cdf_limit_matches_mpmath(self, cfg, p):
         # intersection_probability is still wrong here (0.001043 and 0.02016)
         assert distance_cdf(cfg, K1, cfg.u + 40.0, TOL) == pytest.approx(p, rel=1e-11, abs=0.0)
+
+    def test_probability_oracle_at_a_tiny_probability(self):
+        # p is about 1.76e-39 here; a coarser split of the oracle was 4e-7 off
+        cfg = FlatConfig(30, 2, 1, 4.0)
+        got = distance_cdf(cfg, K1, 100.0, Tolerance(rel_tol=1e-13))
+        assert probability_closed_form_oracle(30, 2, 1, 4.0) == pytest.approx(
+            got, rel=1e-10, abs=0.0)
 
     def test_cdf_finds_the_layer_below_v(self):
         # 4% of the mass lies within about 1/1000 below v = 12, far from
@@ -410,6 +431,36 @@ class TestEuclideanCdf:
         v = distance_cdf(CFG, Curvature(-1e-8), 1.0, TOL)
         assert euclidean_distance_cdf(CFG, 1.0, TOL) == pytest.approx(v, abs=1e-3)
 
+    @pytest.mark.parametrize("key", sorted(EUCLID_CDF_MPMATH))
+    def test_matches_mpmath(self, key):
+        d, q, g, u, delta = key
+        got = euclidean_distance_cdf(FlatConfig(d, q, g, u), delta, TOL)
+        assert got == pytest.approx(EUCLID_CDF_MPMATH[key], rel=1e-13, abs=0.0)
+
+    def test_oracle_reproduces_its_frozen_value(self):
+        key = (3, 2, 1, 1.0, 2.0)
+        assert euclidean_cdf_mp_oracle(*key) == pytest.approx(
+            EUCLID_CDF_MPMATH[key], rel=1e-15, abs=0.0)
+
+    def test_far_out_is_one(self):
+        # the 2-d path returned 0.98726 here
+        assert abs(euclidean_distance_cdf(FlatConfig(40, 39, 38, 1.0), 1e6, TOL) - 1.0) <= 1e-15
+
+    def test_continuous_at_u(self):
+        cfg = FlatConfig(10, 6, 2, 1.5)
+        below, at, above = (euclidean_distance_cdf(cfg, x, TOL)
+                            for x in (1.5 * (1 - 1e-12), 1.5, 1.5 * (1 + 1e-12)))
+        assert below <= at <= above and above - below <= 1e-10
+
+    def test_uses_no_quadrature(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail)
+        monkeypatch.setattr(analytic, "integrate_iterated_2d", fail)
+        for delta in (0.3, 1.0, 4.0):
+            euclidean_distance_cdf(CFG, delta, TOL)
+
 
 class TestPhase:
     def test_mode_validation(self):
@@ -438,3 +489,25 @@ class TestPhase:
             critical_constant_rho(1.0, 2, 1, -1.0, TOL)
         with pytest.raises(DomainError):
             critical_constant_rho(0.0, 2, 1, 1.0, TOL)
+
+    @pytest.mark.parametrize("key", sorted(RHO_MPMATH))
+    def test_rho_matches_mpmath(self, key):
+        assert critical_constant_rho(*key, TOL) == pytest.approx(RHO_MPMATH[key], rel=1e-10,
+                                                                 abs=0.0)
+
+    def test_rho_oracle_reproduces_its_frozen_value(self):
+        key = (2.0, 4, 2, 4.0)
+        assert rho_mp_oracle(*key) == pytest.approx(RHO_MPMATH[key], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("key", [(1.0, 2, 1, 1.0), (1.5, 3, 0, 2.0), (0.8, 1, 0, 0.5)])
+    def test_rho_matches_riemann_oracle(self, key):
+        # the benchmark's law configurations, against its reference
+        assert critical_constant_rho(*key, TOL) == pytest.approx(
+            rho_riemann_oracle(*key), rel=0.0, abs=1e-5)
+
+    def test_rho_is_one_1d_integral(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("integrate_iterated_2d called")
+
+        monkeypatch.setattr(analytic, "integrate_iterated_2d", fail)
+        critical_constant_rho(2.0, 20, 19, 3.0, TOL)

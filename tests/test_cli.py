@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+import hypflats.analytic as analytic
 import hypflats.cli as cli
+from hypflats.analytic import log_crofton_constant
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
 from oracles import P_STAR_3_2_1
@@ -84,6 +86,21 @@ class TestCsvCommands:
         for row in lines[2:-1]:
             delta, f = row.split(",")
             assert float(f) >= 0.0
+
+    def test_density_scan_computes_the_crofton_constant_once(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return log_crofton_constant(*args)
+
+        monkeypatch.setattr(analytic, "log_crofton_constant", spy)
+        code, out, _ = invoke(
+            capsys, "density-scan", *BASE,
+            "--delta-min", "0.2", "--delta-max", "3.0", "--steps", "50",
+        )
+        assert code == EXIT_OK and len(out.split("\n")) == 2 + 50 + 1
+        assert len(calls) == 1
 
     def test_scan_d(self, capsys):
         code, out, _ = invoke(

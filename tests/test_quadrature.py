@@ -8,9 +8,9 @@ from hypflats import (
     QuadratureError,
     Tolerance,
     integrate_adaptive,
-    integrate_iterated_2d,
 )
 from hypflats._backend import log_kernel_theta
+from hypflats.quadrature import integrate_iterated_2d
 
 TOL = Tolerance()
 
