@@ -2,9 +2,9 @@
 flats hitting a ball in d-dimensional hyperbolic space (curvature K < 0).
 
 The analytic layer evaluates the distance density and the flat-space
-distance CDF in closed form, and the distance CDF, the moments and the
-critical constant as 1-d integrals by adaptive quadrature; one function,
-the probability itself, is still a double integral.  The Monte Carlo
+distance CDF in closed form, and the intersection probability, the
+distance CDF, the moments and the critical constant as 1-d integrals by
+adaptive quadrature.  The Monte Carlo
 layer validates them by simulation in the Beltrami-Klein model, where
 rotation invariance reduces a trial to two m x m Wishart matrices
 (m = q - gamma), and the one-flat geometry API (bases, flats, their

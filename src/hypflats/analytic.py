@@ -15,10 +15,11 @@ CDF grid and the moments are 1-d integrals of it.  The flat-space (K -> 0)
 distance CDF is closed form, and the critical constant rho is one 1-d
 integral whose inner integral is a lower incomplete gamma function.
 
-Only intersection_probability still evaluates the older radial-angular
-double integral (integrate_iterated_2d over the kernel of _backend); the
-benchmark's tracer expects its 2-d quadrature and kernel work, so it moves
-to the closed form together with that tracer.
+The intersection probability and its complement, the atom mass, are 1-d
+integrals over the offset radius rho in [0, v] of the moving flat
+(_offset_radius_integral): rho has the radial-mass law, and given rho the
+flats meet with a probability that is a regularized incomplete beta
+function of sech^2 rho.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1, hyp2f1
+from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1
 
-from . import _backend
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
 from .quadrature import (
     DEFAULT_TOLERANCE,
     QuadResult,
     Tolerance,
     integrate_adaptive,
-    integrate_iterated_2d,
+    integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
 )
 from .special import (
     Curvature,
@@ -110,6 +110,9 @@ class PhaseMode:
 _MOMENT_TAIL_DOUBLINGS = 20
 _RELATIVE_ONLY_ABS_TOL = 1e-300
 _RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=_RELATIVE_ONLY_ABS_TOL)
+_BETAINC_FLOOR = 1e-200
+_SERIES_EPS = 1e-17
+_SERIES_MAX_TERMS = 1000
 
 
 def _log_cosh(x):
@@ -214,57 +217,48 @@ def _log_prefactor(cfg1: FlatConfig) -> float:
     )
 
 
-def _peak_break_points(r, theta_max):
-    """Panel seeds resolving the (1 + K r^2 sin^2)^(-(d+1)/2) boundary layer.
+def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
+                            hit: bool) -> float:
+    """P(the flats meet) if hit, else P(they miss), as one integral over the offset radius.
 
-    For r near the ball boundary the kernel peaks at theta_max over an
-    angular scale sqrt(1 - r^2); pre-splitting there saves the adaptive
-    rule thousands of bisections.
+    At unit curvature the distance rho in [0, v] of the moving flat from the
+    origin has density sinh^(m-1) rho cosh^(d-m) rho / R, m = q - gamma,
+    R = exp(log_radial_mass(d, m, v)).  Given rho the flats meet with
+    probability I_x(b, a'), x = sech^2 rho, b = (d-q)/2, a' = (gamma+1)/2,
+    and miss with probability I_y(a', b), y = tanh^2 rho.  Taking x^b
+    (y^a') out of the incomplete beta function leaves
+
+        hit:  sinh^(m-1) rho cosh^gamma rho     (B_x(b, a') / x^b) / B(b, a'),
+        miss: sinh^q rho cosh^(d-q-1) rho       (B_y(a', b) / y^a') / B(a', b)
+
+    to integrate over [0, v] and divide by R.  Both converge on tol's
+    relative tolerance alone, so a miss probability near 0 keeps its
+    digits.
     """
-    if r < 0.99:
-        return ()
-    w = math.sqrt(max(1.0 - r * r, 0.0))
-    if w <= 0.0 or w >= 0.1:
-        return ()
-    return tuple(
-        p for p in (theta_max - k * w for k in (300.0, 30.0, 3.0, 1.0))
-        if 0.0 < p < theta_max
-    )
+    cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
+    b, a1 = 0.5 * (d - q), 0.5 * (g + 1)
+    if hit:
+        sinh_pow, cosh_pow, a, c = q - g - 1, g, b, a1
+    else:
+        sinh_pow, cosh_pow, a, c = q, d - q - 1, a1, b
 
+    def log_g(rho):
+        lc = _log_cosh(rho)
+        log_x = -2.0 * lc if hit else 2.0 * np.log(np.tanh(rho))
+        val = cosh_pow * lc + _log_incomplete_beta_tail(a, c, np.exp(log_x), log_x)
+        return val + sinh_pow * _log_sinh(rho) if sinh_pow else val
 
-def _hyper_double_integral(cfg1: FlatConfig, pref: float, outer_hi: float,
-                           tol: Tolerance) -> QuadResult:
-    """The radial-angular double integral at unit curvature, times exp(pref).
-
-    Integrates r^(q-gamma-1) times the kernel over r in (0, outer_hi),
-    theta in (0, arcsin(min(1, R(u)/r))).
-    """
-    d, q = cfg1.d, cfg1.q
-    c = q - cfg1.gamma - 1
-    Ru = math.tanh(cfg1.u)
-
-    def logg(r, theta):
-        val = _backend.log_kernel_theta(float(d), float(q), -1.0, r, theta)
-        if c:
-            val = val + c * math.log(r)
-        return val
-
-    def inner_upper(r):
-        return math.asin(min(1.0, Ru / r))
-
-    return integrate_iterated_2d(
-        logg, 0.0, outer_hi, inner_upper, tol,
-        log_form=True, log_offset=pref,
-        outer_break_points=(Ru,),
-        inner_break_points=lambda r: _peak_break_points(r, inner_upper(r)),
-    )
+    res = integrate_adaptive(log_g, 0.0, v, replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL),
+                             log_form=True,
+                             log_offset=-betaln(a, c) - log_radial_mass(d, q - g, v))
+    return _as_probability(res)
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Probability that the moving flat meets the central q-flat."""
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return _as_probability(_hyper_double_integral(cfg1, _log_prefactor(cfg1), 1.0, tol))
+    return _offset_radius_integral(cfg, K, tol, hit=True)
 
 
 def euclidean_intersection_probability(cfg: FlatConfig) -> float:
@@ -275,24 +269,37 @@ def euclidean_intersection_probability(cfg: FlatConfig) -> float:
 def atom_mass(cfg: FlatConfig, K: Curvature,
               tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Mass of the atom at +infinity: the probability the flats miss."""
-    return 1.0 - intersection_probability(cfg, K, tol)
+    return _offset_radius_integral(cfg, K, tol, hit=False)
 
 
 def _log_incomplete_beta_tail(a: float, b: float, x, log_x):
-    """log(B_x(a, b) / x^a) for 0 <= x < 1, B_x the incomplete beta function.
+    """log(B_x(a, b) / x^a) for 0 <= x <= 1, B_x the incomplete beta function.
 
-    From scipy's regularized betainc wherever that is a normal double; where
-    it underflows, from B_x(a, b) = x^a (1 - x)^b / a * 2F1(a + b, 1; a + 1; x),
-    whose series converges fast there (x lies far below the mean a/(a+b)).
+    From scipy's regularized betainc where that is at least _BETAINC_FLOOR;
+    below it, from B_x(a, b) = x^a (1 - x)^b / a * 2F1(a + b, 1; a + 1; x)
+    with the hypergeometric series summed here: x lies far below the mean
+    a/(a+b) there, so its terms fall fast (at most about 90 of them for
+    a, b <= 1000).  Both scipy's betainc and its hyp2f1 can be off by whole
+    percents that deep in the tail at large a (I_x(200, 38) near 3e-280 by
+    5%, against mpmath).
     """
     i = betainc(a, b, x)
     with np.errstate(divide="ignore"):
         out = np.log(i) + betaln(a, b) - a * log_x
-    under = i < np.finfo(float).tiny
-    if under.any():
-        xu = x[under]
-        out[under] = (b * np.log1p(-xu) - math.log(a)
-                      + np.log(hyp2f1(a + b, 1.0, a + 1.0, xu)))
+    tail = i < _BETAINC_FLOOR
+    if tail.any():
+        xt = x[tail]
+        term = np.ones_like(xt)
+        total = np.ones_like(xt)
+        for n in range(_SERIES_MAX_TERMS):
+            if np.all(term <= _SERIES_EPS * total):
+                break
+            term *= (a + b + n) / (a + 1 + n) * xt
+            total += term
+        else:
+            raise QuadratureError(
+                f"2F1({a + b}, 1; {a + 1}; x) series needs more than {_SERIES_MAX_TERMS} terms")
+        out[tail] = b * np.log1p(-xt) - math.log(a) + np.log(total)
     return out
 
 

@@ -1,12 +1,12 @@
 """Adaptive one- and two-dimensional quadrature with log-space integrands.
 
 The base rule is a nested Gauss-Kronrod 7/15 pair with bisection of the
-worst panel.  Panels that keep stagnating (typically because an endpoint
-carries an integrable power singularity) are finished off with a
-double-exponential (tanh-sinh) rule, whose node clustering absorbs such
-singularities.  Integrands may be supplied in log form; panel sums are
-then exponentiated with a per-panel max shift so that kernels which
-underflow pointwise still integrate correctly.
+worst panel.  A panel at an end of the interval that keeps stagnating
+(typically because that endpoint carries an integrable power singularity)
+is finished off by geometric bisection toward the endpoint with the tail
+summed in closed form.  Integrands may be supplied in log form; panel
+sums are then exponentiated with a per-panel max shift so that kernels
+which underflow pointwise still integrate correctly.
 """
 
 from __future__ import annotations
@@ -88,11 +88,8 @@ _WG = np.array(
 )
 
 # Bisection depth at which a panel touching an original endpoint is handed
-# to tanh-sinh; interior panels get a larger budget before the hand-off.
-_TS_ENDPOINT_DEPTH = 12
-_TS_INTERIOR_DEPTH = 40
-_TS_TMAX = 6.1
-_TS_MAX_LEVEL = 11
+# to _endpoint_tail_panel.
+_ENDPOINT_TAIL_DEPTH = 12
 # largest log of a panel's scale factor: e^709 is within a factor 2.2 of
 # the largest double
 _MAX_LOG_SCALE = 709.0
@@ -142,47 +139,6 @@ def _gk_panel(f, a, b, log_form, log_offset):
     else:
         err = raw
     return k15, err, 15
-
-
-def _tanh_sinh_panel(f, a, b, target, log_form, log_offset):
-    """Double-exponential rule on [a, b], refined until |S_h - S_2h| <= target."""
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    if hw == 0.0:
-        return 0.0, 0.0, 0
-    evals = 0
-    prev = None
-    diff = math.inf
-    value = 0.0
-    for level in range(2, _TS_MAX_LEVEL + 1):
-        h = 2.0 ** (-level)
-        t = np.arange(-_TS_TMAX, _TS_TMAX + h, h)
-        u = 0.5 * math.pi * np.sinh(t)
-        x = c + hw * np.tanh(u)
-        with np.errstate(over="ignore"):  # cosh overflow -> weight 0, dropped
-            w = hw * h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        keep = (x > a) & (x < b) & (w > 0.0)
-        x, w = x[keep], w[keep]
-        y = np.asarray(f(x), dtype=float)
-        evals += x.size
-        if log_form:
-            logc = y + np.log(w)
-            m = float(np.max(logc))
-            if m == -math.inf:
-                s = 0.0
-            else:
-                s = _exp_scale(m + log_offset, a, b) * float(np.sum(np.exp(logc - m)))
-        else:
-            s = float(w @ y)
-        if prev is not None:
-            diff = abs(s - prev)
-            value = s
-            if diff <= target:
-                break
-        prev = s
-        value = s
-    err = diff if math.isfinite(diff) else abs(value)
-    return value, err, evals
 
 
 def _endpoint_tail_panel(f, a, b, at_left, target, log_form, log_offset):
@@ -247,7 +203,7 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
     heap = []
     counter = 0
     evals = 0
-    final_value = 0.0  # panels finished by tanh-sinh
+    final_value = 0.0  # panels finished by _endpoint_tail_panel or unsplittable
     final_err = 0.0
     total = 0.0
     total_err = 0.0
@@ -272,7 +228,7 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         if not heap:
             res = _result(False)
             raise QuadratureError(
-                "tanh-sinh fallback exhausted without convergence", partial=res
+                "every panel finished without convergence", partial=res
             )
         if nsub >= tol.max_subdivisions:
             res = _result(False)
@@ -282,15 +238,11 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         _, _, lo, hi, v, e, depth = heapq.heappop(heap)
         total -= v
         total_err -= e
-        at_end = lo == a or hi == b
-        if (depth >= _TS_ENDPOINT_DEPTH and at_end) or depth >= _TS_INTERIOR_DEPTH:
+        if depth >= _ENDPOINT_TAIL_DEPTH and (lo == a or hi == b):
             target = 0.25 * tol.target(total + final_value + v)
-            if at_end and not (lo == a and hi == b):
-                tv, te, n = _endpoint_tail_panel(
-                    f, lo, hi, lo == a, target, log_form, log_offset
-                )
-            else:
-                tv, te, n = _tanh_sinh_panel(f, lo, hi, target, log_form, log_offset)
+            tv, te, n = _endpoint_tail_panel(
+                f, lo, hi, lo == a, target, log_form, log_offset
+            )
             evals += n
             final_value += tv
             final_err += te

@@ -104,7 +104,7 @@ def log_sphere_surface(n: int) -> float:
 
 
 def log_constant_D(cfg: FlatConfig) -> float:
-    """log of the dimensional constant multiplying the double integral."""
+    """log of the dimensional constant D in the prefactor of the distance density."""
     d, q, g = cfg.d, cfg.q, cfg.gamma
     return (
         log_sphere_surface(g + 1)

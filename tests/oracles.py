@@ -5,8 +5,9 @@ probability oracle uses scipy's QAGS on the raw (r, z) form of the double
 integral, one critical-constant oracle is a plain midpoint Riemann sum,
 one radial-law oracle is a dense trapezoid CDF, and the radial mass, its
 CDF, the closed-form distance density and the probability it integrates
-to, the flat-space distance CDF and the critical constant are evaluated
-by mpmath at high precision.
+to, the miss probability as an integral over the offset radius, the
+flat-space distance CDF and the critical constant are evaluated by mpmath
+at high precision.
 
 mpmath's quad stops when its error estimate falls below an absolute
 epsilon, so each mpmath integrand is scaled to be of order one (or of
@@ -189,6 +190,28 @@ def probability_closed_form_oracle(d, q, g, v, dps=30):
         return float(peak * mp.quad(lambda t: f(t) / peak, pts))
 
 
+def atom_mass_mp_oracle(d, q, g, v, dps=30):
+    """Probability at K = -1 that the flats miss, by mpmath, over the offset radius.
+
+    The offset radius rho of the moving flat has density proportional to
+    sinh^(m-1) rho cosh^(d-m) rho on [0, v], m = q - g; given rho the flats
+    miss with probability I_y((g+1)/2, (d-q)/2), y = tanh^2 rho.  Split at
+    v/2; at small v the integrand is about rho^q, so no layer needs a split.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        v = mp.mpf(v)
+        m = q - g
+        a1, b = mp.mpf(g + 1) / 2, mp.mpf(d - q) / 2
+
+        def f(r):
+            return (mp.sinh(r) ** (m - 1) * mp.cosh(r) ** (d - m)
+                    * mp.betainc(a1, b, 0, mp.tanh(r) ** 2, regularized=True))
+
+        return float(mp.quad(f, [0, v / 2, v]) / _mp_radial_mass(d, m, v))
+
+
 def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
     """Flat-space P(intersection distance <= delta) with ball radius u, by mpmath.
 
@@ -263,10 +286,19 @@ P_STAR_3_2_1_MPMATH = 0.835422319704187
 # for k in 1..64 and h in 0.001..32:
 #   (10, 9, 8, v=8)  -> 0.0017573099289213724
 #   (40, 39, 38, v=6) -> 0.02518608778412233
-# The 2-d double integral of intersection_probability returns 0.001043 and
-# 0.02016 at these configurations.
+#   (200, 199, 1, v=8) -> 0.0006743136897731775     (0.00067431368977317756665)
+#   (30, 2, 1, v=4)   -> 1.7602441924279076e-39     (1.7602441924279075941e-39)
+# The last two, 2026-10: the value in parentheses is the same integrand at
+# 40 digits split at v - k/d (k = 1..64) and v + h (h = 0.001..32).
 P_STAR_10_9_8_V8_MPMATH = 0.0017573099289213724
 P_STAR_40_39_38_V6_MPMATH = 0.02518608778412233
+P_STAR_200_199_1_V8_MPMATH = 0.0006743136897731775
+P_STAR_30_2_1_V4_MPMATH = 1.7602441924279076e-39
+# probability_closed_form_oracle(820, 104, 75, 1.7415066928690492) at 30
+# digits, 2026-10; v is sqrt(0.15301159143465998) * 4.452080227058008, a
+# prob-sweep draw.  Its integrand reaches I_x(358, 38) near 1e-270, where
+# scipy's betainc is off by percents.
+P_STAR_820_104_75_MPMATH = 4.570332086093917e-285
 # (1000, 999, 998, v=12): the mass below v sits in a layer about 1/1000
 # wide.  probability_closed_form_oracle at 30 digits gives
 # 0.00031013106614781824; split at v - k/1000 (k = 1..200) and v + h, the
@@ -274,6 +306,14 @@ P_STAR_40_39_38_V6_MPMATH = 0.02518608778412233
 # 3.1013106614781e-04), and the half below v equals
 # B(a, b) D omega_(d-g) / (2 C) times the mpmath radial mass (999, 1, 12).
 P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824
+# atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
+# digits, and as 1 minus the integral of the closed-form density at 50 and
+# 60 digits (split at v/2, v and v (1 + 2^k) for k = -6..29).  1 - p loses
+# most digits here.  Keys (d, q, g, v).
+ATOM_MPMATH = {
+    (20, 5, 2, 1e-4): 8.104411892273943e-12,
+    (3, 2, 1, 1e-3): 1.6666666944443857e-07,
+}
 
 # euclidean_cdf_mp_oracle at 30 digits, 2026-10; the same to 16 digits at
 # 40 digits, with the split ratio sqrt(2) instead of 2 (the delta = 2.2

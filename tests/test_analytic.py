@@ -24,15 +24,17 @@ from hypflats import (
     phase_limit,
     reduce_to_unit_curvature,
 )
+import hypflats._backend as backend
 import hypflats.analytic as analytic
 from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
-from hypflats._backend import log_kernel_theta
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
-from oracles import (EUCLID_CDF_MPMATH, P_STAR_3_2_1, P_STAR_3_2_1_MPMATH,
-                     P_STAR_10_9_8_V8_MPMATH, P_STAR_40_39_38_V6_MPMATH,
-                     P_STAR_1000_999_998_V12_MPMATH, RHO_MPMATH, euclidean_cdf_mp_oracle,
-                     log_density_oracle, log_radial_mass_oracle,
+from oracles import (ATOM_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_2_1, P_STAR_3_2_1_MPMATH,
+                     P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
+                     P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
+                     P_STAR_820_104_75_MPMATH,
+                     P_STAR_1000_999_998_V12_MPMATH, RHO_MPMATH, atom_mass_mp_oracle,
+                     euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
                      probability_closed_form_oracle, probability_oracle, rho_mp_oracle,
                      rho_riemann_oracle)
 
@@ -158,9 +160,57 @@ class TestIntersectionProbability:
         assert euclidean_intersection_probability(CFG) == 1.0
 
     def test_atom_mass_complement(self):
-        assert atom_mass(CFG, K1, TOL) == pytest.approx(
-            1.0 - intersection_probability(CFG, K1, TOL), abs=1e-15
-        )
+        # two integrals, each to rel_tol
+        for cfg in (CFG, FlatConfig(10, 9, 8, 8.0), FlatConfig(200, 199, 1, 8.0),
+                    FlatConfig(20, 5, 2, 1e-4)):
+            total = intersection_probability(cfg, K1, TOL) + atom_mass(cfg, K1, TOL)
+            assert abs(total - 1.0) <= 2 * TOL.rel_tol, cfg
+
+    @pytest.mark.parametrize("key", sorted(ATOM_MPMATH))
+    def test_atom_mass_matches_mpmath(self, key):
+        # the atom is 8.1e-12 at (20, 5, 2, 1e-4), where 1 - p keeps 4 digits
+        d, q, g, v = key
+        assert atom_mass(FlatConfig(d, q, g, v), K1, TOL) == pytest.approx(
+            ATOM_MPMATH[key], rel=1e-11, abs=0.0)
+
+    def test_atom_oracle_reproduces_its_frozen_value(self):
+        key = (20, 5, 2, 1e-4)
+        assert atom_mass_mp_oracle(*key) == pytest.approx(ATOM_MPMATH[key], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("cfg, p", [
+        (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
+        (FlatConfig(40, 39, 38, 6.0), P_STAR_40_39_38_V6_MPMATH),
+        (FlatConfig(30, 2, 1, 4.0), P_STAR_30_2_1_V4_MPMATH),
+        (FlatConfig(200, 199, 1, 8.0), P_STAR_200_199_1_V8_MPMATH),
+    ])
+    def test_matches_mpmath_where_the_mass_is_thin(self, cfg, p):
+        assert intersection_probability(cfg, K1, TOL) == pytest.approx(p, rel=1e-11, abs=0.0)
+
+    def test_deep_in_the_incomplete_beta_tail(self):
+        cfg, K = FlatConfig(820, 104, 75, 4.452080227058008), Curvature(-0.15301159143465998)
+        assert intersection_probability(cfg, K, TOL) == pytest.approx(
+            P_STAR_820_104_75_MPMATH, rel=1e-11, abs=0.0)
+
+    def test_finds_the_layer_below_v(self):
+        # 4% of the mass lies within about 1/1000 below v = 12
+        cfg = FlatConfig(1000, 999, 998, 12.0)
+        assert intersection_probability(cfg, K1, TOL) == pytest.approx(
+            P_STAR_1000_999_998_V12_MPMATH, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("u", [1e-8, 1e-9])
+    def test_one_at_tiny_radius(self, u):
+        # 1 - p is about u^2 / 6 here
+        assert abs(intersection_probability(FlatConfig(3, 2, 1, u), K1, TOL) - 1.0) <= 1e-12
+
+    def test_is_one_1d_integral(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("2-d quadrature called")
+
+        monkeypatch.setattr(analytic, "integrate_iterated_2d", fail)
+        monkeypatch.setattr(backend, "log_kernel_theta", fail)
+        for cfg in (CFG, FlatConfig(10, 9, 8, 8.0)):
+            intersection_probability(cfg, K1, TOL)
+            atom_mass(cfg, K1, TOL)
 
 
 class TestDistanceCdf:
@@ -268,6 +318,24 @@ BENCH_CONFIGS = [
 ]
 
 
+def _peak_break_points(r, theta_max):
+    """Panel seeds resolving the (1 + K r^2 sin^2)^(-(d+1)/2) boundary layer.
+
+    For r near the ball boundary the kernel peaks at theta_max over an
+    angular scale sqrt(1 - r^2); pre-splitting there saves the adaptive
+    rule thousands of bisections.
+    """
+    if r < 0.99:
+        return ()
+    w = math.sqrt(max(1.0 - r * r, 0.0))
+    if w <= 0.0 or w >= 0.1:
+        return ()
+    return tuple(
+        p for p in (theta_max - k * w for k in (300.0, 30.0, 3.0, 1.0))
+        if 0.0 < p < theta_max
+    )
+
+
 def density_2d(cfg, K, delta):
     """The density as the angular integral of the 2-d path at r = tanh(t)."""
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
@@ -277,14 +345,46 @@ def density_2d(cfg, K, delta):
     offset = (analytic._log_prefactor(cfg1) - 2.0 * math.log(math.cosh(t))
               + (cfg.q - cfg.gamma - 1) * math.log(r))
     res = integrate_adaptive(
-        lambda theta: log_kernel_theta(cfg.d, cfg.q, -1.0, r, theta), 0.0, theta_max, TOL,
-        log_form=True, log_offset=offset,
-        break_points=analytic._peak_break_points(r, theta_max))
+        lambda theta: backend.log_kernel_theta(cfg.d, cfg.q, -1.0, r, theta), 0.0, theta_max,
+        TOL, log_form=True, log_offset=offset, break_points=_peak_break_points(r, theta_max))
     return K.scale * res.value
 
 
+def cdf_offset_radius(cfg, K, delta):
+    """The distance CDF as an integral over the offset radius, by scipy's QAGS.
+
+    At unit curvature the offset radius rho in [0, v] has density
+    sinh^(m-1) rho cosh^(d-m) rho / R, and given rho the intersection lies
+    within delta iff X / (X + Y) <= 1 - tanh^2 rho / tanh^2 delta, with
+    X ~ chi^2(d-q) and Y ~ chi^2(gamma+1) independent, so that
+    X / (X + Y) ~ Beta((d-q)/2, (gamma+1)/2).
+    """
+    from scipy.integrate import quad
+    from scipy.special import betainc
+
+    cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
+    t = K.scale * delta
+    b, a1 = 0.5 * (d - q), 0.5 * (g + 1)
+
+    def law(rho):
+        return math.sinh(rho) ** (q - g - 1) * math.cosh(rho) ** (d - q + g)
+
+    def hit(rho):
+        return law(rho) * betainc(b, a1, 1.0 - (math.tanh(rho) / math.tanh(t)) ** 2)
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    return quad(hit, 0.0, min(t, v), **opts)[0] / quad(law, 0.0, v, **opts)[0]
+
+
 class TestClosedForm:
-    """The 1-d closed-form density against the 2-d path and against mpmath."""
+    """The 1-d closed-form density against the 2-d paths and against mpmath.
+
+    The 2-d paths are the radial-angular integral of density_2d and the
+    (offset radius, Beta ratio) integral of cdf_offset_radius, whose inner
+    integral is an incomplete beta function; intersection_probability is
+    the second at delta = infinity.
+    """
 
     @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS)
     def test_density_matches_2d_path(self, cfg, K):
@@ -297,24 +397,26 @@ class TestClosedForm:
     def test_cdf_grid_matches_2d_path(self, cfg, K):
         deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
         grid = distance_cdf_grid(cfg, K, deltas, TOL)
-        cfg1, _ = reduce_to_unit_curvature(cfg, K)
-        pref = analytic._log_prefactor(cfg1)
         for i in (15, 41, 127):   # 0.5 u, 1.3 u and 4 u
-            ref = analytic._hyper_double_integral(
-                cfg1, pref, math.tanh(K.scale * deltas[i]), TOL).value
-            assert grid[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert grid[i] == pytest.approx(cdf_offset_radius(cfg, K, deltas[i]),
+                                            rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS[:2])
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
+        (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
+        (FlatConfig(30, 2, 1, 4.0), K1), (FlatConfig(200, 199, 1, 8.0), K1),
+        (FlatConfig(1000, 999, 998, 12.0), K1), (FlatConfig(20, 5, 2, 1e-4), K1)])
     def test_cdf_limit_is_the_2d_probability(self, cfg, K):
-        p = intersection_probability(cfg, K, TOL)
-        assert distance_cdf(cfg, K, 50.0 / K.scale, TOL) == pytest.approx(p, abs=1e-9)
+        # the paper's density and the offset-radius law, two derivations of p
+        tol = Tolerance(rel_tol=1e-12)
+        p = intersection_probability(cfg, K, tol)
+        far = distance_cdf(cfg, K, (K.scale * cfg.u + 50.0) / K.scale, tol)
+        assert far == pytest.approx(p, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("cfg, p", [
         (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
         (FlatConfig(40, 39, 38, 6.0), P_STAR_40_39_38_V6_MPMATH),
     ])
     def test_cdf_limit_matches_mpmath(self, cfg, p):
-        # intersection_probability is still wrong here (0.001043 and 0.02016)
         assert distance_cdf(cfg, K1, cfg.u + 40.0, TOL) == pytest.approx(p, rel=1e-11, abs=0.0)
 
     def test_probability_oracle_at_a_tiny_probability(self):
@@ -350,6 +452,17 @@ class TestClosedForm:
         # I_x(500, 1/2) underflows at t = 3 and 6
         x = (math.sinh(1.0) / np.sinh([3.0, 6.0])) ** 2
         assert np.all(betainc(500.0, 0.5, x) == 0.0)
+
+    def test_incomplete_beta_tail_where_scipy_loses_digits(self):
+        # scipy's betainc is 5% off at the first point, its hyp2f1 53% at the third
+        import mpmath as mp
+
+        for a, b, x in ((200.0, 38.0, 0.0243), (358.0, 38.0, 0.13), (499.5, 499.5, 0.0616),
+                        (1000.0, 499.5, 0.2209)):
+            with mp.workdps(30):
+                ref = float(mp.log(mp.betainc(a, b, 0, x)) - a * mp.log(x))
+            got = analytic._log_incomplete_beta_tail(a, b, np.array([x]), np.log([x]))[0]
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (a, b, x)
 
     def test_log_density_far_out(self):
         # no overflow past t = 710; the tail decays like e^(-2t)

@@ -238,6 +238,15 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] < 4.0
         assert doc["std_err"] == math.sqrt(doc["p_hat"] * (1 - doc["p_hat"]) / n)
 
+    def test_deviation_where_the_mass_is_thin(self, capsys):
+        # the hit distances crowd at v = 8: 22% of them lie within 0.1 below it
+        code, out, _ = invoke(
+            capsys, "simulate", "--d", "10", "--q", "9", "--gamma", "8", "--K", "-1",
+            "--u", "8", "--trials", "100000", "--seed", "7",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["p_deviation_sigmas"] < 4.0
+
     def test_threads_default_to_one(self):
         args = build_parser().parse_args(["simulate", *BASE, "--seed", "1"])
         assert args.threads == 1
