@@ -10,8 +10,11 @@ distance t from the origin to the intersection has the closed-form density
 
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) D omega_(d-gamma) / (2 C)
-(_log_density, in log space).  The density is that formula; the CDF, the
-CDF grid and the moments are 1-d integrals of it.  The flat-space (K -> 0)
+(_log_density, in log space).  The density is that formula; the CDF and
+the moments are 1-d integrals of it.  The CDF grid is one vectorised pass:
+one Gauss-Kronrod panel per grid segment, all panels below v from one
+integrand call and all past v from another, with the rare segment that
+misses the tolerance refined on its own.  The flat-space (K -> 0)
 distance CDF is closed form, and the critical constant rho is one 1-d
 integral whose inner integral is a lower incomplete gamma function.
 
@@ -20,12 +23,17 @@ integrals over the offset radius rho in [0, v] of the moving flat
 (_offset_radius_integral): rho has the radial-mass law, and given rho the
 flats meet with a probability that is a regularized incomplete beta
 function of sech^2 rho.
+
+The radial mass log_radial_mass(d, m, v), which normalises the offset-radius
+law and the Crofton constant, is memoised per (d, m, v): all quantities of
+one configuration, and the Monte Carlo sampler, share one quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1
@@ -35,6 +43,7 @@ from .quadrature import (
     DEFAULT_TOLERANCE,
     QuadResult,
     Tolerance,
+    _gk_panels,
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
 )
@@ -125,6 +134,7 @@ def _log_sinh(t):
     return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
+@lru_cache(maxsize=64)
 def log_radial_mass(d: int, m: int, rho: float) -> float:
     """log of the radial mass, the integral of sinh^(m-1) t cosh^(d-m) t over [0, rho].
 
@@ -136,6 +146,9 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
     log-slope there, so the integral is O(1) and only the relative
     tolerance of 1e-12 decides convergence: a panel that misses most of
     the layer is refined, not accepted as absolutely small.
+
+    Memoised: the Crofton constant, p, the atom mass, the CDF grid and the
+    Monte Carlo sampler of one configuration share one quadrature.
     """
     if not (d >= 2 and 1 <= m <= d):
         raise DomainError(f"need d >= 2 and 1 <= m <= d, got m={m}, d={d}")
@@ -187,22 +200,22 @@ def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
     return replace(cfg, u=K.scale * cfg.u), Curvature(-1.0)
 
 
-def _as_probability(res: QuadResult) -> float:
-    slack = res.error_estimate + 1e-12
-    v = res.value
-    if v < 0.0:
-        if v < -slack:
-            raise ProbabilityRangeError(
-                f"probability {v} below 0 beyond error estimate {res.error_estimate}"
-            )
-        return 0.0
-    if v > 1.0:
-        if v > 1.0 + slack:
-            raise ProbabilityRangeError(
-                f"probability {v} above 1 beyond error estimate {res.error_estimate}"
-            )
-        return 1.0
-    return v
+def _as_probability(value, error_estimate):
+    """value as a probability, elementwise: clamped to [0, 1].
+
+    Raises ProbabilityRangeError where value is nan or leaves [0, 1] by
+    more than error_estimate + 1e-12.  A float in, a float out.
+    """
+    v = np.asarray(value, dtype=float)
+    slack = error_estimate + 1e-12
+    inside = (v >= -slack) & (v <= 1.0 + slack)  # false at nan
+    if not inside.all():
+        i = np.unravel_index(np.argmin(inside), v.shape)
+        side = "below 0" if v[i] < 0.0 else "above 1" if v[i] > 1.0 else "not a number"
+        err = np.broadcast_to(error_estimate, v.shape)[i]
+        raise ProbabilityRangeError(f"probability {v[i]} {side} beyond error estimate {err}")
+    out = np.minimum(np.maximum(v, 0.0), 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_prefactor(cfg1: FlatConfig) -> float:
@@ -252,7 +265,7 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     res = integrate_adaptive(log_g, 0.0, v, replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL),
                              log_form=True,
                              log_offset=-betaln(a, c) - log_radial_mass(d, q - g, v))
-    return _as_probability(res)
+    return _as_probability(res.value, res.error_estimate)
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
@@ -351,13 +364,28 @@ def _log_density(cfg1: FlatConfig, pref: float, t) -> np.ndarray:
     return out
 
 
+def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
+    """log of t^alpha times the unit-curvature density, in t and in s = sqrt(t - v).
+
+    Past v the density has a (t - v)^((d-q)/2) term, a square root at
+    d - q = 1, which Gauss-Kronrod resolves slowly.  In s the integrand
+    2 s g(v + s^2) is smooth, so integrals past v run in s.
+    """
+    v = cfg1.u
+
+    def log_g(t):
+        val = _log_density(cfg1, pref, t)
+        return val + alpha * np.log(t) if alpha else val
+
+    return log_g, lambda s: math.log(2.0) + np.log(s) + log_g(v + s * s)
+
+
 def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
                       tol: Tolerance, alpha: float = 0.0) -> QuadResult:
     """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
 
-    Past v the density has a (t - v)^((d-q)/2) term, a square root at
-    d - q = 1, which Gauss-Kronrod resolves slowly.  That part runs in
-    s = sqrt(t - v), where the integrand 2 s g(v + s^2) is smooth.
+    The part below v runs in t, the part past v in s = sqrt(t - v)
+    (_log_integrands).
 
     Only tol's relative tolerance decides convergence.  The density peaks
     at v in a layer that can be far narrower than a panel (about 1/d wide
@@ -367,62 +395,87 @@ def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
     """
     v = cfg1.u
     tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
-
-    def log_g(t):
-        val = _log_density(cfg1, pref, t)
-        return val + alpha * np.log(t) if alpha else val
-
+    log_g, log_g_past = _log_integrands(cfg1, pref, alpha)
     parts = []
     if lo < v:
         parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
     if hi > v:
-        parts.append(integrate_adaptive(lambda s: math.log(2.0) + np.log(s) + log_g(v + s * s),
-                                        math.sqrt(max(lo - v, 0.0)), math.sqrt(hi - v), tol,
-                                        log_form=True))
+        parts.append(integrate_adaptive(log_g_past, math.sqrt(max(lo - v, 0.0)),
+                                        math.sqrt(hi - v), tol, log_form=True))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
                       all(r.converged for r in parts))
 
 
+def _segment_integrals(cfg1: FlatConfig, pref: float, lo: np.ndarray, hi: np.ndarray,
+                       tol: Tolerance):
+    """Integrals of the unit-curvature density over the segments [lo[i], hi[i]].
+
+    No segment may straddle v.  Each segment is one Gauss-Kronrod panel,
+    those below v from one integrand call in t and those past v from one
+    in s = sqrt(t - v).  A segment whose error estimate exceeds tol's
+    relative target goes alone to _density_integral, as it would be
+    refined there.  Returns the arrays (values, error estimates).
+    """
+    v = cfg1.u
+    log_g, log_g_past = _log_integrands(cfg1, pref)
+    vals, errs = np.empty(lo.shape), np.empty(lo.shape)
+    near = hi <= v
+    vals[near], errs[near] = _gk_panels(log_g, lo[near], hi[near], True, 0.0)
+    far = ~near
+    vals[far], errs[far] = _gk_panels(log_g_past, np.sqrt(lo[far] - v), np.sqrt(hi[far] - v),
+                                      True, 0.0)
+    for i in np.flatnonzero(errs > np.maximum(_RELATIVE_ONLY_ABS_TOL,
+                                               tol.rel_tol * np.abs(vals))):
+        res = _density_integral(cfg1, pref, float(lo[i]), float(hi[i]), tol)
+        vals[i], errs[i] = res.value, res.error_estimate
+    return vals, errs
+
+
+def _require_distance(delta) -> None:
+    if not (math.isfinite(delta) and delta >= 0):
+        raise DomainError(f"need a finite delta >= 0, got {delta}")
+
+
 def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """P(distance of the intersection to the origin <= delta)."""
-    if delta < 0:
-        raise DomainError(f"need delta >= 0, got {delta}")
+    _require_distance(delta)
     if delta == 0:
         return 0.0
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    return _as_probability(
-        _density_integral(cfg1, _log_prefactor(cfg1), 0.0, K.scale * delta, tol))
+    res = _density_integral(cfg1, _log_prefactor(cfg1), 0.0, K.scale * delta, tol)
+    return _as_probability(res.value, res.error_estimate)
 
 
 def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """distance_cdf on an ascending grid, via cumulative segment integrals.
+    """distance_cdf on an ascending 1-d grid, in one vectorised pass.
 
-    One sweep of 1-d segments instead of len(deltas) integrals from 0.
-    Each value carries the summed error estimates of its segments, and
-    leaving [0, 1] by more than them raises ProbabilityRangeError.
+    The knots are 0, the reduced radius v and the grid points.  Every
+    segment between neighbouring knots is one Gauss-Kronrod panel; the
+    panels below v take one integrand call and those past v one more
+    (_segment_integrals).  A segment whose error estimate misses the
+    relative tolerance is integrated adaptively on its own.  The values
+    are the cumulative sums of the segments, each with the summed error
+    estimates, and leaving [0, 1] by more than them raises
+    ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.size and (np.any(deltas < 0) or np.any(np.diff(deltas) < 0)):
-        raise DomainError("deltas must be ascending and >= 0")
+    if deltas.ndim != 1:
+        raise DomainError(f"deltas must be a 1-d sequence, got shape {deltas.shape}")
+    if not (np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
+            and np.all(np.diff(deltas) >= 0)):
+        raise DomainError("deltas must be finite, ascending and >= 0")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     pref = _log_prefactor(cfg1)
-    out = np.empty(deltas.shape)
-    acc = QuadResult(0.0, 0.0, 0, True)
-    lo = 0.0
-    for i, hi in enumerate(K.scale * deltas):
-        if hi > lo:
-            seg = _density_integral(cfg1, pref, lo, hi, tol)
-            acc = QuadResult(acc.value + seg.value,
-                             acc.error_estimate + seg.error_estimate,
-                             acc.evaluations + seg.evaluations,
-                             acc.converged and seg.converged)
-            lo = hi
-        out[i] = _as_probability(acc)
-    return out
+    t = K.scale * deltas
+    knots = np.unique(np.concatenate(([0.0, min(cfg1.u, t.max(initial=0.0))], t)))
+    vals, errs = _segment_integrals(cfg1, pref, knots[:-1], knots[1:], tol)
+    at = np.searchsorted(knots, t)
+    return _as_probability(np.concatenate(([0.0], np.cumsum(vals)))[at],
+                           np.concatenate(([0.0], np.cumsum(errs)))[at])
 
 
 def distance_density(cfg: FlatConfig, K: Curvature, delta,
@@ -435,8 +488,8 @@ def distance_density(cfg: FlatConfig, K: Curvature, delta,
     everywhere else.
     """
     t = np.asarray(delta, dtype=float)
-    if not np.all(t > 0):
-        raise DomainError(f"need delta > 0, got {delta}")
+    if not np.all((t > 0) & (t < math.inf)):
+        raise DomainError(f"need finite delta > 0, got {delta}")
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     f = K.scale * np.exp(_log_density(cfg1, _log_prefactor(cfg1), K.scale * t))
     return float(f) if f.ndim == 0 else f
@@ -499,8 +552,7 @@ def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
 
     Closed form, so tol is not used; it is accepted like everywhere else.
     """
-    if delta < 0:
-        raise DomainError(f"need delta >= 0, got {delta}")
+    _require_distance(delta)
     if delta == 0:
         return 0.0
     d, q, g, u = cfg.d, cfg.q, cfg.gamma, cfg.u
@@ -512,7 +564,7 @@ def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
         x = np.exp(log_x)
         head = a1 * log_x + _log_incomplete_beta_tail(a, b, x, log_x) - betaln(a1, b)
         value = float(np.exp(head[0]) + betaincc(a1, b, x[0]))
-    return _as_probability(QuadResult(value, 0.0, 0, True))
+    return _as_probability(value, 0.0)
 
 
 def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
@@ -551,7 +603,7 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
         return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
     res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref)
-    return _as_probability(res)
+    return _as_probability(res.value, res.error_estimate)
 
 
 def phase_limit(mode: PhaseMode, u: float, q: int, gamma: int,

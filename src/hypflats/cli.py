@@ -275,7 +275,7 @@ def _cmd_simulate(args, tol):
     hits = len(summary.finite_samples)
     est = montecarlo.SimEstimate.from_counts(args.trials, hits, summary.seed)
     p = analytic.intersection_probability(cfg, K, tol)
-    a = 1.0 - p
+    a = analytic.atom_mass(cfg, K, tol)
     atom_hat = summary.empty_count / args.trials
     # |p_hat - p| = |atom_hat - a| in units of the analytic binomial standard
     # error; the estimate's own std_err is 0 whenever p_hat is 0 or 1

@@ -26,7 +26,7 @@ from hypflats import (
 )
 import hypflats._backend as backend
 import hypflats.analytic as analytic
-from hypflats import ProbabilityRangeError, QuadResult, QuadratureError
+from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
 from oracles import (ATOM_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_2_1, P_STAR_3_2_1_MPMATH,
@@ -495,6 +495,58 @@ class TestPrefactor:
         assert len(crofton_calls) == 1
 
 
+class TestCdfGrid:
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
+        (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
+        (FlatConfig(1000, 999, 998, 12.0), K1)])
+    def test_matches_pointwise(self, cfg, K):
+        deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
+        np.testing.assert_allclose(
+            distance_cdf_grid(cfg, K, deltas, TOL),
+            [distance_cdf(cfg, K, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("deltas", [
+        [0.0, 0.0, 0.3],            # zeros
+        [0.3, 0.3, 0.7, 0.7, 2.0],  # duplicates
+        [1.0],                      # exactly v
+        [0.2, 0.5, 0.9],            # only below v
+        [1.5, 2.0, 2.0, 3.0],       # only past v
+        [],
+    ])
+    def test_grid_shapes(self, deltas):
+        grid = distance_cdf_grid(CFG, K1, deltas, TOL)
+        assert grid.shape == (len(deltas),)
+        np.testing.assert_allclose(
+            grid, [distance_cdf(CFG, K1, x, TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
+    def test_a_wide_segment_is_refined(self, monkeypatch):
+        # one panel on [0, 12] misses the layer about 1/1000 wide below v = 12
+        cfg = FlatConfig(1000, 999, 998, 12.0)
+        refined = []
+
+        def spy(cfg1, pref, lo, hi, tol):
+            refined.append((lo, hi))
+            return density_integral(cfg1, pref, lo, hi, tol)
+
+        density_integral = analytic._density_integral
+        monkeypatch.setattr(analytic, "_density_integral", spy)
+        grid = distance_cdf_grid(cfg, K1, [12.0, 72.0], TOL)
+        assert (0.0, 12.0) in refined
+        monkeypatch.undo()
+        np.testing.assert_allclose(
+            grid, [distance_cdf(cfg, K1, 12.0, TOL), distance_cdf(cfg, K1, 72.0, TOL)],
+            rtol=1e-12, atol=0.0)
+        assert grid[1] == pytest.approx(P_STAR_1000_999_998_V12_MPMATH, rel=1e-9, abs=0.0)
+
+    def test_makes_no_adaptive_call(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        log_radial_mass(3, 1, 1.0)  # the Crofton constant's quadrature, memoised
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail)
+        assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
+
+
 class TestGuards:
     def test_moment_tail_is_bounded(self, monkeypatch):
         # a density that never decays: the tail loop gives up and says so
@@ -507,19 +559,47 @@ class TestGuards:
         assert info.value.partial.value > 0
 
     def test_cdf_grid_checks_its_range(self, monkeypatch):
-        def segment(value, err):
-            return lambda *args, **kwargs: QuadResult(value, err, 15, True)
+        # every segment of the grid gets the same value and error estimate
+        def segments(value, err):
+            return lambda cfg1, pref, lo, hi, tol: (np.full(lo.shape, value),
+                                                    np.full(lo.shape, err))
 
-        monkeypatch.setattr(analytic, "_density_integral", segment(0.6, 1e-13))
+        monkeypatch.setattr(analytic, "_segment_integrals", segments(0.6, 1e-13))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
-        monkeypatch.setattr(analytic, "_density_integral", segment(-1e-3, 1e-13))
+        monkeypatch.setattr(analytic, "_segment_integrals", segments(-1e-3, 1e-13))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5], TOL)
         # an overshoot within the summed error estimates is clamped
-        monkeypatch.setattr(analytic, "_density_integral", segment(0.5 + 1e-10, 1e-9))
+        monkeypatch.setattr(analytic, "_segment_integrals", segments(0.5 + 1e-10, 1e-9))
         np.testing.assert_array_equal(
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL), [0.5 + 1e-10, 1.0])
+
+    @pytest.mark.parametrize("value", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_is_not_a_probability(self, value):
+        with pytest.raises(ProbabilityRangeError):
+            analytic._as_probability(value, 0.0)
+
+    @pytest.mark.parametrize("deltas", [[math.nan], [0.5, math.nan, 1.0], [0.5, math.inf]])
+    def test_cdf_grid_rejects_non_finite_distances(self, deltas):
+        with pytest.raises(DomainError):
+            distance_cdf_grid(CFG, K1, deltas, TOL)
+
+    def test_cdf_grid_rejects_a_scalar(self):
+        with pytest.raises(DomainError):
+            distance_cdf_grid(CFG, K1, 0.5, TOL)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, np.array([0.5, math.inf])])
+    def test_density_rejects_non_finite_distances(self, delta):
+        with pytest.raises(DomainError):
+            distance_density(CFG, K1, delta, TOL)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_cdfs_reject_non_finite_distances(self, delta):
+        with pytest.raises(DomainError):
+            distance_cdf(CFG, K1, delta, TOL)
+        with pytest.raises(DomainError):
+            euclidean_distance_cdf(CFG, delta, TOL)
 
 
 class TestEuclideanCdf:

@@ -8,7 +8,7 @@ import hypflats.cli as cli
 from hypflats.analytic import log_crofton_constant
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
-from oracles import P_STAR_3_2_1
+from oracles import ATOM_MPMATH, P_STAR_3_2_1
 
 BASE = ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"]
 
@@ -67,6 +67,11 @@ class TestCdf:
         code, out, _ = invoke(capsys, "cdf", *BASE, "--delta", "40")
         assert code == EXIT_OK
         assert float(out) == pytest.approx(P_STAR_3_2_1, abs=1e-7)
+
+    def test_nan_delta_exits_2(self, capsys):
+        code, out, err = invoke(capsys, "cdf", *BASE, "--delta", "nan")
+        assert code == EXIT_USAGE
+        assert out == "" and "delta" in err
 
 
 class TestCsvCommands:
@@ -246,6 +251,29 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert json.loads(out)["p_deviation_sigmas"] < 4.0
+
+    def test_analytic_atom_is_the_atom_mass(self, capsys):
+        # 1 - p is 1.1e-4 relative off the atom here
+        code, out, _ = invoke(
+            capsys, "simulate", "--d", "20", "--q", "5", "--gamma", "2", "--K", "-1",
+            "--u", "1e-4", "--trials", "50", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["analytic_atom"] == pytest.approx(ATOM_MPMATH[(20, 5, 2, 1e-4)],
+                                                     rel=1e-11, abs=0.0)
+        assert doc["p_deviation_sigmas"] == doc["atom_deviation_sigmas"]
+
+    def test_computes_the_radial_mass_once(self, capsys):
+        # the sampler, p, the atom and the CDF grid share one memoised quadrature
+        code, _, _ = invoke(
+            capsys, "simulate", "--d", "7", "--q", "4", "--gamma", "2", "--K", "-0.7",
+            "--u", "1.3", "--trials", "200", "--seed", "5",
+        )
+        assert code == EXIT_OK
+        info = analytic.log_radial_mass.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 3
 
     def test_threads_default_to_one(self):
         args = build_parser().parse_args(["simulate", *BASE, "--seed", "1"])

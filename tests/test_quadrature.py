@@ -10,7 +10,7 @@ from hypflats import (
     integrate_adaptive,
 )
 from hypflats._backend import log_kernel_theta
-from hypflats.quadrature import integrate_iterated_2d
+from hypflats.quadrature import _gk_panel, _gk_panels, integrate_iterated_2d
 
 TOL = Tolerance()
 
@@ -109,6 +109,49 @@ class TestIntegrateAdaptive:
         with pytest.raises(QuadratureError):
             integrate_adaptive(lambda x: np.zeros_like(x), 0.0, 1.0, TOL,
                                log_form=True, log_offset=800.0)
+
+
+class TestGkPanels:
+    A = np.array([0.0, 0.5, 2.0, -3.0])
+    B = np.array([0.5, 2.0, 2.25, 4.0])
+
+    @pytest.mark.parametrize("f, log_form", [(np.cos, False), (lambda x: -x * x, True),
+                                             (lambda x: np.full(x.shape, 1.5), False)])
+    def test_matches_the_scalar_rule(self, f, log_form):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        vals, errs = _gk_panels(counted, self.A, self.B, log_form, 0.0)
+        assert calls == [15 * len(self.A)]
+        for a, b, v, e in zip(self.A, self.B, vals, errs):
+            rv, re, _ = _gk_panel(f, a, b, log_form, 0.0)
+            assert v == pytest.approx(rv, rel=1e-14, abs=0.0)
+            # below about 1e-14 |v| the estimate is the rounding of the sums
+            assert e == pytest.approx(re, rel=1e-6, abs=1e-14 * abs(rv))
+
+    def test_empty_panel_is_zero(self):
+        vals, errs = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x), np.array([0.0, 1.0]),
+                                np.array([1.0, 2.0]), True, 0.0)
+        assert (vals[0], errs[0]) == (0.0, 0.0)
+        assert vals[1] == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad, log_form, log_offset", [
+        (np.nan, True, 0.0), (np.inf, True, 0.0), (800.0, True, 0.0), (0.0, True, 800.0),
+        (np.nan, False, 0.0), (np.inf, False, 0.0)])
+    def test_a_bad_panel_raises_and_is_named(self, bad, log_form, log_offset):
+        def f(x):
+            return np.where(x > 2.0, bad, -700.0 - log_offset)
+
+        with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
+            _gk_panels(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), log_form,
+                       log_offset)
+
+    def test_no_panels(self):
+        vals, errs = _gk_panels(np.cos, np.array([]), np.array([]), False, 0.0)
+        assert vals.shape == errs.shape == (0,)
 
 
 class TestKnownIntegrals:
