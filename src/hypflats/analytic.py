@@ -504,9 +504,11 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     alpha > gamma - q.  Quadrature only runs on the finite branch: [0, 10],
     then tail segments [t, 2t] until one adds less than rel_tol of the
     total.  After _MOMENT_TAIL_DOUBLINGS segments it raises QuadratureError
-    with the partial result attached.
+    with the partial result attached.  A non-finite alpha raises DomainError.
     """
     K.require_hyperbolic()
+    if not math.isfinite(alpha):
+        raise DomainError(f"moment order alpha must be finite, got {alpha}")
     lo = cfg.gamma - cfg.q
     if alpha <= lo or (not conditional and alpha > 0):
         return MomentResult(alpha, conditional, None)

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +81,9 @@ def _add_tol_arg(p):
                    help="relative quadrature tolerance (default 1e-9)")
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once: each parse returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="hypflats",
         description="Intersection probabilities of random flats in hyperbolic space",
@@ -306,7 +309,10 @@ def _cmd_simulate(args, tol):
         "ks_statistic": ks,
         "version": __version__,
     }
-    return json.dumps(out, sort_keys=True) + "\n"
+    # JSON has no NaN or infinity: ks_statistic without hits, an infinite deviation
+    out = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in out.items()}
+    return json.dumps(out, sort_keys=True, allow_nan=False) + "\n"
 
 
 _COMMANDS = {
@@ -326,8 +332,8 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     rel = getattr(args, "rel_tol", 1e-9)
-    tol = Tolerance(rel_tol=rel, abs_tol=min(1e-12, rel))
     try:
+        tol = Tolerance(rel_tol=rel, abs_tol=min(1e-12, rel))
         text = _COMMANDS[args.command](args, tol)
     except QuadratureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -4,7 +4,14 @@ The law of the intersection distance is rotation-invariant: L is a
 uniform q-flat through the origin o, and E is independent of L with an
 O(d)-invariant law.  So L can be fixed to the first q coordinate axes,
 and the distance then depends on E only through an m x m Wishart pair,
-m = q - gamma (see _block_distances).  A trial costs O(m^3) whatever d is.
+m = q - gamma (see _block_distances).  With A = T_A T_A^T ~ Wishart_m(q)
+and B = F F^T ~ Wishart_m(d - q), a trial's offset-to-distance factor is
+|T_A^-1 Lc xi| for Lc Lc^T = A + B, and T_A^-1 Lc = (I + C C^T)^(1/2) O
+with C = T_A^-1 F and O orthogonal.  O depends on (A, B) only and xi is
+uniform on the sphere independently of them, so O xi has the law of xi
+and the factor has the law of sqrt(1 + |F^T T_A^-T xi|^2): one triangular
+back substitution and one product per trial, no factorisation and no
+LAPACK call.  A trial costs O(m^2) whatever d is.
 
 Trials run in blocks whose size depends on m only.  Block j of a run with
 seed s draws all its trials at once from one Philox stream keyed by
@@ -215,23 +222,28 @@ class HittingFlatSampler:
     def _draw_radii(self, rng, n):
         """n offset radii and the (proposals, accepted) spent on them.
 
-        Rejection runs in rounds: each row still pending draws a (proposal,
-        acceptance) pair of uniforms from rng, until every row is accepted.
+        The radii are the first n accepted proposals of one sequence of
+        (proposal, acceptance) uniform pairs from rng, in order.  The pairs
+        are drawn in rounds of ceil(1.1 pending / acceptance) + 8, so a block
+        rarely needs a second round; proposals counts the pairs up to the
+        n-th acceptance.
         """
-        radii = np.empty(n)
-        todo = np.arange(n)
-        proposals = 0
+        parts = []
+        pending, proposals = n, 0
         for _ in range(_REJECTION_ROUNDS):
-            u = rng.random((todo.size, 2))
+            size = math.ceil(1.1 * pending / self._acceptance) + 8
+            u = rng.random((size, 2))
             r, log_accept = self._propose(u[:, 0])
-            keep = np.log(u[:, 1]) < log_accept
-            radii[todo[keep]] = r[keep] / self.K.scale
-            proposals += todo.size
-            todo = todo[~keep]
-            if todo.size == 0:
-                return radii, proposals, n
+            keep = np.flatnonzero(np.log(u[:, 1]) < log_accept)
+            if keep.size >= pending:
+                parts.append(r[keep[:pending]])
+                proposals += int(keep[pending - 1]) + 1
+                return np.concatenate(parts) / self.K.scale, proposals, n
+            parts.append(r[keep])
+            pending -= keep.size
+            proposals += size
         raise ConstructionError(
-            f"{todo.size} radii still rejected after {_REJECTION_ROUNDS} rounds"
+            f"{pending} radii still rejected after {_REJECTION_ROUNDS} rounds"
         )
 
     def _sample_radius(self, rng):
@@ -281,27 +293,37 @@ def _block_distances(sampler, rng, n):
     first q columns of W^T, and its squared norm is r^2 xi^T (M M^T)^-1 xi.
     Split G into its first q rows G1 and the rest G2.  Then
     M M^T = R^-T A R^-1 with A = G1^T G1 ~ Wishart_m(q), and
-    R^T R = G^T G = A + B with B = G2^T G2 ~ Wishart_m(d - q) independent
-    of A.  With A = T_A T_A^T and Lc = R^T = cholesky(A + B), the norm is
-    r |T_A^-1 eta| with eta = R^T xi = Lc xi.  A has q >= m degrees of
-    freedom, so it is positive definite: E and L always meet in R^d, and
-    a trial misses when that closest point is not inside the open Klein
-    ball.  B is drawn by Bartlett when d - q >= m, else as G2^T G2.
+    R^T R = A + B with B = G2^T G2 ~ Wishart_m(d - q) independent of A.
+    With A = T_A T_A^T and Lc = R^T, the norm is r |T_A^-1 Lc xi|.
+
+    Write B = F F^T, with F the Bartlett factor of B when d - q >= m, else
+    G2^T.  Then (T_A^-1 Lc)(T_A^-1 Lc)^T = I + C C^T with C = T_A^-1 F, so
+    T_A^-1 Lc = (I + C C^T)^(1/2) O with O orthogonal.  O depends on (A, B)
+    only and xi is uniform on the sphere and independent of them, so O xi
+    has the law of xi, and the norm has the law of
+    r sqrt(1 + |F^T y|^2), T_A^T y = xi.  y comes from a back substitution
+    vectorised over the block (m steps) and F^T y from an einsum: no
+    factorisation, no solve, and no BLAS call whose threads would cost
+    more than the work at small blocks.  A has q >= m degrees of freedom,
+    so it is positive definite: E and L always meet in R^d, and a trial
+    misses when that closest point is not inside the open Klein ball.
     """
     cfg, K = sampler.cfg, sampler.K
     d, q, m = cfg.d, cfg.q, sampler.m
     T = _bartlett(q, m, rng, n)
     if d - q >= m:
-        Tb = _bartlett(d - q, m, rng, n)
-        B = Tb @ np.swapaxes(Tb, 1, 2)
+        F = _bartlett(d - q, m, rng, n)
     else:
-        G2 = rng.standard_normal((n, d - q, m))
-        B = np.swapaxes(G2, 1, 2) @ G2
+        F = np.swapaxes(rng.standard_normal((n, d - q, m)), 1, 2)
     g = rng.standard_normal((n, m))
     radii, proposals, accepted = sampler._draw_radii(rng, n)
-    eta = np.linalg.cholesky(T @ np.swapaxes(T, 1, 2) + B) @ (
-        g / np.linalg.norm(g, axis=1, keepdims=True))[:, :, None]
-    norm = radii * np.linalg.norm(np.linalg.solve(T, eta)[:, :, 0], axis=1)
+    # back substitution for T^T y = xi, one column of T^T (a row of T) a step
+    y = g / np.linalg.norm(g, axis=1, keepdims=True)
+    for i in range(m - 1, -1, -1):
+        y[:, i] /= T[:, i, i]
+        y[:, :i] -= T[:, i, :i] * y[:, i, None]
+    z = np.einsum("nij,ni->nj", F, y)
+    norm = radii * np.sqrt(1.0 + np.einsum("nj,nj->n", z, z))
     # the Klein ball is open; boundary grazing counts as a miss
     hyper = np.full(n, np.inf)
     meets = norm < K.ball_radius * (1.0 - _BOUNDARY_TOL)

@@ -37,8 +37,8 @@ class Tolerance:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 

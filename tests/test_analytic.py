@@ -307,6 +307,12 @@ class TestMoment:
         res = moment(CFG, K1, -0.5, False, TOL)
         assert not res.divergent and res.value > 0
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_non_finite_alpha_raises(self, alpha, conditional):
+        with pytest.raises(DomainError, match="alpha"):
+            moment(CFG, K1, alpha, conditional, TOL)
+
 
 # the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
 BENCH_CONFIGS = [

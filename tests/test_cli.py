@@ -74,6 +74,30 @@ class TestCdf:
         assert out == "" and "delta" in err
 
 
+class TestRelTol:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command, args", [
+        ("cdf", [*BASE, "--delta", "1"]),
+        ("simulate", [*BASE, "--trials", "100", "--seed", "1"]),
+    ])
+    def test_invalid_rel_tol_exits_2(self, capsys, command, args, value):
+        code, out, err = invoke(capsys, command, *args, "--rel-tol", value)
+        assert code == EXIT_USAGE
+        assert out == "" and "tolerance" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_between_runs(self, capsys):
+        code, out, _ = invoke(capsys, "prob", *BASE, "--json")
+        assert code == EXIT_OK and json.loads(out)["p"] == pytest.approx(P_STAR_3_2_1,
+                                                                         abs=1e-8)
+        code, out, _ = invoke(capsys, "prob", *BASE)
+        assert code == EXIT_OK and float(out) == pytest.approx(P_STAR_3_2_1, abs=1e-8)
+
+
 class TestCsvCommands:
     def test_density_scan_format(self, capsys):
         code, out, _ = invoke(
@@ -173,6 +197,13 @@ class TestMomentPhase:
         )
         assert code == EXIT_OK
         assert float(out) > 0
+
+    @pytest.mark.parametrize("alpha, flags", [("nan", ()), ("inf", ()),
+                                              ("inf", ("--conditional",))])
+    def test_non_finite_alpha_exits_2(self, capsys, alpha, flags):
+        code, out, err = invoke(capsys, "moment", *BASE, "--alpha", alpha, *flags)
+        assert code == EXIT_USAGE
+        assert out == "" and "alpha" in err
 
     def test_phase(self, capsys):
         code, out, _ = invoke(
@@ -274,6 +305,19 @@ class TestSimulate:
         info = analytic.log_radial_mass.cache_info()
         assert info.misses == 1
         assert info.hits >= 3
+
+    def test_no_hits_is_valid_json(self, capsys):
+        # p is 1.8e-39 here: nothing hits and there is no KS statistic
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = invoke(
+            capsys, "simulate", "--d", "30", "--q", "2", "--gamma", "1", "--K", "-1",
+            "--u", "4", "--trials", "2000", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["p_hat"] == 0.0 and doc["ks_statistic"] is None
 
     def test_threads_default_to_one(self):
         args = build_parser().parse_args(["simulate", *BASE, "--seed", "1"])

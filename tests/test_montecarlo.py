@@ -208,12 +208,27 @@ class TestHittingFlatSampler:
             assert ks_statistic(rho, cdf) <= 0.015, cfg
 
     def test_one_radius_matches_scalar_rejection_loop(self):
+        # the n-th radius of a batch is the n-th acceptance of the scalar
+        # loop over the same sequence of uniform pairs, and the batch counts
+        # the pairs that loop consumed up to it
+        class Counting:
+            def __init__(self, seed):
+                self.inner = np.random.default_rng(seed)
+                self.draws = 0
+
+            def random(self):
+                self.draws += 1
+                return self.inner.random()
+
         for cfg in (POWER_CFG, EXPONENTIAL_CFG):
             sampler = HittingFlatSampler(cfg, K1)
-            a, b = np.random.default_rng(12), np.random.default_rng(12)
-            for _ in range(200):
-                assert sampler._sample_radius(a) == pytest.approx(
-                    reference_radius(sampler, b), rel=1e-12)
+            assert sampler._sample_radius(np.random.default_rng(12)) == pytest.approx(
+                reference_radius(sampler, np.random.default_rng(12)), rel=1e-12)
+            radii, proposals, accepted = sampler._draw_radii(np.random.default_rng(12), 200)
+            loop = Counting(12)
+            expect = [reference_radius(sampler, loop) for _ in range(200)]
+            np.testing.assert_allclose(radii, expect, rtol=1e-12)
+            assert accepted == 200 and proposals == loop.draws // 2
 
     def test_rejection_rounds_are_bounded(self):
         class Interior:
@@ -327,7 +342,8 @@ class TestInvariantKernel:
     def test_block_draw_order(self):
         # block 1 of seed 11, rebuilt trial by trial from its stream: the
         # Bartlett factors of A, of B (d - q = 6 >= m = 3), the directions,
-        # then the radii
+        # then the radii; a trial's norm is r sqrt(1 + |T_B^T y|^2) with
+        # T_A^T y = xi
         cfg = FlatConfig(10, 4, 1, 1.5)
         sampler = mc._get_sampler(cfg, K1)
         n = mc._block_size(3)
@@ -338,14 +354,67 @@ class TestInvariantKernel:
         radii, _, _ = sampler._draw_radii(rng, n)
         expect = np.full(n, np.inf)
         for i in range(n):
-            Lc = np.linalg.cholesky(TA[i] @ TA[i].T + TB[i] @ TB[i].T)
-            eta = Lc @ (g[i] / np.linalg.norm(g[i]))
-            norm = radii[i] * np.linalg.norm(solve_triangular(TA[i], eta, lower=True))
+            y = solve_triangular(TA[i].T, g[i] / np.linalg.norm(g[i]), lower=False)
+            norm = radii[i] * math.sqrt(1.0 + np.sum((TB[i].T @ y) ** 2))
             if norm < 1.0 - 1e-14:
                 expect[i] = math.atanh(norm)
         got = mc._run_trials(cfg, K1, 2 * n, 11)[n:]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
         assert 0 < np.count_nonzero(np.isfinite(got)) < n
+
+    def test_block_draw_order_with_gaussian_b(self):
+        # d - q = 1 < m = 8: B is G2^T G2 with G2 a 1 x m Gaussian drawn
+        # after A, and F^T y is G2 y
+        cfg = FlatConfig(10, 9, 1, 0.3)
+        sampler = mc._get_sampler(cfg, K1)
+        n = mc._block_size(8)
+        rng = _trial_rng(5, 0)
+        TA = mc._bartlett(9, 8, rng, n)
+        G2 = rng.standard_normal((n, 1, 8))
+        g = rng.standard_normal((n, 8))
+        radii, _, _ = sampler._draw_radii(rng, n)
+        expect = np.full(n, np.inf)
+        for i in range(n):
+            y = solve_triangular(TA[i].T, g[i] / np.linalg.norm(g[i]), lower=False)
+            norm = radii[i] * math.sqrt(1.0 + np.sum((G2[i] @ y) ** 2))
+            if norm < 1.0 - 1e-14:
+                expect[i] = math.atanh(norm)
+        got = mc._run_trials(cfg, K1, n, 5)
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert 0 < np.count_nonzero(np.isfinite(got)) < n
+
+    @pytest.mark.parametrize("cfg,K", [(CFG, K1),
+                                       (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
+    def test_m_one_is_the_chi_square_ratio(self, cfg, K):
+        # at m = 1 a trial's norm is r sqrt(1 + chi2_{d-q} / chi2_q), from
+        # the block's own chi-square draws
+        sampler = mc._get_sampler(cfg, K)
+        n = mc._block_size(1)
+        rng = _trial_rng(3, 0)
+        chi_a = rng.chisquare(cfg.q, n)
+        chi_b = rng.chisquare(cfg.d - cfg.q, n)
+        rng.standard_normal(n)
+        radii, _, _ = sampler._draw_radii(rng, n)
+        norm = radii * np.sqrt(1.0 + chi_b / chi_a)
+        expect = np.full(n, np.inf)
+        meets = norm < K.ball_radius * (1.0 - 1e-14)
+        expect[meets] = np.arctanh(K.scale * norm[meets]) / K.scale
+        got = mc._run_trials(cfg, K, n, 3)
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert 0 < np.count_nonzero(np.isfinite(got)) < n
+
+    def test_kernel_calls_no_factorisation_or_solve(self, monkeypatch):
+        # the kernel stays off LAPACK (and so off OpenBLAS threads) at every m
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel called LAPACK")
+
+        for name in ("cholesky", "solve", "inv", "lstsq", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for cfg in (CFG, FlatConfig(12, 8, 1, 1.0), FlatConfig(10, 9, 1, 0.3),
+                    FlatConfig(300, 299, 1, 0.1)):
+            sampler = mc._get_sampler(cfg, K1)
+            hyper, _, accepted = mc._block_distances(sampler, _trial_rng(1, 0), 4)
+            assert hyper.shape == (4,) and accepted == 4
 
 
 class TestBlocks:

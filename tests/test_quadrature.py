@@ -31,6 +31,13 @@ class TestTolerance:
         with pytest.raises(DomainError):
             Tolerance(max_subdivisions=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerances_rejected(self, value):
+        with pytest.raises(DomainError):
+            Tolerance(rel_tol=value)
+        with pytest.raises(DomainError):
+            Tolerance(abs_tol=value)
+
 
 class TestIntegrateAdaptive:
     def test_polynomial_exact(self):
