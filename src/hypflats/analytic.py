@@ -9,14 +9,15 @@ distance t from the origin to the intersection has the closed-form density
     f(t) = A sinh^(m-1) t cosh^gamma t I_x((q+1)/2, (d-q)/2),
 
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
-incomplete beta function and A = B((q+1)/2, (d-q)/2) D omega_(d-gamma) / (2 C)
-(_log_density, in log space).  The density is that formula; the CDF and
-the moments are 1-d integrals of it.  The CDF grid is one vectorised pass:
-one Gauss-Kronrod panel per grid segment, all panels below v from one
+incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
+R the radial mass below, as in p (_log_density, in log space).  The CDF and
+the moments are 1-d integrals of it, in w = s/(1+s), s = sqrt(t - v), past
+v: a moment is one integral to infinity.  The CDF grid is one vectorised
+pass: one Gauss-Kronrod panel per grid segment, all panels below v from one
 integrand call and all past v from another, with the rare segment that
-misses the tolerance refined on its own.  The flat-space (K -> 0)
-distance CDF is closed form, and the critical constant rho is one 1-d
-integral whose inner integral is a lower incomplete gamma function.
+misses the tolerance refined on its own.  The flat-space (K -> 0) distance
+CDF and the normaliser of the critical constant rho are closed form; rho is
+one 1-d integral of a lower incomplete gamma function.
 
 The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
@@ -25,8 +26,8 @@ flats meet with a probability that is a regularized incomplete beta
 function of sech^2 rho.
 
 The radial mass log_radial_mass(d, m, v), which normalises the offset-radius
-law and the Crofton constant, is memoised per (d, m, v): all quantities of
-one configuration, and the Monte Carlo sampler, share one quadrature.
+law, the density and the Crofton constant, is memoised per (d, m, v): all
+quantities of one configuration, and the Monte Carlo sampler, share one quadrature.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
 )
-from .special import (
-    Curvature,
-    FlatConfig,
-    log_constant_D,
-    log_sphere_surface,
-)
+from .special import Curvature, FlatConfig, log_sphere_surface
 
 __all__ = [
     "MomentResult",
@@ -116,7 +112,6 @@ class PhaseMode:
         return cls("critical", kappa)
 
 
-_MOMENT_TAIL_DOUBLINGS = 20
 _RELATIVE_ONLY_ABS_TOL = 1e-300
 _RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=_RELATIVE_ONLY_ABS_TOL)
 _BETAINC_FLOOR = 1e-200
@@ -147,8 +142,9 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
     tolerance of 1e-12 decides convergence: a panel that misses most of
     the layer is refined, not accepted as absolutely small.
 
-    Memoised: the Crofton constant, p, the atom mass, the CDF grid and the
-    Monte Carlo sampler of one configuration share one quadrature.
+    Memoised: the Crofton constant, p, the atom mass, the density and the
+    Monte Carlo sampler of one configuration share one quadrature.  A mass
+    that underflows to 0 (d = 1000, rho = 300) raises QuadratureError.
     """
     if not (d >= 2 and 1 <= m <= d):
         raise DomainError(f"need d >= 2 and 1 <= m <= d, got m={m}, d={d}")
@@ -165,6 +161,9 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
     log_scale = math.log(1.0 / rho + (m - 1) / math.tanh(rho) + (d - m) * math.tanh(rho))
     res = integrate_adaptive(log_g, 0.0, rho, _RADIAL_MASS_TOLERANCE, log_form=True,
                              log_offset=log_scale - top)
+    if not res.value > 0:
+        raise QuadratureError(f"radial mass underflows to {res.value} at d={d}, m={m}, "
+                              f"rho={rho}", partial=res)
     return top - log_scale + math.log(res.value)
 
 
@@ -221,13 +220,12 @@ def _as_probability(value, error_estimate):
 def _log_prefactor(cfg1: FlatConfig) -> float:
     """log(D omega_{d-gamma} / C) at unit curvature with ball radius cfg1.u.
 
-    Each public function computes it once and passes it down.
+    It equals 2 / (B((gamma+1)/2, (d-q)/2) R), R the radial mass: p's own
+    normalisation.  Each public function computes it once and passes it down.
     """
-    return (
-        log_constant_D(cfg1)
-        + log_sphere_surface(cfg1.d - cfg1.gamma)
-        - log_crofton_constant(cfg1.d, cfg1.k, cfg1.u, Curvature(-1.0))
-    )
+    d, q, g = cfg1.d, cfg1.q, cfg1.gamma
+    return (math.log(2.0) - betaln(0.5 * (g + 1), 0.5 * (d - q))
+            - log_radial_mass(d, q - g, cfg1.u))
 
 
 def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
@@ -338,8 +336,8 @@ def _log_density(cfg1: FlatConfig, pref: float, t) -> np.ndarray:
 
     f(t) = A sinh^(m-1) t cosh^gamma t I_x(a, b), m = q - gamma,
     a = (q+1)/2, b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t) with v = cfg1.u,
-    A = B(a, b) exp(pref) / 2.  For t > v the factor x^a of I_x is taken
-    out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
+    A = B(a, b) exp(pref) / 2 (_log_prefactor).  For t > v the factor x^a of I_x is
+    taken out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
     so no power of order d multiplies a log of sinh t there.
     """
     t = np.asarray(t, dtype=float)
@@ -364,12 +362,19 @@ def _log_density(cfg1: FlatConfig, pref: float, t) -> np.ndarray:
     return out
 
 
+def _w_past(t, v):
+    """w = s / (1 + s), s = sqrt(t - v), for finite t >= v."""
+    s = np.sqrt(t - v)
+    return s / (1.0 + s)
+
+
 def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
-    """log of t^alpha times the unit-curvature density, in t and in s = sqrt(t - v).
+    """log of t^alpha times the unit-curvature density, in t and, past v, in w.
 
     Past v the density has a (t - v)^((d-q)/2) term, a square root at
-    d - q = 1, which Gauss-Kronrod resolves slowly.  In s the integrand
-    2 s g(v + s^2) is smooth, so integrals past v run in s.
+    d - q = 1, which Gauss-Kronrod resolves slowly.  In w = s / (1 + s),
+    s = sqrt(t - v), the integrand 2 s g(v + s^2) / (1 - w)^2 is smooth and
+    [v, infinity] is [0, 1]; the quadrature never evaluates w = 1.
     """
     v = cfg1.u
 
@@ -377,19 +382,23 @@ def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
         val = _log_density(cfg1, pref, t)
         return val + alpha * np.log(t) if alpha else val
 
-    return log_g, lambda s: math.log(2.0) + np.log(s) + log_g(v + s * s)
+    def log_g_past(w):
+        s = w / (1.0 - w)
+        return math.log(2.0) + np.log(w) - 3.0 * np.log1p(-w) + log_g(v + s * s)
+
+    return log_g, log_g_past
 
 
 def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
                       tol: Tolerance, alpha: float = 0.0) -> QuadResult:
     """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
 
-    The part below v runs in t, the part past v in s = sqrt(t - v)
-    (_log_integrands).
+    The part below v runs in t, the part past v in w = s / (1 + s),
+    s = sqrt(t - v) (_log_integrands); hi = infinity is w = 1.
 
     Only tol's relative tolerance decides convergence.  The density peaks
     at v in a layer that can be far narrower than a panel (about 1/d wide
-    below v at gamma near q, and thin in s for large upper limits), and a
+    below v at gamma near q, and thin in w for large upper limits), and a
     first panel whose nodes all miss it sees a value orders of magnitude
     below the true one; an absolute tolerance would accept that.
     """
@@ -400,8 +409,9 @@ def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
     if lo < v:
         parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
     if hi > v:
-        parts.append(integrate_adaptive(log_g_past, math.sqrt(max(lo - v, 0.0)),
-                                        math.sqrt(hi - v), tol, log_form=True))
+        w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
+        parts.append(integrate_adaptive(log_g_past, _w_past(max(lo, v), v), w_hi, tol,
+                                        log_form=True))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
@@ -414,7 +424,7 @@ def _segment_integrals(cfg1: FlatConfig, pref: float, lo: np.ndarray, hi: np.nda
 
     No segment may straddle v.  Each segment is one Gauss-Kronrod panel,
     those below v from one integrand call in t and those past v from one
-    in s = sqrt(t - v).  A segment whose error estimate exceeds tol's
+    in w (_log_integrands).  A segment whose error estimate exceeds tol's
     relative target goes alone to _density_integral, as it would be
     refined there.  Returns the arrays (values, error estimates).
     """
@@ -424,7 +434,7 @@ def _segment_integrals(cfg1: FlatConfig, pref: float, lo: np.ndarray, hi: np.nda
     near = hi <= v
     vals[near], errs[near] = _gk_panels(log_g, lo[near], hi[near], True, 0.0)
     far = ~near
-    vals[far], errs[far] = _gk_panels(log_g_past, np.sqrt(lo[far] - v), np.sqrt(hi[far] - v),
+    vals[far], errs[far] = _gk_panels(log_g_past, _w_past(lo[far], v), _w_past(hi[far], v),
                                       True, 0.0)
     for i in np.flatnonzero(errs > np.maximum(_RELATIVE_ONLY_ABS_TOL,
                                                tol.rel_tol * np.abs(vals))):
@@ -501,10 +511,10 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
 
     Divergence is decided by the analytic criterion: the unconditional
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
-    alpha > gamma - q.  Quadrature only runs on the finite branch: [0, 10],
-    then tail segments [t, 2t] until one adds less than rel_tol of the
-    total.  After _MOMENT_TAIL_DOUBLINGS segments it raises QuadratureError
-    with the partial result attached.  A non-finite alpha raises DomainError.
+    alpha > gamma - q.  Quadrature only runs on the finite branch: one
+    integral over [0, infinity].  The conditional moment divides it by p
+    and raises QuadratureError where p underflows to 0.  A non-finite alpha
+    raises DomainError.
     """
     K.require_hyperbolic()
     if not math.isfinite(alpha):
@@ -516,28 +526,14 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
         return MomentResult(alpha, conditional, 1.0)
 
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    pref = _log_prefactor(cfg1)
-
-    res = _density_integral(cfg1, pref, 0.0, 10.0, tol, alpha)
-    total, err, evals = res.value, res.error_estimate, res.evaluations
-    t_lo = 10.0
-    for _ in range(_MOMENT_TAIL_DOUBLINGS):
-        seg = _density_integral(cfg1, pref, t_lo, 2.0 * t_lo, tol, alpha)
-        total += seg.value
-        err += seg.error_estimate
-        evals += seg.evaluations
-        if abs(seg.value) < tol.rel_tol * abs(total):
-            break
-        t_lo *= 2.0
-    else:
-        raise QuadratureError(
-            f"moment tail still above rel_tol at reduced distance {t_lo} "
-            f"after {_MOMENT_TAIL_DOUBLINGS} doublings",
-            partial=QuadResult(total, err, evals, False),
-        )
-    value = K.scale ** (-alpha) * total
+    res = _density_integral(cfg1, _log_prefactor(cfg1), 0.0, math.inf, tol, alpha)
+    value = K.scale ** (-alpha) * res.value
     if conditional:
-        value /= intersection_probability(cfg, K, tol)
+        p = intersection_probability(cfg, K, tol)
+        if p == 0.0:
+            raise QuadratureError("p underflows to 0.0: the conditional moment is 0/0",
+                                  partial=res)
+        value /= p
     return MomentResult(alpha, conditional, value)
 
 
@@ -577,8 +573,10 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
     a = (q+1)/2, c = (u^2 kappa / 2)(1 - r^2) / r^2, where gamma(a, c) / (2 c^a)
     is the inner integral of w^q e^(-c w^2) over w in (0, 1), and
     P = omega_(gamma+1) (2 pi)^(-(gamma+1)/2) u^(q+1) kappa^((gamma+1)/2) / N
-    with N the integral of e^(kappa s^2 / 2) s^(q-gamma-1) over s in (0, u).
-    Both 1-d integrals converge on tol's relative tolerance alone.
+    with N the integral of e^(kappa s^2 / 2) s^(m-1) over s in (0, u), m = q - gamma.
+    With z = kappa u^2 / 2 and Kummer's transformation of the confluent
+    hypergeometric M, N = (u^m / m) M(m/2, m/2 + 1, z) = (u^m / m) e^z M(1, m/2 + 1, -z).
+    The r-integral converges on tol's relative tolerance alone.
     """
     if not 0 <= gamma <= q - 1:
         raise DomainError(f"need 0 <= gamma <= q-1, got gamma={gamma}, q={q}")
@@ -586,25 +584,18 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
         raise DomainError(f"need u > 0, got {u}")
     if not kappa > 0:
         raise DomainError(f"need kappa > 0, got {kappa}")
-    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
-    c = q - gamma - 1
-
-    def log_norm(s):
-        val = 0.5 * kappa * s * s
-        return val + c * np.log(s) if c else val
-
-    shift = 0.5 * kappa * u * u + (c * math.log(u) if c else 0.0)
-    norm = integrate_adaptive(log_norm, 0.0, u, tol, log_form=True, log_offset=-shift)
+    m, a, z = q - gamma, 0.5 * (q + 1), 0.5 * kappa * u * u
+    log_norm = m * math.log(u) - math.log(m) + z + math.log(hyp1f1(1.0, 0.5 * m + 1.0, -z))
     pref = (log_sphere_surface(gamma + 1) + 0.5 * (gamma + 1) * math.log(kappa / (2.0 * math.pi))
-            + (1 + q) * math.log(u) - shift - math.log(2.0 * norm.value))
-    a, half_uk = 0.5 * (q + 1), 0.5 * u * u * kappa
+            + (1 + q) * math.log(u) - math.log(2.0) - log_norm)
 
     def log_outer(r):
         with np.errstate(over="ignore"):  # c = inf where r is tiny: the term is 0
-            c_r = half_uk * (1.0 - r) * (1.0 + r) / (r * r)
+            c_r = z * (1.0 - r) * (1.0 + r) / (r * r)
         return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
-    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref)
+    res = integrate_adaptive(log_outer, 0.0, 1.0, replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL),
+                             log_form=True, log_offset=pref)
     return _as_probability(res.value, res.error_estimate)
 
 

@@ -241,25 +241,18 @@ def _cmd_scan_K(args, tol):
     return _emit_csv(args, "K,p", rows)
 
 
+# --mode: (PhaseMode regime, curvature schedule K(d, kappa))
 _PHASE_SCHEDULES = {
-    "sub": lambda d, kappa: -1.0 / d**2,
-    "super": lambda d, kappa: -1.0 / math.sqrt(d),
-    "crit": lambda d, kappa: -kappa / d,
+    "sub": ("subcritical", lambda d, kappa: -1.0 / d**2),
+    "super": ("supercritical", lambda d, kappa: -1.0 / math.sqrt(d)),
+    "crit": ("critical", lambda d, kappa: -kappa / d),
 }
 
 
 def _cmd_scan_phase(args, tol):
-    if args.mode == "crit":
-        if args.kappa is None or args.kappa <= 0:
-            raise HypflatsError("crit mode requires --kappa > 0")
-        mode = analytic.PhaseMode.critical(args.kappa)
-    else:
-        if args.kappa is not None:
-            raise HypflatsError("--kappa only applies to crit mode")
-        mode = (analytic.PhaseMode.subcritical() if args.mode == "sub"
-                else analytic.PhaseMode.supercritical())
+    regime, schedule = _PHASE_SCHEDULES[args.mode]
+    mode = analytic.PhaseMode(regime, args.kappa)  # DomainError on a misused --kappa
     limit = analytic.phase_limit(mode, args.u, args.q, args.gamma, tol)
-    schedule = _PHASE_SCHEDULES[args.mode]
     rows = []
     for d in range(args.q + 1, args.d_max + 1):
         K = schedule(d, args.kappa)
@@ -333,7 +326,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     rel = getattr(args, "rel_tol", 1e-9)
     try:
-        tol = Tolerance(rel_tol=rel, abs_tol=min(1e-12, rel))
+        tol = Tolerance(rel_tol=rel)
         text = _COMMANDS[args.command](args, tol)
     except QuadratureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ integral, one critical-constant oracle is a plain midpoint Riemann sum,
 one radial-law oracle is a dense trapezoid CDF, and the radial mass, its
 CDF, the closed-form distance density and the probability it integrates
 to, the miss probability as an integral over the offset radius, the
-flat-space distance CDF and the critical constant are evaluated by mpmath
-at high precision.
+flat-space distance CDF, the conditional mean distance and the critical
+constant are evaluated by mpmath at high precision.
 
 mpmath's quad stops when its error estimate falls below an absolute
 epsilon, so each mpmath integrand is scaled to be of order one (or of
@@ -190,6 +190,22 @@ def probability_closed_form_oracle(d, q, g, v, dps=30):
         return float(peak * mp.quad(lambda t: f(t) / peak, pts))
 
 
+def conditional_mean_mp_oracle(d, q, g, v, dps=30):
+    """Mean distance at K = -1 given that the flats meet, by mpmath: the
+    integrals of t f(t) and of f(t), f the closed-form density, over (0, inf)
+    with the split of probability_closed_form_oracle, divided."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        v = mp.mpf(v)
+        f = _mp_density(d, q, g, v)
+        peak = f(v)
+        pts = ([0, v] + [v + k for k in range(1, 17)]
+               + [v + 16 * 2**j for j in range(1, 7)] + [mp.inf])
+        return float(mp.quad(lambda t: t * f(t) / peak, pts)
+                     / mp.quad(lambda t: f(t) / peak, pts))
+
+
 def atom_mass_mp_oracle(d, q, g, v, dps=30):
     """Probability at K = -1 that the flats miss, by mpmath, over the offset radius.
 
@@ -306,6 +322,14 @@ P_STAR_820_104_75_MPMATH = 4.570332086093917e-285
 # 3.1013106614781e-04), and the half below v equals
 # B(a, b) D omega_(d-g) / (2 C) times the mpmath radial mass (999, 1, 12).
 P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824
+# conditional_mean_mp_oracle at 30 digits, 2026-10; the same to 17 digits
+# at 40 digits with the quadrature also split at v - k/d (k = 1..64) and
+# v + h (h = 0.001..0.5).  Keys (d, q, g, v).
+COND_MEAN_MPMATH = {
+    (3, 2, 1, 1.0): 0.7164044986140533,
+    (10, 9, 8, 8.0): 8.18185251517835,
+    (40, 39, 38, 6.0): 6.2804814200194246,
+}
 # atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
 # digits, and as 1 minus the integral of the closed-form density at 50 and
 # 60 digits (split at v/2, v and v (1 + 2^k) for k = -6..29).  1 - p loses
@@ -331,10 +355,13 @@ EUCLID_CDF_MPMATH = {
     (600, 300, 0, 1.0, 30.0): 0.5652165126933559,
 }
 # rho_mp_oracle at 30 digits, 2026-10; the same to 16 digits at 40 digits
-# with the r-integral split at k/32 and 1 - 2^-j for j = 4..59 (the last
-# entry with the same split).  Keys (u, q, g, kappa).  The 2-d integral of
-# the previous critical_constant_rho gave 0.0065107929 and 0.96028437 at
-# the third and fourth.
+# with the r-integral split at k/32 and 1 - 2^-j for j = 4..59 (the entry
+# at kappa = 50 with the same split).  Keys (u, q, g, kappa).  The 2-d
+# integral of the previous critical_constant_rho gave 0.0065107929 and
+# 0.96028437 at the third and fourth.  The last two have large
+# z = kappa u^2 / 2 (320 and 864; e^864 overflows a double); at 40 digits,
+# with that finer split and N from mpmath's hyp1f1 instead of its quad,
+# they agree to 20 digits.
 RHO_MPMATH = {
     (1.0, 2, 1, 1.0): 0.8368497327356573,
     (1.5, 3, 0, 2.0): 0.09042767582461149,
@@ -343,4 +370,6 @@ RHO_MPMATH = {
     (1.0, 200, 1, 1.0): 0.6095483723889904,
     (0.5, 200, 1, 1.0): 0.8835945489823468,
     (3.0, 200, 199, 50.0): 6.106478794567012e-21,   # tiny: needs a relative tolerance
+    (4.0, 3, 0, 40.0): 1.0630061376620956e-138,
+    (12.0, 200, 199, 12.0): 3.207838869333425e-240,
 }

@@ -29,12 +29,14 @@ import hypflats.analytic as analytic
 from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
-from oracles import (ATOM_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_2_1, P_STAR_3_2_1_MPMATH,
+from hypflats.special import log_constant_D, log_sphere_surface
+from oracles import (ATOM_MPMATH, COND_MEAN_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_2_1,
+                     P_STAR_3_2_1_MPMATH,
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
                      P_STAR_820_104_75_MPMATH,
                      P_STAR_1000_999_998_V12_MPMATH, RHO_MPMATH, atom_mass_mp_oracle,
-                     euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
+                     conditional_mean_mp_oracle, euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
                      probability_closed_form_oracle, probability_oracle, rho_mp_oracle,
                      rho_riemann_oracle)
 
@@ -112,6 +114,11 @@ class TestRadialMass:
                           (3, 1, math.inf)):
             with pytest.raises(DomainError):
                 log_radial_mass(d, m, rho)
+
+    def test_underflow_raises(self):
+        # every node lies far below the layer about 1/1000 wide under rho = 300
+        with pytest.raises(QuadratureError, match="underflows"):
+            log_radial_mass(1000, 1, 300.0)
 
 
 class TestReduction:
@@ -313,6 +320,40 @@ class TestMoment:
         with pytest.raises(DomainError, match="alpha"):
             moment(CFG, K1, alpha, conditional, TOL)
 
+    @pytest.mark.parametrize("key", sorted(COND_MEAN_MPMATH))
+    def test_conditional_mean_matches_mpmath(self, key):
+        d, q, g, v = key
+        got = moment(FlatConfig(d, q, g, v), K1, 1.0, True, TOL).value
+        assert got == pytest.approx(COND_MEAN_MPMATH[key], rel=1e-10, abs=0.0)
+
+    def test_conditional_mean_oracle_reproduces_its_frozen_value(self):
+        key = (3, 2, 1, 1.0)
+        assert conditional_mean_mp_oracle(*key) == pytest.approx(
+            COND_MEAN_MPMATH[key], rel=1e-15, abs=0.0)
+
+    def test_is_one_integral_to_infinity(self, monkeypatch):
+        calls = []
+
+        def spy(cfg1, pref, lo, hi, tol, alpha=0.0):
+            calls.append((lo, hi))
+            return density_integral(cfg1, pref, lo, hi, tol, alpha)
+
+        density_integral = analytic._density_integral
+        monkeypatch.setattr(analytic, "_density_integral", spy)
+        moment(CFG, K1, 1.0, True, TOL)
+        moment(CFG, K1, -0.5, False, TOL)
+        assert calls == [(0.0, math.inf)] * 2
+
+    def test_conditional_raises_where_p_underflows(self):
+        # p is 1.19e-432 here: 0.0 in double precision
+        with pytest.raises(QuadratureError, match="underflows"):
+            moment(FlatConfig(600, 300, 0, 4.0), K1, 1.0, True, TOL)
+
+    def test_unconditional_where_p_underflows(self):
+        # the moment is below p times 100, far below the smallest double
+        res = moment(FlatConfig(600, 300, 0, 4.0), K1, -0.5, False, TOL)
+        assert res.value == 0.0
+
 
 # the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
 BENCH_CONFIGS = [
@@ -418,6 +459,18 @@ class TestClosedForm:
         far = distance_cdf(cfg, K, (K.scale * cfg.u + 50.0) / K.scale, tol)
         assert far == pytest.approx(p, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
+        (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
+        (FlatConfig(200, 199, 1, 8.0), K1), (FlatConfig(1000, 999, 998, 12.0), K1)])
+    def test_density_integral_to_infinity_is_p(self, cfg, K):
+        # the density's mass and p's offset-radius integral, one normaliser apart
+        tol = Tolerance(rel_tol=1e-12)
+        cfg1, _ = reduce_to_unit_curvature(cfg, K)
+        res = analytic._density_integral(cfg1, analytic._log_prefactor(cfg1), 0.0, math.inf,
+                                         tol)
+        assert res.value == pytest.approx(intersection_probability(cfg, K, tol), rel=1e-11,
+                                          abs=0.0)
+
     @pytest.mark.parametrize("cfg, p", [
         (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
         (FlatConfig(40, 39, 38, 6.0), P_STAR_40_39_38_V6_MPMATH),
@@ -496,9 +549,26 @@ class TestPrefactor:
         moment(CFG, K1, 1.0, True, TOL)
         assert len(crofton_calls) <= 2
 
-    def test_cdf_grid_computes_the_crofton_constant_once(self, crofton_calls):
+    @pytest.mark.parametrize("key", [(3, 2, 1, 1.0), (10, 9, 8, 8.0), (50, 2, 1, 0.28),
+                                     (600, 300, 0, 4.0), (1000, 999, 998, 12.0)])
+    def test_is_D_omega_over_the_crofton_constant(self, key):
+        # 2 / (B((gamma+1)/2, (d-q)/2) R) is the paper's D omega_(d-gamma) / C
+        cfg1 = FlatConfig(*key)
+        d, g, v = cfg1.d, cfg1.gamma, cfg1.u
+        ref = (log_constant_D(cfg1) + log_sphere_surface(d - g)
+               - log_crofton_constant(d, cfg1.k, v, K1))
+        assert analytic._log_prefactor(cfg1) == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+    def test_density_path_calls_no_crofton_constant(self, crofton_calls):
+        distance_density(CFG, K1, 0.5, TOL)
+        distance_cdf(CFG, K1, 0.5, TOL)
+        moment(CFG, K1, 1.0, True, TOL)
+        assert crofton_calls == []
+
+    def test_cdf_grid_computes_the_crofton_constant_once(self):
+        # the density's normaliser is the radial mass, the Crofton constant's quadrature
         distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL)
-        assert len(crofton_calls) == 1
+        assert log_radial_mass.cache_info().misses == 1
 
 
 class TestCdfGrid:
@@ -555,7 +625,8 @@ class TestCdfGrid:
 
 class TestGuards:
     def test_moment_tail_is_bounded(self, monkeypatch):
-        # a density that never decays: the tail loop gives up and says so
+        # a density that never decays: the integral to infinity diverges, and
+        # the quadrature gives up and says so
         monkeypatch.setattr(analytic, "_log_density",
                             lambda cfg1, pref, t: np.zeros(np.shape(t)))
         with pytest.raises(QuadratureError) as info:
@@ -703,6 +774,17 @@ class TestPhase:
         # the benchmark's law configurations, against its reference
         assert critical_constant_rho(*key, TOL) == pytest.approx(
             rho_riemann_oracle(*key), rel=0.0, abs=1e-5)
+
+    def test_rho_makes_one_adaptive_call(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+        critical_constant_rho(12.0, 200, 199, 12.0, TOL)
+        assert len(calls) == 1
 
     def test_rho_is_one_1d_integral(self, monkeypatch):
         def fail(*args, **kwargs):

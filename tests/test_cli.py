@@ -5,9 +5,9 @@ import pytest
 
 import hypflats.analytic as analytic
 import hypflats.cli as cli
-from hypflats.analytic import log_crofton_constant
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
+from hypflats.quadrature import Tolerance
 from oracles import ATOM_MPMATH, P_STAR_3_2_1
 
 BASE = ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"]
@@ -54,6 +54,16 @@ class TestProb:
             run(["prob", *BASE, "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, extra", [("prob", []),
+                                                ("simulate", ["--trials", "100", "--seed", "1"])])
+    def test_radial_mass_underflow_exits_3(self, capsys, command, extra):
+        code, out, err = invoke(
+            capsys, command, "--d", "1000", "--q", "999", "--gamma", "998", "--K", "-1",
+            "--u", "300", *extra,
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == "" and "underflows" in err
+
     def test_numerical_failure_exits_3(self, capsys):
         code, _, err = invoke(
             capsys, "prob", *BASE, "--rel-tol", "1e-300",
@@ -86,6 +96,13 @@ class TestRelTol:
         assert out == "" and "tolerance" in err
 
 
+    def test_sets_only_the_relative_tolerance(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "cdf", lambda args, tol: seen.append(tol) or "")
+        assert invoke(capsys, "cdf", *BASE, "--delta", "1", "--rel-tol", "1e-13")[0] == EXIT_OK
+        assert seen == [Tolerance(rel_tol=1e-13)]
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -116,20 +133,14 @@ class TestCsvCommands:
             delta, f = row.split(",")
             assert float(f) >= 0.0
 
-    def test_density_scan_computes_the_crofton_constant_once(self, capsys, monkeypatch):
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return log_crofton_constant(*args)
-
-        monkeypatch.setattr(analytic, "log_crofton_constant", spy)
+    def test_density_scan_computes_the_crofton_constant_once(self, capsys):
+        # the density's normaliser is the radial mass, the Crofton constant's quadrature
         code, out, _ = invoke(
             capsys, "density-scan", *BASE,
             "--delta-min", "0.2", "--delta-max", "3.0", "--steps", "50",
         )
         assert code == EXIT_OK and len(out.split("\n")) == 2 + 50 + 1
-        assert len(calls) == 1
+        assert analytic.log_radial_mass.cache_info().misses == 1
 
     def test_scan_d(self, capsys):
         code, out, _ = invoke(
@@ -173,6 +184,15 @@ class TestCsvCommands:
             "--d-max", "5", "--q", "2", "--gamma", "1", "--u", "1",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("kappa", [[], ["--kappa", "0"], ["--kappa", "nan"]])
+    def test_scan_phase_crit_needs_positive_kappa(self, capsys, kappa):
+        code, out, err = invoke(
+            capsys, "scan-phase", "--mode", "crit", *kappa,
+            "--d-max", "5", "--q", "2", "--gamma", "1", "--u", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "kappa" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
