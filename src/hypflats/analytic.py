@@ -3,8 +3,11 @@ distance CDF/density, atom mass, moments, Euclidean baselines and the
 critical phase constant.
 
 Every hyperbolic evaluation first rescales to unit curvature (K = -1 with
-ball radius v = sqrt(-K) u).  On the event that the flats meet, the
-distance t from the origin to the intersection has the closed-form density
+ball radius v = sqrt(-K) u) and starts from that configuration's law,
+_unit_law(cfg, K): the constants of the density and of p's integrands,
+computed once per configuration and memoised (64 of them).  On the event
+that the flats meet, the distance t from the origin to the intersection has
+the closed-form density
 
     f(t) = A sinh^(m-1) t cosh^gamma t I_x((q+1)/2, (d-q)/2),
 
@@ -14,10 +17,11 @@ R the radial mass below, as in p (_log_density, in log space).  The CDF and
 the moments are 1-d integrals of it, in w = s/(1+s), s = sqrt(t - v), past
 v: a moment is one integral to infinity.  The CDF grid is one vectorised
 pass: one Gauss-Kronrod panel per grid segment, all panels below v from one
-integrand call and all past v from another, with the rare segment that
-misses the tolerance refined on its own.  The flat-space (K -> 0) distance
-CDF and the normaliser of the critical constant rho are closed form; rho is
-one 1-d integral of a lower incomplete gamma function.
+integrand call and all past v from another; the segments that miss the
+tolerance are halved together, a few rounds at most, and only one that
+still misses it is integrated adaptively on its own.  The flat-space
+(K -> 0) distance CDF and the normaliser of the critical constant rho are
+closed form; rho is one 1-d integral of a lower incomplete gamma function.
 
 The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
@@ -26,8 +30,14 @@ flats meet with a probability that is a regularized incomplete beta
 function of sech^2 rho.
 
 The radial mass log_radial_mass(d, m, v), which normalises the offset-radius
-law, the density and the Crofton constant, is memoised per (d, m, v): all
-quantities of one configuration, and the Monte Carlo sampler, share one quadrature.
+law, the density and the Crofton constant, is memoised per (d, m, v): the
+unit-curvature law, the Crofton constant and the Monte Carlo sampler of one
+configuration share one quadrature.
+
+Integrals that converge on the relative tolerance alone go through
+_relative_integral, which takes a result too small for the absolute floor
+again at a scale where the relative test decides, so a subnormal p or rho
+keeps its digits.
 """
 
 from __future__ import annotations
@@ -117,6 +127,13 @@ _RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=_RELATIVE_ONLY_ABS_TOL
 _BETAINC_FLOOR = 1e-200
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
+# midpoints of 32 equal cells: where _relative_integral looks for an integrand's peak
+_PEAK_PROBE = (np.arange(32) + 0.5) / 32
+# log of half the spacing of subnormal doubles, and a cap that keeps exp finite
+_LOG_HALF_SUBNORMAL = math.log(math.ulp(0.0)) - math.log(2.0)
+_MAX_LOG_FLOOR = 700.0
+# rounds of halving a grid segment gets before it is integrated on its own
+_GRID_HALVINGS = 4
 
 
 def _log_cosh(x):
@@ -199,6 +216,47 @@ def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
     return replace(cfg, u=K.scale * cfg.u), Curvature(-1.0)
 
 
+@dataclass(frozen=True)
+class _UnitLaw:
+    """The constants of one configuration's distance law at unit curvature (_unit_law).
+
+    a = (q+1)/2, b = (d-q)/2, a1 = (gamma+1)/2; the three betaln values are
+    those of the density and of p's and the atom's integrands; log_pref is
+    log(2 / (B(a1, b) R)), R the radial mass: p's normalisation, and the
+    density's prefactor A = B(a, b) exp(log_pref) / 2.
+    """
+
+    cfg1: FlatConfig  # the configuration at K = -1, ball radius v
+    v: float
+    m: int  # q - gamma
+    a: float
+    b: float
+    a1: float
+    log_sinh_v: float
+    betaln_ab: float
+    betaln_hit: float  # betaln(b, a1)
+    betaln_miss: float  # betaln(a1, b)
+    log_R: float
+    log_pref: float
+
+
+@lru_cache(maxsize=64)
+def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
+    """The unit-curvature law of (cfg, K), memoised: every hyperbolic function starts here.
+
+    Its radial mass comes from log_radial_mass, which has its own memo
+    shared with the sampler and the Crofton constant.  No value depends on
+    whether the law was cached.
+    """
+    cfg1, _ = reduce_to_unit_curvature(cfg, K)
+    d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
+    a, b, a1 = 0.5 * (q + 1), 0.5 * (d - q), 0.5 * (g + 1)
+    betaln_miss = betaln(a1, b)
+    log_R = log_radial_mass(d, q - g, v)
+    return _UnitLaw(cfg1, v, q - g, a, b, a1, float(_log_sinh(v)), betaln(a, b),
+                    betaln(b, a1), betaln_miss, log_R, math.log(2.0) - betaln_miss - log_R)
+
+
 def _as_probability(value, error_estimate):
     """value as a probability, elementwise: clamped to [0, 1].
 
@@ -217,15 +275,37 @@ def _as_probability(value, error_estimate):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_prefactor(cfg1: FlatConfig) -> float:
-    """log(D omega_{d-gamma} / C) at unit curvature with ball radius cfg1.u.
+def _relative_integral(log_g, lo: float, hi: float, tol: Tolerance,
+                       log_offset: float = 0.0) -> QuadResult:
+    """integrate_adaptive of exp(log_g + log_offset) over [lo, hi] on tol's relative tolerance.
 
-    It equals 2 / (B((gamma+1)/2, (d-q)/2) R), R the radial mass: p's own
-    normalisation.  Each public function computes it once and passes it down.
+    The absolute tolerance is _RELATIVE_ONLY_ABS_TOL.  Where the result is
+    below _RELATIVE_ONLY_ABS_TOL / rel_tol, so that the absolute floor may
+    have decided convergence (a subnormal p or rho), the integral is taken
+    again with the integrand divided by its largest value at _PEAK_PROBE
+    points, and is scaled back by one exp.  That pass stops at the relative
+    tolerance or at an error of half the subnormal spacing of the result:
+    the result keeps its digits down to that spacing, and one far below the
+    smallest double is 0.0 after a few panels.
     """
-    d, q, g = cfg1.d, cfg1.q, cfg1.gamma
-    return (math.log(2.0) - betaln(0.5 * (g + 1), 0.5 * (d - q))
-            - log_radial_mass(d, q - g, cfg1.u))
+    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
+    res = integrate_adaptive(log_g, lo, hi, tol, log_form=True, log_offset=log_offset)
+    if res.value * tol.rel_tol >= _RELATIVE_ONLY_ABS_TOL:
+        return res
+    peak = float(np.max(log_g(lo + (hi - lo) * _PEAK_PROBE)))
+    if not math.isfinite(peak):
+        return res
+    shift = log_offset + peak
+    floor = math.exp(min(_LOG_HALF_SUBNORMAL - shift, _MAX_LOG_FLOOR))
+    scaled = integrate_adaptive(log_g, lo, hi,
+                                replace(tol, abs_tol=max(floor, _RELATIVE_ONLY_ABS_TOL)),
+                                log_form=True, log_offset=-peak)
+
+    def unscale(x):
+        return math.exp(math.log(x) + shift) if x > 0.0 else 0.0
+
+    return QuadResult(unscale(scaled.value), unscale(scaled.error_estimate),
+                      res.evaluations + _PEAK_PROBE.size + scaled.evaluations, scaled.converged)
 
 
 def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
@@ -246,23 +326,20 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     relative tolerance alone, so a miss probability near 0 keeps its
     digits.
     """
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
-    b, a1 = 0.5 * (d - q), 0.5 * (g + 1)
+    law = _unit_law(cfg, K)
+    d, q, g = law.cfg1.d, law.cfg1.q, law.cfg1.gamma
     if hit:
-        sinh_pow, cosh_pow, a, c = q - g - 1, g, b, a1
+        sinh_pow, cosh_pow, a, c, log_beta = law.m - 1, g, law.b, law.a1, law.betaln_hit
     else:
-        sinh_pow, cosh_pow, a, c = q, d - q - 1, a1, b
+        sinh_pow, cosh_pow, a, c, log_beta = q, d - q - 1, law.a1, law.b, law.betaln_miss
 
     def log_g(rho):
         lc = _log_cosh(rho)
         log_x = -2.0 * lc if hit else 2.0 * np.log(np.tanh(rho))
-        val = cosh_pow * lc + _log_incomplete_beta_tail(a, c, np.exp(log_x), log_x)
+        val = cosh_pow * lc + _log_incomplete_beta_tail(a, c, log_beta, np.exp(log_x), log_x)
         return val + sinh_pow * _log_sinh(rho) if sinh_pow else val
 
-    res = integrate_adaptive(log_g, 0.0, v, replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL),
-                             log_form=True,
-                             log_offset=-betaln(a, c) - log_radial_mass(d, q - g, v))
+    res = _relative_integral(log_g, 0.0, law.v, tol, log_offset=-log_beta - law.log_R)
     return _as_probability(res.value, res.error_estimate)
 
 
@@ -283,23 +360,23 @@ def atom_mass(cfg: FlatConfig, K: Curvature,
     return _offset_radius_integral(cfg, K, tol, hit=False)
 
 
-def _log_incomplete_beta_tail(a: float, b: float, x, log_x):
+def _log_incomplete_beta_tail(a: float, b: float, log_beta: float, x, log_x):
     """log(B_x(a, b) / x^a) for 0 <= x <= 1, B_x the incomplete beta function.
 
-    From scipy's regularized betainc where that is at least _BETAINC_FLOOR;
-    below it, from B_x(a, b) = x^a (1 - x)^b / a * 2F1(a + b, 1; a + 1; x)
+    log_beta is betaln(a, b).  From scipy's regularized betainc where that
+    is at least _BETAINC_FLOOR; below it, from
+    B_x(a, b) = x^a (1 - x)^b / a * 2F1(a + b, 1; a + 1; x)
     with the hypergeometric series summed here: x lies far below the mean
     a/(a+b) there, so its terms fall fast (at most about 90 of them for
     a, b <= 1000).  Both scipy's betainc and its hyp2f1 can be off by whole
     percents that deep in the tail at large a (I_x(200, 38) near 3e-280 by
-    5%, against mpmath).
+    5%, against mpmath).  x may be a scalar.
     """
     i = betainc(a, b, x)
-    with np.errstate(divide="ignore"):
-        out = np.log(i) + betaln(a, b) - a * log_x
     tail = i < _BETAINC_FLOOR
-    if tail.any():
-        xt = x[tail]
+    out = np.log(np.where(tail, 1.0, i)) + log_beta - a * log_x
+    if np.count_nonzero(tail):
+        xt = np.asarray(x)[tail]
         term = np.ones_like(xt)
         total = np.ones_like(xt)
         for n in range(_SERIES_MAX_TERMS):
@@ -310,6 +387,7 @@ def _log_incomplete_beta_tail(a: float, b: float, x, log_x):
         else:
             raise QuadratureError(
                 f"2F1({a + b}, 1; {a + 1}; x) series needs more than {_SERIES_MAX_TERMS} terms")
+        out = np.asarray(out)  # writable, also where x is a scalar
         out[tail] = b * np.log1p(-xt) - math.log(a) + np.log(total)
     return out
 
@@ -331,34 +409,41 @@ def _log_lower_gamma_tail(a: float, c):
     return out
 
 
-def _log_density(cfg1: FlatConfig, pref: float, t) -> np.ndarray:
+def _log_density(law: _UnitLaw, t) -> np.ndarray:
     """log of the distance density at unit curvature, elementwise on reduced distances t > 0.
 
     f(t) = A sinh^(m-1) t cosh^gamma t I_x(a, b), m = q - gamma,
-    a = (q+1)/2, b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t) with v = cfg1.u,
-    A = B(a, b) exp(pref) / 2 (_log_prefactor).  For t > v the factor x^a of I_x is
+    a = (q+1)/2, b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t),
+    A = B(a, b) exp(law.log_pref) / 2.  For t > v the factor x^a of I_x is
     taken out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
     so no power of order d multiplies a log of sinh t there.
     """
     t = np.asarray(t, dtype=float)
-    d, q, g = cfg1.d, cfg1.q, cfg1.gamma
-    m = q - g
-    a, b = 0.5 * (q + 1), 0.5 * (d - q)
+    q, g, m = law.cfg1.q, law.cfg1.gamma, law.m
     ls_t = _log_sinh(t)
-    ls_v = float(_log_sinh(cfg1.u))
-    log_x = np.minimum(0.0, 2.0 * (ls_v - ls_t))
+    log_x = np.minimum(0.0, 2.0 * (law.log_sinh_v - ls_t))
     far = log_x < 0.0
-    out = np.full(t.shape, pref - math.log(2.0))
+    head = law.log_pref - math.log(2.0)
     if g:
-        out += g * _log_cosh(t)
+        head = head + g * _log_cosh(t)
+
+    def past(ls_t, log_x):
+        return ((q + 1) * law.log_sinh_v - (g + 2) * ls_t
+                + _log_incomplete_beta_tail(law.a, law.b, law.betaln_ab, np.exp(log_x), log_x))
+
+    n_far = np.count_nonzero(far)
+    if n_far == far.size:
+        return head + past(ls_t, log_x)
+    # at m = 1 the power of sinh t is 0 and sinh^0 = 1, also at t = 0
+    if not n_far:
+        head = head + law.betaln_ab
+        return head + (m - 1) * ls_t if m > 1 else np.full(t.shape, head)
+    out = np.full(t.shape, head)
     near = ~far
-    out[near] += betaln(a, b)
-    if m > 1:  # at m = 1 the power is 0 and sinh^0 = 1, also at t = 0
+    out[near] += law.betaln_ab
+    if m > 1:
         out[near] += (m - 1) * ls_t[near]
-    if far.any():
-        lx = log_x[far]
-        out[far] += ((q + 1) * ls_v - (g + 2) * ls_t[far]
-                     + _log_incomplete_beta_tail(a, b, np.exp(lx), lx))
+    out[far] += past(ls_t[far], log_x[far])
     return out
 
 
@@ -368,7 +453,7 @@ def _w_past(t, v):
     return s / (1.0 + s)
 
 
-def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
+def _log_integrands(law: _UnitLaw, alpha: float = 0.0):
     """log of t^alpha times the unit-curvature density, in t and, past v, in w.
 
     Past v the density has a (t - v)^((d-q)/2) term, a square root at
@@ -376,10 +461,10 @@ def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
     s = sqrt(t - v), the integrand 2 s g(v + s^2) / (1 - w)^2 is smooth and
     [v, infinity] is [0, 1]; the quadrature never evaluates w = 1.
     """
-    v = cfg1.u
+    v = law.v
 
     def log_g(t):
-        val = _log_density(cfg1, pref, t)
+        val = _log_density(law, t)
         return val + alpha * np.log(t) if alpha else val
 
     def log_g_past(w):
@@ -389,56 +474,88 @@ def _log_integrands(cfg1: FlatConfig, pref: float, alpha: float = 0.0):
     return log_g, log_g_past
 
 
-def _density_integral(cfg1: FlatConfig, pref: float, lo: float, hi: float,
-                      tol: Tolerance, alpha: float = 0.0) -> QuadResult:
+def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
+                      alpha: float = 0.0) -> QuadResult:
     """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
 
     The part below v runs in t, the part past v in w = s / (1 + s),
     s = sqrt(t - v) (_log_integrands); hi = infinity is w = 1.
 
-    Only tol's relative tolerance decides convergence.  The density peaks
-    at v in a layer that can be far narrower than a panel (about 1/d wide
-    below v at gamma near q, and thin in w for large upper limits), and a
-    first panel whose nodes all miss it sees a value orders of magnitude
-    below the true one; an absolute tolerance would accept that.
+    Only tol's relative tolerance decides convergence (_relative_integral).
+    The density peaks at v in a layer that can be far narrower than a panel
+    (about 1/d wide below v at gamma near q, and thin in w for large upper
+    limits), and a first panel whose nodes all miss it sees a value orders
+    of magnitude below the true one; an absolute tolerance would accept that.
     """
-    v = cfg1.u
-    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
-    log_g, log_g_past = _log_integrands(cfg1, pref, alpha)
+    v = law.v
+    log_g, log_g_past = _log_integrands(law, alpha)
     parts = []
     if lo < v:
-        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
+        parts.append(_relative_integral(log_g, lo, min(hi, v), tol))
     if hi > v:
         w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
-        parts.append(integrate_adaptive(log_g_past, _w_past(max(lo, v), v), w_hi, tol,
-                                        log_form=True))
+        parts.append(_relative_integral(log_g_past, _w_past(max(lo, v), v), w_hi, tol))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
                       all(r.converged for r in parts))
 
 
-def _segment_integrals(cfg1: FlatConfig, pref: float, lo: np.ndarray, hi: np.ndarray,
-                       tol: Tolerance):
+def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Tolerance):
     """Integrals of the unit-curvature density over the segments [lo[i], hi[i]].
 
     No segment may straddle v.  Each segment is one Gauss-Kronrod panel,
     those below v from one integrand call in t and those past v from one
-    in w (_log_integrands).  A segment whose error estimate exceeds tol's
-    relative target goes alone to _density_integral, as it would be
-    refined there.  Returns the arrays (values, error estimates).
+    in w (_log_integrands).  The segments whose error estimate exceeds
+    tol's relative target are refined together: each round halves every
+    sub-panel of theirs that misses the target on its own and evaluates all
+    the halves in the same two integrand calls, until the segment's summed
+    estimate meets it.  A segment still missing it after _GRID_HALVINGS
+    rounds goes alone to _density_integral.  Returns the arrays (values,
+    error estimates).
     """
-    v = cfg1.u
-    log_g, log_g_past = _log_integrands(cfg1, pref)
-    vals, errs = np.empty(lo.shape), np.empty(lo.shape)
+    v = law.v
+    log_g, log_g_past = _log_integrands(law)
     near = hi <= v
-    vals[near], errs[near] = _gk_panels(log_g, lo[near], hi[near], True, 0.0)
-    far = ~near
-    vals[far], errs[far] = _gk_panels(log_g_past, _w_past(lo[far], v), _w_past(hi[far], v),
-                                      True, 0.0)
-    for i in np.flatnonzero(errs > np.maximum(_RELATIVE_ONLY_ABS_TOL,
-                                               tol.rel_tol * np.abs(vals))):
-        res = _density_integral(cfg1, pref, float(lo[i]), float(hi[i]), tol)
+    x_lo, x_hi = lo.copy(), hi.copy()  # t below v, w past it
+    x_lo[~near], x_hi[~near] = _w_past(lo[~near], v), _w_past(hi[~near], v)
+
+    def panels(x_lo, x_hi, near):
+        vals, errs = np.empty(x_lo.shape), np.empty(x_lo.shape)
+        vals[near], errs[near] = _gk_panels(log_g, x_lo[near], x_hi[near], True, 0.0)
+        far = ~near
+        vals[far], errs[far] = _gk_panels(log_g_past, x_lo[far], x_hi[far], True, 0.0)
+        return vals, errs
+
+    def misses(vals, errs):
+        return errs > tol.rel_tol * np.abs(vals)
+
+    vals, errs = panels(x_lo, x_hi, near)
+    segs = np.flatnonzero(misses(vals, errs))
+    # the sub-panels of the segments in segs: owner, bounds, value, error
+    own, a, b, pv, pe = segs, x_lo[segs], x_hi[segs], vals[segs], errs[segs]
+    for _ in range(_GRID_HALVINGS):
+        if not segs.size:
+            break
+        split = misses(pv, pe)
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        halves = np.concatenate((own[split], own[split]))
+        hv, he = panels(np.concatenate((a[split], mid)), np.concatenate((mid, b[split])),
+                        near[halves])
+        own = np.concatenate((own[keep], halves))
+        a = np.concatenate((a[keep], a[split], mid))
+        b = np.concatenate((b[keep], mid, b[split]))
+        pv, pe = np.concatenate((pv[keep], hv)), np.concatenate((pe[keep], he))
+        sv = np.bincount(own, weights=pv, minlength=lo.size)[segs]
+        se = np.bincount(own, weights=pe, minlength=lo.size)[segs]
+        done = ~misses(sv, se)
+        vals[segs[done]], errs[segs[done]] = sv[done], se[done]
+        segs = segs[~done]
+        live = np.isin(own, segs)
+        own, a, b, pv, pe = own[live], a[live], b[live], pv[live], pe[live]
+    for i in segs:
+        res = _density_integral(law, float(lo[i]), float(hi[i]), tol)
         vals[i], errs[i] = res.value, res.error_estimate
     return vals, errs
 
@@ -454,8 +571,7 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
     _require_distance(delta)
     if delta == 0:
         return 0.0
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    res = _density_integral(cfg1, _log_prefactor(cfg1), 0.0, K.scale * delta, tol)
+    res = _density_integral(_unit_law(cfg, K), 0.0, K.scale * delta, tol)
     return _as_probability(res.value, res.error_estimate)
 
 
@@ -478,11 +594,10 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     if not (np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
             and np.all(np.diff(deltas) >= 0)):
         raise DomainError("deltas must be finite, ascending and >= 0")
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    pref = _log_prefactor(cfg1)
+    law = _unit_law(cfg, K)
     t = K.scale * deltas
-    knots = np.unique(np.concatenate(([0.0, min(cfg1.u, t.max(initial=0.0))], t)))
-    vals, errs = _segment_integrals(cfg1, pref, knots[:-1], knots[1:], tol)
+    knots = np.unique(np.concatenate(([0.0, min(law.v, t.max(initial=0.0))], t)))
+    vals, errs = _segment_integrals(law, knots[:-1], knots[1:], tol)
     at = np.searchsorted(knots, t)
     return _as_probability(np.concatenate(([0.0], np.cumsum(vals)))[at],
                            np.concatenate(([0.0], np.cumsum(errs)))[at])
@@ -493,15 +608,14 @@ def distance_density(cfg: FlatConfig, K: Curvature, delta,
     """Density of the absolutely continuous part of the distance law.
 
     delta is a distance (the result is a float) or an array of them (the
-    result is an array of the same shape, computed with one Crofton
-    constant).  Closed form, so tol is not used; it is accepted like
+    result is an array of the same shape).  Closed form from the memoised
+    unit-curvature law (_unit_law), so tol is not used; it is accepted like
     everywhere else.
     """
     t = np.asarray(delta, dtype=float)
-    if not np.all((t > 0) & (t < math.inf)):
+    if not ((t > 0) & (t < math.inf)).all():
         raise DomainError(f"need finite delta > 0, got {delta}")
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    f = K.scale * np.exp(_log_density(cfg1, _log_prefactor(cfg1), K.scale * t))
+    f = K.scale * np.exp(_log_density(_unit_law(cfg, K), K.scale * t))
     return float(f) if f.ndim == 0 else f
 
 
@@ -525,8 +639,7 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     if alpha == 0:
         return MomentResult(alpha, conditional, 1.0)
 
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    res = _density_integral(cfg1, _log_prefactor(cfg1), 0.0, math.inf, tol, alpha)
+    res = _density_integral(_unit_law(cfg, K), 0.0, math.inf, tol, alpha)
     value = K.scale ** (-alpha) * res.value
     if conditional:
         p = intersection_probability(cfg, K, tol)
@@ -560,7 +673,8 @@ def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
     else:
         log_x = np.array([2.0 * math.log(u / delta)])
         x = np.exp(log_x)
-        head = a1 * log_x + _log_incomplete_beta_tail(a, b, x, log_x) - betaln(a1, b)
+        head = (a1 * log_x + _log_incomplete_beta_tail(a, b, betaln(a, b), x, log_x)
+                - betaln(a1, b))
         value = float(np.exp(head[0]) + betaincc(a1, b, x[0]))
     return _as_probability(value, 0.0)
 
@@ -594,8 +708,7 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
             c_r = z * (1.0 - r) * (1.0 + r) / (r * r)
         return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
-    res = integrate_adaptive(log_outer, 0.0, 1.0, replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL),
-                             log_form=True, log_offset=pref)
+    res = _relative_integral(log_outer, 0.0, 1.0, tol, log_offset=pref)
     return _as_probability(res.value, res.error_estimate)
 
 

@@ -373,3 +373,12 @@ RHO_MPMATH = {
     (4.0, 3, 0, 40.0): 1.0630061376620956e-138,
     (12.0, 200, 199, 12.0): 3.207838869333425e-240,
 }
+
+# Values below the smallest normal double (2.2e-308), by rho_mp_oracle and
+# probability_closed_form_oracle at their default precision; as doubles
+# they are subnormal, so they carry fewer than 16 significant digits.
+RHO_SUBNORMAL_MPMATH = {
+    (6.0, 400, 1, 40.0): 9.35861621656e-313,
+    (10.0, 150, 10, 15.0): 3.4823753164e-314,
+}
+P_600_300_0_V3_1_MPMATH = 1.305417157e-315

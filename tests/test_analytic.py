@@ -35,7 +35,8 @@ from oracles import (ATOM_MPMATH, COND_MEAN_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
                      P_STAR_820_104_75_MPMATH,
-                     P_STAR_1000_999_998_V12_MPMATH, RHO_MPMATH, atom_mass_mp_oracle,
+                     P_STAR_1000_999_998_V12_MPMATH, P_600_300_0_V3_1_MPMATH, RHO_MPMATH,
+                     RHO_SUBNORMAL_MPMATH, atom_mass_mp_oracle,
                      conditional_mean_mp_oracle, euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
                      probability_closed_form_oracle, probability_oracle, rho_mp_oracle,
                      rho_riemann_oracle)
@@ -334,9 +335,9 @@ class TestMoment:
     def test_is_one_integral_to_infinity(self, monkeypatch):
         calls = []
 
-        def spy(cfg1, pref, lo, hi, tol, alpha=0.0):
+        def spy(law, lo, hi, tol, alpha=0.0):
             calls.append((lo, hi))
-            return density_integral(cfg1, pref, lo, hi, tol, alpha)
+            return density_integral(law, lo, hi, tol, alpha)
 
         density_integral = analytic._density_integral
         monkeypatch.setattr(analytic, "_density_integral", spy)
@@ -389,7 +390,7 @@ def density_2d(cfg, K, delta):
     t = K.scale * delta
     r = math.tanh(t)
     theta_max = math.asin(min(1.0, math.tanh(cfg1.u) / r))
-    offset = (analytic._log_prefactor(cfg1) - 2.0 * math.log(math.cosh(t))
+    offset = (analytic._unit_law(cfg, K).log_pref - 2.0 * math.log(math.cosh(t))
               + (cfg.q - cfg.gamma - 1) * math.log(r))
     res = integrate_adaptive(
         lambda theta: backend.log_kernel_theta(cfg.d, cfg.q, -1.0, r, theta), 0.0, theta_max,
@@ -465,9 +466,7 @@ class TestClosedForm:
     def test_density_integral_to_infinity_is_p(self, cfg, K):
         # the density's mass and p's offset-radius integral, one normaliser apart
         tol = Tolerance(rel_tol=1e-12)
-        cfg1, _ = reduce_to_unit_curvature(cfg, K)
-        res = analytic._density_integral(cfg1, analytic._log_prefactor(cfg1), 0.0, math.inf,
-                                         tol)
+        res = analytic._density_integral(analytic._unit_law(cfg, K), 0.0, math.inf, tol)
         assert res.value == pytest.approx(intersection_probability(cfg, K, tol), rel=1e-11,
                                           abs=0.0)
 
@@ -502,11 +501,10 @@ class TestClosedForm:
     def test_log_density_where_betainc_underflows(self):
         from scipy.special import betainc
 
-        cfg1 = FlatConfig(1000, 999, 1, 1.0)
-        pref = analytic._log_prefactor(cfg1)
+        law = analytic._unit_law(FlatConfig(1000, 999, 1, 1.0), K1)
         for t in (1.5, 3.0, 6.0):
             ref = log_density_oracle(1000, 999, 1, 1.0, t)
-            got = float(analytic._log_density(cfg1, pref, t))
+            got = float(analytic._log_density(law, t))
             assert abs(got - ref) <= 1e-12, t
         # I_x(500, 1/2) underflows at t = 3 and 6
         x = (math.sinh(1.0) / np.sinh([3.0, 6.0])) ** 2
@@ -515,19 +513,20 @@ class TestClosedForm:
     def test_incomplete_beta_tail_where_scipy_loses_digits(self):
         # scipy's betainc is 5% off at the first point, its hyp2f1 53% at the third
         import mpmath as mp
+        from scipy.special import betaln
 
         for a, b, x in ((200.0, 38.0, 0.0243), (358.0, 38.0, 0.13), (499.5, 499.5, 0.0616),
                         (1000.0, 499.5, 0.2209)):
             with mp.workdps(30):
                 ref = float(mp.log(mp.betainc(a, b, 0, x)) - a * mp.log(x))
-            got = analytic._log_incomplete_beta_tail(a, b, np.array([x]), np.log([x]))[0]
+            got = analytic._log_incomplete_beta_tail(a, b, betaln(a, b), np.array([x]),
+                                                     np.log([x]))[0]
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (a, b, x)
 
     def test_log_density_far_out(self):
         # no overflow past t = 710; the tail decays like e^(-2t)
-        cfg1 = FlatConfig(40, 39, 38, 6.0)
-        pref = analytic._log_prefactor(cfg1)
-        lf = analytic._log_density(cfg1, pref, np.array([400.0, 800.0, 1600.0]))
+        law = analytic._unit_law(FlatConfig(40, 39, 38, 6.0), K1)
+        lf = analytic._log_density(law, np.array([400.0, 800.0, 1600.0]))
         assert np.all(np.isfinite(lf))
         np.testing.assert_allclose(np.diff(lf), [-800.0, -1600.0], rtol=1e-12)
 
@@ -557,7 +556,7 @@ class TestPrefactor:
         d, g, v = cfg1.d, cfg1.gamma, cfg1.u
         ref = (log_constant_D(cfg1) + log_sphere_surface(d - g)
                - log_crofton_constant(d, cfg1.k, v, K1))
-        assert analytic._log_prefactor(cfg1) == pytest.approx(ref, rel=0.0, abs=1e-12)
+        assert analytic._unit_law(cfg1, K1).log_pref == pytest.approx(ref, rel=0.0, abs=1e-12)
 
     def test_density_path_calls_no_crofton_constant(self, crofton_calls):
         distance_density(CFG, K1, 0.5, TOL)
@@ -569,6 +568,46 @@ class TestPrefactor:
         # the density's normaliser is the radial mass, the Crofton constant's quadrature
         distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL)
         assert log_radial_mass.cache_info().misses == 1
+
+
+class TestUnitLaw:
+    def test_density_builds_the_law_once(self, monkeypatch):
+        cached = []
+
+        def spy(a, b):
+            cached.append(analytic._unit_law.cache_info().currsize)
+            return betaln(a, b)
+
+        betaln = analytic.betaln
+        monkeypatch.setattr(analytic, "betaln", spy)
+        for x in np.linspace(0.1, 4.0, 50):
+            distance_density(CFG, K1, float(x), TOL)
+        assert analytic._unit_law.cache_info().misses == 1
+        # all three betaln values are computed before the law enters the cache
+        assert cached == [0, 0, 0]
+
+    def test_scalar_far_tail_is_the_array_call(self):
+        from scipy.special import betainc
+
+        cfg = FlatConfig(1000, 999, 998, 12.0)
+        x = (math.sinh(12.0) / math.sinh(30.0)) ** 2
+        assert betainc(500.0, 0.5, x) < 1e-200  # the hypergeometric series
+        scalar = distance_density(cfg, K1, 30.0, TOL)
+        assert type(scalar) is float and scalar > 0.0
+        assert scalar == distance_density(cfg, K1, np.array([30.0]), TOL)[0]
+        assert scalar == distance_density(cfg, K1, np.array([6.0, 30.0, 60.0]), TOL)[1]
+
+    def test_same_values_with_a_cold_cache(self):
+        deltas = np.linspace(0.1, 4.0, 7)
+        warm = [distance_density(CFG, K1, deltas, TOL), distance_cdf(CFG, K1, 1.5, TOL),
+                intersection_probability(CFG, K1, TOL)]
+        analytic._unit_law.cache_clear()
+        log_radial_mass.cache_clear()
+        np.testing.assert_array_equal(distance_density(CFG, K1, deltas, TOL), warm[0])
+        analytic._unit_law.cache_clear()
+        assert distance_cdf(CFG, K1, 1.5, TOL) == warm[1]
+        analytic._unit_law.cache_clear()
+        assert intersection_probability(CFG, K1, TOL) == warm[2]
 
 
 class TestCdfGrid:
@@ -600,9 +639,9 @@ class TestCdfGrid:
         cfg = FlatConfig(1000, 999, 998, 12.0)
         refined = []
 
-        def spy(cfg1, pref, lo, hi, tol):
+        def spy(law, lo, hi, tol):
             refined.append((lo, hi))
-            return density_integral(cfg1, pref, lo, hi, tol)
+            return density_integral(law, lo, hi, tol)
 
         density_integral = analytic._density_integral
         monkeypatch.setattr(analytic, "_density_integral", spy)
@@ -614,6 +653,25 @@ class TestCdfGrid:
             rtol=1e-12, atol=0.0)
         assert grid[1] == pytest.approx(P_STAR_1000_999_998_V12_MPMATH, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("cfg", [FlatConfig(40, 39, 38, 6.0), FlatConfig(200, 199, 1, 8.0)])
+    def test_refines_failing_segments_together(self, cfg, monkeypatch):
+        # 25 and 15 segments of these grids miss the tolerance as one panel;
+        # a few rounds of halving settle all of them
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:3])
+            return density_integral(*args, **kwargs)
+
+        density_integral = analytic._density_integral
+        monkeypatch.setattr(analytic, "_density_integral", spy)
+        deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
+        grid = distance_cdf_grid(cfg, K1, deltas, TOL)
+        assert calls == []
+        monkeypatch.undo()
+        np.testing.assert_allclose(
+            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
     def test_makes_no_adaptive_call(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
@@ -623,12 +681,35 @@ class TestCdfGrid:
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
 
 
+class TestSubnormal:
+    """Results below the smallest normal double keep their digits."""
+
+    @pytest.mark.parametrize("key", sorted(RHO_SUBNORMAL_MPMATH))
+    def test_rho(self, key):
+        got = critical_constant_rho(*key, tol=TOL)
+        assert got == pytest.approx(RHO_SUBNORMAL_MPMATH[key], rel=1e-9, abs=4 * math.ulp(0.0))
+
+    def test_probability(self):
+        got = intersection_probability(FlatConfig(600, 300, 0, 3.1), K1, TOL)
+        assert got == pytest.approx(P_600_300_0_V3_1_MPMATH, rel=1e-9, abs=4 * math.ulp(0.0))
+
+    @pytest.mark.parametrize("log_c", [-700.0, -720.0, -800.0])
+    def test_relative_integral_of_a_narrow_peak(self, log_c):
+        # e^log_c times a Gaussian of width 0.01 at 0.3, whose mass is 0.01 sqrt(pi):
+        # a normal, a subnormal and a zero result.  No node of a first panel on
+        # [0, 2] lies within 2 widths of the peak.
+        res = analytic._relative_integral(lambda x: log_c - ((x - 0.3) / 0.01) ** 2, 0.0, 2.0,
+                                          TOL)
+        ref = math.exp(log_c + math.log(0.01 * math.sqrt(math.pi)))
+        assert res.value == pytest.approx(ref, rel=1e-9, abs=2 * math.ulp(0.0))
+
+
 class TestGuards:
     def test_moment_tail_is_bounded(self, monkeypatch):
         # a density that never decays: the integral to infinity diverges, and
         # the quadrature gives up and says so
         monkeypatch.setattr(analytic, "_log_density",
-                            lambda cfg1, pref, t: np.zeros(np.shape(t)))
+                            lambda law, t: np.zeros(np.shape(t)))
         with pytest.raises(QuadratureError) as info:
             moment(CFG, K1, 0.5, True, TOL)
         assert info.value.partial is not None
@@ -638,8 +719,8 @@ class TestGuards:
     def test_cdf_grid_checks_its_range(self, monkeypatch):
         # every segment of the grid gets the same value and error estimate
         def segments(value, err):
-            return lambda cfg1, pref, lo, hi, tol: (np.full(lo.shape, value),
-                                                    np.full(lo.shape, err))
+            return lambda law, lo, hi, tol: (np.full(lo.shape, value),
+                                             np.full(lo.shape, err))
 
         monkeypatch.setattr(analytic, "_segment_integrals", segments(0.6, 1e-13))
         with pytest.raises(ProbabilityRangeError):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,17 @@ class TestParser:
                                                                          abs=1e-8)
         code, out, _ = invoke(capsys, "prob", *BASE)
         assert code == EXIT_OK and float(out) == pytest.approx(P_STAR_3_2_1, abs=1e-8)
+
+
+class TestImportCost:
+    def test_loads_no_scipy_subpackage_but_special(self):
+        # every CLI start pays for what the import loads: scipy.interpolate
+        # alone costs about 40 ms
+        code = ("import sys, hypflats, hypflats.cli\n"
+                "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout.split()
+        assert [m for m in out if not m.startswith("_") and m != "version"] == ["special"]
 
 
 class TestCsvCommands:
@@ -316,7 +329,8 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] == doc["atom_deviation_sigmas"]
 
     def test_computes_the_radial_mass_once(self, capsys):
-        # the sampler, p, the atom and the CDF grid share one memoised quadrature
+        # the sampler and the unit-curvature law share one memoised quadrature,
+        # and p, the atom and the CDF grid share one memoised law
         code, _, _ = invoke(
             capsys, "simulate", "--d", "7", "--q", "4", "--gamma", "2", "--K", "-0.7",
             "--u", "1.3", "--trials", "200", "--seed", "5",
@@ -324,7 +338,10 @@ class TestSimulate:
         assert code == EXIT_OK
         info = analytic.log_radial_mass.cache_info()
         assert info.misses == 1
-        assert info.hits >= 3
+        assert info.hits >= 1
+        law = analytic._unit_law.cache_info()
+        assert law.misses == 1
+        assert law.hits >= 2
 
     def test_no_hits_is_valid_json(self, capsys):
         # p is 1.8e-39 here: nothing hits and there is no KS statistic
