@@ -17,9 +17,11 @@ R the radial mass below, as in p (_log_density, in log space).  The CDF and
 the moments are 1-d integrals of it, in w = s/(1+s), s = sqrt(t - v), past
 v: a moment is one integral to infinity.  The CDF grid is one vectorised
 pass: one Gauss-Kronrod panel per grid segment, all panels below v from one
-integrand call and all past v from another; the segments that miss the
-tolerance are halved together, a few rounds at most, and only one that
-still misses it is integrated adaptively on its own.  The flat-space
+integrand call and all past v from another, and the segments that miss the
+tolerance are halved together until they meet it.  Of a grid of thousands
+of points (the sorted Monte Carlo samples) only about 128 are knots; the
+others take the integral of the interpolant through their panel's node
+values.  The flat-space
 (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function.
 
@@ -51,6 +53,7 @@ from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1
 
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
 from .quadrature import (
+    _XK,
     DEFAULT_TOLERANCE,
     QuadResult,
     Tolerance,
@@ -132,8 +135,30 @@ _PEAK_PROBE = (np.arange(32) + 0.5) / 32
 # log of half the spacing of subnormal doubles, and a cap that keeps exp finite
 _LOG_HALF_SUBNORMAL = math.log(math.ulp(0.0)) - math.log(2.0)
 _MAX_LOG_FLOOR = 700.0
-# rounds of halving a grid segment gets before it is integrated on its own
-_GRID_HALVINGS = 4
+# a grid of more than this many points keeps every k-th as a knot, k = ceil(n / _GRID_KNOTS)
+_GRID_KNOTS = 128
+# grids distance_cdf_grid computes at most: each round makes knots of the points that missed
+_GRID_ROUNDS = 4
+
+
+def _antiderivative_matrix() -> np.ndarray:
+    """The 16 x 15 map from node values at _XK to the Chebyshev coefficients on
+    [-1, 1] of the antiderivative, 0 at -1, of their degree-14 interpolant.
+
+    The Chebyshev basis keeps the map's entries below 0.14 (the monomial
+    one needs entries up to 570), so summing the series by Clenshaw loses
+    about one unit of rounding of the panel's integral, not a thousand.
+    """
+    n = _XK.size
+    k = np.arange(2, n)
+    integrate = np.zeros((n + 1, n))  # integral of T_k, in T_0 .. T_n
+    integrate[1, 0], integrate[2, 1] = 1.0, 0.25
+    integrate[k + 1, k], integrate[k - 1, k] = 0.5 / (k + 1), -0.5 / (k - 1)
+    integrate[0] = -((-1.0) ** np.arange(1, n + 1)) @ integrate[1:]  # T_j(-1) = (-1)^j
+    return integrate @ np.linalg.inv(np.cos(np.arange(n) * np.arccos(_XK)[:, None]))
+
+
+_ANTIDERIVATIVE = _antiderivative_matrix()
 
 
 def _log_cosh(x):
@@ -509,10 +534,18 @@ def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Toler
     in w (_log_integrands).  The segments whose error estimate exceeds
     tol's relative target are refined together: each round halves every
     sub-panel of theirs that misses the target on its own and evaluates all
-    the halves in the same two integrand calls, until the segment's summed
-    estimate meets it.  A segment still missing it after _GRID_HALVINGS
-    rounds goes alone to _density_integral.  Returns the arrays (values,
-    error estimates).
+    the halves in the same two integrand calls, until every segment's
+    summed estimate meets it.  A sub-panel too narrow to halve in doubles
+    is kept as it is; QuadratureError is raised when no sub-panel can be
+    halved any more, or when halving would take the number of panels past
+    tol.max_subdivisions.
+
+    Returns (values, errors, first, leaves).  first = (x_lo, x_hi, nodes,
+    scale) is the first panel of every segment: its bounds (t below v, w
+    past it) and its node values and scale (_gk_panels).  leaves = (own,
+    x_lo, x_hi, values, errors, nodes, scale) are the final sub-panels of
+    the refined segments, own the segment of each, or None if no segment
+    was refined.
     """
     v = law.v
     log_g, log_g_past = _log_integrands(law)
@@ -520,44 +553,58 @@ def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Toler
     x_lo, x_hi = lo.copy(), hi.copy()  # t below v, w past it
     x_lo[~near], x_hi[~near] = _w_past(lo[~near], v), _w_past(hi[~near], v)
 
-    def panels(x_lo, x_hi, near):
-        vals, errs = np.empty(x_lo.shape), np.empty(x_lo.shape)
-        vals[near], errs[near] = _gk_panels(log_g, x_lo[near], x_hi[near], True, 0.0)
-        far = ~near
-        vals[far], errs[far] = _gk_panels(log_g_past, x_lo[far], x_hi[far], True, 0.0)
-        return vals, errs
+    def panels(x_lo, x_hi, n_near):
+        # the first n_near panels lie below v
+        return tuple(np.concatenate(r) for r in zip(
+            _gk_panels(log_g, x_lo[:n_near], x_hi[:n_near], True, 0.0),
+            _gk_panels(log_g_past, x_lo[n_near:], x_hi[n_near:], True, 0.0)))
 
     def misses(vals, errs):
         return errs > tol.rel_tol * np.abs(vals)
 
-    vals, errs = panels(x_lo, x_hi, near)
+    vals, errs, nodes, scale = panels(x_lo, x_hi, np.count_nonzero(near))
+    first = (x_lo, x_hi, nodes, scale)
     segs = np.flatnonzero(misses(vals, errs))
-    # the sub-panels of the segments in segs: owner, bounds, value, error
-    own, a, b, pv, pe = segs, x_lo[segs], x_hi[segs], vals[segs], errs[segs]
-    for _ in range(_GRID_HALVINGS):
-        if not segs.size:
-            break
-        split = misses(pv, pe)
+    if not segs.size:
+        return vals, errs, first, None
+    # the sub-panels of the segments in segs: owner, bounds, value, error, nodes, scale
+    sub = (segs, x_lo[segs], x_hi[segs], vals[segs], errs[segs], nodes[segs], scale[segs])
+    leaves = []
+    count = lo.size
+    while segs.size:
+        own, a, b, pv, pe, pn, ps = sub
+        mid = 0.5 * (a + b)
+        split = misses(pv, pe) & (a < mid) & (mid < b)
+        n_split = np.count_nonzero(split)
+        if not n_split:
+            raise QuadratureError(f"{segs.size} grid segments miss the tolerance with "
+                                  f"every sub-panel too narrow to halve")
+        count += n_split
+        if count > tol.max_subdivisions:
+            raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
         keep = ~split
-        mid = 0.5 * (a[split] + b[split])
+        mid = mid[split]
         halves = np.concatenate((own[split], own[split]))
-        hv, he = panels(np.concatenate((a[split], mid)), np.concatenate((mid, b[split])),
-                        near[halves])
-        own = np.concatenate((own[keep], halves))
-        a = np.concatenate((a[keep], a[split], mid))
-        b = np.concatenate((b[keep], mid, b[split]))
-        pv, pe = np.concatenate((pv[keep], hv)), np.concatenate((pe[keep], he))
+        h_lo, h_hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        # those below v first; a stable order keeps each segment's sub-panels
+        # in their order, and with it the order of their sums
+        order = np.argsort(~near[halves], kind="stable")
+        halves, h_lo, h_hi = halves[order], h_lo[order], h_hi[order]
+        new = panels(h_lo, h_hi, np.count_nonzero(near[halves]))
+        sub = (np.concatenate((own[keep], halves)), np.concatenate((a[keep], h_lo)),
+               np.concatenate((b[keep], h_hi)),
+               *(np.concatenate((x[keep], y)) for x, y in zip((pv, pe, pn, ps), new)))
+        own, pv, pe = sub[0], sub[3], sub[4]
         sv = np.bincount(own, weights=pv, minlength=lo.size)[segs]
         se = np.bincount(own, weights=pe, minlength=lo.size)[segs]
         done = ~misses(sv, se)
         vals[segs[done]], errs[segs[done]] = sv[done], se[done]
         segs = segs[~done]
         live = np.isin(own, segs)
-        own, a, b, pv, pe = own[live], a[live], b[live], pv[live], pe[live]
-    for i in segs:
-        res = _density_integral(law, float(lo[i]), float(hi[i]), tol)
-        vals[i], errs[i] = res.value, res.error_estimate
-    return vals, errs
+        leaves.append(tuple(x[~live] for x in sub))
+        sub = tuple(x[live] for x in sub)
+    leaves = tuple(np.concatenate(x) for x in zip(*leaves))
+    return vals, errs, first, leaves
 
 
 def _require_distance(delta) -> None:
@@ -579,14 +626,20 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """distance_cdf on an ascending 1-d grid, in one vectorised pass.
 
-    The knots are 0, the reduced radius v and the grid points.  Every
-    segment between neighbouring knots is one Gauss-Kronrod panel; the
-    panels below v take one integrand call and those past v one more
-    (_segment_integrals).  A segment whose error estimate misses the
-    relative tolerance is integrated adaptively on its own.  The values
-    are the cumulative sums of the segments, each with the summed error
-    estimates, and leaving [0, 1] by more than them raises
-    ProbabilityRangeError.
+    The knots are 0, the reduced radius v and the grid points; of a grid of
+    n > _GRID_KNOTS points only every k-th, k = ceil(n / _GRID_KNOTS), those
+    of rank 1, 2, 4, ... below k, and the last.  Every segment between
+    neighbouring knots is one Gauss-Kronrod panel, or the sub-panels it is
+    halved into; the panels below v take one integrand call and those past
+    v one more (_segment_integrals).  The values at the knots are the
+    cumulative sums of the segments, each with the summed error estimates.
+    A point between knots takes the value at the start of its final
+    sub-panel plus the integral of the interpolant through that sub-panel's
+    15 node values (_between_knots), with the summed error estimates
+    through that sub-panel; the points whose estimate misses the relative
+    tolerance become knots and the grid is computed again, _GRID_ROUNDS
+    times at most before QuadratureError.  Leaving [0, 1] by more than the
+    error estimates raises ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
@@ -596,11 +649,102 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         raise DomainError("deltas must be finite, ascending and >= 0")
     law = _unit_law(cfg, K)
     t = K.scale * deltas
+    if t.size <= _GRID_KNOTS:
+        knots, cum, cum_err, _, _ = _knot_integrals(law, t, tol)
+        at = np.searchsorted(knots, t)
+        return _as_probability(cum[at], cum_err[at])
+    k = -(-t.size // _GRID_KNOTS)
+    knot = np.zeros(t.shape, dtype=bool)
+    knot[::k] = True
+    knot[np.searchsorted(t, t[-1]):] = True  # the last point and its copies: no segment follows
+    # below rank k the CDF at a segment's start must not be far below the
+    # segment's mass, or the interpolant's rounding shows relative to it
+    knot[1 << np.arange((k - 1).bit_length())] = True
+    for _ in range(_GRID_ROUNDS):
+        t_knot = t[knot]
+        knots, cum, cum_err, first, leaves = _knot_integrals(law, t_knot, tol)
+        at = np.searchsorted(knots, t_knot)
+        value, err = np.empty(t.shape), np.empty(t.shape)
+        value[knot], err[knot] = cum[at], cum_err[at]
+        inner = ~knot
+        value[inner], err[inner] = _between_knots(law, t, knot, knots, at, cum, cum_err,
+                                                  first, leaves)
+        miss = err > tol.rel_tol * value
+        if not miss.any():
+            return _as_probability(value, err)
+        knot |= miss
+    raise QuadratureError(f"{np.count_nonzero(miss)} grid points still miss the tolerance "
+                          f"after {_GRID_ROUNDS} rounds of new knots")
+
+
+def _knot_integrals(law: _UnitLaw, t, tol: Tolerance):
+    """The knots 0, v (up to t's largest) and the ascending points t, the CDF and its
+    summed error estimates at each, and _segment_integrals' panels between them."""
     knots = np.unique(np.concatenate(([0.0, min(law.v, t.max(initial=0.0))], t)))
-    vals, errs = _segment_integrals(law, knots[:-1], knots[1:], tol)
-    at = np.searchsorted(knots, t)
-    return _as_probability(np.concatenate(([0.0], np.cumsum(vals)))[at],
-                           np.concatenate(([0.0], np.cumsum(errs)))[at])
+    vals, errs, first, leaves = _segment_integrals(law, knots[:-1], knots[1:], tol)
+    return (knots, np.concatenate(([0.0], np.cumsum(vals))),
+            np.concatenate(([0.0], np.cumsum(errs))), first, leaves)
+
+
+def _between_knots(law: _UnitLaw, t, knot, knots, at, cum, cum_err, first, leaves):
+    """distance_cdf_grid's values and error estimates at the points t[~knot].
+
+    knot marks the grid points that are knots, t[0] and t[-1] among them,
+    and at is their index in knots.  A point's segment starts at the last
+    knot point before it in rank, or at v where v lies between them.  In a
+    segment settled on its first panel that panel holds the point; in a
+    refined one, the point's final sub-panel is found among the leaves
+    (sorted by segment and start) by the variable the point maps to: t
+    below v, w past it.  The value is the CDF at the start of that panel
+    plus its scale times the antiderivative of the node interpolant
+    (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
+    in [-1, 1].
+    """
+    v = law.v
+    inner = ~knot
+    seg = at[np.cumsum(knot)[inner] - 1]
+    x = t[inner]
+    seg += (knots[seg] < v) & (x >= v)
+    far = knots[seg + 1] > v
+    x[far] = _w_past(x[far], v)
+    # the panels: every segment's first one, then the leaves
+    x_lo, x_hi, nodes, scale = first
+    start, through = cum[:-1], cum_err[1:]
+    row = seg.copy()
+    if leaves is not None:
+        order = np.lexsort((leaves[1], leaves[0]))
+        own, a, b, lv, le, ln, ls = (y[order] for y in leaves)
+        head = np.maximum.accumulate(np.where(np.diff(own, prepend=-1) != 0,
+                                              np.arange(own.size), 0))
+        before, errs = np.cumsum(lv) - lv, np.cumsum(le)
+        start = np.concatenate((start, cum[own] + before - before[head]))
+        through = np.concatenate((through, cum_err[own] + errs - (errs[head] - le[head])))
+        refined = np.zeros(x_lo.size, dtype=bool)
+        refined[own] = True
+        # the leaves below v come first, and within each group their starts ascend
+        n_near = np.count_nonzero(knots[own + 1] <= v)
+        for part, lo, hi in ((refined[seg] & ~far, 0, n_near),
+                             (refined[seg] & far, n_near, own.size)):
+            xp = np.maximum(x[part], x_lo[seg[part]])  # no rounding below the segment
+            row[part] = x_lo.size + lo - 1 + np.searchsorted(a[lo:hi], xp, side="right")
+        x_lo, x_hi = np.concatenate((x_lo, a)), np.concatenate((x_hi, b))
+        nodes, scale = np.concatenate((nodes, ln)), np.concatenate((scale, ls))
+    # per panel: the scaled coefficients with the start value folded into the
+    # first, the midpoint, the inverse half-width (0 for an empty panel) and
+    # the error estimate through the panel
+    half = 0.5 * (x_hi - x_lo)
+    c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
+    c[:, 0] += start
+    inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
+    g = np.take(np.column_stack((c, x_lo + half, inv_half, through)), row, axis=0)
+    s = (x - g[:, -3]) * g[:, -2]
+    s2, b1, b2, tmp = 2.0 * s, g[:, -4].copy(), np.zeros_like(s), np.empty_like(s)
+    for j in range(_ANTIDERIVATIVE.shape[0] - 2, 0, -1):
+        np.multiply(s2, b1, out=tmp)
+        tmp -= b2
+        tmp += g[:, j]
+        b1, b2, tmp = tmp, b1, b2
+    return s * b1 - b2 + g[:, 0], g[:, -1]
 
 
 def distance_density(cfg: FlatConfig, K: Curvature, delta,

@@ -279,14 +279,8 @@ def _cmd_simulate(args, tol):
     gap = abs(est.p_hat - p)
     deviation = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
     if hits:
-        grid = np.linspace(0.0, float(summary.finite_samples[-1]), 129)[1:]
-        cdf_grid = analytic.distance_cdf_grid(cfg, K, grid, tol) / p
-        from scipy.interpolate import PchipInterpolator
-
-        interp = PchipInterpolator(np.concatenate(([0.0], grid)),
-                                   np.concatenate(([0.0], cdf_grid)))
-        ks = montecarlo.ks_statistic(summary.finite_samples,
-                                     interp(summary.finite_samples))
+        cdf = analytic.distance_cdf_grid(cfg, K, summary.finite_samples, tol) / p
+        ks = montecarlo.ks_statistic(summary.finite_samples, cdf)
     else:
         ks = math.nan
     out = {

@@ -269,16 +269,22 @@ def sample_hitting_flat(cfg: FlatConfig, K: Curvature, rng) -> AffineFlat:
     return _get_sampler(cfg, K).sample(rng)
 
 
+@lru_cache(maxsize=None)
+def _bartlett_slots(m):
+    """The flat indices of an m x m matrix's diagonal and of the entries below it, row by row."""
+    rows, cols = np.tril_indices(m, -1)
+    return np.arange(m) * (m + 1), rows * m + cols
+
+
 def _bartlett(dof, m, rng, n):
     """Lower Bartlett factors T, shape (n, m, m), of n Wishart_m(dof)
     matrices T T^T: the square roots of chi-squares with dof, dof - 1, ...,
     dof - m + 1 degrees of freedom on the diagonal, N(0, 1) below it."""
-    T = np.zeros((n, m, m))
-    diag = np.arange(m)
-    T[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(n, m)))
-    below = np.tril_indices(m, -1)
-    T[:, below[0], below[1]] = rng.standard_normal((n, below[0].size))
-    return T
+    diag, below = _bartlett_slots(m)
+    T = np.zeros((n, m * m))
+    T[:, diag] = np.sqrt(rng.chisquare(dof - np.arange(m), size=(n, m)))
+    T[:, below] = rng.standard_normal((n, below.size))
+    return T.reshape(n, m, m)
 
 
 def _block_distances(sampler, rng, n):

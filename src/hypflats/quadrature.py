@@ -157,13 +157,18 @@ def _gk_panels(f, a, b, log_form, log_offset):
     """_gk_panel on the n panels [a[i], b[i]] at once, with one call of f.
 
     a and b are 1-d float arrays; f receives all 15 n nodes as one flat
-    array.  Returns the arrays (values, errors) of length n, with the
-    checks of _gk_panel on every panel.  Its NumPy calls on (n, 15) arrays
-    cost about 2.5 times _gk_panel's scalar arithmetic at n = 1, so the
-    adaptive loop, which bisects one panel at a time, keeps _gk_panel.
+    array.  Returns the arrays (values, errors, nodes, scale), with the
+    checks of _gk_panel on every panel: nodes[i] are panel i's 15 node
+    values at _XK, normalised (in log form divided by their largest), and
+    scale[i] its half-width times that normaliser, so that
+    values = scale * (nodes @ _WK) and any integral over part of the panel
+    is scale times that of the interpolant through nodes on [-1, 1].  Its
+    NumPy calls on (n, 15) arrays cost about 2.5 times _gk_panel's scalar
+    arithmetic at n = 1, so the adaptive loop, which bisects one panel at a
+    time, keeps _gk_panel.
     """
     if not a.size:
-        return a, a
+        return a, a, np.empty((0, 15)), a
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _XK
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
@@ -190,7 +195,7 @@ def _gk_panels(f, a, b, log_form, log_offset):
     pos = resasc > 0.0
     ratio = np.divide(raw, resasc, out=np.zeros_like(raw), where=pos)
     err = np.where(pos, resasc * np.minimum(1.0, (200.0 * ratio) ** 1.5), raw)
-    return k15, err
+    return k15, err, vals, scale
 
 
 def _endpoint_tail_panel(f, a, b, at_left, target, log_form, log_offset):

@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 import hypflats as hf
 from hypflats import Curvature, FlatConfig, Tolerance
@@ -93,11 +92,7 @@ def test_criterion_04_monte_carlo_distance_law(mc_run):
     atom_dev = abs(atom_hat - a) / atom_se
 
     samples = mc_run.finite_samples
-    grid = np.linspace(0.0, float(samples[-1]), 257)[1:]
-    cdf_grid = hf.distance_cdf_grid(CFG, K1, grid, TOL) / p
-    interp = PchipInterpolator(np.concatenate(([0.0], grid)),
-                               np.concatenate(([0.0], cdf_grid)))
-    ks = hf.ks_statistic(samples, np.clip(interp(samples), 0.0, 1.0))
+    ks = hf.ks_statistic(samples, hf.distance_cdf_grid(CFG, K1, samples, TOL) / p)
     ok = atom_dev <= 4.0 and ks <= 0.02
     report(4, ok, f"atom deviation {atom_dev:.2f} sigma, KS = {ks:.4f}")
 

@@ -23,6 +23,7 @@ from hypflats import (
     moment,
     phase_limit,
     reduce_to_unit_curvature,
+    simulate_distance_distribution,
 )
 import hypflats._backend as backend
 import hypflats.analytic as analytic
@@ -634,8 +635,22 @@ class TestCdfGrid:
         np.testing.assert_allclose(
             grid, [distance_cdf(CFG, K1, x, TOL) for x in deltas], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("deltas", [
+        np.r_[np.linspace(0.1, 3.0, 300), [3.0] * 10],           # copies of the last point
+        np.r_[np.linspace(0.1, 1.0, 300), [1.0] * 3],            # ending at v
+        np.sort(np.r_[np.linspace(0.1, 3.0, 300), [1.0] * 7]),   # copies of v
+        np.zeros(200),
+        np.r_[np.zeros(150), np.linspace(0.5, 2.0, 100)],
+    ], ids=["last-copies", "end-at-v", "v-copies", "zeros", "zeros-then"])
+    def test_long_grid_shapes(self, deltas):
+        # more than 128 points, so most lie between knots
+        np.testing.assert_allclose(
+            distance_cdf_grid(CFG, K1, deltas, TOL),
+            [distance_cdf(CFG, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
     def test_a_wide_segment_is_refined(self, monkeypatch):
-        # one panel on [0, 12] misses the layer about 1/1000 wide below v = 12
+        # one panel on [0, 12] misses the layer about 1/1000 wide below v = 12;
+        # halving settles it without an adaptive integral of its own
         cfg = FlatConfig(1000, 999, 998, 12.0)
         refined = []
 
@@ -646,7 +661,7 @@ class TestCdfGrid:
         density_integral = analytic._density_integral
         monkeypatch.setattr(analytic, "_density_integral", spy)
         grid = distance_cdf_grid(cfg, K1, [12.0, 72.0], TOL)
-        assert (0.0, 12.0) in refined
+        assert refined == []
         monkeypatch.undo()
         np.testing.assert_allclose(
             grid, [distance_cdf(cfg, K1, 12.0, TOL), distance_cdf(cfg, K1, 72.0, TOL)],
@@ -679,6 +694,70 @@ class TestCdfGrid:
         log_radial_mass(3, 1, 1.0)  # the Crofton constant's quadrature, memoised
         monkeypatch.setattr(analytic, "integrate_adaptive", fail)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
+        assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 3000), TOL).shape == (3000,)
+
+    def test_refinement_stops_at_the_subdivision_budget(self):
+        # the segment [0, 12] needs more halvings than a budget of 40 panels allows
+        with pytest.raises(QuadratureError, match="40 panels"):
+            distance_cdf_grid(FlatConfig(1000, 999, 998, 12.0), K1, [12.0, 72.0],
+                              Tolerance(max_subdivisions=40))
+
+    def test_a_segment_too_narrow_to_halve_raises(self, monkeypatch):
+        # noise from 0.5 on never meets the tolerance, and the segment from 0.5
+        # to the next double cannot be halved
+        rng = np.random.default_rng(1)
+
+        def log_integrands(law):
+            def log_g(x):
+                return np.where(x >= 0.5, rng.normal(size=x.shape), 0.0)
+            return log_g, log_g
+
+        monkeypatch.setattr(analytic, "_log_integrands", log_integrands)
+        with pytest.raises(QuadratureError, match="too narrow to halve"):
+            distance_cdf_grid(CFG, K1, [0.5, math.nextafter(0.5, 1.0)], TOL)
+
+    @pytest.mark.parametrize("trials", [5000, 100_000])
+    @pytest.mark.parametrize("cfg, K", [
+        (FlatConfig(3, 2, 1, 1.0), K1),
+        (FlatConfig(12, 8, 1, 1.0), K1),    # F ~ t^7 near 0
+        (FlatConfig(40, 39, 38, 6.0), K1),  # thin layer below v, refined segments
+        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
+    def test_monte_carlo_samples_match_pointwise(self, cfg, K, trials):
+        # beyond 128 points most lie between knots and take the node interpolant;
+        # (40, 39, 38) hits 124 times in 5000 trials, so all its points are knots
+        samples = estimate_samples(cfg, K, trials)
+        grid = distance_cdf_grid(cfg, K, samples, TOL)
+        idx = np.unique(np.r_[np.arange(0, samples.size, 100), np.arange(1, 40, 3),
+                              samples.size - 1])
+        np.testing.assert_allclose(
+            grid[idx], [distance_cdf(cfg, K, float(x), TOL) for x in samples[idx]],
+            rtol=1e-12, atol=0.0)
+
+    def test_points_that_miss_the_tolerance_become_knots(self, monkeypatch):
+        # 65 knots, each with a point 1e-6 relative past it: the error estimate
+        # through a point's panel misses rel_tol times its value in a few
+        # segments near v, so the grid is computed again with those points as knots
+        cfg = FlatConfig(40, 39, 38, 6.0)
+        base = np.linspace(0.0, 12.0, 66)[1:]
+        deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
+        sizes = []
+
+        def spy(law, lo, hi, tol):
+            sizes.append(lo.size)
+            return segment_integrals(law, lo, hi, tol)
+
+        segment_integrals = analytic._segment_integrals
+        monkeypatch.setattr(analytic, "_segment_integrals", spy)
+        grid = distance_cdf_grid(cfg, K1, deltas, TOL)
+        monkeypatch.undo()
+        assert len(sizes) == 2 and sizes[1] > sizes[0]
+        np.testing.assert_allclose(
+            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
+
+def estimate_samples(cfg, K, trials):
+    """The sorted finite Monte Carlo distances of a seed-7 run."""
+    return simulate_distance_distribution(cfg, K, trials, 7).finite_samples
 
 
 class TestSubnormal:
@@ -720,7 +799,7 @@ class TestGuards:
         # every segment of the grid gets the same value and error estimate
         def segments(value, err):
             return lambda law, lo, hi, tol: (np.full(lo.shape, value),
-                                             np.full(lo.shape, err))
+                                             np.full(lo.shape, err), None, None)
 
         monkeypatch.setattr(analytic, "_segment_integrals", segments(0.6, 1e-13))
         with pytest.raises(ProbabilityRangeError):

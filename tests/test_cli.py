@@ -3,10 +3,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hypflats.analytic as analytic
 import hypflats.cli as cli
+from hypflats import (Curvature, FlatConfig, ks_statistic,
+                      simulate_distance_distribution)
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
 from hypflats.quadrature import Tolerance
@@ -117,15 +120,28 @@ class TestParser:
         assert code == EXIT_OK and float(out) == pytest.approx(P_STAR_3_2_1, abs=1e-8)
 
 
+def scipy_subpackages(work=""):
+    """The public scipy subpackages loaded by a fresh interpreter that imports
+    the CLI and runs work."""
+    code = ("import os, sys, hypflats, hypflats.cli\n" + work +
+            "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    return [m for m in out if not m.startswith("_") and m != "version"]
+
+
 class TestImportCost:
     def test_loads_no_scipy_subpackage_but_special(self):
         # every CLI start pays for what the import loads: scipy.interpolate
         # alone costs about 40 ms
-        code = ("import sys, hypflats, hypflats.cli\n"
-                "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout.split()
-        assert [m for m in out if not m.startswith("_") and m != "version"] == ["special"]
+        assert scipy_subpackages() == ["special"]
+
+    def test_simulate_loads_no_scipy_subpackage_but_special(self):
+        # simulate's KS statistic used to import scipy.interpolate lazily
+        assert scipy_subpackages(
+            "assert hypflats.cli.run(['--output', os.devnull, 'simulate', '--d', '3', '--q', "
+            "'2', '--gamma', '1', '--K', '-1', '--u', '1', '--trials', '200', '--seed', "
+            "'1']) == 0\n") == ["special"]
 
 
 class TestCsvCommands:
@@ -355,6 +371,27 @@ class TestSimulate:
         assert code == EXIT_OK
         doc = json.loads(out, parse_constant=reject)
         assert doc["p_hat"] == 0.0 and doc["ks_statistic"] is None
+
+    @pytest.mark.parametrize("argv, ks", [
+        # the 128-point PCHIP this statistic replaced gave 0.0022560 here
+        ([*BASE, "--trials", "100000", "--seed", "7"], 0.0020852),
+        (["--d", "30", "--q", "3", "--gamma", "1", "--K", str(-1.0 / 30.0), "--u", "3",
+          "--trials", "5000", "--seed", "3"], None),
+    ])
+    def test_ks_statistic_is_the_per_sample_one(self, capsys, argv, ks):
+        code, out, _ = invoke(capsys, "simulate", *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        cfg = FlatConfig(doc["d"], doc["q"], doc["gamma"], doc["u"])
+        K = Curvature(doc["curvature"])
+        samples = simulate_distance_distribution(cfg, K, doc["trials"], doc["seed"]).finite_samples
+        # grids of at most 128 points make every point a knot: F at each sample
+        cdf = np.concatenate([analytic.distance_cdf_grid(cfg, K, samples[i:i + 128], Tolerance())
+                              for i in range(0, samples.size, 128)])
+        exact = ks_statistic(samples, cdf / doc["analytic_p"])
+        assert doc["ks_statistic"] == pytest.approx(exact, rel=0.0, abs=1e-12)
+        if ks is not None:
+            assert doc["ks_statistic"] == pytest.approx(ks, rel=0.0, abs=5e-8)
 
     def test_threads_default_to_one(self):
         args = build_parser().parse_args(["simulate", *BASE, "--seed", "1"])

@@ -131,7 +131,7 @@ class TestGkPanels:
             calls.append(x.size)
             return f(x)
 
-        vals, errs = _gk_panels(counted, self.A, self.B, log_form, 0.0)
+        vals, errs, _, _ = _gk_panels(counted, self.A, self.B, log_form, 0.0)
         assert calls == [15 * len(self.A)]
         for a, b, v, e in zip(self.A, self.B, vals, errs):
             rv, re, _ = _gk_panel(f, a, b, log_form, 0.0)
@@ -140,8 +140,8 @@ class TestGkPanels:
             assert e == pytest.approx(re, rel=1e-6, abs=1e-14 * abs(rv))
 
     def test_empty_panel_is_zero(self):
-        vals, errs = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x), np.array([0.0, 1.0]),
-                                np.array([1.0, 2.0]), True, 0.0)
+        vals, errs, _, _ = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x),
+                                      np.array([0.0, 1.0]), np.array([1.0, 2.0]), True, 0.0)
         assert (vals[0], errs[0]) == (0.0, 0.0)
         assert vals[1] == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
 
@@ -157,7 +157,7 @@ class TestGkPanels:
                        log_offset)
 
     def test_no_panels(self):
-        vals, errs = _gk_panels(np.cos, np.array([]), np.array([]), False, 0.0)
+        vals, errs, _, _ = _gk_panels(np.cos, np.array([]), np.array([]), False, 0.0)
         assert vals.shape == errs.shape == (0,)
 
 
