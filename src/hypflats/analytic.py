@@ -31,15 +31,20 @@ integrals over the offset radius rho in [0, v] of the moving flat
 flats meet with a probability that is a regularized incomplete beta
 function of sech^2 rho.
 
-The radial mass log_radial_mass(d, m, v), which normalises the offset-radius
-law, the density and the Crofton constant, is memoised per (d, m, v): the
-unit-curvature law, the Crofton constant and the Monte Carlo sampler of one
-configuration share one quadrature.
+The radial mass log_radial_mass(d, m, v), the log of the integral of
+sinh^(m-1) t cosh^(d-m) t over [0, v], normalises the offset-radius law, the
+density and the Crofton constant.  It is exact and takes no quadrature: a
+recurrence in the power of cosh, and the halving sinh t = 2 sinh(t/2) cosh(t/2)
+where that power is even, write it as sums of positive terms in log space
+(_log_sinh_cosh_integral).  It is memoised per (d, m, v): the unit-curvature
+law, the Crofton constant and the Monte Carlo sampler of one configuration
+share one evaluation.
 
 Integrals that converge on the relative tolerance alone go through
 _relative_integral, which takes a result too small for the absolute floor
 again at a scale where the relative test decides, so a subnormal p or rho
-keeps its digits.
+keeps its digits.  No function here uses a Tolerance's abs_tol: its
+rel_tol and max_subdivisions decide.
 """
 
 from __future__ import annotations
@@ -126,8 +131,13 @@ class PhaseMode:
 
 
 _RELATIVE_ONLY_ABS_TOL = 1e-300
-_RADIAL_MASS_TOLERANCE = Tolerance(rel_tol=1e-12, abs_tol=_RELATIVE_ONLY_ABS_TOL)
 _BETAINC_FLOOR = 1e-200
+_LOG2 = math.log(2.0)
+# the radial mass's sums drop terms below this fraction of the sum
+_SUM_EPS = 1e-17
+_LOG_SUM_EPS = math.log(_SUM_EPS)
+# terms of the series for the integral of sinh^a up to 1/2: ratios at most 0.21
+_SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
 # midpoints of 32 equal cells: where _relative_integral looks for an integrand's peak
@@ -171,42 +181,132 @@ def _log_sinh(t):
     return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
+def _log_sinh_cosh(v: float) -> tuple[float, float]:
+    """log sinh v and log cosh v for a float v > 0, each to a few units of rounding."""
+    if v < 20.0:
+        # cosh v - 1 = 2 sinh^2(v/2): no cancellation where log cosh v is small
+        return math.log(math.sinh(v)), math.log1p(2.0 * math.sinh(0.5 * v) ** 2)
+    return v - _LOG2 + math.log1p(-math.exp(-2.0 * v)), v - _LOG2 + math.log1p(math.exp(-2.0 * v))
+
+
+def _split(x: float) -> tuple[float, float]:
+    """x = hi + lo exactly, each with at most 26 significant bits (Veltkamp), so
+    an integer below 2^27 times either is exact."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_LOG2_HI, _LOG2_MID = _split(_LOG2)
+_LOG2_LO = 2.3190468138462996e-17  # log 2 - _LOG2, which a double cannot hold
+
+
+def _log_power_terms(n1: int, n2: int, v: float, log_sinh: float, log_cosh: float) -> list:
+    """Terms whose math.fsum is log(sinh^n1 v cosh^n2 v); log_sinh and log_cosh are at v.
+
+    Past v = 1 the logs are v - log 2 + log1p(-+e^(-2v)), and
+    (n1 + n2)(v - log 2) is kept as exact products of split factors: the
+    rounding of log cosh v alone, times d - m = 1000, would cost 1e-12
+    relative at v = 12.  Past v = 1e300 the split would overflow.
+    """
+    if not 1.0 <= v <= 1e300:
+        return [n1 * log_sinh, n2 * log_cosh]
+    n, (v_hi, v_lo), e = n1 + n2, _split(v), math.exp(-2.0 * v)
+    return [n * v_hi, n * v_lo, -n * _LOG2_HI, -n * _LOG2_MID, -n * _LOG2_LO,
+            n1 * math.log1p(-e), n2 * math.log1p(e)]
+
+
+def _terms_needed(n: int, ratio: float) -> int:
+    """How many of n positive terms to sum, each at most ratio times the one before
+    and the first 1: those dropped add at most _SUM_EPS."""
+    if ratio >= 1.0:
+        return n
+    if ratio <= 0.0:
+        return 1
+    return min(n, 1 + math.ceil(math.log(_SUM_EPS * (1.0 - ratio)) / math.log(ratio)))
+
+
+def _log_series(ratios: np.ndarray) -> float:
+    """log(1 + r1 + r1 r2 + r1 r2 r3 + ...) for positive ratios r1, r2, ..."""
+    return math.log1p(float(np.cumprod(ratios).sum()))
+
+
+def _log_sinh_cosh_integral(a: int, b: int, v: float) -> float:
+    """log I(a, b; v), I the integral of sinh^a t cosh^b t over [0, v], a, b >= 0, a + b >= 1.
+
+    Differentiating sinh^(a+1) cosh^(b-1) gives
+    I(a, b) = (sinh^(a+1) v cosh^(b-1) v + (b - 1) I(a, b - 2)) / (a + b), so
+    I(a, b) = sinh^(a+1) v cosh^(b-1) v / (a + b) * sum_k r_k, r_0 = 1,
+    r_k = r_(k-1) sech^2 v (b + 1 - 2k) / (a + b - 2k).  At odd b the sum
+    ends by itself (at I(a, 1) = sinh^(a+1) v / (a + 1)); at even b it takes
+    the terms k < b/2 and adds c I(a, 0; v), c = prod_(j < b/2)
+    (b - 1 - 2j) / (a + b - 2j), unless c v sinh^a v, a bound on that
+    remainder, is below _SUM_EPS of the sum.  Every term is positive.
+    """
+    log_sinh, log_cosh = _log_sinh_cosh(v)
+    if b == 0:
+        return _log_sinh_power_integral(a, v, log_sinh, log_cosh)
+    sech2 = math.exp(-2.0 * log_cosh)
+    # the factor (b + 1 - 2k) / (a + b - 2k) is at most 1 where a >= 1 and 2 where a = 0
+    n = _terms_needed((b + 1) // 2, sech2 if a else 2.0 * sech2)
+    top = np.arange(b - 1.0, b + 1.0 - 2.0 * n, -2.0)  # b + 1 - 2k for k = 1 .. n - 1
+    log_sum = math.fsum(_log_power_terms(a + 1, b - 1, v, log_sinh, log_cosh)
+                        + [-math.log(a + b), _log_series(sech2 * top / (top + (a - 1)))])
+    # c <= 1, so the remainder is at most v sinh^a v
+    log_bound = math.log(v) + a * log_sinh
+    if b % 2 or log_bound < log_sum + _LOG_SUM_EPS:
+        return log_sum
+    top = np.arange(b - 1.0, 0.0, -2.0)  # b - 1 - 2j for j < b/2
+    log_c = float(np.log(top / (top + (a + 1))).sum())
+    if log_c + log_bound < log_sum + _LOG_SUM_EPS:
+        return log_sum
+    return float(np.logaddexp(log_sum,
+                              log_c + _log_sinh_power_integral(a, v, log_sinh, log_cosh)))
+
+
+def _log_sinh_power_integral(a: int, v: float, log_sinh: float, log_cosh: float) -> float:
+    """log I(a, 0; v), the integral of sinh^a t over [0, v]; log_sinh and log_cosh are at v.
+
+    I(0, 0; v) = v.  Up to v = 1/2 it is the series
+    tanh^(a+1) v cosh^a v / (a + 1) * sum_n (1/2)_n / ((a+3)/2)_n tanh^(2n) v,
+    whose ratios are at most tanh^2(1/2) = 0.21.  Past 1/2,
+    sinh t = 2 sinh(t/2) cosh(t/2) gives I(a, 0; v) = 2^(a+1) I(a, a; v/2).
+    """
+    if a == 0:
+        return math.log(v)
+    if v > 0.5:
+        return math.fsum([(a + 1) * _LOG2_HI, (a + 1) * _LOG2_MID, (a + 1) * _LOG2_LO,
+                          _log_sinh_cosh_integral(a, a, 0.5 * v)])
+    log_tanh = log_sinh - log_cosh
+    t2 = math.exp(2.0 * log_tanh)
+    half = np.arange(0.5, _terms_needed(_SINH_SERIES_TERMS, t2) - 1.0)  # n - 1/2 for n >= 1
+    return ((a + 1) * log_tanh + a * log_cosh - math.log(a + 1)
+            + _log_series(t2 * half / (half + 0.5 * (a + 2))))
+
+
 @lru_cache(maxsize=64)
 def log_radial_mass(d: int, m: int, rho: float) -> float:
     """log of the radial mass, the integral of sinh^(m-1) t cosh^(d-m) t over [0, rho].
 
     With omega_m in front it is the Crofton constant of (d-m)-flats at
     K = -1, and it is the total mass of the offset-radius law of a flat
-    with normal dimension m hitting the ball of radius rho.  The mass can
-    sit in a layer about 1/((d-m) tanh rho) wide below rho.  The integrand
-    is divided by its value at rho and multiplied by 1/rho plus its
-    log-slope there, so the integral is O(1) and only the relative
-    tolerance of 1e-12 decides convergence: a panel that misses most of
-    the layer is refined, not accepted as absolutely small.
+    with normal dimension m hitting the ball of radius rho.  It is exact
+    and needs no quadrature: the reduction of _log_sinh_cosh_integral
+    writes it as sums of positive terms, in log space, whatever the layer
+    about 1/((d-m) tanh rho) wide below rho that holds the mass.
 
     Memoised: the Crofton constant, p, the atom mass, the density and the
-    Monte Carlo sampler of one configuration share one quadrature.  A mass
-    that underflows to 0 (d = 1000, rho = 300) raises QuadratureError.
+    Monte Carlo sampler of one configuration share one evaluation.  A log
+    beyond the largest double (rho near 1e308) raises QuadratureError.
     """
     if not (d >= 2 and 1 <= m <= d):
         raise DomainError(f"need d >= 2 and 1 <= m <= d, got m={m}, d={d}")
     if not (rho > 0 and math.isfinite(rho)):
         raise DomainError(f"need rho > 0, got {rho}")
-
-    def log_g(t):
-        val = (d - 1) * _log_cosh(t)
-        if m > 1:
-            val = val + (m - 1) * np.log(np.tanh(t))
-        return val
-
-    top = float(log_g(rho))
-    log_scale = math.log(1.0 / rho + (m - 1) / math.tanh(rho) + (d - m) * math.tanh(rho))
-    res = integrate_adaptive(log_g, 0.0, rho, _RADIAL_MASS_TOLERANCE, log_form=True,
-                             log_offset=log_scale - top)
-    if not res.value > 0:
-        raise QuadratureError(f"radial mass underflows to {res.value} at d={d}, m={m}, "
-                              f"rho={rho}", partial=res)
-    return top - log_scale + math.log(res.value)
+    log_mass = _log_sinh_cosh_integral(m - 1, d - m, float(rho))
+    if not math.isfinite(log_mass):
+        raise QuadratureError(f"log radial mass overflows at d={d}, m={m}, rho={rho}")
+    return log_mass
 
 
 def log_crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
@@ -347,24 +447,41 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         hit:  sinh^(m-1) rho cosh^gamma rho     (B_x(b, a') / x^b) / B(b, a'),
         miss: sinh^q rho cosh^(d-q-1) rho       (B_y(a', b) / y^a') / B(a', b)
 
-    to integrate over [0, v] and divide by R.  Both converge on tol's
-    relative tolerance alone, so a miss probability near 0 keeps its
-    digits.
+    to integrate over [0, v] and divide by R.  Where y > 1/2 the miss
+    integrand is sinh^(m-1) rho cosh^(d-m) rho betaincc(b, a', x) instead,
+    with x = exp(-2 log cosh rho) exact: 1 - y there keeps only part of the
+    digits of x that the miss probability depends on, and rounds to 0 past
+    rho = 18.7.  Both converge on tol's relative tolerance alone, so a miss
+    probability near 0 keeps its digits.
     """
     law = _unit_law(cfg, K)
-    d, q, g = law.cfg1.d, law.cfg1.q, law.cfg1.gamma
-    if hit:
-        sinh_pow, cosh_pow, a, c, log_beta = law.m - 1, g, law.b, law.a1, law.betaln_hit
-    else:
-        sinh_pow, cosh_pow, a, c, log_beta = q, d - q - 1, law.a1, law.b, law.betaln_miss
+    d, q, g, m, b, a1 = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1
 
-    def log_g(rho):
+    def log_hit(rho):
         lc = _log_cosh(rho)
-        log_x = -2.0 * lc if hit else 2.0 * np.log(np.tanh(rho))
-        val = cosh_pow * lc + _log_incomplete_beta_tail(a, c, log_beta, np.exp(log_x), log_x)
-        return val + sinh_pow * _log_sinh(rho) if sinh_pow else val
+        log_x = -2.0 * lc
+        val = g * lc + _log_incomplete_beta_tail(b, a1, law.betaln_hit, np.exp(log_x), log_x)
+        return val + (m - 1) * _log_sinh(rho) if m > 1 else val
 
-    res = _relative_integral(log_g, 0.0, law.v, tol, log_offset=-log_beta - law.log_R)
+    def log_miss(rho):
+        ls, lc = _log_sinh(rho), _log_cosh(rho)
+        log_y = 2.0 * (ls - lc)
+        out = q * ls + (d - q - 1) * lc
+        # the nodes with y > 1/2 where betaincc(b, a', x) is not deep in its tail
+        far = log_y > -_LOG2
+        if far.any():
+            i_far = betaincc(b, a1, np.exp(-2.0 * lc[far]))
+            usable = i_far >= _BETAINC_FLOOR
+            far[far], i_far = usable, i_far[usable]
+        if not far.all():
+            out = out + _log_incomplete_beta_tail(a1, b, law.betaln_miss, np.exp(log_y), log_y)
+        if far.any():
+            out[far] = (m - 1) * ls[far] + (d - m) * lc[far] + np.log(i_far) + law.betaln_miss
+        return out
+
+    log_beta = law.betaln_hit if hit else law.betaln_miss
+    res = _relative_integral(log_hit if hit else log_miss, 0.0, law.v, tol,
+                             log_offset=-log_beta - law.log_R)
     return _as_probability(res.value, res.error_estimate)
 
 

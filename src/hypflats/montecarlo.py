@@ -157,7 +157,9 @@ class HittingFlatSampler:
       by truncated-exponential inversion; equal to the law at rho = v.
 
     The sampler takes the envelope with the larger a priori acceptance,
-    the radial mass log_radial_mass(d, m, v) over the envelope's mass.
+    the radial mass log_radial_mass(d, m, v) over the envelope's mass; the
+    radial mass is closed form (sums of positive terms, no quadrature) and
+    shared with the configuration's analytic functions.
     Both envelopes give the exact law, so the choice, which depends on
     (cfg, K) only, changes the speed and never the law.
 

@@ -32,6 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
+    """Convergence targets of an adaptive integral: an error estimate of at most
+    max(abs_tol, rel_tol |value|), within max_subdivisions panels.
+
+    The functions of hypflats.analytic use only rel_tol and max_subdivisions:
+    an absolute floor would accept a first panel that misses a thin layer of
+    mass, so they replace abs_tol by 1e-300.  abs_tol applies where
+    integrate_adaptive or integrate_iterated_2d is called directly.
+    """
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000

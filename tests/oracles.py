@@ -101,11 +101,20 @@ def radial_cdf_oracle(d, m, R, K, r_values):
 
 
 def _mp_radial_mass(d, m, rho):
+    """The radial mass by mpmath's hypergeometric form (log_radial_mass_oracle).
+
+    1 - S^2 = sech^2 rho is about 4 e^(-2 rho), so the working precision is
+    raised to keep 20 of its digits; at 50 digits S^2 would round to 1 past
+    rho = 58 and 2F1 would return inf.
+    """
     import mpmath as mp
 
-    S = mp.tanh(mp.mpf(rho))
-    return S**m / m * mp.hyp2f1(mp.mpf(d + 1) / 2, mp.mpf(m) / 2,
-                                mp.mpf(m) / 2 + 1, S * S)
+    with mp.workdps(max(mp.mp.dps, int(2 * float(rho) / math.log(10)) + 20)):
+        S = mp.tanh(mp.mpf(rho))
+        if S * S >= 1:
+            raise ValueError(f"tanh^2 {rho} rounds to 1 at {mp.mp.dps} digits")
+        return S**m / m * mp.hyp2f1(mp.mpf(d + 1) / 2, mp.mpf(m) / 2,
+                                    mp.mpf(m) / 2 + 1, S * S)
 
 
 def log_radial_mass_oracle(d, m, rho, dps=50):
@@ -206,13 +215,15 @@ def conditional_mean_mp_oracle(d, q, g, v, dps=30):
                      / mp.quad(lambda t: f(t) / peak, pts))
 
 
-def atom_mass_mp_oracle(d, q, g, v, dps=30):
-    """Probability at K = -1 that the flats miss, by mpmath, over the offset radius.
+def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer):
+    """P(the flats meet) if hit, else P(they miss), at K = -1 by mpmath, over the offset radius.
 
     The offset radius rho of the moving flat has density proportional to
     sinh^(m-1) rho cosh^(d-m) rho on [0, v], m = q - g; given rho the flats
-    miss with probability I_y((g+1)/2, (d-q)/2), y = tanh^2 rho.  Split at
-    v/2; at small v the integrand is about rho^q, so no layer needs a split.
+    meet with probability I_x((d-q)/2, (g+1)/2), x = sech^2 rho, and miss
+    with probability I_y((g+1)/2, (d-q)/2), y = tanh^2 rho.  Split at v/2
+    and at v - 10^-k for k = 1..layer: the mass can sit within about 1/d
+    of v.
     """
     import mpmath as mp
 
@@ -222,10 +233,27 @@ def atom_mass_mp_oracle(d, q, g, v, dps=30):
         a1, b = mp.mpf(g + 1) / 2, mp.mpf(d - q) / 2
 
         def f(r):
-            return (mp.sinh(r) ** (m - 1) * mp.cosh(r) ** (d - m)
-                    * mp.betainc(a1, b, 0, mp.tanh(r) ** 2, regularized=True))
+            if hit:
+                i = mp.betainc(b, a1, 0, 1 / mp.cosh(r) ** 2, regularized=True)
+            else:
+                i = mp.betainc(a1, b, 0, mp.tanh(r) ** 2, regularized=True)
+            return mp.sinh(r) ** (m - 1) * mp.cosh(r) ** (d - m) * i
 
-        return float(mp.quad(f, [0, v / 2, v]) / _mp_radial_mass(d, m, v))
+        pts = sorted({mp.mpf(0), v / 2, v} | {v - mp.mpf(10) ** -k for k in range(1, layer + 1)})
+        return float(mp.quad(f, pts) / _mp_radial_mass(d, m, v))
+
+
+def atom_mass_mp_oracle(d, q, g, v, dps=30, layer=0):
+    """Probability at K = -1 that the flats miss, by mpmath, over the offset radius
+    (_mp_offset_radius_integral).  At small v the integrand is about rho^q, so
+    no layer needs a split."""
+    return _mp_offset_radius_integral(d, q, g, v, False, dps, layer)
+
+
+def probability_offset_mp_oracle(d, q, g, v, dps=30, layer=0):
+    """Probability at K = -1 that the flats meet, by mpmath, over the offset
+    radius (_mp_offset_radius_integral); shares nothing with the density."""
+    return _mp_offset_radius_integral(d, q, g, v, True, dps, layer)
 
 
 def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
@@ -338,6 +366,28 @@ ATOM_MPMATH = {
     (20, 5, 2, 1e-4): 8.104411892273943e-12,
     (3, 2, 1, 1e-3): 1.6666666944443857e-07,
 }
+# atom_mass_mp_oracle at 40 digits with layer=10, 2026-10: the atom near 1,
+# where the miss probability given rho is 1 - I_x(b, a') with x = sech^2 rho
+# down to 1.5e-10 (v = 12) and 1.7e-17 (v = 20).  1 - probability_offset_mp_oracle
+# at 30 digits with layer=6 gives the same four values; atom_mass_mp_oracle at
+# 30 digits with layer=6 gives the first three and is 2.3e-14 off the last.
+# Keys (d, q, g, v).
+ATOM_NEAR_ONE_MPMATH = {
+    (1000, 999, 998, 12.0): 0.9996898689338521,
+    (600, 599, 598, 12.0): 0.9997597330367753,
+    (40, 39, 38, 12.0): 0.9999375595601627,
+    (10, 9, 8, 20.0): 0.9999999892027059,
+}
+# probability_offset_mp_oracle at 30 digits with layer=8 and at 40 digits with
+# layer=12, 2026-10, equal in every digit shown; past the documented d of
+# about 10^3.  Keys (d, q, g, v).
+P_PAST_THE_DOMAIN_MPMATH = {
+    (3000, 2999, 2998, 12.0): 0.0005370727384599367,
+    (10000, 9999, 9998, 12.0): 0.0009804987101971632,
+}
+# log_radial_mass_oracle(1000, m, 300.0, dps=300) for m = 1 and m = 999: at
+# 50 digits tanh^2 300 rounded to 1 and 2F1 returned inf.
+LOG_RADIAL_MASS_1000_V300_MPMATH = 299000.639211842
 
 # euclidean_cdf_mp_oracle at 30 digits, 2026-10; the same to 16 digits at
 # 40 digits, with the split ratio sqrt(2) instead of 2 (the delta = 2.2

@@ -31,7 +31,8 @@ from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
 from hypflats.special import log_constant_D, log_sphere_surface
-from oracles import (ATOM_MPMATH, COND_MEAN_MPMATH, EUCLID_CDF_MPMATH, P_STAR_3_2_1,
+from oracles import (ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH, COND_MEAN_MPMATH, EUCLID_CDF_MPMATH,
+                     LOG_RADIAL_MASS_1000_V300_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
                      P_STAR_3_2_1_MPMATH,
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
@@ -82,12 +83,13 @@ def log_omega(n):
 
 class TestRadialMass:
     def test_matches_mpmath(self):
-        for d in (3, 4, 10, 40, 150, 600, 1000):
-            for m in sorted({1, 2, 3, d // 2, d - 1}):
-                for rho in (0.05, 0.3, 1.0, 4.0, 8.0, 12.0):
+        for d in (2, 3, 4, 5, 7, 10, 11, 40, 41, 150, 151, 600, 601, 999, 1000):
+            for m in sorted({m for m in (1, 2, 3, 4, 5, d // 2, d // 2 + 1, d - 2, d - 1, d)
+                             if 1 <= m <= d}):
+                for rho in (1e-200, 1e-8, 0.05, 0.3, 0.5, 0.51, 1.0, 2.0, 4.0, 8.0, 12.0):
                     ref = log_radial_mass_oracle(d, m, rho)
                     got = log_radial_mass(d, m, rho)
-                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (d, m, rho)
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (d, m, rho)
 
     def test_tiny_radius(self):
         # sinh^(m-1) t cosh^(d-m) t ~ t^(m-1) as t -> 0
@@ -117,10 +119,60 @@ class TestRadialMass:
             with pytest.raises(DomainError):
                 log_radial_mass(d, m, rho)
 
-    def test_underflow_raises(self):
-        # every node lies far below the layer about 1/1000 wide under rho = 300
-        with pytest.raises(QuadratureError, match="underflows"):
-            log_radial_mass(1000, 1, 300.0)
+    def test_log_beyond_the_largest_double_raises(self):
+        # log R is about (d - 1) rho here
+        assert log_radial_mass(10, 3, 1e305) == pytest.approx(9e305, rel=1e-15)
+        with pytest.raises(QuadratureError, match="overflows"):
+            log_radial_mass(10, 3, 1e308)
+
+    def test_far_past_the_domain(self):
+        # the mass sits in a layer about 1/1000 wide under rho = 300
+        for m in (1, 999):
+            ref = log_radial_mass_oracle(1000, m, 300.0, dps=300)
+            assert ref == pytest.approx(LOG_RADIAL_MASS_1000_V300_MPMATH, rel=1e-15)
+            assert abs(log_radial_mass(1000, m, 300.0) - ref) <= 1e-12 * abs(ref), m
+
+    # I(a, b; v), the integral of sinh^a cosh^b over [0, v], a = m - 1, b = d - m
+    @pytest.mark.parametrize("d, m", [
+        pytest.param(10, 3, id="b odd"),
+        pytest.param(1000, 1, id="b odd, a = 0"),
+        pytest.param(11, 1, id="a = 0, b even"),
+        pytest.param(601, 1, id="a = 0, b even, large"),
+        pytest.param(12, 2, id="a odd, b even"),
+        pytest.param(1000, 4, id="a odd, b even, large"),
+        pytest.param(13, 3, id="a even, b even: halving"),
+        pytest.param(1001, 999, id="a even, b even: halving, large"),
+        pytest.param(7, 7, id="b = 0: halving"),
+        pytest.param(600, 600, id="b = 0, a odd"),
+    ])
+    def test_every_branch_of_the_closed_form(self, d, m):
+        # the series for the integral of sinh^a takes over at v = 1/2
+        for rho in (1e-8, 0.05, 0.49, 0.5, 0.51, 1.0, 3.0, 12.0, 40.0):
+            ref = log_radial_mass_oracle(d, m, rho)
+            got = log_radial_mass(d, m, rho)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), rho
+
+    @pytest.mark.parametrize("d", [10**4, 10**5])
+    def test_past_the_documented_dimension(self, d):
+        for m in (1, 2, d // 2, d - 1, d):
+            for rho in (12.0, 20.0):
+                ref = log_radial_mass_oracle(d, m, rho)
+                assert abs(log_radial_mass(d, m, rho) - ref) <= 1e-13 * abs(ref), (m, rho)
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+        for d, m, rho in ((3, 1, 1.0), (1000, 999, 12.0), (1001, 3, 8.0), (10**4, 2, 20.0)):
+            log_radial_mass(d, m, rho)
+        assert calls == []
+        # p on a new configuration: its own integral and nothing else
+        intersection_probability(FlatConfig(40, 20, 5, 3.0), K1, TOL)
+        assert len(calls) == 1
 
 
 class TestReduction:
@@ -185,6 +237,30 @@ class TestIntersectionProbability:
     def test_atom_oracle_reproduces_its_frozen_value(self):
         key = (20, 5, 2, 1e-4)
         assert atom_mass_mp_oracle(*key) == pytest.approx(ATOM_MPMATH[key], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("key", sorted(ATOM_NEAR_ONE_MPMATH))
+    def test_atom_near_one_matches_mpmath(self, key):
+        # 1 - tanh^2 rho keeps only part of the digits of sech^2 rho
+        d, q, g, v = key
+        assert atom_mass(FlatConfig(d, q, g, v), K1, Tolerance(rel_tol=1e-12)) == pytest.approx(
+            ATOM_NEAR_ONE_MPMATH[key], rel=1e-11, abs=0.0)
+
+    def test_atom_and_p_add_to_one(self):
+        tol = Tolerance(rel_tol=1e-12)
+        for d in (3, 10, 40, 150, 600, 1000):
+            for q in sorted({1, d // 2, d - 1}):
+                for g in sorted({0, q - 1}):
+                    for v in (0.05, 1.0, 4.0, 12.0):
+                        cfg = FlatConfig(d, q, g, v)
+                        total = intersection_probability(cfg, K1, tol) + atom_mass(cfg, K1, tol)
+                        assert abs(total - 1.0) <= 2 * tol.rel_tol, cfg
+
+    @pytest.mark.parametrize("key", sorted(P_PAST_THE_DOMAIN_MPMATH))
+    def test_past_the_documented_dimension(self, key):
+        # the radial mass is closed form; p's own integral still converges
+        d, q, g, v = key
+        assert intersection_probability(FlatConfig(d, q, g, v), K1, TOL) == pytest.approx(
+            P_PAST_THE_DOMAIN_MPMATH[key], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("cfg, p", [
         (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
@@ -566,7 +642,7 @@ class TestPrefactor:
         assert crofton_calls == []
 
     def test_cdf_grid_computes_the_crofton_constant_once(self):
-        # the density's normaliser is the radial mass, the Crofton constant's quadrature
+        # the density's normaliser is the radial mass, the Crofton constant's evaluation
         distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL)
         assert log_radial_mass.cache_info().misses == 1
 
@@ -691,7 +767,7 @@ class TestCdfGrid:
         def fail(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
 
-        log_radial_mass(3, 1, 1.0)  # the Crofton constant's quadrature, memoised
+        log_radial_mass(3, 1, 1.0)  # the Crofton constant's, memoised
         monkeypatch.setattr(analytic, "integrate_adaptive", fail)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 3000), TOL).shape == (3000,)

@@ -61,13 +61,16 @@ class TestProb:
 
     @pytest.mark.parametrize("command, extra", [("prob", []),
                                                 ("simulate", ["--trials", "100", "--seed", "1"])])
-    def test_radial_mass_underflow_exits_3(self, capsys, command, extra):
+    def test_overflow_past_the_domain_exits_3(self, capsys, command, extra):
+        # the radial mass is finite at v = 300, but p's first panel misses the
+        # layer about 1/1000 wide below v, and the nodes of its peak-scaled
+        # second pass lie e^3399 above the probed peak
         code, out, err = invoke(
             capsys, command, "--d", "1000", "--q", "999", "--gamma", "998", "--K", "-1",
             "--u", "300", *extra,
         )
         assert code == EXIT_NUMERICAL
-        assert out == "" and "underflows" in err
+        assert out == "" and "its exponential overflows a double" in err
 
     def test_numerical_failure_exits_3(self, capsys):
         code, _, err = invoke(
@@ -163,7 +166,7 @@ class TestCsvCommands:
             assert float(f) >= 0.0
 
     def test_density_scan_computes_the_crofton_constant_once(self, capsys):
-        # the density's normaliser is the radial mass, the Crofton constant's quadrature
+        # the density's normaliser is the radial mass, the Crofton constant's evaluation
         code, out, _ = invoke(
             capsys, "density-scan", *BASE,
             "--delta-min", "0.2", "--delta-max", "3.0", "--steps", "50",
@@ -345,7 +348,7 @@ class TestSimulate:
         assert doc["p_deviation_sigmas"] == doc["atom_deviation_sigmas"]
 
     def test_computes_the_radial_mass_once(self, capsys):
-        # the sampler and the unit-curvature law share one memoised quadrature,
+        # the sampler and the unit-curvature law share one memoised radial mass,
         # and p, the atom and the CDF grid share one memoised law
         code, _, _ = invoke(
             capsys, "simulate", "--d", "7", "--q", "4", "--gamma", "2", "--K", "-0.7",
