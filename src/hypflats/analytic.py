@@ -40,11 +40,12 @@ where that power is even, write it as sums of positive terms in log space
 law, the Crofton constant and the Monte Carlo sampler of one configuration
 share one evaluation.
 
-Integrals that converge on the relative tolerance alone go through
-_relative_integral, which takes a result too small for the absolute floor
-again at a scale where the relative test decides, so a subnormal p or rho
-keeps its digits.  No function here uses a Tolerance's abs_tol: its
-rel_tol and max_subdivisions decide.
+Every integral here is integrate_adaptive in log form, which keeps the
+integral's scale in log space: it converges on the relative tolerance
+alone, so a subnormal p or rho keeps its digits, and its log_value is
+finite where p underflows, so a conditional moment is a ratio of logs.  No
+function here uses a Tolerance's abs_tol: its rel_tol and max_subdivisions
+decide.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .quadrature import (
     DEFAULT_TOLERANCE,
     QuadResult,
     Tolerance,
+    _exp_or_raise,
     _gk_panels,
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
@@ -130,7 +132,6 @@ class PhaseMode:
         return cls("critical", kappa)
 
 
-_RELATIVE_ONLY_ABS_TOL = 1e-300
 _BETAINC_FLOOR = 1e-200
 _LOG2 = math.log(2.0)
 # the radial mass's sums drop terms below this fraction of the sum
@@ -140,11 +141,6 @@ _LOG_SUM_EPS = math.log(_SUM_EPS)
 _SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
-# midpoints of 32 equal cells: where _relative_integral looks for an integrand's peak
-_PEAK_PROBE = (np.arange(32) + 0.5) / 32
-# log of half the spacing of subnormal doubles, and a cap that keeps exp finite
-_LOG_HALF_SUBNORMAL = math.log(math.ulp(0.0)) - math.log(2.0)
-_MAX_LOG_FLOOR = 700.0
 # a grid of more than this many points keeps every k-th as a knot, k = ceil(n / _GRID_KNOTS)
 _GRID_KNOTS = 128
 # grids distance_cdf_grid computes at most: each round makes knots of the points that missed
@@ -400,41 +396,8 @@ def _as_probability(value, error_estimate):
     return float(out) if out.ndim == 0 else out
 
 
-def _relative_integral(log_g, lo: float, hi: float, tol: Tolerance,
-                       log_offset: float = 0.0) -> QuadResult:
-    """integrate_adaptive of exp(log_g + log_offset) over [lo, hi] on tol's relative tolerance.
-
-    The absolute tolerance is _RELATIVE_ONLY_ABS_TOL.  Where the result is
-    below _RELATIVE_ONLY_ABS_TOL / rel_tol, so that the absolute floor may
-    have decided convergence (a subnormal p or rho), the integral is taken
-    again with the integrand divided by its largest value at _PEAK_PROBE
-    points, and is scaled back by one exp.  That pass stops at the relative
-    tolerance or at an error of half the subnormal spacing of the result:
-    the result keeps its digits down to that spacing, and one far below the
-    smallest double is 0.0 after a few panels.
-    """
-    tol = replace(tol, abs_tol=_RELATIVE_ONLY_ABS_TOL)
-    res = integrate_adaptive(log_g, lo, hi, tol, log_form=True, log_offset=log_offset)
-    if res.value * tol.rel_tol >= _RELATIVE_ONLY_ABS_TOL:
-        return res
-    peak = float(np.max(log_g(lo + (hi - lo) * _PEAK_PROBE)))
-    if not math.isfinite(peak):
-        return res
-    shift = log_offset + peak
-    floor = math.exp(min(_LOG_HALF_SUBNORMAL - shift, _MAX_LOG_FLOOR))
-    scaled = integrate_adaptive(log_g, lo, hi,
-                                replace(tol, abs_tol=max(floor, _RELATIVE_ONLY_ABS_TOL)),
-                                log_form=True, log_offset=-peak)
-
-    def unscale(x):
-        return math.exp(math.log(x) + shift) if x > 0.0 else 0.0
-
-    return QuadResult(unscale(scaled.value), unscale(scaled.error_estimate),
-                      res.evaluations + _PEAK_PROBE.size + scaled.evaluations, scaled.converged)
-
-
 def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
-                            hit: bool) -> float:
+                            hit: bool) -> QuadResult:
     """P(the flats meet) if hit, else P(they miss), as one integral over the offset radius.
 
     At unit curvature the distance rho in [0, v] of the moving flat from the
@@ -451,8 +414,8 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     integrand is sinh^(m-1) rho cosh^(d-m) rho betaincc(b, a', x) instead,
     with x = exp(-2 log cosh rho) exact: 1 - y there keeps only part of the
     digits of x that the miss probability depends on, and rounds to 0 past
-    rho = 18.7.  Both converge on tol's relative tolerance alone, so a miss
-    probability near 0 keeps its digits.
+    rho = 18.7.  Both are log-form integrals, which converge on tol's
+    relative tolerance alone, so a miss probability near 0 keeps its digits.
     """
     law = _unit_law(cfg, K)
     d, q, g, m, b, a1 = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1
@@ -480,15 +443,15 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         return out
 
     log_beta = law.betaln_hit if hit else law.betaln_miss
-    res = _relative_integral(log_hit if hit else log_miss, 0.0, law.v, tol,
-                             log_offset=-log_beta - law.log_R)
-    return _as_probability(res.value, res.error_estimate)
+    return integrate_adaptive(log_hit if hit else log_miss, 0.0, law.v, tol,
+                              log_form=True, log_offset=-log_beta - law.log_R)
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Probability that the moving flat meets the central q-flat."""
-    return _offset_radius_integral(cfg, K, tol, hit=True)
+    res = _offset_radius_integral(cfg, K, tol, hit=True)
+    return _as_probability(res.value, res.error_estimate)
 
 
 def euclidean_intersection_probability(cfg: FlatConfig) -> float:
@@ -499,7 +462,8 @@ def euclidean_intersection_probability(cfg: FlatConfig) -> float:
 def atom_mass(cfg: FlatConfig, K: Curvature,
               tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Mass of the atom at +infinity: the probability the flats miss."""
-    return _offset_radius_integral(cfg, K, tol, hit=False)
+    res = _offset_radius_integral(cfg, K, tol, hit=False)
+    return _as_probability(res.value, res.error_estimate)
 
 
 def _log_incomplete_beta_tail(a: float, b: float, log_beta: float, x, log_x):
@@ -623,7 +587,8 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     The part below v runs in t, the part past v in w = s / (1 + s),
     s = sqrt(t - v) (_log_integrands); hi = infinity is w = 1.
 
-    Only tol's relative tolerance decides convergence (_relative_integral).
+    Both parts are log-form integrals, so only tol's relative tolerance
+    decides convergence, and log_value is finite where value underflows.
     The density peaks at v in a layer that can be far narrower than a panel
     (about 1/d wide below v at gamma near q, and thin in w for large upper
     limits), and a first panel whose nodes all miss it sees a value orders
@@ -633,14 +598,16 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     log_g, log_g_past = _log_integrands(law, alpha)
     parts = []
     if lo < v:
-        parts.append(_relative_integral(log_g, lo, min(hi, v), tol))
+        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
     if hi > v:
         w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
-        parts.append(_relative_integral(log_g_past, _w_past(max(lo, v), v), w_hi, tol))
+        parts.append(integrate_adaptive(log_g_past, _w_past(max(lo, v), v), w_hi, tol,
+                                        log_form=True))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
-                      all(r.converged for r in parts))
+                      all(r.converged for r in parts),
+                      float(np.logaddexp.reduce([r.log_value for r in parts])))
 
 
 def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Tolerance):
@@ -888,8 +855,8 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
     alpha > gamma - q.  Quadrature only runs on the finite branch: one
     integral over [0, infinity].  The conditional moment divides it by p
-    and raises QuadratureError where p underflows to 0.  A non-finite alpha
-    raises DomainError.
+    in log space, so it is finite where p underflows to 0.  A non-finite
+    alpha raises DomainError.
     """
     K.require_hyperbolic()
     if not math.isfinite(alpha):
@@ -901,14 +868,11 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
         return MomentResult(alpha, conditional, 1.0)
 
     res = _density_integral(_unit_law(cfg, K), 0.0, math.inf, tol, alpha)
-    value = K.scale ** (-alpha) * res.value
-    if conditional:
-        p = intersection_probability(cfg, K, tol)
-        if p == 0.0:
-            raise QuadratureError("p underflows to 0.0: the conditional moment is 0/0",
-                                  partial=res)
-        value /= p
-    return MomentResult(alpha, conditional, value)
+    if not conditional:
+        return MomentResult(alpha, conditional, K.scale ** (-alpha) * res.value)
+    log_p = _offset_radius_integral(cfg, K, tol, hit=True).log_value
+    log_value = res.log_value - log_p - alpha * math.log(K.scale)
+    return MomentResult(alpha, conditional, _exp_or_raise(log_value, "the conditional moment"))
 
 
 def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
@@ -969,7 +933,7 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
             c_r = z * (1.0 - r) * (1.0 + r) / (r * r)
         return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
-    res = _relative_integral(log_outer, 0.0, 1.0, tol, log_offset=pref)
+    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref)
     return _as_probability(res.value, res.error_estimate)
 
 

@@ -99,25 +99,16 @@ def project(basis: Basis, v) -> np.ndarray:
 def min_norm_solution(M, b, rank_tol: float = _DEFAULT_RANK_TOL):
     """Minimum-Euclidean-norm solution of M c = b, or None when inconsistent.
 
-    Normal equations on M M^T for few rows (the generic case here), with a
-    pivoted least-squares factorization as the fallback.  Consistency is
-    judged by the residual against rank_tol (1 + |b|).
+    One least-squares solve (np.linalg.lstsq, singular values below rank_tol
+    times the largest dropped), so rank-deficient and ill-conditioned rows
+    take the same path.  Consistency is judged by the residual against
+    rank_tol (1 + |b|).
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
     if M.ndim != 2 or b.shape != (M.shape[0],):
         raise DomainError(f"shape mismatch: M {M.shape}, b {b.shape}")
-    m = M.shape[0]
-    threshold = rank_tol * (1.0 + np.linalg.norm(b))
-    if m <= 6:
-        try:
-            c = M.T @ np.linalg.solve(M @ M.T, b)
-            if np.linalg.norm(M @ c - b) <= threshold:
-                return c
-        except np.linalg.LinAlgError:
-            pass
-    # rank-deficient or ill-conditioned rows: pivoted least-squares fallback
     c, *_ = np.linalg.lstsq(M, b, rcond=rank_tol)
-    if np.linalg.norm(M @ c - b) > threshold:
+    if np.linalg.norm(M @ c - b) > rank_tol * (1.0 + np.linalg.norm(b)):
         return None
     return c

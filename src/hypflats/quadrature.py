@@ -6,9 +6,11 @@ call of the integrand.  A panel at an end of the interval that keeps
 stagnating (typically because that endpoint carries an integrable power
 singularity)
 is finished off by geometric bisection toward the endpoint with the tail
-summed in closed form.  Integrands may be supplied in log form; panel
-sums are then exponentiated with a per-panel max shift so that kernels
-which underflow pointwise still integrate correctly.
+summed in closed form.  Integrands may be supplied in log form: each
+panel is then summed relative to its own scale, the sums are kept relative
+to the largest scale, and only the result leaves log space, so integrands
+that underflow or overflow pointwise still integrate correctly and a result
+below the smallest double keeps its log.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ class Tolerance:
     """Convergence targets of an adaptive integral: an error estimate of at most
     max(abs_tol, rel_tol |value|), within max_subdivisions panels.
 
-    The functions of hypflats.analytic use only rel_tol and max_subdivisions:
-    an absolute floor would accept a first panel that misses a thin layer of
-    mass, so they replace abs_tol by 1e-300.  abs_tol applies where
-    integrate_adaptive or integrate_iterated_2d is called directly.
+    abs_tol applies to integrands in direct form only.  A log-form integral
+    (integrate_adaptive(log_form=True)) converges on rel_tol alone: its
+    value may lie anywhere in the range of a double or below it, and an
+    absolute floor would accept a first panel that misses a thin layer of
+    mass.  The functions of hypflats.analytic integrate in log form, so
+    rel_tol and max_subdivisions decide for them.
     """
 
     rel_tol: float = 1e-9
@@ -60,68 +64,68 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True)
 class QuadResult:
+    """An integral's value and error estimate.  log_value is log(value) unless
+    given: a log-form integral (integrate_adaptive) gives it, finite where
+    value underflows to 0."""
+
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+    log_value: float | None = None
 
     def __post_init__(self):
         if self.error_estimate < 0:
             raise DomainError("error_estimate must be >= 0")
+        if self.log_value is None:
+            v = self.value
+            object.__setattr__(self, "log_value", math.log(v) if v > 0.0 else
+                               -math.inf if v == 0.0 else math.nan)
 
 
-# Kronrod-15 abscissae on [-1, 1] and the nested Gauss-7 / Kronrod-15 weights.
-_XK = np.array(
-    [
-        -0.991455371120813, -0.949107912342759, -0.864864423359769,
-        -0.741531185599394, -0.586087235467691, -0.405845151377397,
-        -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-        0.586087235467691, 0.741531185599394, 0.864864423359769,
-        0.949107912342759, 0.991455371120813,
-    ]
-)
-_WK = np.array(
-    [
-        0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728, 0.204432940075298,
-        0.190350578064785, 0.169004726639267, 0.140653259715525,
-        0.104790010322250, 0.063092092629979, 0.022935322010529,
-    ]
-)
-_WG = np.array(
-    [
-        0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-        0.381830050505119, 0.0, 0.417959183673469, 0.0,
-        0.381830050505119, 0.0, 0.279705391489277, 0.0,
-        0.129484966168870, 0.0,
-    ]
-)
+# Kronrod-15 abscissae on [-1, 1] and the nested Gauss-7 / Kronrod-15
+# weights, to the 21 digits of QUADPACK's dqk15: its xgk, wgk and wg (the
+# latter placed on the Kronrod nodes) from the left end to the centre, mirrored.
+_XGK = np.array([
+    0.991455371120812639207, 0.949107912342758524526, 0.864864423359769072790,
+    0.741531185599394439864, 0.586087235467691130294, 0.405845151377397166907,
+    0.207784955007898467601, 0.0,
+])
+_WGK = np.array([
+    0.0229353220105292249637, 0.0630920926299785532907, 0.104790010322250183840,
+    0.140653259715525918745, 0.169004726639267902827, 0.190350578064785409913,
+    0.204432940075298892414, 0.209482141084727828013,
+])
+_WG_ON_XGK = np.array([
+    0.0, 0.129484966168869693271, 0.0, 0.279705391489276667901,
+    0.0, 0.381830050505118944950, 0.0, 0.417959183673469387755,
+])
+_XK = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_WG = np.concatenate([_WG_ON_XGK, _WG_ON_XGK[-2::-1]])
+
+# QUADPACK's floor on a panel's error estimate, relative to the integral of
+# |f| over it: the rounding of the sums, where the Gauss and Kronrod sums agree
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # Bisection depth at which a panel touching an original endpoint is handed
 # to _endpoint_tail_panel.
 _ENDPOINT_TAIL_DEPTH = 12
-# largest log of a panel's scale factor: e^709 is within a factor 2.2 of
-# the largest double
+# largest log of a panel's scale factor in _gk_panels: e^709 is within a
+# factor 2.2 of the largest double
 _MAX_LOG_SCALE = 709.0
 
 
-def _exp_scale(log_scale, a, b):
-    """exp(log_scale), or QuadratureError where it would overflow a double."""
-    if log_scale > _MAX_LOG_SCALE:
-        raise QuadratureError(
-            f"log-integrand reaches {log_scale:.6g} on [{a}, {b}]; "
-            f"its exponential overflows a double"
-        )
-    return math.exp(log_scale)
-
-
-def _gk_panel(f, a, b, log_form, log_offset):
+def _gk_panel(f, a, b, log_form):
     """One Gauss-Kronrod 7/15 evaluation on [a, b].
 
-    Returns (value, error, n_evals).  In log form the 15 node values are
-    exponentiated after subtracting their maximum, so panels whose values
-    underflow in direct form are still summed accurately.
+    Returns (value, error, log_scale): the panel's integral and its error
+    estimate are value and error times exp(log_scale).  In direct form
+    log_scale is 0.  In log form it is the largest of the 15 log node values
+    plus log of the half-width, and the node values are exponentiated after
+    subtracting that largest one, so a panel whose values underflow or
+    overflow a double is still summed accurately; a panel whose nodes are
+    all -inf is 0 with log_scale -inf.
     """
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + h * _XK
@@ -129,45 +133,52 @@ def _gk_panel(f, a, b, log_form, log_offset):
     if log_form:
         m = float(np.max(y))
         if m == -math.inf:
-            return 0.0, 0.0, 15
+            return 0.0, 0.0, -math.inf
         if not math.isfinite(m):
             raise QuadratureError(f"non-finite log-integrand on [{a}, {b}]")
-        scale = _exp_scale(m + log_offset, a, b)
+        log_scale = m + math.log(h)
+        h = 1.0
         vals = np.exp(y - m)
     else:
         if not np.all(np.isfinite(y)):
             raise QuadratureError(f"non-finite integrand value on [{a}, {b}]")
-        scale = 1.0
+        log_scale = 0.0
         vals = y
-    k15 = h * scale * float(_WK @ vals)
-    g7 = h * scale * float(_WG @ vals)
-    raw = abs(k15 - g7)
+    kv = float(_WK @ vals)
+    k15 = h * kv
+    raw = abs(k15 - h * float(_WG @ vals))
     # QUADPACK-style sharpening of the raw Gauss/Kronrod difference
-    mean = float(_WK @ vals) / 2.0
-    resasc = h * scale * float(_WK @ np.abs(vals - mean))
+    resasc = h * float(_WK @ np.abs(vals - 0.5 * kv))
     if resasc > 0.0 and raw > 0.0:
         err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
     else:
         err = raw
-    return k15, err, 15
+    resabs = kv if log_form else float(_WK @ np.abs(vals))
+    return k15, max(err, _ROUNDOFF * h * resabs), log_scale
 
 
 def _check_log_panels(m, log_scale, a, b):
-    """Raise the QuadratureError that _gk_panel raises on the first panel it rejects."""
+    """Raise QuadratureError for the first panel of _gk_panels that is not a number
+    or overflows a double."""
     bad = np.isnan(m) | (m == math.inf)
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(f"non-finite log-integrand on [{a[i]}, {b[i]}]")
     i = int(np.argmax(log_scale > _MAX_LOG_SCALE))
-    _exp_scale(log_scale[i], a[i], b[i])
+    if log_scale[i] > _MAX_LOG_SCALE:
+        raise QuadratureError(
+            f"log-integrand reaches {log_scale[i]:.6g} on [{a[i]}, {b[i]}]; "
+            f"its exponential overflows a double"
+        )
 
 
 def _gk_panels(f, a, b, log_form, log_offset):
     """_gk_panel on the n panels [a[i], b[i]] at once, with one call of f.
 
     a and b are 1-d float arrays; f receives all 15 n nodes as one flat
-    array.  Returns the arrays (values, errors, nodes, scale), with the
-    checks of _gk_panel on every panel: nodes[i] are panel i's 15 node
+    array.  Returns the arrays (values, errors, nodes, scale), in absolute
+    units (QuadratureError where a panel's scale overflows a double), with
+    the checks of _gk_panel on every panel: nodes[i] are panel i's 15 node
     values at _XK, normalised (in log form divided by their largest), and
     scale[i] its half-width times that normaliser, so that
     values = scale * (nodes @ _WK) and any integral over part of the panel
@@ -204,17 +215,27 @@ def _gk_panels(f, a, b, log_form, log_offset):
     pos = resasc > 0.0
     ratio = np.divide(raw, resasc, out=np.zeros_like(raw), where=pos)
     err = np.where(pos, resasc * np.minimum(1.0, (200.0 * ratio) ** 1.5), raw)
-    return k15, err, vals, scale
+    resabs = kv if log_form else np.abs(vals) @ _WK
+    return k15, np.maximum(err, _ROUNDOFF * scale * resabs), vals, scale
 
 
-def _endpoint_tail_panel(f, a, b, at_left, target, log_form, log_offset):
+def _exp_or_raise(log_value, what):
+    """exp(log_value), or QuadratureError naming what where it is beyond the largest double."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise QuadratureError(f"{what} is e^{log_value:.6g}, beyond the largest double") from None
+
+
+def _endpoint_tail_panel(f, a, b, at_left, target, log_form, ref):
     """Finish a panel with an integrable power singularity at one endpoint.
 
     Bisects geometrically toward the singular endpoint.  The slab integrals
     of a (x - endpoint)^(-alpha) singularity form a geometric series, so
     once the slab ratio stabilizes the remaining tail is summed in closed
     form.  This captures mass closer to the endpoint than machine epsilon,
-    which no node-sampling rule can reach.
+    which no node-sampling rule can reach.  Values, errors and target are in
+    units of exp(ref).
     """
     total = 0.0
     total_err = 0.0
@@ -229,14 +250,16 @@ def _endpoint_tail_panel(f, a, b, at_left, target, log_form, log_offset):
         if mid <= lo or mid >= hi:
             break
         if at_left:
-            s, e, n = _gk_panel(f, mid, hi, log_form, log_offset)
+            s, e, scale = _gk_panel(f, mid, hi, log_form)
             lo, hi = lo, mid
         else:
-            s, e, n = _gk_panel(f, lo, mid, log_form, log_offset)
+            s, e, scale = _gk_panel(f, lo, mid, log_form)
             lo, hi = mid, hi
+        unit = math.exp(scale - ref)
+        s *= unit
         total += s
-        total_err += e
-        evals += n
+        total_err += e * unit
+        evals += 15
         if prev is not None and prev != 0.0:
             ratio = s / prev
             if 0.0 < ratio < 0.97:
@@ -259,6 +282,13 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
     (log-)values elementwise; endpoints are never evaluated.  break_points
     are interior abscissae (e.g. kinks) used as initial panel boundaries.
 
+    In log form the integral is of exp(f + log_offset).  The sums are kept
+    in units of exp(ref), ref the largest panel scale so far (_gk_panel),
+    and log_offset is applied once, to the result: its log_value is finite
+    where its value underflows to 0, and only a result beyond the largest
+    double raises.  A log-form integral converges on tol's relative
+    tolerance alone; a direct one on max(abs_tol, rel_tol |value|).
+
     Raises QuadratureError with the partial result attached when the
     subdivision budget is exhausted.
     """
@@ -266,66 +296,75 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         raise DomainError(f"invalid interval [{a}, {b}]")
 
     pts = sorted({a, b, *(p for p in break_points if a < p < b)})
-    heap = []
-    counter = 0
-    evals = 0
-    final_value = 0.0  # panels finished by _endpoint_tail_panel or unsplittable
-    final_err = 0.0
-    total = 0.0
+    first = [(lo, hi, *_gk_panel(f, lo, hi, log_form)) for lo, hi in zip(pts[:-1], pts[1:])]
+    evals = 15 * len(first)
+    ref = max((panel[4] for panel in first), default=-math.inf)
+    if ref == -math.inf:  # no panel, or (log form) no node with a finite value
+        return QuadResult(0.0, 0.0, evals, True)
+    abs_floor = 0.0 if log_form else tol.abs_tol
+    heap = []  # (key, lo, hi, value, error, log_scale, depth); no two share lo
+    done = []  # (value, error, log_scale): finished by _endpoint_tail_panel or unsplittable
+    total = 0.0  # over heap and done
     total_err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e, n = _gk_panel(f, lo, hi, log_form, log_offset)
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e, 0))
-        counter += 1
-        evals += n
-        total += v
-        total_err += e
+
+    def push(lo, hi, v, e, scale, depth):
+        nonlocal ref, total, total_err
+        if scale > ref:
+            total *= math.exp(ref - scale)
+            total_err *= math.exp(ref - scale)
+            ref = scale
+        unit = math.exp(scale - ref)
+        # the panel with the largest absolute error estimate pops first
+        key = -(math.log(e) + scale) if e > 0.0 else math.inf
+        heapq.heappush(heap, (key, lo, hi, v, e, scale, depth))
+        total += v * unit
+        total_err += e * unit
+
+    for panel in first:
+        push(*panel, 0)
     nsub = len(heap)
 
     def _result(converged):
         # re-sum in deterministic order to shed accumulated cancellation
-        value = final_value + math.fsum(item[4] for item in heap)
-        err = final_err + math.fsum(item[5] for item in heap)
-        return QuadResult(value, err, evals, converged)
+        parts = [item[3:6] for item in heap] + done
+        value = math.fsum(v * math.exp(s - ref) for v, _, s in parts)
+        err = math.fsum(e * math.exp(s - ref) for _, e, s in parts)
+        if not log_form:
+            return QuadResult(value, err, evals, converged)
+        if value == 0.0:
+            return QuadResult(0.0, 0.0, evals, converged)
+        log_value = ref + log_offset + math.log(value)
+        scaled = _exp_or_raise(log_value, "the integral")
+        return QuadResult(scaled, scaled * (err / value), evals, converged, log_value)
 
     while True:
-        if total_err + final_err <= tol.target(total + final_value):
+        if total_err <= max(abs_floor, tol.rel_tol * abs(total)):
             return _result(True)
         if not heap:
-            res = _result(False)
-            raise QuadratureError(
-                "every panel finished without convergence", partial=res
-            )
+            raise QuadratureError("every panel finished without convergence",
+                                  partial=_result(False))
         if nsub >= tol.max_subdivisions:
-            res = _result(False)
-            raise QuadratureError(
-                f"exceeded {tol.max_subdivisions} subdivisions", partial=res
-            )
-        _, _, lo, hi, v, e, depth = heapq.heappop(heap)
-        total -= v
-        total_err -= e
-        if depth >= _ENDPOINT_TAIL_DEPTH and (lo == a or hi == b):
-            target = 0.25 * tol.target(total + final_value + v)
-            tv, te, n = _endpoint_tail_panel(
-                f, lo, hi, lo == a, target, log_form, log_offset
-            )
-            evals += n
-            final_value += tv
-            final_err += te
-            continue
+            raise QuadratureError(f"exceeded {tol.max_subdivisions} subdivisions",
+                                  partial=_result(False))
+        _, lo, hi, v, e, scale, depth = heapq.heappop(heap)
+        unit = math.exp(scale - ref)
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval no longer splittable in doubles
-            final_value += v
-            final_err += e
-            continue
-        for plo, phi in ((lo, mid), (mid, hi)):
-            pv, pe, n = _gk_panel(f, plo, phi, log_form, log_offset)
-            heapq.heappush(heap, (-pe, counter, plo, phi, pv, pe, depth + 1))
-            counter += 1
+        if depth >= _ENDPOINT_TAIL_DEPTH and (lo == a or hi == b):
+            target = 0.25 * max(abs_floor, tol.rel_tol * abs(total))
+            tv, te, n = _endpoint_tail_panel(f, lo, hi, lo == a, target, log_form, ref)
             evals += n
-            total += pv
-            total_err += pe
-        nsub += 1
+            total += tv - v * unit
+            total_err += te - e * unit
+            done.append((tv, te, ref))
+        elif mid <= lo or mid >= hi:  # interval no longer splittable in doubles
+            done.append((v, e, scale))
+        else:
+            total -= v * unit
+            total_err -= e * unit
+            for plo, phi in ((lo, mid), (mid, hi)):
+                push(plo, phi, *_gk_panel(f, plo, phi, log_form), depth + 1)
+            evals += 30
+            nsub += 1
 
 
 def integrate_iterated_2d(g, a, b, inner_upper, tol: Tolerance = DEFAULT_TOLERANCE, *,

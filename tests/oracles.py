@@ -352,11 +352,13 @@ P_STAR_820_104_75_MPMATH = 4.570332086093917e-285
 P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824
 # conditional_mean_mp_oracle at 30 digits, 2026-10; the same to 17 digits
 # at 40 digits with the quadrature also split at v - k/d (k = 1..64) and
-# v + h (h = 0.001..0.5).  Keys (d, q, g, v).
+# v + h (h = 0.001..0.5).  At (600, 300, 0, v=4) p is e^-994.54, below the
+# smallest double, and the conditional law is well defined.  Keys (d, q, g, v).
 COND_MEAN_MPMATH = {
     (3, 2, 1, 1.0): 0.7164044986140533,
     (10, 9, 8, 8.0): 8.18185251517835,
     (40, 39, 38, 6.0): 6.2804814200194246,
+    (600, 300, 0, 4.0): 6.7919147551653145,
 }
 # atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
 # digits, and as 1 minus the integral of the closed-form density at 50 and
@@ -380,10 +382,14 @@ ATOM_NEAR_ONE_MPMATH = {
 }
 # probability_offset_mp_oracle at 30 digits with layer=8 and at 40 digits with
 # layer=12, 2026-10, equal in every digit shown; past the documented d of
-# about 10^3.  Keys (d, q, g, v).
+# about 10^3.  The v = 300 and v = 20 entries at layer=3 and layer=4, the
+# same at layer=5 and 6 with 40 digits.  At (10^5, 99999, 99998, v=12) the
+# oracle does not converge, so that point has no entry.  Keys (d, q, g, v).
 P_PAST_THE_DOMAIN_MPMATH = {
     (3000, 2999, 2998, 12.0): 0.0005370727384599367,
     (10000, 9999, 9998, 12.0): 0.0009804987101971632,
+    (1000, 999, 998, 300.0): 2.5985704466372187e-129,
+    (10000, 9999, 9998, 20.0): 3.289207567632172e-07,
 }
 # log_radial_mass_oracle(1000, m, 300.0, dps=300) for m = 1 and m = 999: at
 # 50 digits tanh^2 300 rounded to 1 and 2F1 returned inf.

@@ -13,7 +13,7 @@ from hypflats import (Curvature, FlatConfig, ks_statistic,
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
 from hypflats.quadrature import Tolerance
-from oracles import ATOM_MPMATH, P_STAR_3_2_1
+from oracles import ATOM_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1
 
 BASE = ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"]
 
@@ -59,18 +59,20 @@ class TestProb:
             run(["prob", *BASE, "--bogus"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command, extra", [("prob", []),
+    @pytest.mark.parametrize("command, extra", [("prob", ["--json"]),
                                                 ("simulate", ["--trials", "100", "--seed", "1"])])
-    def test_overflow_past_the_domain_exits_3(self, capsys, command, extra):
-        # the radial mass is finite at v = 300, but p's first panel misses the
-        # layer about 1/1000 wide below v, and the nodes of its peak-scaled
-        # second pass lie e^3399 above the probed peak
+    def test_past_the_domain_exits_0(self, capsys, command, extra):
+        # p is 2.6e-129 at v = 300, its mass in a layer about 1/1000 wide below v;
+        # p's integral keeps its scale in log space
         code, out, err = invoke(
             capsys, command, "--d", "1000", "--q", "999", "--gamma", "998", "--K", "-1",
             "--u", "300", *extra,
         )
-        assert code == EXIT_NUMERICAL
-        assert out == "" and "its exponential overflows a double" in err
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        p = doc["p"] if command == "prob" else doc["analytic_p"]
+        assert p == pytest.approx(P_PAST_THE_DOMAIN_MPMATH[(1000, 999, 998, 300.0)],
+                                  rel=1e-9, abs=0.0)
 
     def test_numerical_failure_exits_3(self, capsys):
         code, _, err = invoke(

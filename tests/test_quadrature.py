@@ -5,12 +5,13 @@ import pytest
 
 from hypflats import (
     DomainError,
+    QuadResult,
     QuadratureError,
     Tolerance,
     integrate_adaptive,
 )
 from hypflats._backend import log_kernel_theta
-from hypflats.quadrature import _gk_panel, _gk_panels, integrate_iterated_2d
+from hypflats.quadrature import _WG, _WK, _XK, _gk_panel, _gk_panels, integrate_iterated_2d
 
 TOL = Tolerance()
 
@@ -118,6 +119,61 @@ class TestIntegrateAdaptive:
                                log_form=True, log_offset=800.0)
 
 
+class TestLogForm:
+    """A log-form integral keeps its scale in log space and converges on rel_tol alone."""
+
+    @staticmethod
+    def peak(x):
+        # a Gaussian of width 0.01 at 0.3, mass 0.01 sqrt(pi); no node of a
+        # first panel on [0, 2] lies within 2 widths of it
+        return -(((x - 0.3) / 0.01) ** 2)
+
+    def test_log_value_where_value_underflows(self):
+        res = integrate_adaptive(lambda x: -x, 0.0, 1.0, TOL, log_form=True,
+                                 log_offset=-1000.0)
+        assert res.value == 0.0 and res.converged
+        assert res.log_value == pytest.approx(-1000.0 + math.log(1.0 - math.exp(-1.0)),
+                                              rel=1e-15)
+
+    def test_log_value_defaults_to_the_log_of_value(self):
+        assert integrate_adaptive(np.exp, 0.0, 1.0, TOL).log_value == pytest.approx(
+            math.log(math.e - 1.0), rel=1e-13)
+        assert QuadResult(0.0, 0.0, 15, True).log_value == -math.inf
+        assert math.isnan(QuadResult(-1.0, 0.0, 15, True).log_value)
+
+    def test_a_large_abs_tol_does_not_stop_it_early(self):
+        loose = Tolerance(abs_tol=1.0)
+        exact = 0.01 * math.sqrt(math.pi)
+        direct = integrate_adaptive(lambda x: np.exp(self.peak(x)), 0.0, 2.0, loose)
+        assert direct.evaluations == 15  # the direct form stops at the first panel
+        res = integrate_adaptive(self.peak, 0.0, 2.0, loose, log_form=True)
+        assert res.value == pytest.approx(exact, rel=1e-9)
+
+    def test_a_result_beyond_the_largest_double_raises(self):
+        # every node is e^709, a double; the integral over [0, 1] is one, over [0, 4] not
+        assert integrate_adaptive(lambda x: np.full(x.shape, 709.0), 0.0, 1.0, TOL,
+                                  log_form=True).value == pytest.approx(math.exp(709.0))
+        with pytest.raises(QuadratureError, match="beyond the largest double"):
+            integrate_adaptive(lambda x: np.full(x.shape, 709.0), 0.0, 4.0, TOL, log_form=True)
+
+
+class TestKronrodConstants:
+    def test_weights_sum_to_two(self):
+        assert math.fsum(_WK) == 2.0
+        assert math.fsum(_WG) == 2.0
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_monomials_to_degree_22_exact(self, k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(_WK @ _XK**k) - exact) <= 5e-16
+
+    def test_gauss_nodes_and_weights(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.abs(_XK[1::2] - x).max() <= 1.2e-16
+        assert np.abs(_WG[1::2] - w).max() <= 2.3e-16
+        assert not _WG[::2].any()
+
+
 class TestGkPanels:
     A = np.array([0.0, 0.5, 2.0, -3.0])
     B = np.array([0.5, 2.0, 2.25, 4.0])
@@ -134,7 +190,8 @@ class TestGkPanels:
         vals, errs, _, _ = _gk_panels(counted, self.A, self.B, log_form, 0.0)
         assert calls == [15 * len(self.A)]
         for a, b, v, e in zip(self.A, self.B, vals, errs):
-            rv, re, _ = _gk_panel(f, a, b, log_form, 0.0)
+            rv, re, log_scale = _gk_panel(f, a, b, log_form)
+            rv, re = rv * math.exp(log_scale), re * math.exp(log_scale)
             assert v == pytest.approx(rv, rel=1e-14, abs=0.0)
             # below about 1e-14 |v| the estimate is the rounding of the sums
             assert e == pytest.approx(re, rel=1e-6, abs=1e-14 * abs(rv))
