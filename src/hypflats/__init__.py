@@ -6,9 +6,9 @@ distance CDF in closed form, and the intersection probability, the
 distance CDF, the moments and the critical constant as 1-d integrals by
 adaptive quadrature.  The Monte Carlo
 layer validates them by simulation in the Beltrami-Klein model, where
-rotation invariance reduces a trial to two m x m Wishart matrices
-(m = q - gamma), and the one-flat geometry API (bases, flats, their
-intersection) gives the same law with full frames.
+rotation invariance reduces a trial to a ratio of two chi-squares with
+d - q and gamma + 1 degrees of freedom, and the one-flat geometry API
+(bases, flats, their intersection) gives the same law with full frames.
 """
 
 from .analytic import (

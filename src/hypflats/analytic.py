@@ -640,8 +640,8 @@ def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Toler
     def panels(x_lo, x_hi, n_near):
         # the first n_near panels lie below v
         return tuple(np.concatenate(r) for r in zip(
-            _gk_panels(log_g, x_lo[:n_near], x_hi[:n_near], True, 0.0),
-            _gk_panels(log_g_past, x_lo[n_near:], x_hi[n_near:], True, 0.0)))
+            _gk_panels(log_g, x_lo[:n_near], x_hi[:n_near], True),
+            _gk_panels(log_g_past, x_lo[n_near:], x_hi[n_near:], True)))
 
     def misses(vals, errs):
         return errs > tol.rel_tol * np.abs(vals)

@@ -3,26 +3,27 @@
 The law of the intersection distance is rotation-invariant: L is a
 uniform q-flat through the origin o, and E is independent of L with an
 O(d)-invariant law.  So L can be fixed to the first q coordinate axes,
-and the distance then depends on E only through an m x m Wishart pair,
-m = q - gamma (see _block_distances).  With A = T_A T_A^T ~ Wishart_m(q)
-and B = F F^T ~ Wishart_m(d - q), a trial's offset-to-distance factor is
-|T_A^-1 Lc xi| for Lc Lc^T = A + B, and T_A^-1 Lc = (I + C C^T)^(1/2) O
-with C = T_A^-1 F and O orthogonal.  O depends on (A, B) only and xi is
-uniform on the sphere independently of them, so O xi has the law of xi
-and the factor has the law of sqrt(1 + |F^T T_A^-T xi|^2): one triangular
-back substitution and one product per trial, no factorisation and no
-LAPACK call.  A trial costs O(m^2) whatever d is.
+and with m = q - gamma a trial's offset-to-distance factor has the law of
+|T_A^-1 Lc xi|, where A = T_A T_A^T ~ Wishart_m(q), B ~ Wishart_m(d - q)
+is independent of A, Lc Lc^T = A + B and xi is uniform on the unit sphere
+of R^m (see _block_distances).  Its square is 1 + y^T B y with
+y = T_A^-T xi, and two steps make that a chi-square ratio.  First, B is
+independent of y, so y^T B y = |y|^2 X with X ~ chi2_(d-q) independent of
+y.  Second, |y|^2 = xi^T A^-1 xi ~ 1 / Y with Y ~ chi2_(gamma+1).  So the
+factor is sqrt(1 + X / Y) at every m, also when d - q < m, and a trial
+costs two chi-square draws and a radius whatever d and m are.  This is
+the incomplete beta I(a', b), a' = (gamma+1)/2, b = (d-q)/2, through
+which a hit depends on the offset radius in the analytic p.
 
-Trials run in blocks whose size depends on m only.  Block j of a run with
-seed s draws all its trials at once from one Philox stream keyed by
-(s, j), in a fixed order: the Bartlett factors of A ~ Wishart_m(q), the
-matrices B ~ Wishart_m(d - q), the unit offset directions, then the
-offset radii.  Every block is drawn whole and the last one is cut to the
-requested trial count, and threads only decide which block runs where.
-So a run's output is bit-identical for any thread count, and the first N
-trials of a run equal a run of N trials.  The one-flat functions
-(sample_central_subspace, HittingFlatSampler.sample) draw full Haar
-frames in R^d.
+Trials run in blocks of _BLOCK_TRIALS.  Block j of a run with seed s
+draws all its trials at once from one Philox stream keyed by (s, j), in a
+fixed order: one chi-square with gamma + 1 degrees of freedom per trial,
+then one with d - q per trial, then the offset radii.  Every block is
+drawn whole and the last one is cut to the requested trial count, and
+threads only decide which block runs where.  So a run's output is
+bit-identical for any thread count, and the first N trials of a run equal
+a run of N trials.  The one-flat functions (sample_central_subspace,
+HittingFlatSampler.sample) draw full Haar frames in R^d.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 _BLOCK_TRIALS = 1024
-_BLOCK_BYTES = 4 << 20
 _QR_ATTEMPTS = 8
 _REJECTION_ROUNDS = 10_000
 
@@ -98,14 +98,6 @@ def _check_seed(seed):
 def _trial_rng(seed, block):
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _block_size(m):
-    """Trials per block: 1024, halved while a block's m x m matrices exceed 4 MB."""
-    size = _BLOCK_TRIALS
-    while size > 1 and size * m * m * 8 > _BLOCK_BYTES:
-        size //= 2
-    return size
 
 
 def _haar_frames(d, q, rng, n):
@@ -271,24 +263,6 @@ def sample_hitting_flat(cfg: FlatConfig, K: Curvature, rng) -> AffineFlat:
     return _get_sampler(cfg, K).sample(rng)
 
 
-@lru_cache(maxsize=None)
-def _bartlett_slots(m):
-    """The flat indices of an m x m matrix's diagonal and of the entries below it, row by row."""
-    rows, cols = np.tril_indices(m, -1)
-    return np.arange(m) * (m + 1), rows * m + cols
-
-
-def _bartlett(dof, m, rng, n):
-    """Lower Bartlett factors T, shape (n, m, m), of n Wishart_m(dof)
-    matrices T T^T: the square roots of chi-squares with dof, dof - 1, ...,
-    dof - m + 1 degrees of freedom on the diagonal, N(0, 1) below it."""
-    diag, below = _bartlett_slots(m)
-    T = np.zeros((n, m * m))
-    T[:, diag] = np.sqrt(rng.chisquare(dof - np.arange(m), size=(n, m)))
-    T[:, below] = rng.standard_normal((n, below.size))
-    return T.reshape(n, m, m)
-
-
 def _block_distances(sampler, rng, n):
     """Hyperbolic distances of n trials (+inf marks a miss), and the
     rejection counts of their radii.
@@ -301,37 +275,29 @@ def _block_distances(sampler, rng, n):
     first q columns of W^T, and its squared norm is r^2 xi^T (M M^T)^-1 xi.
     Split G into its first q rows G1 and the rest G2.  Then
     M M^T = R^-T A R^-1 with A = G1^T G1 ~ Wishart_m(q), and
-    R^T R = A + B with B = G2^T G2 ~ Wishart_m(d - q) independent of A.
-    With A = T_A T_A^T and Lc = R^T, the norm is r |T_A^-1 Lc xi|.
+    R^T R = A + B with B = G2^T G2 independent of A.  With A = T_A T_A^T
+    and Lc = R^T, the norm is r |T_A^-1 Lc xi|, and
+    (T_A^-1 Lc)(T_A^-1 Lc)^T = I + T_A^-1 B T_A^-T.  So
+    T_A^-1 Lc = (I + T_A^-1 B T_A^-T)^(1/2) O with O orthogonal.  O depends
+    on (A, B) only and xi is uniform on the sphere and independent of
+    them, so O xi has the law of xi, and the norm has the law of
+    r sqrt(1 + y^T B y) with y = T_A^-T xi.
 
-    Write B = F F^T, with F the Bartlett factor of B when d - q >= m, else
-    G2^T.  Then (T_A^-1 Lc)(T_A^-1 Lc)^T = I + C C^T with C = T_A^-1 F, so
-    T_A^-1 Lc = (I + C C^T)^(1/2) O with O orthogonal.  O depends on (A, B)
-    only and xi is uniform on the sphere and independent of them, so O xi
-    has the law of xi, and the norm has the law of
-    r sqrt(1 + |F^T y|^2), T_A^T y = xi.  y comes from a back substitution
-    vectorised over the block (m steps) and F^T y from an einsum: no
-    factorisation, no solve, and no BLAS call whose threads would cost
-    more than the work at small blocks.  A has q >= m degrees of freedom,
-    so it is positive definite: E and L always meet in R^d, and a trial
-    misses when that closest point is not inside the open Klein ball.
+    Two steps make that scalar.  First, y^T B y = |G2 y|^2, and G2 y is
+    N(0, |y|^2 I) in R^(d-q) given y, so y^T B y = |y|^2 X with
+    X ~ chi2_(d-q) independent of y.  Second, |y|^2 = xi^T A^-1 xi, and
+    for a unit vector independent of A ~ Wishart_m(q) that is 1 / Y with
+    Y ~ chi2_(q-m+1) = chi2_(gamma+1).  So the norm has the law of
+    r sqrt(1 + X / Y): two chi-square draws per trial, at every m and for
+    any d - q >= 1.  A has q >= m degrees of freedom, so it is positive
+    definite: E and L always meet in R^d, and a trial misses when that
+    closest point is not inside the open Klein ball.
     """
     cfg, K = sampler.cfg, sampler.K
-    d, q, m = cfg.d, cfg.q, sampler.m
-    T = _bartlett(q, m, rng, n)
-    if d - q >= m:
-        F = _bartlett(d - q, m, rng, n)
-    else:
-        F = np.swapaxes(rng.standard_normal((n, d - q, m)), 1, 2)
-    g = rng.standard_normal((n, m))
+    Y = rng.chisquare(cfg.gamma + 1, n)
+    X = rng.chisquare(cfg.d - cfg.q, n)
     radii, proposals, accepted = sampler._draw_radii(rng, n)
-    # back substitution for T^T y = xi, one column of T^T (a row of T) a step
-    y = g / np.linalg.norm(g, axis=1, keepdims=True)
-    for i in range(m - 1, -1, -1):
-        y[:, i] /= T[:, i, i]
-        y[:, :i] -= T[:, i, :i] * y[:, i, None]
-    z = np.einsum("nij,ni->nj", F, y)
-    norm = radii * np.sqrt(1.0 + np.einsum("nj,nj->n", z, z))
+    norm = radii * np.sqrt(1.0 + X / Y)
     # the Klein ball is open; boundary grazing counts as a miss
     hyper = np.full(n, np.inf)
     meets = norm < K.ball_radius * (1.0 - _BOUNDARY_TOL)
@@ -345,12 +311,11 @@ def _run_trials(cfg, K, trials, seed, threads=None):
         raise DomainError("need trials >= 1")
     seed = _check_seed(seed)
     sampler = _get_sampler(cfg, K)
-    size = _block_size(sampler.m)
 
     def run_block(block):
-        return _block_distances(sampler, _trial_rng(seed, block), size)
+        return _block_distances(sampler, _trial_rng(seed, block), _BLOCK_TRIALS)
 
-    blocks = range(-(-trials // size))
+    blocks = range(-(-trials // _BLOCK_TRIALS))
     if threads is not None and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_block, blocks))

@@ -157,22 +157,22 @@ def _gk_panel(f, a, b, log_form):
     return k15, max(err, _ROUNDOFF * h * resabs), log_scale
 
 
-def _check_log_panels(m, log_scale, a, b):
+def _check_log_panels(m, a, b):
     """Raise QuadratureError for the first panel of _gk_panels that is not a number
-    or overflows a double."""
+    or overflows a double (m: each panel's largest log node value)."""
     bad = np.isnan(m) | (m == math.inf)
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(f"non-finite log-integrand on [{a[i]}, {b[i]}]")
-    i = int(np.argmax(log_scale > _MAX_LOG_SCALE))
-    if log_scale[i] > _MAX_LOG_SCALE:
+    i = int(np.argmax(m > _MAX_LOG_SCALE))
+    if m[i] > _MAX_LOG_SCALE:
         raise QuadratureError(
-            f"log-integrand reaches {log_scale[i]:.6g} on [{a[i]}, {b[i]}]; "
+            f"log-integrand reaches {m[i]:.6g} on [{a[i]}, {b[i]}]; "
             f"its exponential overflows a double"
         )
 
 
-def _gk_panels(f, a, b, log_form, log_offset):
+def _gk_panels(f, a, b, log_form):
     """_gk_panel on the n panels [a[i], b[i]] at once, with one call of f.
 
     a and b are 1-d float arrays; f receives all 15 n nodes as one flat
@@ -193,12 +193,12 @@ def _gk_panels(f, a, b, log_form, log_offset):
     x = (0.5 * (a + b))[:, None] + h[:, None] * _XK
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if log_form:
-        m = y.max(axis=1)
-        log_scale = m + log_offset
+        m = log_scale = y.max(axis=1)
         # one test for the common case: no empty, non-finite or overflowing panel
-        if not (m.min() > -math.inf and log_scale.max() <= _MAX_LOG_SCALE):
-            _check_log_panels(m, log_scale, a, b)
-            m[m == -math.inf] = 0.0  # an empty panel's nodes and scale are then 0
+        if not (m.min() > -math.inf and m.max() <= _MAX_LOG_SCALE):
+            _check_log_panels(m, a, b)
+            # an empty panel's nodes and scale are then 0
+            m = np.where(m == -math.inf, 0.0, m)
         vals = np.exp(y - m[:, None])
         scale = h * np.exp(log_scale)
     else:

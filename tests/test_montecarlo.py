@@ -11,6 +11,7 @@ from hypflats import (
     HittingFlatSampler,
     SimEstimate,
     estimate_intersection_probability,
+    intersection_probability,
     ks_statistic,
     sample_central_subspace,
     sample_hitting_flat,
@@ -19,7 +20,6 @@ from hypflats import (
 import hypflats.montecarlo as mc
 from hypflats.montecarlo import _trial_rng
 from oracles import probability_closed_form_oracle, radial_cdf_oracle, radial_cdf_rho_oracle
-from scipy.linalg import solve_triangular
 from scipy.stats import ks_2samp
 from test_klein import reference_intersection
 
@@ -285,6 +285,16 @@ class TestEstimates:
                                                     100_000, 41)
             assert abs(est.p_hat - p) <= 4 * est.std_err, (u, est.p_hat, p)
 
+    @pytest.mark.parametrize("d,q,gamma,u,seed", [
+        (3, 2, 1, 8.0, 1), (150, 149, 148, 8.0, 2), (40, 39, 38, 6.0, 3),
+        (12, 8, 3, 1.0, 4), (300, 299, 1, 0.1, 5)])
+    def test_within_four_sigma_of_the_analytic_p(self, d, q, gamma, u, seed):
+        # 10^6 trials up to v = 8; sigma from the analytic p
+        cfg, n = FlatConfig(d, q, gamma, u), 1_000_000
+        p = intersection_probability(cfg, K1)
+        est = estimate_intersection_probability(cfg, K1, n, seed)
+        assert abs(est.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / n), (est.p_hat, p)
+
     def test_trials_validation(self):
         with pytest.raises(DomainError):
             estimate_intersection_probability(CFG, K1, 0, 1)
@@ -309,9 +319,13 @@ def full_geometry_distances(cfg, K, n, seed):
 
 
 class TestInvariantKernel:
-    # (12, 8, 1) has m = 7; (20, 5, 0) has gamma = 0; (10, 9, 1) has d - q < m
+    # the independent check of the chi-square ratio: Haar frames in R^d,
+    # intersected flat by flat.  (12, 8, 1) has m = 7; (20, 5, 0) has
+    # gamma = 0; (10, 9, 1) has d - q < m; (12, 8, 4) and (15, 10, 6) have
+    # gamma + 1 = 5 and 7 degrees of freedom in the denominator
     @pytest.mark.parametrize("d,q,gamma,u", [(3, 2, 1, 1.0), (12, 8, 1, 1.0),
-                                             (20, 5, 0, 1.0), (10, 9, 1, 0.3)])
+                                             (20, 5, 0, 1.0), (10, 9, 1, 0.3),
+                                             (12, 8, 4, 1.0), (15, 10, 6, 1.2)])
     def test_matches_full_geometry(self, d, q, gamma, u):
         cfg, n = FlatConfig(d, q, gamma, u), 30000
         ref = full_geometry_distances(cfg, K1, n, 1000 + d)
@@ -323,83 +337,34 @@ class TestInvariantKernel:
         assert ks_2samp(ref[hit_ref], got[hit_got]).pvalue >= 1e-3
 
     def test_large_m_matches_closed_form(self):
-        # m = 38 with d - q = 1: a one-dimensional B and 256-trial blocks
+        # m = 38 with d - q = 1: a one-dimensional B
         cfg = FlatConfig(40, 39, 1, 0.3)
         p = probability_closed_form_oracle(40, 39, 1, 0.3)
         est = estimate_intersection_probability(cfg, K1, 10000, 43)
         assert abs(est.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / est.trials)
 
-    def test_bartlett_factor_is_wishart(self):
-        T = mc._bartlett(5, 3, np.random.default_rng(3), 20000)
-        diag = np.diagonal(T, axis1=1, axis2=2)
-        assert np.all(np.triu(T, 1) == 0.0) and np.all(diag > 0.0)
-        # squared diagonal: chi-squares with 5, 4, 3 degrees of freedom;
-        # T T^T has mean 5 I
-        np.testing.assert_allclose(np.mean(diag**2, axis=0), [5.0, 4.0, 3.0], rtol=0.03)
-        A = T @ np.swapaxes(T, 1, 2)
-        np.testing.assert_allclose(A.mean(axis=0), 5.0 * np.eye(3), atol=0.15)
-
-    def test_block_draw_order(self):
-        # block 1 of seed 11, rebuilt trial by trial from its stream: the
-        # Bartlett factors of A, of B (d - q = 6 >= m = 3), the directions,
-        # then the radii; a trial's norm is r sqrt(1 + |T_B^T y|^2) with
-        # T_A^T y = xi
-        cfg = FlatConfig(10, 4, 1, 1.5)
-        sampler = mc._get_sampler(cfg, K1)
-        n = mc._block_size(3)
-        rng = _trial_rng(11, 1)
-        TA = mc._bartlett(4, 3, rng, n)
-        TB = mc._bartlett(6, 3, rng, n)
-        g = rng.standard_normal((n, 3))
-        radii, _, _ = sampler._draw_radii(rng, n)
-        expect = np.full(n, np.inf)
-        for i in range(n):
-            y = solve_triangular(TA[i].T, g[i] / np.linalg.norm(g[i]), lower=False)
-            norm = radii[i] * math.sqrt(1.0 + np.sum((TB[i].T @ y) ** 2))
-            if norm < 1.0 - 1e-14:
-                expect[i] = math.atanh(norm)
-        got = mc._run_trials(cfg, K1, 2 * n, 11)[n:]
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
-        assert 0 < np.count_nonzero(np.isfinite(got)) < n
-
-    def test_block_draw_order_with_gaussian_b(self):
-        # d - q = 1 < m = 8: B is G2^T G2 with G2 a 1 x m Gaussian drawn
-        # after A, and F^T y is G2 y
-        cfg = FlatConfig(10, 9, 1, 0.3)
-        sampler = mc._get_sampler(cfg, K1)
-        n = mc._block_size(8)
-        rng = _trial_rng(5, 0)
-        TA = mc._bartlett(9, 8, rng, n)
-        G2 = rng.standard_normal((n, 1, 8))
-        g = rng.standard_normal((n, 8))
-        radii, _, _ = sampler._draw_radii(rng, n)
-        expect = np.full(n, np.inf)
-        for i in range(n):
-            y = solve_triangular(TA[i].T, g[i] / np.linalg.norm(g[i]), lower=False)
-            norm = radii[i] * math.sqrt(1.0 + np.sum((G2[i] @ y) ** 2))
-            if norm < 1.0 - 1e-14:
-                expect[i] = math.atanh(norm)
-        got = mc._run_trials(cfg, K1, n, 5)
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
-        assert 0 < np.count_nonzero(np.isfinite(got)) < n
-
-    @pytest.mark.parametrize("cfg,K", [(CFG, K1),
-                                       (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
-    def test_m_one_is_the_chi_square_ratio(self, cfg, K):
-        # at m = 1 a trial's norm is r sqrt(1 + chi2_{d-q} / chi2_q), from
-        # the block's own chi-square draws
+    @pytest.mark.parametrize("cfg,K", [
+        (CFG, K1),                                   # m = 1
+        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),  # m = 1, K != -1
+        (FlatConfig(10, 4, 2, 1.5), K1),             # m = 2
+        (FlatConfig(12, 8, 1, 1.0), K1),             # m = 7
+        (FlatConfig(10, 9, 1, 0.3), K1),             # m = 8 > d - q = 1
+    ])
+    def test_block_draw_order(self, cfg, K):
+        # block 1 of seed 11, rebuilt from its stream: chi-squares with
+        # gamma + 1 degrees of freedom, then with d - q, then the radii; a
+        # trial's norm is r sqrt(1 + chi2_(d-q) / chi2_(gamma+1))
         sampler = mc._get_sampler(cfg, K)
-        n = mc._block_size(1)
-        rng = _trial_rng(3, 0)
-        chi_a = rng.chisquare(cfg.q, n)
-        chi_b = rng.chisquare(cfg.d - cfg.q, n)
-        rng.standard_normal(n)
+        n = mc._BLOCK_TRIALS
+        rng = _trial_rng(11, 1)
+        chi_y = rng.chisquare(cfg.gamma + 1, n)
+        chi_x = rng.chisquare(cfg.d - cfg.q, n)
         radii, _, _ = sampler._draw_radii(rng, n)
-        norm = radii * np.sqrt(1.0 + chi_b / chi_a)
+        norm = radii * np.sqrt(1.0 + chi_x / chi_y)
         expect = np.full(n, np.inf)
         meets = norm < K.ball_radius * (1.0 - 1e-14)
         expect[meets] = np.arctanh(K.scale * norm[meets]) / K.scale
-        got = mc._run_trials(cfg, K, n, 3)
+        got = mc._run_trials(cfg, K, 2 * n, 11)[n:]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
         assert 0 < np.count_nonzero(np.isfinite(got)) < n
 
@@ -418,25 +383,26 @@ class TestInvariantKernel:
 
 
 class TestBlocks:
-    def test_block_size_depends_on_dimensions_only(self):
-        # on m = q - gamma only: the largest power of two up to 1024 whose
-        # m x m matrices fit in 4 MB
-        assert mc._block_size(1) == mc._block_size(22) == 1024
-        assert mc._block_size(298) == 4
-        assert mc._block_size(1000) == 1
-        for m in (1, 2, 7, 23, 100, 298, 1000):
-            size = mc._block_size(m)
-            assert size * m * m * 8 <= max(mc._BLOCK_BYTES, m * m * 8)
-            assert size == 1024 or 2 * size * m * m * 8 > mc._BLOCK_BYTES
+    def test_blocks_hold_1024_trials_at_every_m(self, monkeypatch):
+        # m = 298: 5000 trials are five blocks, one stream each
+        streams = []
+
+        def spy(seed, block):
+            streams.append((seed, block))
+            return _trial_rng(seed, block)
+
+        monkeypatch.setattr(mc, "_trial_rng", spy)
+        mc._run_trials(FlatConfig(300, 299, 1, 0.1), K1, 5000, 13)
+        assert streams == [(13, j) for j in range(5)]
 
     def test_prefix_of_a_longer_run(self):
         full = mc._run_trials(CFG, K1, 4096, 11)
-        for n in (10, 2 * mc._block_size(CFG.q - CFG.gamma) + 517):
+        for n in (10, 2 * mc._BLOCK_TRIALS + 517):
             np.testing.assert_array_equal(mc._run_trials(CFG, K1, n, 11), full[:n])
 
     def test_identical_across_thread_counts(self):
         cfg = FlatConfig(12, 4, 1, 1.5)
-        n = 3 * mc._block_size(cfg.q - cfg.gamma) + 100
+        n = 3 * mc._BLOCK_TRIALS + 100
         one = mc._run_trials(cfg, K1, n, 23, threads=1)
         four = mc._run_trials(cfg, K1, n, 23, threads=4)
         np.testing.assert_array_equal(one, four)
@@ -450,8 +416,8 @@ class TestBlocks:
             mc._run_trials(CFG, K1, 5000, 31, threads=threads)
             counts.append((sampler.proposals - before[0], sampler.accepted - before[1]))
         assert counts[0] == counts[1]
-        blocks = -(-5000 // mc._block_size(CFG.q - CFG.gamma))
-        assert counts[0][1] == blocks * mc._block_size(CFG.q - CFG.gamma)
+        blocks = -(-5000 // mc._BLOCK_TRIALS)
+        assert counts[0][1] == blocks * mc._BLOCK_TRIALS
         assert counts[0][0] > counts[0][1]
 
 

@@ -187,7 +187,7 @@ class TestGkPanels:
             calls.append(x.size)
             return f(x)
 
-        vals, errs, _, _ = _gk_panels(counted, self.A, self.B, log_form, 0.0)
+        vals, errs, _, _ = _gk_panels(counted, self.A, self.B, log_form)
         assert calls == [15 * len(self.A)]
         for a, b, v, e in zip(self.A, self.B, vals, errs):
             rv, re, log_scale = _gk_panel(f, a, b, log_form)
@@ -198,23 +198,21 @@ class TestGkPanels:
 
     def test_empty_panel_is_zero(self):
         vals, errs, _, _ = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x),
-                                      np.array([0.0, 1.0]), np.array([1.0, 2.0]), True, 0.0)
+                                      np.array([0.0, 1.0]), np.array([1.0, 2.0]), True)
         assert (vals[0], errs[0]) == (0.0, 0.0)
         assert vals[1] == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("bad, log_form, log_offset", [
-        (np.nan, True, 0.0), (np.inf, True, 0.0), (800.0, True, 0.0), (0.0, True, 800.0),
-        (np.nan, False, 0.0), (np.inf, False, 0.0)])
-    def test_a_bad_panel_raises_and_is_named(self, bad, log_form, log_offset):
+    @pytest.mark.parametrize("bad, log_form", [
+        (np.nan, True), (np.inf, True), (800.0, True), (np.nan, False), (np.inf, False)])
+    def test_a_bad_panel_raises_and_is_named(self, bad, log_form):
         def f(x):
-            return np.where(x > 2.0, bad, -700.0 - log_offset)
+            return np.where(x > 2.0, bad, -700.0)
 
         with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
-            _gk_panels(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), log_form,
-                       log_offset)
+            _gk_panels(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), log_form)
 
     def test_no_panels(self):
-        vals, errs, _, _ = _gk_panels(np.cos, np.array([]), np.array([]), False, 0.0)
+        vals, errs, _, _ = _gk_panels(np.cos, np.array([]), np.array([]), False)
         assert vals.shape == errs.shape == (0,)
 
 
