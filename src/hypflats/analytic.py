@@ -141,10 +141,21 @@ _LOG_SUM_EPS = math.log(_SUM_EPS)
 _SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
-# a grid of more than this many points keeps every k-th as a knot, k = ceil(n / _GRID_KNOTS)
+# a grid of at most this many points makes every point a knot; a longer one
+# takes its knots from the law (_law_knots) and a few of its points
 _GRID_KNOTS = 128
+# a long grid's equal panels: in t on [0, v], in w on [v, its last point]
+_GRID_PANELS_BELOW = 4
+_GRID_PANELS_PAST = 12
+# a long grid of n points keeps its ranks 1, 2, 4, ... below n / _GRID_LOW_RANKS as knots
+_GRID_LOW_RANKS = 16
 # grids distance_cdf_grid computes at most: each round makes knots of the points that missed
 _GRID_ROUNDS = 4
+
+
+# the 15 x 15 map from node values at _XK to the Chebyshev coefficients on
+# [-1, 1] of their degree-14 interpolant
+_CHEBYSHEV = np.linalg.inv(np.cos(np.arange(_XK.size) * np.arccos(_XK)[:, None]))
 
 
 def _antiderivative_matrix() -> np.ndarray:
@@ -161,7 +172,7 @@ def _antiderivative_matrix() -> np.ndarray:
     integrate[1, 0], integrate[2, 1] = 1.0, 0.25
     integrate[k + 1, k], integrate[k - 1, k] = 0.5 / (k + 1), -0.5 / (k - 1)
     integrate[0] = -((-1.0) ** np.arange(1, n + 1)) @ integrate[1:]  # T_j(-1) = (-1)^j
-    return integrate @ np.linalg.inv(np.cos(np.arange(n) * np.arccos(_XK)[:, None]))
+    return integrate @ _CHEBYSHEV
 
 
 _ANTIDERIVATIVE = _antiderivative_matrix()
@@ -710,20 +721,25 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """distance_cdf on an ascending 1-d grid, in one vectorised pass.
 
-    The knots are 0, the reduced radius v and the grid points; of a grid of
-    n > _GRID_KNOTS points only every k-th, k = ceil(n / _GRID_KNOTS), those
-    of rank 1, 2, 4, ... below k, and the last.  Every segment between
-    neighbouring knots is one Gauss-Kronrod panel, or the sub-panels it is
-    halved into; the panels below v take one integrand call and those past
-    v one more (_segment_integrals).  The values at the knots are the
-    cumulative sums of the segments, each with the summed error estimates.
-    A point between knots takes the value at the start of its final
-    sub-panel plus the integral of the interpolant through that sub-panel's
-    15 node values (_between_knots), with the summed error estimates
-    through that sub-panel; the points whose estimate misses the relative
-    tolerance become knots and the grid is computed again, _GRID_ROUNDS
-    times at most before QuadratureError.  Leaving [0, 1] by more than the
-    error estimates raises ProbabilityRangeError.
+    The knots of a grid of at most _GRID_KNOTS points are 0, the reduced
+    radius v and the grid points.  A longer grid, such as the sorted samples
+    of a Monte Carlo run, takes its knots from the law instead of from the
+    ranks of its points (_law_knots): 0, v, _GRID_PANELS_BELOW equal panels
+    in t below v and _GRID_PANELS_PAST in w past it; of its points only the
+    first, the last, and those of rank 1, 2, 4, ... below n / _GRID_LOW_RANKS,
+    kept so that no segment's mass dwarfs the CDF at its start.  Every
+    segment between neighbouring knots is one Gauss-Kronrod panel, or the
+    sub-panels it is halved into; the panels below v take one integrand
+    call and those past v one more (_segment_integrals).  The values at the
+    knots are the cumulative sums of the segments, each with the summed
+    error estimates.  A point between knots finds its segment by bisection
+    on the knots and takes the value at the start of its final sub-panel
+    plus the integral of the interpolant through that sub-panel's 15 node
+    values (_between_knots), with the summed error estimates through that
+    sub-panel plus the interpolant's own; the points whose estimate misses
+    the relative tolerance become knots and the grid is computed again,
+    _GRID_ROUNDS times at most before QuadratureError.  Leaving [0, 1] by
+    more than the error estimates raises ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
@@ -737,22 +753,23 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         knots, cum, cum_err, _, _ = _knot_integrals(law, t, tol)
         at = np.searchsorted(knots, t)
         return _as_probability(cum[at], cum_err[at])
-    k = -(-t.size // _GRID_KNOTS)
     knot = np.zeros(t.shape, dtype=bool)
-    knot[::k] = True
-    knot[np.searchsorted(t, t[-1]):] = True  # the last point and its copies: no segment follows
-    # below rank k the CDF at a segment's start must not be far below the
-    # segment's mass, or the interpolant's rounding shows relative to it
-    knot[1 << np.arange((k - 1).bit_length())] = True
+    # the first point has the least CDF, where the interpolant's error shows
+    # most; no segment follows the last
+    knot[[0, -1]] = True
+    # near 0 the CDF at a segment's start must not be far below the
+    # segment's mass, or the interpolant's error shows relative to it
+    knot[1 << np.arange((-(-t.size // _GRID_LOW_RANKS) - 1).bit_length())] = True
+    panels = _law_knots(law.v, t[-1])
     for _ in range(_GRID_ROUNDS):
-        t_knot = t[knot]
-        knots, cum, cum_err, first, leaves = _knot_integrals(law, t_knot, tol)
-        at = np.searchsorted(knots, t_knot)
-        value, err = np.empty(t.shape), np.empty(t.shape)
-        value[knot], err[knot] = cum[at], cum_err[at]
-        inner = ~knot
-        value[inner], err[inner] = _between_knots(law, t, knot, knots, at, cum, cum_err,
-                                                  first, leaves)
+        knots, cum, cum_err, first, leaves = _knot_integrals(
+            law, np.concatenate((panels, t[knot])), tol)
+        at = np.searchsorted(knots, t)
+        value, err = cum[at], cum_err[at]
+        inner = knots[at] != t
+        if inner.any():
+            value[inner], err[inner] = _between_knots(law, t[inner], at[inner] - 1, knots,
+                                                      cum, cum_err, first, leaves)
         miss = err > tol.rel_tol * value
         if not miss.any():
             return _as_probability(value, err)
@@ -761,35 +778,48 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                           f"after {_GRID_ROUNDS} rounds of new knots")
 
 
+def _law_knots(v: float, t_max: float) -> np.ndarray:
+    """0, v and the ends of equal panels in t on [0, min(v, t_max)] and, past
+    v, in w on [v, t_max] (_w_past): a long grid's knots that do not depend
+    on its points."""
+    below = np.linspace(0.0, min(v, t_max), _GRID_PANELS_BELOW + 1)
+    if t_max <= v:
+        return below
+    s = np.linspace(0.0, _w_past(t_max, v), _GRID_PANELS_PAST + 1)[1:-1]
+    s /= 1.0 - s
+    return np.concatenate((below, v + s * s))
+
+
 def _knot_integrals(law: _UnitLaw, t, tol: Tolerance):
-    """The knots 0, v (up to t's largest) and the ascending points t, the CDF and its
-    summed error estimates at each, and _segment_integrals' panels between them."""
+    """The knots 0, v (up to t's largest) and the points t, sorted with copies
+    dropped, the CDF and its summed error estimates at each, and
+    _segment_integrals' panels between them."""
     knots = np.unique(np.concatenate(([0.0, min(law.v, t.max(initial=0.0))], t)))
     vals, errs, first, leaves = _segment_integrals(law, knots[:-1], knots[1:], tol)
     return (knots, np.concatenate(([0.0], np.cumsum(vals))),
             np.concatenate(([0.0], np.cumsum(errs))), first, leaves)
 
 
-def _between_knots(law: _UnitLaw, t, knot, knots, at, cum, cum_err, first, leaves):
-    """distance_cdf_grid's values and error estimates at the points t[~knot].
+def _between_knots(law: _UnitLaw, x, seg, knots, cum, cum_err, first, leaves):
+    """distance_cdf_grid's values and error estimates at the points x, each
+    strictly inside its segment [knots[seg], knots[seg + 1]].
 
-    knot marks the grid points that are knots, t[0] and t[-1] among them,
-    and at is their index in knots.  A point's segment starts at the last
-    knot point before it in rank, or at v where v lies between them.  In a
-    segment settled on its first panel that panel holds the point; in a
-    refined one, the point's final sub-panel is found among the leaves
+    In a segment settled on its first panel that panel holds the point; in
+    a refined one, the point's final sub-panel is found among the leaves
     (sorted by segment and start) by the variable the point maps to: t
     below v, w past it.  The value is the CDF at the start of that panel
     plus its scale times the antiderivative of the node interpolant
     (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
-    in [-1, 1].
+    in [-1, 1].  The error estimate is the summed one through that panel
+    plus the interpolant's own, the size of its last two Chebyshev
+    coefficients in units of the panel's scale: the Kronrod estimate is
+    that of the panel's whole integral, which the rule gets right to a far
+    higher degree than the interpolant's 14, so it says nothing of the
+    interpolant at a point inside the panel.
     """
     v = law.v
-    inner = ~knot
-    seg = at[np.cumsum(knot)[inner] - 1]
-    x = t[inner]
-    seg += (knots[seg] < v) & (x >= v)
     far = knots[seg + 1] > v
+    x = x.copy()
     x[far] = _w_past(x[far], v)
     # the panels: every segment's first one, then the leaves
     x_lo, x_hi, nodes, scale = first
@@ -815,20 +845,22 @@ def _between_knots(law: _UnitLaw, t, knot, knots, at, cum, cum_err, first, leave
         nodes, scale = np.concatenate((nodes, ln)), np.concatenate((scale, ls))
     # per panel: the scaled coefficients with the start value folded into the
     # first, the midpoint, the inverse half-width (0 for an empty panel) and
-    # the error estimate through the panel
+    # the error estimate through the panel, the interpolant's own included
     half = 0.5 * (x_hi - x_lo)
+    through = through + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
     c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
     c[:, 0] += start
     inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
-    g = np.take(np.column_stack((c, x_lo + half, inv_half, through)), row, axis=0)
-    s = (x - g[:, -3]) * g[:, -2]
-    s2, b1, b2, tmp = 2.0 * s, g[:, -4].copy(), np.zeros_like(s), np.empty_like(s)
+    # one row per quantity, so that the recurrence reads contiguous rows
+    g = np.take(np.vstack((c.T, x_lo + half, inv_half, through)), row, axis=1)
+    s = (x - g[-3]) * g[-2]
+    s2, b1, b2, tmp = 2.0 * s, g[-4].copy(), np.zeros_like(s), np.empty_like(s)
     for j in range(_ANTIDERIVATIVE.shape[0] - 2, 0, -1):
         np.multiply(s2, b1, out=tmp)
         tmp -= b2
-        tmp += g[:, j]
+        tmp += g[j]
         b1, b2, tmp = tmp, b1, b2
-    return s * b1 - b2 + g[:, 0], g[:, -1]
+    return s * b1 - b2 + g[0], g[-1]
 
 
 def distance_density(cfg: FlatConfig, K: Curvature, delta,

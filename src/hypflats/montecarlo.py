@@ -347,13 +347,19 @@ def simulate_distance_distribution(cfg: FlatConfig, K: Curvature,
 def ks_statistic(samples, cdf_values) -> float:
     """One-sample Kolmogorov-Smirnov statistic.
 
-    cdf_values must be the model CDF evaluated at the sorted samples.
+    cdf_values must be the model CDF evaluated at the sorted samples, one
+    value per sample; a length mismatch or a NaN value raises DomainError.
     """
     F = np.asarray(cdf_values, dtype=float)
+    x = np.asarray(samples, dtype=float)
     n = F.size
     if n == 0:
         raise DomainError("need at least one sample")
-    if np.any(np.diff(np.asarray(samples, dtype=float)) < 0):
+    if x.size != n:
+        raise DomainError(f"{x.size} samples but {n} CDF values")
+    if np.isnan(F).any():
+        raise DomainError("a CDF value is NaN")
+    if np.any(np.diff(x) < 0):
         raise DomainError("samples must be sorted ascending")
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - F), np.max(F - (steps - 1.0 / n))))

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from hypflats import analytic, montecarlo
+
+# the tests that start a fresh interpreter (the CLI's determinism and import
+# cost) import the package from this checkout too, installed or not
+SRC = Path(__file__).resolve().parents[1] / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(autouse=True)

@@ -719,7 +719,9 @@ class TestCdfGrid:
         np.sort(np.r_[np.linspace(0.1, 3.0, 300), [1.0] * 7]),   # copies of v
         np.zeros(200),
         np.r_[np.zeros(150), np.linspace(0.5, 2.0, 100)],
-    ], ids=["last-copies", "end-at-v", "v-copies", "zeros", "zeros-then"])
+        np.linspace(0.05, 0.95, 300),                            # no panel past v
+        np.linspace(1.05, 4.0, 300),                             # only points past v
+    ], ids=["last-copies", "end-at-v", "v-copies", "zeros", "zeros-then", "below-v", "past-v"])
     def test_long_grid_shapes(self, deltas):
         # more than 128 points, so most lie between knots
         np.testing.assert_allclose(
@@ -799,6 +801,7 @@ class TestCdfGrid:
         (FlatConfig(3, 2, 1, 1.0), K1),
         (FlatConfig(12, 8, 1, 1.0), K1),    # F ~ t^7 near 0
         (FlatConfig(40, 39, 38, 6.0), K1),  # thin layer below v, refined segments
+        (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
         (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
     def test_monte_carlo_samples_match_pointwise(self, cfg, K, trials):
         # beyond 128 points most lie between knots and take the node interpolant;
@@ -811,10 +814,27 @@ class TestCdfGrid:
             grid[idx], [distance_cdf(cfg, K, float(x), TOL) for x in samples[idx]],
             rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("cfg, K", [(FlatConfig(3, 2, 1, 1.0), K1),
+                                        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
+    def test_long_grids_take_their_knots_from_the_law(self, cfg, K, monkeypatch):
+        # 4151 and 2202 sorted hits: about 25 segments, not one per 1/128 of the ranks
+        sizes = []
+
+        def spy(law, lo, hi, tol):
+            sizes.append(lo.size)
+            return segment_integrals(law, lo, hi, tol)
+
+        samples = estimate_samples(cfg, K, 5000)
+        segment_integrals = analytic._segment_integrals
+        monkeypatch.setattr(analytic, "_segment_integrals", spy)
+        distance_cdf_grid(cfg, K, samples, TOL)
+        assert samples.size > 2000 and sizes[0] <= 40
+
     def test_points_that_miss_the_tolerance_become_knots(self, monkeypatch):
-        # 65 knots, each with a point 1e-6 relative past it: the error estimate
-        # through a point's panel misses rel_tol times its value in a few
-        # segments near v, so the grid is computed again with those points as knots
+        # 65 points, each with a copy 1e-6 relative past it: below t = 1.5, where
+        # the CDF grows from 1e-89 to 1e-76 across a few panels, 11 points'
+        # error estimates (the interpolant's own among them) miss rel_tol times
+        # their value, so the grid is computed again with those points as knots
         cfg = FlatConfig(40, 39, 38, 6.0)
         base = np.linspace(0.0, 12.0, 66)[1:]
         deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])

@@ -438,3 +438,11 @@ class TestKsStatistic:
     def test_requires_nonempty(self):
         with pytest.raises(DomainError):
             ks_statistic(np.array([]), np.array([]))
+
+    def test_requires_one_cdf_value_per_sample(self):
+        with pytest.raises(DomainError, match="3 samples but 1 CDF values"):
+            ks_statistic([0.1, 0.2, 0.3], [0.5])
+
+    def test_rejects_a_nan_cdf_value(self):
+        with pytest.raises(DomainError, match="NaN"):
+            ks_statistic([0.1, 0.2, 0.3], [0.2, math.nan, 0.9])
