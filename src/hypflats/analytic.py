@@ -29,16 +29,23 @@ The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
 (_offset_radius_integral): rho has the radial-mass law, and given rho the
 flats meet with a probability that is a regularized incomplete beta
-function of sech^2 rho.
+function of sech^2 rho.  They are taken in h = v - rho, relative to their
+values at v: each node's log is a difference of logs of sinh and cosh that
+cancels nothing, and the large powers of sinh v and cosh v meet those of
+the radial mass once, in closed form, so no log near d v rounds in them.
+Their mass lies in a layer about 1/d wide below v at large d, so their
+first panels are graded toward it, h = 2, 4, 8, ... over the integrand's
+log-slope at v, and all of them take one call of the integrand.
 
 The radial mass log_radial_mass(d, m, v), the log of the integral of
 sinh^(m-1) t cosh^(d-m) t over [0, v], normalises the offset-radius law, the
 density and the Crofton constant.  It is exact and takes no quadrature: a
 recurrence in the power of cosh, and the halving sinh t = 2 sinh(t/2) cosh(t/2)
 where that power is even, write it as sums of positive terms in log space
-(_log_sinh_cosh_integral).  It is memoised per (d, m, v): the unit-curvature
-law, the Crofton constant and the Monte Carlo sampler of one configuration
-share one evaluation.
+(_log_sinh_cosh_parts), a leading power sinh^m v cosh^(d-m-1) v times a
+factor of order log d.  It is memoised per (d, m, v) with that factor
+(_radial_mass_parts): the unit-curvature law, the Crofton constant and the
+Monte Carlo sampler of one configuration share one evaluation.
 
 Every integral here is integrate_adaptive in log form, which keeps the
 integral's scale in log space: it converges on the relative tolerance
@@ -51,11 +58,11 @@ decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, gammainc, gammaln, hyp1f1
+from scipy.special import betainc, betaincc, gammainc, gammaln, hyp1f1
 
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
 from .quadrature import (
@@ -65,10 +72,11 @@ from .quadrature import (
     Tolerance,
     _exp_or_raise,
     _gk_panels,
+    _panel_scales,
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
 )
-from .special import Curvature, FlatConfig, log_sphere_surface
+from .special import Curvature, FlatConfig, betaln, log_sphere_surface
 
 __all__ = [
     "MomentResult",
@@ -133,6 +141,7 @@ class PhaseMode:
 
 
 _BETAINC_FLOOR = 1e-200
+_UNIT_CURVATURE = Curvature(-1.0)
 _LOG2 = math.log(2.0)
 # the radial mass's sums drop terms below this fraction of the sum
 _SUM_EPS = 1e-17
@@ -141,6 +150,11 @@ _LOG_SUM_EPS = math.log(_SUM_EPS)
 _SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
+# the offset-radius integrals' first panels end at h = 2^k _LAYER_KNOT / lambda
+# below v, lambda the log-slope of the integrand at v, where lambda v exceeds
+# _LAYER_MIN_SPAN; a narrower layer costs no panel of its own
+_LAYER_KNOT = 2.0
+_LAYER_MIN_SPAN = 4.0
 # a grid of at most this many points makes every point a knot; a longer one
 # takes its knots from the law (_law_knots) and a few of its points
 _GRID_KNOTS = 128
@@ -238,8 +252,11 @@ def _log_series(ratios: np.ndarray) -> float:
     return math.log1p(float(np.cumprod(ratios).sum()))
 
 
-def _log_sinh_cosh_integral(a: int, b: int, v: float) -> float:
-    """log I(a, b; v), I the integral of sinh^a t cosh^b t over [0, v], a, b >= 0, a + b >= 1.
+def _log_sinh_cosh_parts(a: int, b: int, v: float, log_sinh: float,
+                         log_cosh: float) -> tuple[int, int, float]:
+    """I(a, b; v), the integral of sinh^a t cosh^b t over [0, v], a, b >= 0, a + b >= 1,
+    as its leading power and the rest: (n1, n2, log_factor) with
+    I(a, b; v) = sinh^n1 v cosh^n2 v exp(log_factor); log_sinh and log_cosh are at v.
 
     Differentiating sinh^(a+1) cosh^(b-1) gives
     I(a, b) = (sinh^(a+1) v cosh^(b-1) v + (b - 1) I(a, b - 2)) / (a + b), so
@@ -248,27 +265,38 @@ def _log_sinh_cosh_integral(a: int, b: int, v: float) -> float:
     ends by itself (at I(a, 1) = sinh^(a+1) v / (a + 1)); at even b it takes
     the terms k < b/2 and adds c I(a, 0; v), c = prod_(j < b/2)
     (b - 1 - 2j) / (a + b - 2j), unless c v sinh^a v, a bound on that
-    remainder, is below _SUM_EPS of the sum.  Every term is positive.
+    remainder, is below _SUM_EPS of the sum.  Every term is positive.  For
+    b >= 1 the power is (a + 1, b - 1) and the factor, the log of the sum
+    over a + b, is small next to it: about log(a + b) in size at most.  At
+    b = 0 the power is (0, 0) and the factor is the whole log.
     """
-    log_sinh, log_cosh = _log_sinh_cosh(v)
     if b == 0:
-        return _log_sinh_power_integral(a, v, log_sinh, log_cosh)
+        return 0, 0, _log_sinh_power_integral(a, v, log_sinh, log_cosh)
     sech2 = math.exp(-2.0 * log_cosh)
     # the factor (b + 1 - 2k) / (a + b - 2k) is at most 1 where a >= 1 and 2 where a = 0
     n = _terms_needed((b + 1) // 2, sech2 if a else 2.0 * sech2)
     top = np.arange(b - 1.0, b + 1.0 - 2.0 * n, -2.0)  # b + 1 - 2k for k = 1 .. n - 1
-    log_sum = math.fsum(_log_power_terms(a + 1, b - 1, v, log_sinh, log_cosh)
-                        + [-math.log(a + b), _log_series(sech2 * top / (top + (a - 1)))])
+    log_factor = _log_series(sech2 * top / (top + (a - 1))) - math.log(a + b)
+    if b % 2:
+        return a + 1, b - 1, log_factor
+    log_power = math.fsum(_log_power_terms(a + 1, b - 1, v, log_sinh, log_cosh))
     # c <= 1, so the remainder is at most v sinh^a v
-    log_bound = math.log(v) + a * log_sinh
-    if b % 2 or log_bound < log_sum + _LOG_SUM_EPS:
-        return log_sum
+    log_bound = math.log(v) + a * log_sinh - log_power
+    if log_bound < log_factor + _LOG_SUM_EPS:
+        return a + 1, b - 1, log_factor
     top = np.arange(b - 1.0, 0.0, -2.0)  # b - 1 - 2j for j < b/2
     log_c = float(np.log(top / (top + (a + 1))).sum())
-    if log_c + log_bound < log_sum + _LOG_SUM_EPS:
-        return log_sum
-    return float(np.logaddexp(log_sum,
-                              log_c + _log_sinh_power_integral(a, v, log_sinh, log_cosh)))
+    if log_c + log_bound < log_factor + _LOG_SUM_EPS:
+        return a + 1, b - 1, log_factor
+    log_rest = log_c + _log_sinh_power_integral(a, v, log_sinh, log_cosh) - log_power
+    return a + 1, b - 1, float(np.logaddexp(log_factor, log_rest))
+
+
+def _log_sinh_cosh_integral(a: int, b: int, v: float) -> float:
+    """log I(a, b; v), the integral of sinh^a t cosh^b t over [0, v] (_log_sinh_cosh_parts)."""
+    log_sinh, log_cosh = _log_sinh_cosh(v)
+    n1, n2, log_factor = _log_sinh_cosh_parts(a, b, v, log_sinh, log_cosh)
+    return math.fsum(_log_power_terms(n1, n2, v, log_sinh, log_cosh) + [log_factor])
 
 
 def _log_sinh_power_integral(a: int, v: float, log_sinh: float, log_cosh: float) -> float:
@@ -298,22 +326,39 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
     With omega_m in front it is the Crofton constant of (d-m)-flats at
     K = -1, and it is the total mass of the offset-radius law of a flat
     with normal dimension m hitting the ball of radius rho.  It is exact
-    and needs no quadrature: the reduction of _log_sinh_cosh_integral
-    writes it as sums of positive terms, in log space, whatever the layer
-    about 1/((d-m) tanh rho) wide below rho that holds the mass.
+    and needs no quadrature: the reduction of _log_sinh_cosh_parts writes
+    it as sums of positive terms, in log space, whatever the layer about
+    1/((d-m) tanh rho) wide below rho that holds the mass.
 
     Memoised: the Crofton constant, p, the atom mass, the density and the
-    Monte Carlo sampler of one configuration share one evaluation.  A log
-    beyond the largest double (rho near 1e308) raises QuadratureError.
+    Monte Carlo sampler of one configuration share one evaluation
+    (_radial_mass_parts).  A log beyond the largest double (rho near 1e308)
+    raises QuadratureError.
+    """
+    return _radial_mass_parts(d, m, rho)[0]
+
+
+@lru_cache(maxsize=64)
+def _radial_mass_parts(d: int, m: int, rho: float) -> tuple[float, float]:
+    """(log R, log_factor): log_radial_mass and the factor that multiplies its
+    leading power sinh^m rho cosh^(d-m-1) rho (at m = d there is no power and the
+    factor is log R), memoised.
+
+    The offset-radius integrals take their integrands' powers relative to
+    that leading power, so only the factor, whose size is about log d, meets
+    their logs; log R itself is near (d-1) rho.
     """
     if not (d >= 2 and 1 <= m <= d):
         raise DomainError(f"need d >= 2 and 1 <= m <= d, got m={m}, d={d}")
     if not (rho > 0 and math.isfinite(rho)):
         raise DomainError(f"need rho > 0, got {rho}")
-    log_mass = _log_sinh_cosh_integral(m - 1, d - m, float(rho))
+    rho = float(rho)
+    log_sinh, log_cosh = _log_sinh_cosh(rho)
+    n1, n2, log_factor = _log_sinh_cosh_parts(m - 1, d - m, rho, log_sinh, log_cosh)
+    log_mass = math.fsum(_log_power_terms(n1, n2, rho, log_sinh, log_cosh) + [log_factor])
     if not math.isfinite(log_mass):
         raise QuadratureError(f"log radial mass overflows at d={d}, m={m}, rho={rho}")
-    return log_mass
+    return log_mass, log_factor
 
 
 def log_crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
@@ -345,17 +390,20 @@ def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
     gain a factor sqrt(-K).
     """
     K.require_hyperbolic()
-    return replace(cfg, u=K.scale * cfg.u), Curvature(-1.0)
+    return FlatConfig(cfg.d, cfg.q, cfg.gamma, K.scale * cfg.u), _UNIT_CURVATURE
 
 
 @dataclass(frozen=True)
 class _UnitLaw:
     """The constants of one configuration's distance law at unit curvature (_unit_law).
 
-    a = (q+1)/2, b = (d-q)/2, a1 = (gamma+1)/2; the three betaln values are
-    those of the density and of p's and the atom's integrands; log_pref is
-    log(2 / (B(a1, b) R)), R the radial mass: p's normalisation, and the
-    density's prefactor A = B(a, b) exp(log_pref) / 2.
+    a = (q+1)/2, b = (d-q)/2, a1 = (gamma+1)/2; betaln_ab is log B(a, b),
+    the density's, and betaln_a1b is log B(a1, b) = log B(b, a1), that of
+    p's and the atom's integrands; log_pref is log(2 / (B(a1, b) R)), R the
+    radial mass: p's normalisation, and the density's prefactor
+    A = B(a, b) exp(log_pref) / 2.  hit_offset and miss_offset are the logs
+    of the offset-radius integrands' powers at v over R's, with R's factor
+    and B(a1, b) (_offset_radius_integral).
     """
 
     cfg1: FlatConfig  # the configuration at K = -1, ball radius v
@@ -365,11 +413,14 @@ class _UnitLaw:
     b: float
     a1: float
     log_sinh_v: float
+    log_cosh_v: float
+    log_tanh_v: float
     betaln_ab: float
-    betaln_hit: float  # betaln(b, a1)
-    betaln_miss: float  # betaln(a1, b)
+    betaln_a1b: float
     log_R: float
     log_pref: float
+    hit_offset: float
+    miss_offset: float
 
 
 @lru_cache(maxsize=64)
@@ -382,11 +433,21 @@ def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
     """
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
-    a, b, a1 = 0.5 * (q + 1), 0.5 * (d - q), 0.5 * (g + 1)
-    betaln_miss = betaln(a1, b)
-    log_R = log_radial_mass(d, q - g, v)
-    return _UnitLaw(cfg1, v, q - g, a, b, a1, float(_log_sinh(v)), betaln(a, b),
-                    betaln(b, a1), betaln_miss, log_R, math.log(2.0) - betaln_miss - log_R)
+    m, a, b, a1 = q - g, 0.5 * (q + 1), 0.5 * (d - q), 0.5 * (g + 1)
+    betaln_ab, betaln_a1b = betaln(a, b), betaln(a1, b)
+    log_R = log_radial_mass(d, m, v)
+    log_R_factor = _radial_mass_parts(d, m, v)[1]
+    log_sinh, log_cosh = _log_sinh_cosh(v)
+
+    def offset(n1, n2):
+        # sinh^n1 v cosh^n2 v over R's leading power sinh^m v cosh^(d-m-1) v
+        return math.fsum(_log_power_terms(n1 - m, n2 - (d - m - 1), v, log_sinh, log_cosh)
+                         + [-log_R_factor, -betaln_a1b])
+
+    # log tanh v = log(-expm1(-2v)) - log1p(e^(-2v)): no cancellation at large v
+    log_tanh = math.log(-math.expm1(-2.0 * v)) - math.log1p(math.exp(-2.0 * v))
+    return _UnitLaw(cfg1, v, m, a, b, a1, log_sinh, log_cosh, log_tanh, betaln_ab, betaln_a1b,
+                    log_R, _LOG2 - betaln_a1b - log_R, offset(m - 1, g), offset(q, d - q - 1))
 
 
 def _as_probability(value, error_estimate):
@@ -395,8 +456,10 @@ def _as_probability(value, error_estimate):
     Raises ProbabilityRangeError where value is nan or leaves [0, 1] by
     more than error_estimate + 1e-12.  A float in, a float out.
     """
-    v = np.asarray(value, dtype=float)
     slack = error_estimate + 1e-12
+    if isinstance(value, float) and -slack <= value <= 1.0 + slack:
+        return min(1.0, max(0.0, value))
+    v = np.asarray(value, dtype=float)
     inside = (v >= -slack) & (v <= 1.0 + slack)  # false at nan
     if not inside.all():
         i = np.unravel_index(np.argmin(inside), v.shape)
@@ -425,37 +488,95 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     integrand is sinh^(m-1) rho cosh^(d-m) rho betaincc(b, a', x) instead,
     with x = exp(-2 log cosh rho) exact: 1 - y there keeps only part of the
     digits of x that the miss probability depends on, and rounds to 0 past
-    rho = 18.7.  Both are log-form integrals, which converge on tol's
-    relative tolerance alone, so a miss probability near 0 keeps its digits.
+    rho = 18.7.  That branch's power differs from the first by
+    -(gamma+1) log tanh v at v.
+
+    Both are log-form integrals in h = v - rho, relative to their values
+    at v: at large d their logs are sums of terms near d v (or, at small v,
+    near d log v), whose rounding alone would cost 1e-12 of p at d = 1000.
+    With E = e^(-2 rho) and M = expm1(-2h) <= 0,
+
+        log sinh rho - log sinh v = -h + log1p(E M / -expm1(-2v)),
+        log cosh rho - log cosh v = -h + log1p(-E M / (1 + e^(-2v))),
+
+    the differences of Ls(t) = log(-expm1(-2t)) and of Lc(t) = log1p(e^(-2t))
+    at rho and at v, with nothing left to cancel.  The powers at v, over
+    R's leading power and with R's factor and the beta function, are the
+    integral's log_offset (_UnitLaw.hit_offset, miss_offset).
+
+    The mass lies in a layer about 1/lambda wide below v, lambda the
+    integrand's log-slope at v ((m-1) coth v + (gamma+a') tanh v for the
+    hit, q coth v + (d-q) tanh v for the miss), so the first panels end at
+    h = 2^k _LAYER_KNOT / lambda, k = 0, 1, ... below v, unless
+    lambda v <= _LAYER_MIN_SPAN: one call of the integrand then usually
+    settles the integral.  Log-form integrals converge on tol's relative
+    tolerance alone, so a miss probability near 0 keeps its digits.
     """
     law = _unit_law(cfg, K)
-    d, q, g, m, b, a1 = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1
+    d, q, g, m, b, a1, v = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1, law.v
+    e = math.exp(-2.0 * v)
+    sinh_div, cosh_div = -math.expm1(-2.0 * v), -(1.0 + e)
 
-    def log_hit(rho):
-        lc = _log_cosh(rho)
-        log_x = -2.0 * lc
-        val = g * lc + _log_incomplete_beta_tail(b, a1, law.betaln_hit, np.exp(log_x), log_x)
-        return val + (m - 1) * _log_sinh(rho) if m > 1 else val
+    def em_of(h):
+        # E M >= expm1(-2v) where h <= v, so E M / -expm1(-2v) >= -1: its
+        # log1p is -inf at rho = 0 and never nan
+        return np.exp(2.0 * (h - v)) * np.expm1(-2.0 * h)
 
-    def log_miss(rho):
-        ls, lc = _log_sinh(rho), _log_cosh(rho)
-        log_y = 2.0 * (ls - lc)
-        out = q * ls + (d - q - 1) * lc
+    def log_hit(h):
+        em = em_of(h)
+        dlc = np.log1p(em / cosh_div) - h  # log cosh rho - log cosh v
+        log_x = -2.0 * (dlc + law.log_cosh_v)  # log sech^2 rho
+        dls = np.log1p(em / sinh_div) - h if m > 1 or g == 0 else None
+        if g:
+            out = _log_incomplete_beta_tail(b, a1, law.betaln_a1b, np.exp(log_x), log_x)
+        else:
+            # I_x(b, 1/2) is 1 - O(sqrt(1 - x)), so the rounding of x near 1
+            # costs it digits (at gamma >= 1 its slope in x is bounded, and
+            # the rounding costs at most b eps).  It is 1 - I_y(1/2, b),
+            # y = tanh^2 rho, which keeps them wherever I_y is at most 1/2.
+            miss = betainc(a1, b, np.exp(2.0 * (dls - dlc + law.log_tanh_v)))
+            near = miss <= 0.5
+            out = np.log1p(-np.minimum(miss, 0.5)) + (law.betaln_a1b - b * log_x)
+            if not near.all():
+                out = np.where(near, out, _log_incomplete_beta_tail(
+                    b, a1, law.betaln_a1b, np.exp(log_x), log_x))
+        if g:
+            out = out + g * dlc
+        # at m = 1 the power of sinh rho is 0 and sinh^0 = 1, also at rho = 0
+        return out + (m - 1) * dls if m > 1 else out
+
+    def log_miss(h):
+        em = em_of(h)
+        dls, dlc = np.log1p(em / sinh_div) - h, np.log1p(em / cosh_div) - h
+        log_y = 2.0 * (dls - dlc + law.log_tanh_v)  # log tanh^2 rho
+        out = q * dls + (d - q - 1) * dlc
         # the nodes with y > 1/2 where betaincc(b, a', x) is not deep in its tail
         far = log_y > -_LOG2
         if far.any():
-            i_far = betaincc(b, a1, np.exp(-2.0 * lc[far]))
+            i_far = betaincc(b, a1, np.exp(-2.0 * (dlc[far] + law.log_cosh_v)))
             usable = i_far >= _BETAINC_FLOOR
             far[far], i_far = usable, i_far[usable]
         if not far.all():
-            out = out + _log_incomplete_beta_tail(a1, b, law.betaln_miss, np.exp(log_y), log_y)
+            out = out + _log_incomplete_beta_tail(a1, b, law.betaln_a1b, np.exp(log_y), log_y)
         if far.any():
-            out[far] = (m - 1) * ls[far] + (d - m) * lc[far] + np.log(i_far) + law.betaln_miss
+            out[far] = ((m - 1) * dls[far] + (d - m) * dlc[far] + np.log(i_far)
+                        - (g + 1) * law.log_tanh_v + law.betaln_a1b)
         return out
 
-    log_beta = law.betaln_hit if hit else law.betaln_miss
-    return integrate_adaptive(log_hit if hit else log_miss, 0.0, law.v, tol,
-                              log_form=True, log_offset=-log_beta - law.log_R)
+    tanh_v = math.tanh(v)
+    if hit:
+        slope = (m - 1) / tanh_v + (g + a1) * tanh_v
+    else:
+        slope = q / tanh_v + (d - q) * tanh_v
+    knots = []
+    if slope * v > _LAYER_MIN_SPAN:
+        h = _LAYER_KNOT / slope
+        while h < v:
+            knots.append(h)
+            h *= 2.0
+    return integrate_adaptive(log_hit if hit else log_miss, 0.0, v, tol, log_form=True,
+                              log_offset=law.hit_offset if hit else law.miss_offset,
+                              break_points=knots)
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
@@ -637,10 +758,10 @@ def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Toler
 
     Returns (values, errors, first, leaves).  first = (x_lo, x_hi, nodes,
     scale) is the first panel of every segment: its bounds (t below v, w
-    past it) and its node values and scale (_gk_panels).  leaves = (own,
-    x_lo, x_hi, values, errors, nodes, scale) are the final sub-panels of
-    the refined segments, own the segment of each, or None if no segment
-    was refined.
+    past it) and its node values and scale (_gk_panels, _panel_scales).
+    leaves = (own, x_lo, x_hi, values, errors, nodes, scale) are the final
+    sub-panels of the refined segments, own the segment of each, or None if
+    no segment was refined.
     """
     v = law.v
     log_g, log_g_past = _log_integrands(law)
@@ -649,10 +770,12 @@ def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Toler
     x_lo[~near], x_hi[~near] = _w_past(lo[~near], v), _w_past(hi[~near], v)
 
     def panels(x_lo, x_hi, n_near):
-        # the first n_near panels lie below v
-        return tuple(np.concatenate(r) for r in zip(
+        # the first n_near panels lie below v; values, errors and scales in absolute units
+        vals, errs, nodes, log_scale = (np.concatenate(r) for r in zip(
             _gk_panels(log_g, x_lo[:n_near], x_hi[:n_near], True),
             _gk_panels(log_g_past, x_lo[n_near:], x_hi[n_near:], True)))
+        scale = _panel_scales(log_scale, x_lo, x_hi)
+        return vals * scale, errs * scale, nodes, scale
 
     def misses(vals, errs):
         return errs > tol.rel_tol * np.abs(vals)

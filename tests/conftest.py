@@ -19,5 +19,6 @@ def fresh_memos():
     # calls whatever ran before it
     analytic._unit_law.cache_clear()
     analytic.log_radial_mass.cache_clear()
+    analytic._radial_mass_parts.cache_clear()
     montecarlo._get_sampler.cache_clear()
     yield

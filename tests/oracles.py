@@ -215,7 +215,7 @@ def conditional_mean_mp_oracle(d, q, g, v, dps=30):
                      / mp.quad(lambda t: f(t) / peak, pts))
 
 
-def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer):
+def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer, start=0):
     """P(the flats meet) if hit, else P(they miss), at K = -1 by mpmath, over the offset radius.
 
     The offset radius rho of the moving flat has density proportional to
@@ -223,7 +223,9 @@ def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer):
     meet with probability I_x((d-q)/2, (g+1)/2), x = sech^2 rho, and miss
     with probability I_y((g+1)/2, (d-q)/2), y = tanh^2 rho.  Split at v/2
     and at v - 10^-k for k = 1..layer: the mass can sit within about 1/d
-    of v.
+    of v; split points below start are dropped.  A start above 0 integrates
+    over [start, v] only, for an integrand negligible below start whose I_x
+    mpmath cannot sum there.
     """
     import mpmath as mp
 
@@ -239,7 +241,9 @@ def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer):
                 i = mp.betainc(a1, b, 0, mp.tanh(r) ** 2, regularized=True)
             return mp.sinh(r) ** (m - 1) * mp.cosh(r) ** (d - m) * i
 
-        pts = sorted({mp.mpf(0), v / 2, v} | {v - mp.mpf(10) ** -k for k in range(1, layer + 1)})
+        start = mp.mpf(start)
+        pts = {v / 2, v} | {v - mp.mpf(10) ** -k for k in range(1, layer + 1)}
+        pts = sorted({start} | {x for x in pts if x > start})
         return float(mp.quad(f, pts) / _mp_radial_mass(d, m, v))
 
 
@@ -250,10 +254,10 @@ def atom_mass_mp_oracle(d, q, g, v, dps=30, layer=0):
     return _mp_offset_radius_integral(d, q, g, v, False, dps, layer)
 
 
-def probability_offset_mp_oracle(d, q, g, v, dps=30, layer=0):
+def probability_offset_mp_oracle(d, q, g, v, dps=30, layer=0, start=0):
     """Probability at K = -1 that the flats meet, by mpmath, over the offset
     radius (_mp_offset_radius_integral); shares nothing with the density."""
-    return _mp_offset_radius_integral(d, q, g, v, True, dps, layer)
+    return _mp_offset_radius_integral(d, q, g, v, True, dps, layer, start)
 
 
 def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
@@ -390,6 +394,31 @@ P_PAST_THE_DOMAIN_MPMATH = {
     (10000, 9999, 9998, 12.0): 0.0009804987101971632,
     (1000, 999, 998, 300.0): 2.5985704466372187e-129,
     (10000, 9999, 9998, 20.0): 3.289207567632172e-07,
+}
+# (10^5, 99999, 99998, v=12): probability_offset_mp_oracle with start=11.995
+# and layer=11, at 30 and at 40 digits, 2026-10, equal in every digit shown.
+# Below rho = 11.995 the integrand is below e^-500 of its value at v (it
+# falls like cosh^gamma rho), and there mpmath's 2F1 for I_x(1/2, 49999.5)
+# does not converge, so the oracle without start fails.
+P_1E5_V12_MPMATH = 0.003100532350501337
+# The log-rounding floor at d = 1000, v = 12 (ROADMAP item 1's first table):
+# probability_offset_mp_oracle and atom_mass_mp_oracle at 30 digits with
+# layer=10, and at 40 digits with layer=12, 2026-10, equal in every digit
+# shown.  The atom at (1000, 500, 499) is 1 to double precision.  Keys
+# (kind, d, q, g, v).
+AT_THE_LOG_FLOOR_MPMATH = {
+    ("p", 1000, 999, 998, 12.0): 0.00031013106614781824,
+    ("atom", 1000, 500, 499, 12.0): 1.0,
+    ("atom", 1000, 999, 0, 12.0): 0.999992169107129,
+}
+# Near rho = 0 at gamma = 0, where I_x(b, 1/2) is 1 - O(sqrt(1 - x)) and
+# x = sech^2 rho rounds: probability_offset_mp_oracle at 50 and at 60
+# digits (layer=0), 2026-10, equal in every digit shown; at 30 digits the
+# atom at (30, 4, 0) is 1.3e-10 off.  Keys (d, q, g, v).
+P_GAMMA_0_SMALL_V_MPMATH = {
+    (30, 4, 0, 2e-6): 0.9999935527896882,
+    (600, 3, 0, 1e-5): 0.9998538473739353,
+    (3, 1, 0, 2e-6): 0.999999,
 }
 # log_radial_mass_oracle(1000, m, 300.0, dps=300) for m = 1 and m = 999: at
 # 50 digits tanh^2 300 rounded to 1 and 2F1 returned inf.

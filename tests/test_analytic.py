@@ -31,8 +31,9 @@ from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
 from hypflats.special import log_constant_D, log_sphere_surface
-from oracles import (ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH, COND_MEAN_MPMATH, EUCLID_CDF_MPMATH,
-                     LOG_RADIAL_MASS_1000_V300_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
+from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH, COND_MEAN_MPMATH,
+                     EUCLID_CDF_MPMATH, LOG_RADIAL_MASS_1000_V300_MPMATH, P_1E5_V12_MPMATH,
+                     P_GAMMA_0_SMALL_V_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
                      P_STAR_3_2_1_MPMATH,
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
@@ -245,24 +246,63 @@ class TestIntersectionProbability:
         assert atom_mass(FlatConfig(d, q, g, v), K1, Tolerance(rel_tol=1e-12)) == pytest.approx(
             ATOM_NEAR_ONE_MPMATH[key], rel=1e-11, abs=0.0)
 
-    def test_atom_and_p_add_to_one(self):
-        tol = Tolerance(rel_tol=1e-12)
-        for d in (3, 10, 40, 150, 600, 1000):
-            for q in sorted({1, d // 2, d - 1}):
-                for g in sorted({0, q - 1}):
-                    for v in (0.05, 1.0, 4.0, 12.0):
+    @staticmethod
+    def add_to_one(tol, ds=(3, 10, 40, 150, 600, 1000), qs=lambda d: {1, d // 2, d - 1},
+                   gs=lambda q: {0, q - 1}, vs=(0.05, 1.0, 4.0, 12.0)):
+        for d in ds:
+            for q in sorted(qs(d)):
+                for g in sorted(gs(q)):
+                    for v in vs:
                         cfg = FlatConfig(d, q, g, v)
                         total = intersection_probability(cfg, K1, tol) + atom_mass(cfg, K1, tol)
                         assert abs(total - 1.0) <= 2 * tol.rel_tol, cfg
 
+    def test_atom_and_p_add_to_one(self):
+        self.add_to_one(Tolerance(rel_tol=1e-12))
+
+    def test_atom_and_p_add_to_one_at_1e_13(self):
+        # every node's log is taken relative to its value at v, so no term
+        # near d v = 12000 rounds in it
+        self.add_to_one(Tolerance(rel_tol=1e-13))
+
+    def test_atom_and_p_add_to_one_at_small_v(self):
+        # nor a term near (m - 1) log v: at v = 1e-6 that is 13 (m - 1)
+        self.add_to_one(Tolerance(rel_tol=1e-13), ds=(150, 600, 1000),
+                        qs=lambda d: {d // 2, d - 1}, gs=lambda q: {0, q // 2, q - 1},
+                        vs=(1e-6, 1e-4, 1e-2))
+
+    @pytest.mark.parametrize("key", sorted(AT_THE_LOG_FLOOR_MPMATH))
+    def test_below_the_log_rounding_floor(self, key):
+        kind, d, q, g, v = key
+        fn = intersection_probability if kind == "p" else atom_mass
+        assert fn(FlatConfig(d, q, g, v), K1, Tolerance(rel_tol=1e-13)) == pytest.approx(
+            AT_THE_LOG_FLOOR_MPMATH[key], rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("key", sorted(P_PAST_THE_DOMAIN_MPMATH))
     def test_past_the_documented_dimension(self, key):
-        # the radial mass is closed form; p's own integral still converges.
-        # Past d = 10^3 or v = 12 the log-space rounding of the integrand
-        # alone is 3e-11 to 6e-11 of p, and rel_tol 1e-10 takes all 2000 panels.
+        # the radial mass is closed form, and p's integrand is taken relative
+        # to its value at v, so no log near d v rounds in it
         d, q, g, v = key
-        assert intersection_probability(FlatConfig(d, q, g, v), K1, TOL) == pytest.approx(
-            P_PAST_THE_DOMAIN_MPMATH[key], rel=1e-9, abs=0.0)
+        tol = Tolerance(rel_tol=1e-12)
+        assert intersection_probability(FlatConfig(d, q, g, v), K1, tol) == pytest.approx(
+            P_PAST_THE_DOMAIN_MPMATH[key], rel=1e-12, abs=0.0)
+
+    def test_at_a_hundred_thousand_dimensions(self):
+        cfg, tol = FlatConfig(10**5, 99999, 99998, 12.0), Tolerance(rel_tol=1e-12)
+        assert intersection_probability(cfg, K1, tol) == pytest.approx(
+            P_1E5_V12_MPMATH, rel=1e-12, abs=0.0)
+        # the miss integrand's series for B_y(a', 1/2) / y^a', a' = 49999.5,
+        # at y = tanh^2 rho past 1/2, where betaincc underflows
+        with pytest.raises(QuadratureError, match="2F1.*more than 1000 terms"):
+            atom_mass(cfg, K1, tol)
+
+    @pytest.mark.parametrize("key", sorted(P_GAMMA_0_SMALL_V_MPMATH))
+    def test_keeps_its_digits_near_rho_0(self, key):
+        # I_x(b, 1/2) at x = sech^2 rho near 1 is taken as 1 - I_y(1/2, b), y = tanh^2 rho
+        cfg, tol = FlatConfig(*key), Tolerance(rel_tol=1e-12)
+        p = intersection_probability(cfg, K1, tol)
+        assert p == pytest.approx(P_GAMMA_0_SMALL_V_MPMATH[key], rel=1e-12, abs=0.0)
+        assert abs(p + atom_mass(cfg, K1, tol) - 1.0) <= 2e-12
 
     @pytest.mark.parametrize("cfg, p", [
         (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
@@ -288,6 +328,36 @@ class TestIntersectionProbability:
     def test_one_at_tiny_radius(self, u):
         # 1 - p is about u^2 / 6 here
         assert abs(intersection_probability(FlatConfig(3, 2, 1, u), K1, TOL) - 1.0) <= 1e-12
+
+    @pytest.fixture
+    def integrand_calls(self, monkeypatch):
+        # the node count of each call of p's or the atom's integrand
+        calls = []
+
+        def spy(f, *args, **kwargs):
+            def counted(x):
+                calls.append(x.size)
+                return f(x)
+
+            return integrate_adaptive(counted, *args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+        return calls
+
+    @pytest.mark.parametrize("cfg", [FlatConfig(1000, 999, 998, 12.0),
+                                     FlatConfig(10**4, 9999, 9998, 20.0),
+                                     FlatConfig(600, 300, 0, 4.0)])
+    @pytest.mark.parametrize("fn", [intersection_probability, atom_mass])
+    def test_one_integrand_call_through_the_layer(self, cfg, fn, integrand_calls):
+        # the first panels, graded toward the layer below v, converge together
+        fn(cfg, K1, TOL)
+        assert len(integrand_calls) == 1
+
+    @pytest.mark.parametrize("cfg, K", [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
+                                        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
+    def test_one_panel_where_the_layer_is_wide(self, cfg, K, integrand_calls):
+        intersection_probability(cfg, K, TOL)
+        assert integrand_calls == [15]
 
     def test_is_one_1d_integral(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -662,8 +732,9 @@ class TestUnitLaw:
         for x in np.linspace(0.1, 4.0, 50):
             distance_density(CFG, K1, float(x), TOL)
         assert analytic._unit_law.cache_info().misses == 1
-        # all three betaln values are computed before the law enters the cache
-        assert cached == [0, 0, 0]
+        # both betaln values (the density's, and p's and the atom's) are
+        # computed before the law enters the cache
+        assert cached == [0, 0]
 
     def test_scalar_far_tail_is_the_array_call(self):
         from scipy.special import betainc
@@ -682,6 +753,7 @@ class TestUnitLaw:
                 intersection_probability(CFG, K1, TOL)]
         analytic._unit_law.cache_clear()
         log_radial_mass.cache_clear()
+        analytic._radial_mass_parts.cache_clear()
         np.testing.assert_array_equal(distance_density(CFG, K1, deltas, TOL), warm[0])
         analytic._unit_law.cache_clear()
         assert distance_cdf(CFG, K1, 1.5, TOL) == warm[1]

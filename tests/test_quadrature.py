@@ -11,7 +11,8 @@ from hypflats import (
     integrate_adaptive,
 )
 from hypflats._backend import log_kernel_theta
-from hypflats.quadrature import _WG, _WK, _XK, _gk_panel, _gk_panels, integrate_iterated_2d
+from hypflats.quadrature import (_WG, _WK, _XK, _gk_panel, _gk_panels, _panel_scales,
+                                 integrate_iterated_2d)
 
 TOL = Tolerance()
 
@@ -187,20 +188,22 @@ class TestGkPanels:
             calls.append(x.size)
             return f(x)
 
-        vals, errs, _, _ = _gk_panels(counted, self.A, self.B, log_form)
+        vals, errs, _, log_scale = _gk_panels(counted, self.A, self.B, log_form)
         assert calls == [15 * len(self.A)]
-        for a, b, v, e in zip(self.A, self.B, vals, errs):
-            rv, re, log_scale = _gk_panel(f, a, b, log_form)
-            rv, re = rv * math.exp(log_scale), re * math.exp(log_scale)
+        # the same units: values and errors relative to exp(log_scale)
+        for a, b, v, e, s in zip(self.A, self.B, vals, errs, log_scale):
+            rv, re, rs = _gk_panel(f, a, b, log_form)
+            assert s == pytest.approx(rs, rel=1e-15, abs=1e-15)
             assert v == pytest.approx(rv, rel=1e-14, abs=0.0)
             # below about 1e-14 |v| the estimate is the rounding of the sums
             assert e == pytest.approx(re, rel=1e-6, abs=1e-14 * abs(rv))
 
     def test_empty_panel_is_zero(self):
-        vals, errs, _, _ = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x),
-                                      np.array([0.0, 1.0]), np.array([1.0, 2.0]), True)
-        assert (vals[0], errs[0]) == (0.0, 0.0)
-        assert vals[1] == pytest.approx(math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
+        vals, errs, _, log_scale = _gk_panels(lambda x: np.where(x < 1.0, -np.inf, -x),
+                                              np.array([0.0, 1.0]), np.array([1.0, 2.0]), True)
+        assert (vals[0], errs[0], log_scale[0]) == (0.0, 0.0, -math.inf)
+        assert vals[1] * math.exp(log_scale[1]) == pytest.approx(
+            math.exp(-1.0) - math.exp(-2.0), rel=1e-12)
 
     @pytest.mark.parametrize("bad, log_form", [
         (np.nan, True), (np.inf, True), (800.0, True), (np.nan, False), (np.inf, False)])
@@ -208,8 +211,17 @@ class TestGkPanels:
         def f(x):
             return np.where(x > 2.0, bad, -700.0)
 
+        a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        # a non-finite node raises in the rule, a scale beyond the largest
+        # double where the scales are applied
         with pytest.raises(QuadratureError, match=r"\[2\.0, 3\.0\]"):
-            _gk_panels(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), log_form)
+            _panel_scales(_gk_panels(f, a, b, log_form)[3], a, b)
+
+    def test_relative_units_do_not_overflow(self):
+        # the adaptive loop's first round keeps every panel relative to its own scale
+        res = integrate_adaptive(lambda x: 800.0 - x, 0.0, 2.0, TOL, log_form=True,
+                                 log_offset=-800.0, break_points=(0.5, 1.0))
+        assert res.value == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
 
     def test_no_panels(self):
         vals, errs, _, _ = _gk_panels(np.cos, np.array([]), np.array([]), False)

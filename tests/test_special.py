@@ -17,6 +17,7 @@ from hypflats import (
     log_sphere_surface,
     sphere_surface,
 )
+from hypflats.special import betaln
 
 
 class TestCurvature:
@@ -70,6 +71,37 @@ class TestSphereSurface:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             log_sphere_surface(0)
+
+
+def mp_betaln(a, b):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return mp.log(mp.beta(mp.mpf(a), mp.mpf(b)))
+
+
+class TestBetaln:
+    # half-integers: the parameters of every beta function of the distance law
+    HALVES = [k / 2 for k in range(1, 41)] + [30.5, 64.0, 100.5, 250.0, 250.5, 483.5, 499.5, 500.0]
+
+    def test_half_integers_against_mpmath(self):
+        # within 16 units of rounding of log B (scipy's betaln: 2074 at (483.5, 0.5))
+        for a in self.HALVES:
+            for b in self.HALVES:
+                ref = mp_betaln(a, b)
+                assert abs(betaln(a, b) - ref) <= 16 * math.ulp(float(ref)), (a, b)
+
+    def test_random_pairs_against_mpmath(self):
+        rng = np.random.default_rng(11)
+        for a, b in np.exp(rng.uniform(math.log(0.05), math.log(5000.0), (300, 2))):
+            ref = mp_betaln(a, b)
+            assert abs(betaln(a, b) - ref) <= 4e-15 * max(1.0, abs(float(ref))), (a, b)
+
+    def test_symmetric_and_scipy_below_the_series(self):
+        from scipy.special import betaln as scipy_betaln
+
+        assert betaln(483.5, 0.5) == betaln(0.5, 483.5)
+        assert betaln(7.5, 3.0) == scipy_betaln(7.5, 3.0)
 
 
 class TestConstantD:
