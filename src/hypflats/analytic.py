@@ -15,7 +15,12 @@ m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
 R the radial mass below, as in p (_log_density, in log space).  The CDF and
 the moments are 1-d integrals of it, in w = s/(1+s), s = sqrt(t - v), past
-v: a moment is one integral to infinity.  The CDF grid is one vectorised
+v: a moment is one integral to infinity.  Their first panels come from the
+law: equal in w past v (_GRID_PANELS_PAST per unit of w), and graded toward
+v on both sides where the integral reaches v (_layer_knots), so a moment at
+the benchmark's configurations takes three integrand calls (below v, past
+v, and p's) instead of thirteen, and one at v = 1e-10 returns its value
+where bisection toward v ran out of subdivisions.  The CDF grid is one vectorised
 pass: one Gauss-Kronrod panel per grid segment, all panels below v from one
 integrand call and all past v from another, and the segments that miss the
 tolerance are halved together until they meet it.  Of a grid of thousands
@@ -23,7 +28,9 @@ of points (the sorted Monte Carlo samples) only about 128 are knots; the
 others take the integral of the interpolant through their panel's node
 values.  The flat-space
 (K -> 0) distance CDF and the normaliser of the critical constant rho are
-closed form; rho is one 1-d integral of a lower incomplete gamma function.
+closed form; rho is one 1-d integral of a lower incomplete gamma function,
+on first panels graded around the point r* where that function turns over,
+which usually settle it in one integrand call.
 
 The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
@@ -150,15 +157,17 @@ _LOG_SUM_EPS = math.log(_SUM_EPS)
 _SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
-# the offset-radius integrals' first panels end at h = 2^k _LAYER_KNOT / lambda
-# below v, lambda the log-slope of the integrand at v, where lambda v exceeds
-# _LAYER_MIN_SPAN; a narrower layer costs no panel of its own
+# first panels graded toward a layer (_layer_knots: p's, the atom's, the density
+# integrals' next to v, rho's) end h = 2^k _LAYER_KNOT / lambda from its edge,
+# lambda the integrand's log-slope there, where lambda times the span exceeds
+# _LAYER_MIN_SPAN; a wider layer costs no panel of its own
 _LAYER_KNOT = 2.0
 _LAYER_MIN_SPAN = 4.0
 # a grid of at most this many points makes every point a knot; a longer one
 # takes its knots from the law (_law_knots) and a few of its points
 _GRID_KNOTS = 128
-# a long grid's equal panels: in t on [0, v], in w on [v, its last point]
+# a long grid's equal panels: in t on [0, v], in w on [v, its last point];
+# a density integral past v starts from _GRID_PANELS_PAST per unit of w
 _GRID_PANELS_BELOW = 4
 _GRID_PANELS_PAST = 12
 # a long grid of n points keeps its ranks 1, 2, 4, ... below n / _GRID_LOW_RANKS as knots
@@ -470,6 +479,20 @@ def _as_probability(value, error_estimate):
     return float(out) if out.ndim == 0 else out
 
 
+def _layer_knots(slope: float, span: float) -> list:
+    """The distances h = 2^k _LAYER_KNOT / slope, k = 0, 1, ..., below span from
+    the end of an integral whose integrand's log falls off at rate slope away
+    from that end: first panels graded toward the layer about 1/slope wide that
+    holds its mass; none where slope * span <= _LAYER_MIN_SPAN."""
+    knots = []
+    if slope * span > _LAYER_MIN_SPAN:
+        h = _LAYER_KNOT / slope
+        while h < span:
+            knots.append(h)
+            h *= 2.0
+    return knots
+
+
 def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
                             hit: bool) -> QuadResult:
     """P(the flats meet) if hit, else P(they miss), as one integral over the offset radius.
@@ -485,10 +508,12 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         miss: sinh^q rho cosh^(d-q-1) rho       (B_y(a', b) / y^a') / B(a', b)
 
     to integrate over [0, v] and divide by R.  Where y > 1/2 the miss
-    integrand is sinh^(m-1) rho cosh^(d-m) rho betaincc(b, a', x) instead,
+    integrand is sinh^(m-1) rho cosh^(d-m) rho (1 - I_x(b, a')) instead,
     with x = exp(-2 log cosh rho) exact: 1 - y there keeps only part of the
     digits of x that the miss probability depends on, and rounds to 0 past
-    rho = 18.7.  That branch's power differs from the first by
+    rho = 18.7.  1 - I_x is 1 - betainc where betainc is at most 1/2 and
+    scipy's betaincc, 7 to 10 times dearer, only where it is above 1/2.
+    That branch's power differs from the first by
     -(gamma+1) log tanh v at v.
 
     Both are log-form integrals in h = v - rho, relative to their values
@@ -550,10 +575,16 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         dls, dlc = np.log1p(em / sinh_div) - h, np.log1p(em / cosh_div) - h
         log_y = 2.0 * (dls - dlc + law.log_tanh_v)  # log tanh^2 rho
         out = q * dls + (d - q - 1) * dlc
-        # the nodes with y > 1/2 where betaincc(b, a', x) is not deep in its tail
+        # the nodes with y > 1/2 where 1 - I_x(b, a') is not deep in its tail
         far = log_y > -_LOG2
         if far.any():
-            i_far = betaincc(b, a1, np.exp(-2.0 * (dlc[far] + law.log_cosh_v)))
+            # 1 - betainc keeps every digit where betainc is at most 1/2 (then
+            # 1 - betainc >= 1/2), at a tenth of betaincc's cost
+            x_far = np.exp(-2.0 * (dlc[far] + law.log_cosh_v))
+            i_far = 1.0 - betainc(b, a1, x_far)
+            near_one = i_far < 0.5
+            if near_one.any():
+                i_far[near_one] = betaincc(b, a1, x_far[near_one])
             usable = i_far >= _BETAINC_FLOOR
             far[far], i_far = usable, i_far[usable]
         if not far.all():
@@ -568,15 +599,9 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         slope = (m - 1) / tanh_v + (g + a1) * tanh_v
     else:
         slope = q / tanh_v + (d - q) * tanh_v
-    knots = []
-    if slope * v > _LAYER_MIN_SPAN:
-        h = _LAYER_KNOT / slope
-        while h < v:
-            knots.append(h)
-            h *= 2.0
     return integrate_adaptive(log_hit if hit else log_miss, 0.0, v, tol, log_form=True,
                               log_offset=law.hit_offset if hit else law.miss_offset,
-                              break_points=knots)
+                              break_points=_layer_knots(slope, v))
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
@@ -725,16 +750,45 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     (about 1/d wide below v at gamma near q, and thin in w for large upper
     limits), and a first panel whose nodes all miss it sees a value orders
     of magnitude below the true one; an absolute tolerance would accept that.
+
+    So the first panels come from the law, each part's in one call of its
+    integrand.  Past v they are max(1, ceil(_GRID_PANELS_PAST (w_hi - w_lo)))
+    equal panels in w, the density of a long grid's panels (_law_knots): 12
+    for a moment, a few for a CDF just past v.  Where the part past v starts
+    at v, its first panel is graded toward w = 0 too, at s0, 2 s0, 4 s0, ...
+    (_layer_knots), s0^2 = tanh v (d-q) / (2 (d+1)) the t - v where I_x(a, b)
+    has fallen to about 1/2: at small v that layer is far thinner than a
+    panel (s0 = 2e-6 at (1000,999,998, v=1e-8)), and bisection toward w = 0
+    reached the endpoint heuristic of integrate_adaptive before it.  Below v,
+    where the integral reaches v, the panels end at v - h, h = 2/lambda,
+    4/lambda, ... (_layer_knots, as p's), lambda = (m-1) coth v + gamma tanh v
+    the density's log-slope at v.  A conditional mean takes three integrand
+    calls with p's at (3,2,1,1), (40,39,38, v=6) and (1000,999,998, v=12),
+    where bisection from one panel took 13, 25 and 39.
     """
     v = law.v
     log_g, log_g_past = _log_integrands(law, alpha)
     parts = []
     if lo < v:
-        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True))
+        knots = ()
+        if hi >= v:
+            tanh_v = math.tanh(v)
+            slope = (law.m - 1) / tanh_v + law.cfg1.gamma * tanh_v
+            knots = [v - h for h in _layer_knots(slope, v - lo)]
+        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True,
+                                        break_points=knots))
     if hi > v:
+        w_lo = _w_past(max(lo, v), v)
         w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
-        parts.append(integrate_adaptive(log_g_past, _w_past(max(lo, v), v), w_hi, tol,
-                                        log_form=True))
+        n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
+        knots = list(np.linspace(w_lo, w_hi, n + 1)[1:-1])
+        if lo <= v:
+            # I_x(a, b) is about 1/2 where 1 - x, about 2 coth v (t - v), reaches
+            # b / (a + b): at s = s0, and w is about s there
+            s0 = math.sqrt(math.tanh(v) * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
+            knots += [w_lo + h for h in _layer_knots(_LAYER_KNOT / s0, (w_hi - w_lo) / n)]
+        parts.append(integrate_adaptive(log_g_past, w_lo, w_hi, tol, log_form=True,
+                                        break_points=knots))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
@@ -1071,6 +1125,18 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
     With z = kappa u^2 / 2 and Kummer's transformation of the confluent
     hypergeometric M, N = (u^m / m) M(m/2, m/2 + 1, z) = (u^m / m) e^z M(1, m/2 + 1, -z).
     The r-integral converges on tol's relative tolerance alone.
+
+    Its first panels are graded around r* = sqrt(z / (z + a)), where c = a
+    and gamma(a, c) / c^a turns over from Gamma(a) c^-a to about
+    e^(-c a / (a + 1)) / a.  Below r* the integrand's log rises at
+    (2 z + m - 1) / r*, and the panels end at r* - h (_layer_knots).  Past
+    r*, where the log still rises at r = 1, at 2 z a / (a + 1) - gamma - 2,
+    the mass lies in a layer below 1 and the panels end at 1 - h; otherwise
+    the log falls at (gamma + 2) / r* and they end at r* + h.  A side too
+    gentle for _layer_knots is a slow power of r, and its panels halve
+    toward 0 (r*/2, r*/4) or double toward 1 (2 r*, 4 r*, ...).  That
+    settles rho in one integrand call at the benchmark's configurations,
+    where bisection from one panel took 5 to 7.
     """
     if not 0 <= gamma <= q - 1:
         raise DomainError(f"need 0 <= gamma <= q-1, got gamma={gamma}, q={q}")
@@ -1079,6 +1145,9 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
     if not kappa > 0:
         raise DomainError(f"need kappa > 0, got {kappa}")
     m, a, z = q - gamma, 0.5 * (q + 1), 0.5 * kappa * u * u
+    if not z > 0:
+        # the integrand is then r^-(gamma+2) / a, whose integral diverges at r = 0
+        raise DomainError(f"kappa u^2 / 2 underflows to 0 at u={u}, kappa={kappa}")
     log_norm = m * math.log(u) - math.log(m) + z + math.log(hyp1f1(1.0, 0.5 * m + 1.0, -z))
     pref = (log_sphere_surface(gamma + 1) + 0.5 * (gamma + 1) * math.log(kappa / (2.0 * math.pi))
             + (1 + q) * math.log(u) - math.log(2.0) - log_norm)
@@ -1088,7 +1157,18 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
             c_r = z * (1.0 - r) * (1.0 + r) / (r * r)
         return _log_lower_gamma_tail(a, c_r) - (gamma + 2) * np.log(r)
 
-    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref)
+    r_star = math.sqrt(z / (z + a))
+    knots = [r_star] + ([r_star - h for h in _layer_knots((2.0 * z + m - 1) / r_star, r_star)]
+                        or [0.5 * r_star, 0.25 * r_star])
+    rise = 2.0 * z * a / (a + 1.0) - (gamma + 2)
+    if rise > 0.0:
+        knots += [1.0 - h for h in _layer_knots(rise, 1.0 - r_star)]
+    else:
+        # 2 r*, 4 r*, ... below 1: r* = f 2^e with 1/2 <= f < 1, so 2^k r* < 1 for k <= -e
+        knots += ([r_star + h for h in _layer_knots((gamma + 2) / r_star, 1.0 - r_star)]
+                  or [r_star * 2.0**k for k in range(1, 1 - math.frexp(r_star)[1])])
+    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref,
+                             break_points=knots)
     return _as_probability(res.value, res.error_estimate)
 
 

@@ -225,7 +225,10 @@ def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer, start=0):
     and at v - 10^-k for k = 1..layer: the mass can sit within about 1/d
     of v; split points below start are dropped.  A start above 0 integrates
     over [start, v] only, for an integrand negligible below start whose I_x
-    mpmath cannot sum there.
+    mpmath cannot sum there.  The integrand is taken relative to its value
+    at v: at small v it lies near v^(m-1), 1e-5988 at (1000, 999, 0,
+    v=1e-6), far below quad's absolute epsilon, which stopped it 1.2% off
+    there at any precision.
     """
     import mpmath as mp
 
@@ -241,10 +244,11 @@ def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer, start=0):
                 i = mp.betainc(a1, b, 0, mp.tanh(r) ** 2, regularized=True)
             return mp.sinh(r) ** (m - 1) * mp.cosh(r) ** (d - m) * i
 
+        scale = f(v)
         start = mp.mpf(start)
         pts = {v / 2, v} | {v - mp.mpf(10) ** -k for k in range(1, layer + 1)}
         pts = sorted({start} | {x for x in pts if x > start})
-        return float(mp.quad(f, pts) / _mp_radial_mass(d, m, v))
+        return float(mp.quad(lambda r: f(r) / scale, pts) * scale / _mp_radial_mass(d, m, v))
 
 
 def atom_mass_mp_oracle(d, q, g, v, dps=30, layer=0):
@@ -265,9 +269,13 @@ def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
 
     The K = 0 density A0 t^(m-1) I_x((q+1)/2, (d-q)/2), m = q - g,
     x = min(1, u^2 / t^2), A0 = B((q+1)/2, (d-q)/2) D omega_(d-g) / (2 C0)
-    with C0 = omega_m u^m / m, integrated in s = t / u over (0, delta / u),
-    split at 1 and at 1 + 2^j / (4 d) for j = 0, 1, ...: past u the
-    density falls within about u / d.
+    with C0 = omega_m u^m / m, integrated in s = t / u over (0, delta / u).
+    Below s1 = min(1, delta / u) the integrand is s^(m-1), whose mass lies
+    within about s1 / m of s1, so that part is split at s1 (1 - 2^j / (4 d))
+    for j = 0, 1, ...; past u the density falls within about u / d, and that
+    part is split at 1 and at 1 + 2^j / (4 d).  The integrand is taken
+    relative to s1^(m-1): s^334 over [0, 1/2] at (1000, 506, 171), 1e-104,
+    lies below quad's absolute epsilon, which stopped it 0.14% high there.
     """
     import mpmath as mp
 
@@ -277,18 +285,24 @@ def euclidean_cdf_mp_oracle(d, q, g, u, delta, dps=30):
         a, b = mp.mpf(q + 1) / 2, mp.mpf(d - q) / 2
         A0 = (mp.beta(a, b) / 2 * _mp_dimension_constant(d, q, g) * _mp_omega(d - g)
               / (_mp_omega(m) * u**m / m))
+        s1 = min(1, s_max)
+        scale = s1 ** (m - 1)
 
         def f(s):
-            return s ** (m - 1) * mp.betainc(a, b, 0, min(1, 1 / s**2), regularized=True)
+            return s ** (m - 1) / scale * mp.betainc(a, b, 0, min(1, 1 / s**2), regularized=True)
 
-        pts = [0, min(1, s_max)]
+        pts = [0, s1]
+        h = mp.mpf(1) / (4 * d)
+        while h < 1:
+            pts.append(s1 * (1 - h))
+            h *= 2
         h = mp.mpf(1) / (4 * d)
         while 1 + h < s_max:
             pts.append(1 + h)
             h *= 2
         if s_max > 1:
             pts.append(s_max)
-        return float(A0 * u**m * mp.quad(f, pts))
+        return float(A0 * u**m * scale * mp.quad(f, sorted(pts)))
 
 
 def rho_mp_oracle(u, q, g, kappa, dps=30):
@@ -363,6 +377,7 @@ COND_MEAN_MPMATH = {
     (10, 9, 8, 8.0): 8.18185251517835,
     (40, 39, 38, 6.0): 6.2804814200194246,
     (600, 300, 0, 4.0): 6.7919147551653145,
+    (1000, 999, 998, 12.0): 12.305850807038588,
 }
 # atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
 # digits, and as 1 minus the integral of the closed-form density at 50 and

@@ -41,12 +41,28 @@ from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
                      P_STAR_1000_999_998_V12_MPMATH, P_600_300_0_V3_1_MPMATH, RHO_MPMATH,
                      RHO_SUBNORMAL_MPMATH, atom_mass_mp_oracle,
                      conditional_mean_mp_oracle, euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
-                     probability_closed_form_oracle, probability_oracle, rho_mp_oracle,
-                     rho_riemann_oracle)
+                     probability_closed_form_oracle, probability_offset_mp_oracle,
+                     probability_oracle, rho_mp_oracle, rho_riemann_oracle)
 
 TOL = Tolerance()
 CFG = FlatConfig(3, 2, 1, 1.0)
 K1 = Curvature(-1.0)
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    # the node count of each call of an integrand of integrate_adaptive in analytic
+    calls = []
+
+    def spy(f, *args, **kwargs):
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        return integrate_adaptive(counted, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+    return calls
 
 
 class TestCroftonConstant:
@@ -304,6 +320,17 @@ class TestIntersectionProbability:
         assert p == pytest.approx(P_GAMMA_0_SMALL_V_MPMATH[key], rel=1e-12, abs=0.0)
         assert abs(p + atom_mass(cfg, K1, tol) - 1.0) <= 2e-12
 
+    @pytest.mark.parametrize("oracle, key", [(atom_mass_mp_oracle, (30, 4, 0, 2e-6)),
+                                             (probability_offset_mp_oracle, (1000, 999, 0, 1e-6))])
+    def test_offset_radius_oracles_keep_their_digits_at_small_v(self, oracle, key):
+        # their integrands, near v^(m-1), are taken relative to their value at v;
+        # below quad's absolute epsilon they were 1.3e-10 and 1.2% off here
+        value = oracle(*key)
+        assert value == pytest.approx(oracle(*key, dps=50), rel=1e-13, abs=0.0)
+        fn = atom_mass if oracle is atom_mass_mp_oracle else intersection_probability
+        assert fn(FlatConfig(*key), K1, Tolerance(rel_tol=1e-13)) == pytest.approx(
+            value, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("cfg, p", [
         (FlatConfig(10, 9, 8, 8.0), P_STAR_10_9_8_V8_MPMATH),
         (FlatConfig(40, 39, 38, 6.0), P_STAR_40_39_38_V6_MPMATH),
@@ -328,21 +355,6 @@ class TestIntersectionProbability:
     def test_one_at_tiny_radius(self, u):
         # 1 - p is about u^2 / 6 here
         assert abs(intersection_probability(FlatConfig(3, 2, 1, u), K1, TOL) - 1.0) <= 1e-12
-
-    @pytest.fixture
-    def integrand_calls(self, monkeypatch):
-        # the node count of each call of p's or the atom's integrand
-        calls = []
-
-        def spy(f, *args, **kwargs):
-            def counted(x):
-                calls.append(x.size)
-                return f(x)
-
-            return integrate_adaptive(counted, *args, **kwargs)
-
-        monkeypatch.setattr(analytic, "integrate_adaptive", spy)
-        return calls
 
     @pytest.mark.parametrize("cfg", [FlatConfig(1000, 999, 998, 12.0),
                                      FlatConfig(10**4, 9999, 9998, 20.0),
@@ -499,6 +511,20 @@ class TestMoment:
         with pytest.raises(QuadratureError, match="conditional moment .* beyond the largest"):
             moment(FlatConfig(600, 300, 0, 4.0), K1, 300.0, True, TOL)
 
+    @pytest.mark.parametrize("d, q, g", [(10, 9, 8), (40, 39, 38), (150, 149, 148), (100, 50, 25),
+                                         (600, 599, 598), (533, 512, 509), (1000, 999, 998)])
+    @pytest.mark.parametrize("v", [1e-8, 1e-10])
+    def test_flat_limit_at_small_v(self, d, q, g, v):
+        # E[t^alpha] / v^alpha -> m/(alpha+m) B(a' - alpha/2, b) / B(a', b) as v -> 0,
+        # at rate v^2 here; past v the mass lies within about v (d-q) / (2 (d+1)) of v
+        m, a1, b = q - g, 0.5 * (g + 1), 0.5 * (d - q)
+        for alpha in (1.0, -0.5):
+            flat = m / (alpha + m) * math.exp(
+                math.lgamma(a1 - alpha / 2) - math.lgamma(a1 - alpha / 2 + b)
+                - math.lgamma(a1) + math.lgamma(a1 + b))
+            got = moment(FlatConfig(d, q, g, v), K1, alpha, True, TOL).value / v**alpha
+            assert got == pytest.approx(flat, rel=1e-9, abs=0.0), alpha
+
     def test_unconditional_where_p_underflows(self):
         # the moment is below p times 100, far below the smallest double
         res = moment(FlatConfig(600, 300, 0, 4.0), K1, -0.5, False, TOL)
@@ -513,6 +539,96 @@ BENCH_CONFIGS = [
     (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
     (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
 ]
+
+
+# the critical constants the benchmark's law workload asks for, (u, q, gamma, kappa)
+BENCH_RHO = [(1.0, 2, 1, 1.0), (1.5, 3, 0, 2.0), (0.8, 1, 0, 0.5)]
+# integrand calls when the density integrals and rho bisected from one first
+# panel (the offset-radius integral already had its graded panels), at
+# K = -1: (conditional moment of order 1 with its p, unconditional moment of
+# order -1/2, distance_cdf at v/2, 3v/2 and 3v) per (d, q, gamma, v), and
+# the calls of rho per (u, q, gamma, kappa)
+ONE_PANEL_CALLS = {
+    (3, 2, 1, 1.0): (13, 37, 1, 2, 6),
+    (12, 8, 1, 1.0): (15, 14, 1, 6, 8),
+    (40, 39, 38, 6.0): (25, 24, 11, 18, 20),
+    (600, 300, 0, 4.0): (37, 34, 15, 28, 32),
+    (100, 50, 25, 1.0): (23, 22, 7, 12, 18),
+    (10, 9, 8, 8.0): (21, 20, 7, 14, 16),
+    (7, 4, 0, 2.0): (15, 18, 1, 4, 6),
+    (30, 3, 1, 0.548): (17, 41, 1, 4, 6),
+    (1000, 999, 998, 12.0): (39, 38, 21, 32, 36),
+    (200, 199, 1, 8.0): (31, 30, 15, 24, 26),
+    (1000, 500, 0, 0.01): (33, 34, 15, 28, 24),
+    (10, 9, 8, 1e-4): (21, 47, 1, 4, 6),
+    (3, 2, 1, 1e-4): (19, 43, 1, 2, 4),
+    (533, 512, 509, 3.04e-5): (33, 46, 1, 16, 18),
+}
+ONE_PANEL_RHO_CALLS = {
+    (1.0, 2, 1, 1.0): 7, (1.5, 3, 0, 2.0): 5, (0.8, 1, 0, 0.5): 7, (0.1, 2, 0, 0.1): 17,
+    (2.0, 4, 2, 4.0): 5, (2.0, 20, 19, 3.0): 9, (1.0, 200, 1, 1.0): 9, (0.5, 200, 1, 1.0): 9,
+    (3.0, 200, 199, 50.0): 13, (4.0, 3, 0, 40.0): 15, (12.0, 200, 199, 12.0): 17,
+    (6.0, 400, 1, 40.0): 17, (10.0, 150, 10, 15.0): 17, (0.01, 3, 1, 0.01): 29,
+    (5.0, 1, 0, 0.1): 5, (0.3, 50, 0, 3.0): 9, (1.0, 1000, 500, 2.0): 27, (20.0, 4, 3, 0.05): 5,
+}
+
+
+class TestFirstPanelsFromTheLaw:
+    """The density integrals and rho start from panels the law places: equal
+    in w past v, graded toward v below it, graded around r* for rho."""
+
+    # the benchmark's law configurations, and two whose layer below v is about 1/d wide
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS[:3] + [(FlatConfig(40, 39, 38, 6.0), K1),
+                                                            (FlatConfig(1000, 999, 998, 12.0), K1)])
+    def test_conditional_mean_takes_three_calls(self, cfg, K, integrand_calls):
+        # below v, past v, and p
+        moment(cfg, K, 1.0, True, TOL)
+        assert len(integrand_calls) <= 3
+
+    @pytest.mark.parametrize("key", BENCH_RHO)
+    def test_law_rho_takes_one_call(self, key, integrand_calls):
+        critical_constant_rho(*key, TOL)
+        assert len(integrand_calls) == 1
+
+    @pytest.mark.parametrize("key", sorted(ONE_PANEL_CALLS))
+    def test_no_more_calls_than_from_one_panel(self, key, integrand_calls):
+        cfg, v = FlatConfig(*key), key[3]
+        calls = []
+        for f in (lambda: moment(cfg, K1, 1.0, True, TOL),
+                  lambda: moment(cfg, K1, -0.5, False, TOL),
+                  *(lambda x=x: distance_cdf(cfg, K1, x * v, TOL) for x in (0.5, 1.5, 3.0))):
+            integrand_calls.clear()
+            f()
+            calls.append(len(integrand_calls))
+        assert all(n <= ceiling for n, ceiling in zip(calls, ONE_PANEL_CALLS[key])), calls
+
+    def test_rho_takes_no_more_calls_than_from_one_panel(self, integrand_calls):
+        calls = {}
+        for key in ONE_PANEL_RHO_CALLS:
+            integrand_calls.clear()
+            critical_constant_rho(*key, TOL)
+            calls[key] = len(integrand_calls)
+        assert all(calls[key] <= n for key, n in ONE_PANEL_RHO_CALLS.items()), calls
+        # one call everywhere but at (1, 1000, 500, 2), whose peak lies at
+        # 1.4 r*, away from the knots graded around r*
+        assert sum(n > 1 for n in calls.values()) <= 1, calls
+
+    def test_p_keeps_its_knots(self, monkeypatch):
+        # the offset-radius integral's first panels are those of _layer_knots
+        knots = []
+
+        def spy(f, a, b, tol, **kwargs):
+            knots.append(list(kwargs["break_points"]))
+            return integrate_adaptive(f, a, b, tol, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+        intersection_probability(FlatConfig(1000, 999, 998, 12.0), K1, TOL)
+        # lambda = (m - 1) coth v + (gamma + a') tanh v at m = 1, gamma = 998, a' = 499.5
+        h, expected = 2.0 / (1497.5 * math.tanh(12.0)), []
+        while h < 12.0:
+            expected.append(h)
+            h *= 2.0
+        assert knots == [expected]
 
 
 def _peak_break_points(r, theta_max):
@@ -1044,6 +1160,13 @@ class TestEuclideanCdf:
         assert euclidean_cdf_mp_oracle(*key) == pytest.approx(
             EUCLID_CDF_MPMATH[key], rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1])
+    def test_oracle_matches_at_large_m(self, ratio):
+        # m = 335: below u the oracle's integrand is s^334, 1e-104 at s = 1/2
+        cfg = FlatConfig(1000, 506, 171, 0.01)
+        assert euclidean_cdf_mp_oracle(1000, 506, 171, 0.01, ratio * 0.01) == pytest.approx(
+            euclidean_distance_cdf(cfg, ratio * 0.01, TOL), rel=1e-12, abs=0.0)
+
     def test_far_out_is_one(self):
         # the 2-d path returned 0.98726 here
         assert abs(euclidean_distance_cdf(FlatConfig(40, 39, 38, 1.0), 1e6, TOL) - 1.0) <= 1e-15
@@ -1106,6 +1229,14 @@ class TestPhase:
         # the benchmark's law configurations, against its reference
         assert critical_constant_rho(*key, TOL) == pytest.approx(
             rho_riemann_oracle(*key), rel=0.0, abs=1e-5)
+
+    def test_rho_near_u_0(self):
+        # r* = 8e-101: rho is 1 - O(z), z = kappa u^2 / 2; bisection from one
+        # panel never reached r* and gave 3.7e-158
+        assert critical_constant_rho(1e-100, 2, 1, 1.0, TOL) == pytest.approx(1.0, rel=0.0,
+                                                                             abs=1e-9)
+        with pytest.raises(DomainError, match="underflows"):
+            critical_constant_rho(1e-170, 2, 1, 1.0, TOL)
 
     def test_rho_makes_one_adaptive_call(self, monkeypatch):
         calls = []
