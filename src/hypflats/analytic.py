@@ -14,20 +14,21 @@ the closed-form density
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
 R the radial mass below, as in p (_log_density, in log space).  The CDF and
-the moments are 1-d integrals of it, in w = s/(1+s), s = sqrt(t - v), past
-v: a moment is one integral to infinity.  Their first panels come from the
-law: equal in w past v (_GRID_PANELS_PAST per unit of w), and graded toward
-v on both sides where the integral reaches v (_layer_knots), so a moment at
-the benchmark's configurations takes three integrand calls (below v, past
-v, and p's) instead of thirteen, and one at v = 1e-10 returns its value
-where bisection toward v ran out of subdivisions.  The CDF grid is one vectorised
-pass: one Gauss-Kronrod panel per grid segment, all panels below v from one
-integrand call and all past v from another, and the segments that miss the
-tolerance are halved together until they meet it.  Of a grid of thousands
-of points (the sorted Monte Carlo samples) only about 128 are knots; the
-others take the integral of the interpolant through their panel's node
-values.  The flat-space
-(K -> 0) distance CDF and the normaliser of the critical constant rho are
+the moments are 1-d integrals of it, in y = (t/v)^k below v, which makes
+a moment's power of t at 0 smooth, and in w = s/(1+s), s = sqrt(t - v),
+past v: a moment is one integral to infinity.  Their first panels come
+from the law: equal in w past v (_GRID_PANELS_PAST per unit of w), and
+graded toward v on both sides where the integral reaches v (_layer_knots),
+so a moment at the benchmark's configurations takes three integrand calls
+(below v, past v, and p's) instead of thirteen, and one at v = 1e-10
+returns its value where bisection toward v ran out of subdivisions.  The
+CDF grid is one vectorised pass, in t below v: one Gauss-Kronrod panel
+per grid segment, all panels below v from one integrand call and all past
+v from another, and the segments that miss the tolerance are halved
+together until they meet it.  Of a grid of thousands of points (the
+sorted Monte Carlo samples) only about 128 are knots; the others take the
+integral of the interpolant through their panel's node values.  The
+flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function,
 on first panels graded around the point r* where that function turns over,
 which usually settle it in one integrand call.
@@ -204,6 +205,13 @@ _ANTIDERIVATIVE = _antiderivative_matrix()
 def _log_cosh(x):
     x = np.asarray(x, dtype=float)
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _log_sinhc(t):
+    """log(sinh t / t) for t >= 0, 0 at t = 0: log(-expm1(-2t) / 2t) + t, with no
+    cancellation of log t where t is small."""
+    t = np.maximum(t, np.finfo(float).tiny)
+    return t + np.log(-np.expm1(-2.0 * t) / (2.0 * t))
 
 
 def _log_sinh(t):
@@ -741,8 +749,18 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                       alpha: float = 0.0) -> QuadResult:
     """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
 
-    The part below v runs in t, the part past v in w = s / (1 + s),
-    s = sqrt(t - v) (_log_integrands); hi = infinity is w = 1.
+    Below v the density is A B(a, b) sinh^(m-1) t cosh^gamma t, so the
+    integrand is t^(m-1+alpha) E(t), E = A B(a, b) (sinh t / t)^(m-1)
+    cosh^gamma t smooth.  In t a moment near its divergence at
+    alpha = gamma - q has t^(m-1+alpha) at t = 0, with mass closer to 0 than
+    bisection in doubles reaches.  So that part runs in y = (t/v)^k, k =
+    m + alpha where that is below 2 and 1 otherwise, over
+    [(lo/v)^k, (min(hi, v)/v)^k]: there the integrand is
+    v^(m+alpha) / k y^((m+alpha)/k - 1) E(v y^(1/k)), bounded and at least
+    C^1, the power and the Jacobian taken together in closed form.  t =
+    v y^(1/k) may underflow to 0, where E is smooth and no log of t is taken
+    (_log_sinhc).  The part past v runs in w = s / (1 + s), s = sqrt(t - v)
+    (_log_integrands); hi = infinity is w = 1.
 
     Both parts are log-form integrals, so only tol's relative tolerance
     decides convergence, and log_value is finite where value underflows.
@@ -758,26 +776,38 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     at v, its first panel is graded toward w = 0 too, at s0, 2 s0, 4 s0, ...
     (_layer_knots), s0^2 = tanh v (d-q) / (2 (d+1)) the t - v where I_x(a, b)
     has fallen to about 1/2: at small v that layer is far thinner than a
-    panel (s0 = 2e-6 at (1000,999,998, v=1e-8)), and bisection toward w = 0
-    reached the endpoint heuristic of integrate_adaptive before it.  Below v,
-    where the integral reaches v, the panels end at v - h, h = 2/lambda,
-    4/lambda, ... (_layer_knots, as p's), lambda = (m-1) coth v + gamma tanh v
-    the density's log-slope at v.  A conditional mean takes three integrand
-    calls with p's at (3,2,1,1), (40,39,38, v=6) and (1000,999,998, v=12),
-    where bisection from one panel took 13, 25 and 39.
+    panel (s0 = 2e-6 at (1000,999,998, v=1e-8)).  Below v, where the
+    integral reaches v, the panels end at t = v - h, mapped to y, h =
+    2/lambda, 4/lambda, ... (_layer_knots, as p's), lambda =
+    (m-1) coth v + gamma tanh v the density's log-slope at v.
     """
-    v = law.v
-    log_g, log_g_past = _log_integrands(law, alpha)
+    v, m, g = law.v, law.m, law.cfg1.gamma
     parts = []
     if lo < v:
+        power = m + alpha
+        k = power if power < 2.0 else 1.0
+
+        def log_g_below(y):
+            # y^(power/k - 1) is y^0 where k = power; sinh^0 = 1 at m = 1
+            t = v * y ** (1.0 / k)
+            out = (power - 1.0) * np.log(y) if k != power else np.zeros(y.shape)
+            if m > 1:
+                out += (m - 1) * _log_sinhc(t)
+            if g:
+                out += g * _log_cosh(t)
+            return out
+
         knots = ()
         if hi >= v:
             tanh_v = math.tanh(v)
-            slope = (law.m - 1) / tanh_v + law.cfg1.gamma * tanh_v
-            knots = [v - h for h in _layer_knots(slope, v - lo)]
-        parts.append(integrate_adaptive(log_g, lo, min(hi, v), tol, log_form=True,
-                                        break_points=knots))
+            slope = (m - 1) / tanh_v + g * tanh_v
+            knots = [(1.0 - h / v) ** k for h in _layer_knots(slope, v - lo)]
+        parts.append(integrate_adaptive(
+            log_g_below, (lo / v) ** k, (min(hi, v) / v) ** k, tol, log_form=True,
+            log_offset=law.log_pref - _LOG2 + law.betaln_ab + power * math.log(v) - math.log(k),
+            break_points=knots))
     if hi > v:
+        log_g_past = _log_integrands(law, alpha)[1]
         w_lo = _w_past(max(lo, v), v)
         w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
         n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
@@ -1148,7 +1178,11 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
     if not z > 0:
         # the integrand is then r^-(gamma+2) / a, whose integral diverges at r = 0
         raise DomainError(f"kappa u^2 / 2 underflows to 0 at u={u}, kappa={kappa}")
-    log_norm = m * math.log(u) - math.log(m) + z + math.log(hyp1f1(1.0, 0.5 * m + 1.0, -z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm = m * math.log(u) - math.log(m) + z + float(np.log(hyp1f1(1.0, 0.5 * m + 1.0, -z)))
+    if not math.isfinite(log_norm):
+        # scipy's hyp1f1(1, m/2 + 1, -z) is nan from about z = 1e11 on
+        raise DomainError(f"the normaliser of rho is not finite at u={u}, z=kappa u^2/2={z}")
     pref = (log_sphere_surface(gamma + 1) + 0.5 * (gamma + 1) * math.log(kappa / (2.0 * math.pi))
             + (1 + q) * math.log(u) - math.log(2.0) - log_norm)
 

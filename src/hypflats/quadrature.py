@@ -8,14 +8,15 @@ integrate_adaptive evaluates all its first panels (one per pair of
 neighbouring break points) with one _gk_panels call (_gk_panel where there
 is one), so an integral whose break points already resolve it costs one
 call of its integrand, and then bisects one panel at a time with
-_gk_panel.  A panel at an end of the interval that keeps stagnating
-(typically because that endpoint carries an integrable power singularity)
-is finished off by geometric bisection toward the endpoint with the tail
-summed in closed form.  Integrands may be supplied in log form: each panel
-is then summed relative to its own scale, the sums are kept relative to the
-largest scale, and only the result leaves log space, so integrands that
-underflow or overflow pointwise still integrate correctly and a result
-below the smallest double keeps its log.
+_gk_panel.  That plain bisection is all it does: its error estimate meets
+the tolerance or QuadratureError is raised with the partial result, and
+no node lies on an end of the interval, so a singularity the rule cannot
+resolve in doubles (a power x^-0.99 at an end, say) raises rather than
+returns a sum that misses its mass.  Integrands may be supplied in log
+form: each panel is then summed relative to its own scale, the sums are
+kept relative to the largest scale, and only the result leaves log space,
+so integrands that underflow or overflow pointwise still integrate
+correctly and a result below the smallest double keeps its log.
 """
 
 from __future__ import annotations
@@ -110,14 +111,12 @@ _WK = np.concatenate([_WGK, _WGK[-2::-1]])
 _WG = np.concatenate([_WG_ON_XGK, _WG_ON_XGK[-2::-1]])
 _WKG = np.stack((_WK, _WG), axis=1)  # both sums of _gk_panels in one product
 _TINY = np.finfo(float).tiny
+_X_OUTER = float(_XGK[0])
 
 # QUADPACK's floor on a panel's error estimate, relative to the integral of
 # |f| over it: the rounding of the sums, where the Gauss and Kronrod sums agree
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
-# Bisection depth at which a panel touching an original endpoint is handed
-# to _endpoint_tail_panel.
-_ENDPOINT_TAIL_DEPTH = 12
 # largest log of a panel's scale factor in _panel_scales: e^709 is within a
 # factor 2.2 of the largest double
 _MAX_LOG_SCALE = 709.0
@@ -229,6 +228,14 @@ def _panel_scales(log_scale, a, b):
     return np.exp(log_scale)
 
 
+def _nodes_inside(a, b):
+    """Whether _gk_panel's outermost nodes on [a, b], rounded as it rounds them,
+    lie strictly inside [a, b]: on a panel a few doubles wide they round onto
+    its ends."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    return a < c - h * _X_OUTER and c + h * _X_OUTER < b
+
+
 def _exp_or_raise(log_value, what):
     """exp(log_value), or QuadratureError naming what where it is beyond the largest double."""
     try:
@@ -237,63 +244,19 @@ def _exp_or_raise(log_value, what):
         raise QuadratureError(f"{what} is e^{log_value:.6g}, beyond the largest double") from None
 
 
-def _endpoint_tail_panel(f, a, b, at_left, target, log_form, ref):
-    """Finish a panel with an integrable power singularity at one endpoint.
-
-    Bisects geometrically toward the singular endpoint.  The slab integrals
-    of a (x - endpoint)^(-alpha) singularity form a geometric series, so
-    once the slab ratio stabilizes the remaining tail is summed in closed
-    form.  This captures mass closer to the endpoint than machine epsilon,
-    which no node-sampling rule can reach.  Values, errors and target are in
-    units of exp(ref).
-    """
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    prev = None
-    est_prev = None
-    tail = 0.0
-    tail_err = math.inf
-    lo, hi = a, b
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if at_left:
-            s, e, scale = _gk_panel(f, mid, hi, log_form)
-            lo, hi = lo, mid
-        else:
-            s, e, scale = _gk_panel(f, lo, mid, log_form)
-            lo, hi = mid, hi
-        unit = math.exp(scale - ref)
-        s *= unit
-        total += s
-        total_err += e * unit
-        evals += 15
-        if prev is not None and prev != 0.0:
-            ratio = s / prev
-            if 0.0 < ratio < 0.97:
-                tail = s * ratio / (1.0 - ratio)
-                est = total + tail
-                if est_prev is not None:
-                    tail_err = abs(est - est_prev)
-                    if tail_err <= target:
-                        return est, tail_err + total_err, evals
-                est_prev = est
-        prev = s
-    return total + tail, (tail_err if math.isfinite(tail_err) else abs(tail)) + total_err, evals
-
-
 def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
                        log_form=False, log_offset=0.0, break_points=()):
     """Adaptively integrate f over [a, b].
 
     f must accept a 1-d NumPy array of interior nodes and return the
-    (log-)values elementwise; endpoints are never evaluated.  break_points
-    are interior abscissae (e.g. kinks, or the edges of a layer that holds
-    the mass) used as initial panel boundaries: the first panels take one
-    call of f (_gk_panels, or _gk_panel where there is one), and each
-    bisection after them one more.
+    (log-)values elementwise.  It is plain bisection: the panel with the
+    largest error estimate is halved until the summed estimate meets the
+    tolerance.  A panel whose halves' outer nodes would round onto their
+    ends is not halved (_nodes_inside), so f is never evaluated at a, at b
+    or at any panel's end.  break_points are interior abscissae (e.g.
+    kinks, or the edges of a layer that holds the mass) used as initial
+    panel boundaries: the first panels take one call of f (_gk_panels, or
+    _gk_panel where there is one), and each bisection after them one more.
 
     In log form the integral is of exp(f + log_offset).  The sums are kept
     in units of exp(ref), ref the largest panel scale so far (_gk_panel),
@@ -303,7 +266,9 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
     tolerance alone; a direct one on max(abs_tol, rel_tol |value|).
 
     Raises QuadratureError with the partial result attached when the
-    subdivision budget is exhausted.
+    subdivision budget is exhausted, or when every panel left is too narrow
+    to halve: an endpoint singularity that needs more than doubles can
+    resolve raises there.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise DomainError(f"invalid interval [{a}, {b}]")
@@ -321,12 +286,12 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
     if ref == -math.inf:  # no panel, or (log form) no node with a finite value
         return QuadResult(0.0, 0.0, evals, True)
     abs_floor = 0.0 if log_form else tol.abs_tol
-    heap = []  # (key, lo, hi, value, error, log_scale, depth); no two share lo
-    done = []  # (value, error, log_scale): finished by _endpoint_tail_panel or unsplittable
+    heap = []  # (key, lo, hi, value, error, log_scale); no two share lo
+    done = []  # (value, error, log_scale): too narrow to halve
     total = 0.0  # over heap and done
     total_err = 0.0
 
-    def push(lo, hi, v, e, scale, depth):
+    def push(lo, hi, v, e, scale):
         nonlocal ref, total, total_err
         if scale > ref:
             total *= math.exp(ref - scale)
@@ -335,12 +300,12 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         unit = math.exp(scale - ref)
         # the panel with the largest absolute error estimate pops first
         key = -(math.log(e) + scale) if e > 0.0 else math.inf
-        heapq.heappush(heap, (key, lo, hi, v, e, scale, depth))
+        heapq.heappush(heap, (key, lo, hi, v, e, scale))
         total += v * unit
         total_err += e * unit
 
     for panel in first:
-        push(*panel, 0)
+        push(*panel)
     nsub = len(heap)
 
     def _result(converged):
@@ -360,30 +325,23 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
         if total_err <= max(abs_floor, tol.rel_tol * abs(total)):
             return _result(True)
         if not heap:
-            raise QuadratureError("every panel finished without convergence",
+            raise QuadratureError("every panel left is too narrow to halve",
                                   partial=_result(False))
         if nsub >= tol.max_subdivisions:
             raise QuadratureError(f"exceeded {tol.max_subdivisions} subdivisions",
                                   partial=_result(False))
-        _, lo, hi, v, e, scale, depth = heapq.heappop(heap)
-        unit = math.exp(scale - ref)
+        _, lo, hi, v, e, scale = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if depth >= _ENDPOINT_TAIL_DEPTH and (lo == a or hi == b):
-            target = 0.25 * max(abs_floor, tol.rel_tol * abs(total))
-            tv, te, n = _endpoint_tail_panel(f, lo, hi, lo == a, target, log_form, ref)
-            evals += n
-            total += tv - v * unit
-            total_err += te - e * unit
-            done.append((tv, te, ref))
-        elif mid <= lo or mid >= hi:  # interval no longer splittable in doubles
-            done.append((v, e, scale))
-        else:
-            total -= v * unit
-            total_err -= e * unit
-            for plo, phi in ((lo, mid), (mid, hi)):
-                push(plo, phi, *_gk_panel(f, plo, phi, log_form), depth + 1)
-            evals += 30
-            nsub += 1
+        if not (_nodes_inside(lo, mid) and _nodes_inside(mid, hi)):
+            done.append((v, e, scale))  # a half would evaluate f at one of its ends
+            continue
+        unit = math.exp(scale - ref)
+        total -= v * unit
+        total_err -= e * unit
+        for plo, phi in ((lo, mid), (mid, hi)):
+            push(plo, phi, *_gk_panel(f, plo, phi, log_form))
+        evals += 30
+        nsub += 1
 
 
 def integrate_iterated_2d(g, a, b, inner_upper, tol: Tolerance = DEFAULT_TOLERANCE, *,

@@ -215,6 +215,32 @@ def conditional_mean_mp_oracle(d, q, g, v, dps=30):
                      / mp.quad(lambda t: f(t) / peak, pts))
 
 
+def moment_mp_oracle(d, q, g, v, alpha, dps=30):
+    """Unconditional moment E[t^alpha] at K = -1 by mpmath: the integral of
+    t^alpha f(t), f the closed-form density, over (0, inf).
+
+    Below v it runs in y = (t/v)^k, k = m + alpha, m = q - g, where
+    t^alpha f(t) dt is v^(alpha+1) / k y^((alpha+1)/k - 1) f(v y^(1/k)) dy,
+    a smooth function of y: in t a moment near its divergence at
+    alpha = g - q is t^(m-1+alpha) at 0, whose mass mpmath's quad misses.
+    Past v it runs in t, split at v + v 2^j for j = -8, -7, ... below 1024,
+    the density's layer past v being about v (d-q) / (2 (d+1)) wide at
+    small v.  Each part is taken relative to its integrand at v.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        v, alpha = mp.mpf(v), mp.mpf(alpha)
+        k = q - g + alpha
+        f = _mp_density(d, q, g, v)
+        peak = f(v)
+        below = mp.quad(lambda y: y ** ((alpha + 1) / k - 1) * f(v * y ** (1 / k)) / peak,
+                        [0, 1]) * v ** (alpha + 1) / k
+        pts = [v] + [v + v * mp.mpf(2) ** j for j in range(-8, 64) if v * 2**j < 1024] + [mp.inf]
+        past = mp.quad(lambda t: (t / v) ** alpha * f(t) / peak, pts) * v**alpha
+        return float((below + past) * peak)
+
+
 def _mp_offset_radius_integral(d, q, g, v, hit, dps, layer, start=0):
     """P(the flats meet) if hit, else P(they miss), at K = -1 by mpmath, over the offset radius.
 
@@ -313,7 +339,12 @@ def rho_mp_oracle(u, q, g, kappa, dps=30):
     a = (q+1)/2, c = h (1 - r^2) / r^2, h = u^2 kappa / 2, and
     P = omega_(g+1) (2 pi)^(-(g+1)/2) u^(q+1) kappa^((g+1)/2) / N with
     N = u^m times the integral of e^(h y^2) y^(m-1) over (0, 1), m = q - g.
-    The r-integral is split at k/16 and at 1 - 2^-j for j = 4..39.
+    The r-integral is split at k/16, at 1 - 2^-j for j = 4..39 and at
+    r* 4^k below 1 for the integers k >= -4, and runs in x = r / r*, relative
+    to its integrand at r*: there, at r* = sqrt(h / (h + a)),
+    gamma(a, c) / c^a turns over, and at small u the mass lies within a few
+    r* of 0, far below 1/16, over panels whose widths in r lie below quad's
+    absolute epsilon.
     """
     import mpmath as mp
 
@@ -326,13 +357,18 @@ def rho_mp_oracle(u, q, g, kappa, dps=30):
 
         def f(r):
             c = h * (1 - r * r) / (r * r)
-            if c == 0:
+            if c <= 0:  # at r = 1, or just past it where r* x rounds up
                 return r ** (-(g + 2)) / (2 * a)
             return r ** (-(g + 2)) * mp.gammainc(a, 0, c) / (2 * c**a)
 
-        pts = sorted({mp.mpf(k) / 16 for k in range(16)}
-                     | {1 - mp.mpf(2) ** -j for j in range(4, 40)} | {mp.mpf(1)})
-        return float(P * mp.quad(f, pts))
+        # r = r* x: the integrand at r* and the width r* leave it of order one
+        r_star = mp.sqrt(h / (h + a))
+        peak = f(r_star)
+        pts = sorted({mp.mpf(k) / 16 / r_star for k in range(16)}
+                     | {(1 - mp.mpf(2) ** -j) / r_star for j in range(4, 40)} | {1 / r_star}
+                     | {mp.mpf(4) ** k for k in range(-4, 1 - int(mp.floor(mp.log(r_star, 4))))
+                        if r_star * mp.mpf(4) ** k < 1})
+        return float(P * peak * r_star * mp.quad(lambda x: f(r_star * x) / peak, pts))
 
 
 # Frozen reference values (probability_oracle above, scipy 1.x, 2026-08):
@@ -378,6 +414,22 @@ COND_MEAN_MPMATH = {
     (40, 39, 38, 6.0): 6.2804814200194246,
     (600, 300, 0, 4.0): 6.7919147551653145,
     (1000, 999, 998, 12.0): 12.305850807038588,
+}
+# moment_mp_oracle at 30 and at 40 digits, 2026-10, equal in every digit
+# shown: unconditional moments near their divergence at alpha = gamma - q,
+# where the integrand below v is t^(m-1+alpha), m + alpha = 0.01 or 0.001,
+# and one of order -1/2.  The (3, 2, 1, 1e-4) entry is within 3.3e-9 of the
+# flat limit m/(alpha+m) B(a' - alpha/2, b) / B(a', b) v^alpha.  Keys
+# (d, q, g, v, alpha).
+MOMENT_NEAR_DIVERGENCE_MPMATH = {
+    (3, 2, 1, 1.0, -0.99): 56.11722616989026,
+    (3, 2, 1, 1.0, -0.999): 558.6062172464884,
+    (3, 2, 1, 1e-4, -0.99): 717679.0766833264,
+    (12, 8, 1, 1.0, -6.99): 4.2710818277736236,
+    (7, 4, 0, 2.0, -3.99): 0.0306037372718519,
+    (30, 3, 1, 0.548, -1.99): 3.2324293101104415,
+    (533, 512, 509, 3.04e-5, -2.99): 9060562058785602.0,
+    (3, 2, 1, 1.0, -0.5): 1.3909339156791476,
 }
 # atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
 # digits, and as 1 minus the integral of the closed-form density at 50 and

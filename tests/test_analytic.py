@@ -32,7 +32,8 @@ from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
 from hypflats.special import log_constant_D, log_sphere_surface
 from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH, COND_MEAN_MPMATH,
-                     EUCLID_CDF_MPMATH, LOG_RADIAL_MASS_1000_V300_MPMATH, P_1E5_V12_MPMATH,
+                     EUCLID_CDF_MPMATH, LOG_RADIAL_MASS_1000_V300_MPMATH,
+                     MOMENT_NEAR_DIVERGENCE_MPMATH, P_1E5_V12_MPMATH,
                      P_GAMMA_0_SMALL_V_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
                      P_STAR_3_2_1_MPMATH,
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
@@ -41,7 +42,7 @@ from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
                      P_STAR_1000_999_998_V12_MPMATH, P_600_300_0_V3_1_MPMATH, RHO_MPMATH,
                      RHO_SUBNORMAL_MPMATH, atom_mass_mp_oracle,
                      conditional_mean_mp_oracle, euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
-                     probability_closed_form_oracle, probability_offset_mp_oracle,
+                     moment_mp_oracle, probability_closed_form_oracle, probability_offset_mp_oracle,
                      probability_oracle, rho_mp_oracle, rho_riemann_oracle)
 
 TOL = Tolerance()
@@ -515,20 +516,66 @@ class TestMoment:
                                          (600, 599, 598), (533, 512, 509), (1000, 999, 998)])
     @pytest.mark.parametrize("v", [1e-8, 1e-10])
     def test_flat_limit_at_small_v(self, d, q, g, v):
-        # E[t^alpha] / v^alpha -> m/(alpha+m) B(a' - alpha/2, b) / B(a', b) as v -> 0,
-        # at rate v^2 here; past v the mass lies within about v (d-q) / (2 (d+1)) of v
-        m, a1, b = q - g, 0.5 * (g + 1), 0.5 * (d - q)
+        # E[t^alpha] / v^alpha tends to flat_moment as v -> 0, at rate v^2
+        # here; past v the mass lies within about v (d-q) / (2 (d+1)) of v
         for alpha in (1.0, -0.5):
-            flat = m / (alpha + m) * math.exp(
-                math.lgamma(a1 - alpha / 2) - math.lgamma(a1 - alpha / 2 + b)
-                - math.lgamma(a1) + math.lgamma(a1 + b))
             got = moment(FlatConfig(d, q, g, v), K1, alpha, True, TOL).value / v**alpha
-            assert got == pytest.approx(flat, rel=1e-9, abs=0.0), alpha
+            assert got == pytest.approx(flat_moment(d, q, g, alpha), rel=1e-9, abs=0.0), alpha
 
     def test_unconditional_where_p_underflows(self):
         # the moment is below p times 100, far below the smallest double
         res = moment(FlatConfig(600, 300, 0, 4.0), K1, -0.5, False, TOL)
         assert res.value == 0.0
+
+
+def flat_moment(d, q, g, alpha):
+    """E[t^alpha] / u^alpha in flat space, m/(alpha+m) B(a' - alpha/2, b) / B(a', b),
+    finite for gamma - q < alpha < gamma + 1."""
+    m, a1, b = q - g, 0.5 * (g + 1), 0.5 * (d - q)
+    return m / (alpha + m) * math.exp(math.lgamma(a1 - alpha / 2) - math.lgamma(a1 - alpha / 2 + b)
+                                      - math.lgamma(a1) + math.lgamma(a1 + b))
+
+
+class TestNearTheDivergence:
+    """Below v a moment runs in y = (t/v)^k, where its t^(m-1+alpha) at t = 0 is smooth."""
+
+    @pytest.mark.parametrize("key", sorted(MOMENT_NEAR_DIVERGENCE_MPMATH))
+    def test_matches_mpmath(self, key):
+        d, q, g, v, alpha = key
+        got = moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value
+        assert got == pytest.approx(MOMENT_NEAR_DIVERGENCE_MPMATH[key], rel=1e-9, abs=0.0)
+
+    def test_oracle_reproduces_its_frozen_value(self):
+        key = (3, 2, 1, 1.0, -0.99)
+        assert moment_mp_oracle(*key) == pytest.approx(
+            MOMENT_NEAR_DIVERGENCE_MPMATH[key], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("d, q, g", [(3, 2, 1), (12, 8, 1), (30, 3, 1)])
+    @pytest.mark.parametrize("eps", [0.01, 0.001])
+    def test_flat_limit(self, d, q, g, eps):
+        # at alpha = gamma - q + 0.001, t = v y^1000 underflows for y below
+        # about 0.5; the error falls 100-fold from v = 1e-3 to 1e-4: O(v^2)
+        alpha = g - q + eps
+        errs = [moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value / v**alpha
+                / flat_moment(d, q, g, alpha) - 1.0 for v in (1e-3, 1e-4)]
+        assert abs(errs[1]) <= 1e-7
+        assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.01)
+
+    @pytest.mark.parametrize("cfg", [FlatConfig(3, 2, 1, 1.0), FlatConfig(10, 9, 8, 1e-4)])
+    def test_negative_order_takes_few_calls(self, cfg, integrand_calls):
+        # bisection toward t = 0 took 29 and 31
+        moment(cfg, K1, -0.5, False, TOL)
+        assert len(integrand_calls) <= 4
+
+    def test_where_the_flat_moment_diverges(self):
+        # alpha = gamma + 1 at (7,4,0): the flat mean is infinite, the hyperbolic
+        # conditional one finite, and E[t] / v grows by a constant per two
+        # decades of v (4.6898, then 4.6908), as log(1/v)
+        ratios = [moment(FlatConfig(7, 4, 0, v), K1, 1.0, True, TOL).value / v
+                  for v in (1e-4, 1e-6, 1e-8)]
+        steps = np.diff(ratios)
+        assert steps[0] > 4.0
+        assert steps[1] == pytest.approx(steps[0], rel=0.0, abs=1e-3)
 
 
 # the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
@@ -1237,6 +1284,19 @@ class TestPhase:
                                                                              abs=1e-9)
         with pytest.raises(DomainError, match="underflows"):
             critical_constant_rho(1e-170, 2, 1, 1.0, TOL)
+
+    @pytest.mark.parametrize("key", [(1e-100, 2, 1, 1.0), (1e-20, 3, 0, 1.0)])
+    def test_rho_oracle_resolves_r_star(self, key):
+        # r* = sqrt(z / (z + a)) far below 1/16: split only at k/16 and
+        # 1 - 2^-j the oracle gave 1.59e-130 and 0.99999977
+        assert rho_mp_oracle(*key) == pytest.approx(critical_constant_rho(*key, TOL),
+                                                    rel=1e-9, abs=0.0)
+
+    def test_rho_names_a_normaliser_beyond_scipy(self):
+        # scipy's hyp1f1(1, m/2 + 1, -z) is nan at z = 5e19; it was
+        # ProbabilityRangeError: probability nan
+        with pytest.raises(DomainError, match=r"u=10000000000\.0, z=.*5e\+19"):
+            critical_constant_rho(1e10, 50, 3, 1.0, TOL)
 
     def test_rho_makes_one_adaptive_call(self, monkeypatch):
         calls = []

@@ -57,11 +57,41 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     def test_endpoint_singularity(self):
-        # (1 - z^2)^(-1/2): integrable singularity at z = 1
-        res = integrate_adaptive(
-            lambda z: 1.0 / np.sqrt(1 - z * z), 0.0, 1.0, TOL
-        )
-        assert res.value == pytest.approx(math.pi / 2, rel=1e-9)
+        # (1 - z^2)^(-1/2) at z = 1: plain bisection stops where the doubles
+        # next to 1 run out, some 1e-8 of mass short, and raises with that
+        # partial sum rather than returning it
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(lambda z: 1.0 / np.sqrt(1 - z * z), 0.0, 1.0, TOL)
+        assert not info.value.partial.converged
+        assert info.value.partial.value == pytest.approx(math.pi / 2, rel=0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("power, exact", [(-0.5, 2.0), (-0.9, 10.0)])
+    def test_power_singularity_at_zero(self, power, exact):
+        # the doubles near 0 reach the mass of x^power to rel_tol
+        res = integrate_adaptive(lambda x: power * np.log(x), 0.0, 1.0, TOL, log_form=True)
+        assert res.converged
+        assert res.value == pytest.approx(exact, rel=2e-9, abs=0.0)
+
+    def test_power_singularity_beyond_the_doubles_raises(self):
+        # x^-0.99 holds 100 x^0.01 below x, 0.06 of its 100 below the
+        # smallest double: no bisection reaches it
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(lambda x: -0.99 * np.log(x), 0.0, 1.0, TOL, log_form=True)
+        assert info.value.partial.value < 100.0 - 1e-3
+
+    def test_never_evaluates_an_end(self):
+        # (1 - x)^-2 is not integrable: bisection toward 1 stops before a
+        # node rounds onto 1, and the integral raises with its partial sum
+        largest = []
+
+        def f(x):
+            largest.append(x.max())
+            return (1.0 - x) ** -2
+
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(f, 0.0, 1.0, TOL)
+        assert info.value.partial is not None and not info.value.partial.converged
+        assert max(largest) < 1.0
 
     def test_log_form_matches_direct(self):
         f = lambda x: np.exp(-(x**2))
