@@ -203,7 +203,6 @@ _ANTIDERIVATIVE = _antiderivative_matrix()
 
 
 def _log_cosh(x):
-    x = np.asarray(x, dtype=float)
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
@@ -215,7 +214,6 @@ def _log_sinhc(t):
 
 
 def _log_sinh(t):
-    t = np.asarray(t, dtype=float)
     return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
@@ -641,9 +639,12 @@ def _log_incomplete_beta_tail(a: float, b: float, log_beta: float, x, log_x):
     a/(a+b) there, so its terms fall fast (at most about 90 of them for
     a, b <= 1000).  Both scipy's betainc and its hyp2f1 can be off by whole
     percents that deep in the tail at large a (I_x(200, 38) near 3e-280 by
-    5%, against mpmath).  x may be a scalar.
+    5%, against mpmath).  x may be a scalar; a float x at or above the
+    floor skips the array bookkeeping.
     """
     i = betainc(a, b, x)
+    if isinstance(x, float) and i >= _BETAINC_FLOOR:
+        return np.log(i) + log_beta - a * log_x
     tail = i < _BETAINC_FLOOR
     out = np.log(np.where(tail, 1.0, i)) + log_beta - a * log_x
     if np.count_nonzero(tail):
@@ -680,6 +681,28 @@ def _log_lower_gamma_tail(a: float, c):
     return out
 
 
+def _log_head(law: _UnitLaw, t):
+    """log(A cosh^gamma t / B(a, b)), the density's factor on both sides of v (_log_density)."""
+    head = law.log_pref - _LOG2
+    g = law.cfg1.gamma
+    return head + g * _log_cosh(t) if g else head
+
+
+def _log_near(law: _UnitLaw, head, ls_t):
+    """head plus log(B(a, b) sinh^(m-1) t), the log density for t <= v, ls_t = log sinh t;
+    at m = 1 the power of sinh t is 0 and sinh^0 = 1, also at t = 0."""
+    head = head + law.betaln_ab
+    return head + (law.m - 1) * ls_t if law.m > 1 else head
+
+
+def _log_past(law: _UnitLaw, ls_t, log_x):
+    """log(sinh^(q+1) v / sinh^(gamma+2) t B_x(a, b) / x^a), the log density for t > v
+    less _log_head, ls_t = log sinh t, log_x = log x < 0."""
+    q, g = law.cfg1.q, law.cfg1.gamma
+    return ((q + 1) * law.log_sinh_v - (g + 2) * ls_t
+            + _log_incomplete_beta_tail(law.a, law.b, law.betaln_ab, np.exp(log_x), log_x))
+
+
 def _log_density(law: _UnitLaw, t) -> np.ndarray:
     """log of the distance density at unit curvature, elementwise on reduced distances t > 0.
 
@@ -688,33 +711,30 @@ def _log_density(law: _UnitLaw, t) -> np.ndarray:
     A = B(a, b) exp(law.log_pref) / 2.  For t > v the factor x^a of I_x is
     taken out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
     so no power of order d multiplies a log of sinh t there.
+
+    A float t takes the one side of v it lies on, with no masks: the same
+    NumPy calls in the same order, so it equals the array path bit for bit.
     """
+    if isinstance(t, float):
+        ls_t = _log_sinh(t)
+        log_x = 2.0 * (law.log_sinh_v - ls_t)
+        head = _log_head(law, t)
+        return head + _log_past(law, ls_t, log_x) if log_x < 0.0 else _log_near(law, head, ls_t)
     t = np.asarray(t, dtype=float)
-    q, g, m = law.cfg1.q, law.cfg1.gamma, law.m
     ls_t = _log_sinh(t)
     log_x = np.minimum(0.0, 2.0 * (law.log_sinh_v - ls_t))
     far = log_x < 0.0
-    head = law.log_pref - math.log(2.0)
-    if g:
-        head = head + g * _log_cosh(t)
-
-    def past(ls_t, log_x):
-        return ((q + 1) * law.log_sinh_v - (g + 2) * ls_t
-                + _log_incomplete_beta_tail(law.a, law.b, law.betaln_ab, np.exp(log_x), log_x))
-
+    head = _log_head(law, t)
     n_far = np.count_nonzero(far)
     if n_far == far.size:
-        return head + past(ls_t, log_x)
-    # at m = 1 the power of sinh t is 0 and sinh^0 = 1, also at t = 0
+        return head + _log_past(law, ls_t, log_x)
     if not n_far:
-        head = head + law.betaln_ab
-        return head + (m - 1) * ls_t if m > 1 else np.full(t.shape, head)
+        out = _log_near(law, head, ls_t)
+        return out if law.m > 1 else np.full(t.shape, out)
     out = np.full(t.shape, head)
     near = ~far
-    out[near] += law.betaln_ab
-    if m > 1:
-        out[near] += (m - 1) * ls_t[near]
-    out[far] += past(ls_t[far], log_x[far])
+    out[near] = _log_near(law, out[near], ls_t[near])
+    out[far] += _log_past(law, ls_t[far], log_x[far])
     return out
 
 
@@ -1075,10 +1095,16 @@ def distance_density(cfg: FlatConfig, K: Curvature, delta,
     """Density of the absolutely continuous part of the distance law.
 
     delta is a distance (the result is a float) or an array of them (the
-    result is an array of the same shape).  Closed form from the memoised
+    result is an array of the same shape).  A float, np.float64 included,
+    takes _log_density's float branch, with no array bookkeeping, and gives
+    the array call's value bit for bit.  Closed form from the memoised
     unit-curvature law (_unit_law), so tol is not used; it is accepted like
     everywhere else.
     """
+    if isinstance(delta, float):
+        if not 0.0 < delta < math.inf:
+            raise DomainError(f"need finite delta > 0, got {delta}")
+        return float(K.scale * np.exp(_log_density(_unit_law(cfg, K), K.scale * delta)))
     t = np.asarray(delta, dtype=float)
     if not ((t > 0) & (t < math.inf)).all():
         raise DomainError(f"need finite delta > 0, got {delta}")
@@ -1135,11 +1161,11 @@ def euclidean_distance_cdf(cfg: FlatConfig, delta: float,
     if delta <= u:
         value = math.exp((q - g) * math.log(delta / u) + betaln(a, b) - betaln(a1, b))
     else:
-        log_x = np.array([2.0 * math.log(u / delta)])
+        log_x = 2.0 * math.log(u / delta)
         x = np.exp(log_x)
         head = (a1 * log_x + _log_incomplete_beta_tail(a, b, betaln(a, b), x, log_x)
                 - betaln(a1, b))
-        value = float(np.exp(head[0]) + betaincc(a1, b, x[0]))
+        value = float(np.exp(head) + betaincc(a1, b, x))
     return _as_probability(value, 0.0)
 
 

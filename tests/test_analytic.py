@@ -433,20 +433,47 @@ class TestDistanceDensity:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            distance_density(CFG, K1, 0.0, TOL)
+        for delta in (0.0, -0.0, -1.0):
+            with pytest.raises(DomainError):
+                distance_density(CFG, K1, delta, TOL)
         with pytest.raises(DomainError):
             distance_density(CFG, K1, np.array([0.5, 0.0]), TOL)
 
+    # gamma = 0 at (5,3,0); m = 1, no power of sinh t, at (4,3,2); the series
+    # below betainc's floor at (1000,999,998, v=12), where delta = 30 has
+    # I_x(500, 1/2) < 1e-200; at (4,2,0, v=0.3) log x is exactly 0 at t = v,
+    # where the two sides' forms differ in the last bit
     @pytest.mark.parametrize("cfg, K", [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
-                                        (FlatConfig(1000, 999, 1, 1.0), K1)])
+                                        (FlatConfig(1000, 999, 1, 1.0), K1),
+                                        (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
+                                        (FlatConfig(4, 3, 2, 0.8), K1),
+                                        (FlatConfig(1000, 999, 998, 12.0), K1),
+                                        (FlatConfig(4, 2, 0, 0.3), K1)])
     def test_array_is_the_scalar_calls(self, cfg, K):
-        deltas = np.linspace(0.01, 4.0 * cfg.u, 24).reshape(4, 6)
+        # delta = u is t = v exactly; odd entries go in as np.float64
+        deltas = np.append(np.linspace(0.01, 4.0 * cfg.u, 22), [cfg.u, 30.0]).reshape(4, 6)
         f = distance_density(cfg, K, deltas, TOL)
         assert f.shape == deltas.shape
         np.testing.assert_array_equal(
-            f, [[distance_density(cfg, K, float(x), TOL) for x in row] for row in deltas])
+            f, [[distance_density(cfg, K, x if j % 2 else float(x), TOL)
+                 for j, x in enumerate(row)] for row in deltas])
         assert type(distance_density(cfg, K, 0.5, TOL)) is float
+        assert type(distance_density(cfg, K, np.float64(0.5), TOL)) is float
+
+    def test_float_takes_betainc_only_past_v(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, x):
+            calls.append(np.ndim(x))
+            return betainc(a, b, x)
+
+        betainc = analytic.betainc
+        distance_density(CFG, K1, 0.5, TOL)  # the law is built before the spy
+        monkeypatch.setattr(analytic, "betainc", spy)
+        distance_density(CFG, K1, 0.5, TOL)
+        assert calls == []
+        distance_density(CFG, K1, 1.5, TOL)
+        assert calls == [0]
 
 
 class TestMoment:
