@@ -21,13 +21,11 @@ from the law: equal in w past v (_GRID_PANELS_PAST per unit of w), and
 graded toward v on both sides where the integral reaches v (_layer_knots),
 so a moment at the benchmark's configurations takes three integrand calls
 (below v, past v, and p's) instead of thirteen, and one at v = 1e-10
-returns its value where bisection toward v ran out of subdivisions.  The
-CDF grid is one vectorised pass, in t below v: one Gauss-Kronrod panel
-per grid segment, all panels below v from one integrand call and all past
-v from another, and the segments that miss the tolerance are halved
-together until they meet it.  Of a grid of thousands of points (the
-sorted Monte Carlo samples) only about 128 are knots; the others take the
-integral of the interpolant through their panel's node values.  The
+returns its value where bisection toward v ran out of subdivisions.  A
+CDF grid, of 128 points or of 10^5 sorted Monte Carlo samples, is one
+representation of the law on those panels (_grid_panels), all evaluated
+in one integrand call and halved where they miss the tolerance; each
+point takes the integral of its panel's node interpolant.  The
 flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function,
 on first panels graded around the point r* where that function turns over,
@@ -80,6 +78,7 @@ from .quadrature import (
     Tolerance,
     _exp_or_raise,
     _gk_panels,
+    _nodes_inside,
     _panel_scales,
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
@@ -164,17 +163,11 @@ _SERIES_MAX_TERMS = 1000
 # _LAYER_MIN_SPAN; a wider layer costs no panel of its own
 _LAYER_KNOT = 2.0
 _LAYER_MIN_SPAN = 4.0
-# a grid of at most this many points makes every point a knot; a longer one
-# takes its knots from the law (_law_knots) and a few of its points
-_GRID_KNOTS = 128
-# a long grid's equal panels: in t on [0, v], in w on [v, its last point];
-# a density integral past v starts from _GRID_PANELS_PAST per unit of w
+# the law's first panels (_grid_panels): a CDF grid's equal panels in t on
+# [0, min(v, its last point)], and, for the grid and a density integral
+# alike, equal panels in w past v, _GRID_PANELS_PAST per unit of w
 _GRID_PANELS_BELOW = 4
 _GRID_PANELS_PAST = 12
-# a long grid of n points keeps its ranks 1, 2, 4, ... below n / _GRID_LOW_RANKS as knots
-_GRID_LOW_RANKS = 16
-# grids distance_cdf_grid computes at most: each round makes knots of the points that missed
-_GRID_ROUNDS = 4
 
 
 # the 15 x 15 map from node values at _XK to the Chebyshev coefficients on
@@ -744,6 +737,12 @@ def _w_past(t, v):
     return s / (1.0 + s)
 
 
+def _t_past(w, v):
+    """_w_past's inverse on w in [0, 1): t = v + s^2, s = w / (1 - w), and log dt/dw."""
+    s = w / (1.0 - w)
+    return v + s * s, math.log(2.0) + np.log(w) - 3.0 * np.log1p(-w)
+
+
 def _log_integrands(law: _UnitLaw, alpha: float = 0.0):
     """log of t^alpha times the unit-curvature density, in t and, past v, in w.
 
@@ -759,10 +758,33 @@ def _log_integrands(law: _UnitLaw, alpha: float = 0.0):
         return val + alpha * np.log(t) if alpha else val
 
     def log_g_past(w):
-        s = w / (1.0 - w)
-        return math.log(2.0) + np.log(w) - 3.0 * np.log1p(-w) + log_g(v + s * s)
+        t, log_jacobian = _t_past(w, v)
+        return log_jacobian + log_g(t)
 
     return log_g, log_g_past
+
+
+def _below_layer(law: _UnitLaw, span: float) -> list:
+    """_layer_knots toward v from below over span: the density's log-slope at v
+    is lambda = (m-1) coth v + gamma tanh v."""
+    tanh_v = math.tanh(law.v)
+    return _layer_knots((law.m - 1) / tanh_v + law.cfg1.gamma * tanh_v, span)
+
+
+def _past_knots(law: _UnitLaw, w_lo: float, w_hi: float, graded: bool) -> list:
+    """The interior ends of the first panels in w on [w_lo, w_hi] past v:
+    max(1, ceil(_GRID_PANELS_PAST (w_hi - w_lo))) equal panels, the first
+    graded toward w_lo too if graded, at s0, 2 s0, 4 s0, ... (_layer_knots),
+    s0^2 = tanh v (d-q) / (2 (d+1)) the t - v where I_x(a, b) has fallen to
+    about 1/2."""
+    n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
+    knots = list(np.linspace(w_lo, w_hi, n + 1)[1:-1])
+    if graded:
+        # I_x(a, b) is about 1/2 where 1 - x, about 2 coth v (t - v), reaches
+        # b / (a + b): at s = s0, and w is about s there
+        s0 = math.sqrt(math.tanh(law.v) * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
+        knots += [w_lo + h for h in _layer_knots(_LAYER_KNOT / s0, (w_hi - w_lo) / n)]
+    return knots
 
 
 def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
@@ -790,16 +812,14 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     of magnitude below the true one; an absolute tolerance would accept that.
 
     So the first panels come from the law, each part's in one call of its
-    integrand.  Past v they are max(1, ceil(_GRID_PANELS_PAST (w_hi - w_lo)))
-    equal panels in w, the density of a long grid's panels (_law_knots): 12
-    for a moment, a few for a CDF just past v.  Where the part past v starts
-    at v, its first panel is graded toward w = 0 too, at s0, 2 s0, 4 s0, ...
-    (_layer_knots), s0^2 = tanh v (d-q) / (2 (d+1)) the t - v where I_x(a, b)
-    has fallen to about 1/2: at small v that layer is far thinner than a
-    panel (s0 = 2e-6 at (1000,999,998, v=1e-8)).  Below v, where the
-    integral reaches v, the panels end at t = v - h, mapped to y, h =
-    2/lambda, 4/lambda, ... (_layer_knots, as p's), lambda =
-    (m-1) coth v + gamma tanh v the density's log-slope at v.
+    integrand, and they are those of distance_cdf_grid (_grid_panels).  Past
+    v they are equal panels in w, _GRID_PANELS_PAST per unit of w: 12 for a
+    moment, a few for a CDF just past v.  Where the part past v starts at v,
+    its first panel is graded toward w = 0 too (_past_knots): at small v
+    that layer is far thinner than a panel (s0 = 2e-6 at
+    (1000,999,998, v=1e-8)).  Below v, where the integral reaches v, the
+    panels end at t = v - h, mapped to y, h = 2/lambda, 4/lambda, ...
+    (_below_layer, as p's), lambda the density's log-slope at v.
     """
     v, m, g = law.v, law.m, law.cfg1.gamma
     parts = []
@@ -817,11 +837,7 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                 out += g * _log_cosh(t)
             return out
 
-        knots = ()
-        if hi >= v:
-            tanh_v = math.tanh(v)
-            slope = (m - 1) / tanh_v + g * tanh_v
-            knots = [(1.0 - h / v) ** k for h in _layer_knots(slope, v - lo)]
+        knots = [(1.0 - h / v) ** k for h in _below_layer(law, v - lo)] if hi >= v else ()
         parts.append(integrate_adaptive(
             log_g_below, (lo / v) ** k, (min(hi, v) / v) ** k, tol, log_form=True,
             log_offset=law.log_pref - _LOG2 + law.betaln_ab + power * math.log(v) - math.log(k),
@@ -830,15 +846,8 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
         log_g_past = _log_integrands(law, alpha)[1]
         w_lo = _w_past(max(lo, v), v)
         w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
-        n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
-        knots = list(np.linspace(w_lo, w_hi, n + 1)[1:-1])
-        if lo <= v:
-            # I_x(a, b) is about 1/2 where 1 - x, about 2 coth v (t - v), reaches
-            # b / (a + b): at s = s0, and w is about s there
-            s0 = math.sqrt(math.tanh(v) * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
-            knots += [w_lo + h for h in _layer_knots(_LAYER_KNOT / s0, (w_hi - w_lo) / n)]
         parts.append(integrate_adaptive(log_g_past, w_lo, w_hi, tol, log_form=True,
-                                        break_points=knots))
+                                        break_points=_past_knots(law, w_lo, w_hi, lo <= v)))
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
@@ -846,87 +855,89 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                       float(np.logaddexp.reduce([r.log_value for r in parts])))
 
 
-def _segment_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, tol: Tolerance):
-    """Integrals of the unit-curvature density over the segments [lo[i], hi[i]].
+def _grid_panels(law: _UnitLaw, t_max: float):
+    """distance_cdf_grid's first panels on [0, t_max], t_max > 0: (lo, hi, far).
 
-    No segment may straddle v.  Each segment is one Gauss-Kronrod panel,
-    those below v from one integrand call in t and those past v from one
-    in w (_log_integrands).  The segments whose error estimate exceeds
-    tol's relative target are refined together: each round halves every
-    sub-panel of theirs that misses the target on its own and evaluates all
-    the halves in the same two integrand calls, until every segment's
-    summed estimate meets it.  A sub-panel too narrow to halve in doubles
-    is kept as it is; QuadratureError is raised when no sub-panel can be
-    halved any more, or when halving would take the number of panels past
-    tol.max_subdivisions.
-
-    Returns (values, errors, first, leaves).  first = (x_lo, x_hi, nodes,
-    scale) is the first panel of every segment: its bounds (t below v, w
-    past it) and its node values and scale (_gk_panels, _panel_scales).
-    leaves = (own, x_lo, x_hi, values, errors, nodes, scale) are the final
-    sub-panels of the refined segments, own the segment of each, or None if
-    no segment was refined.
+    Below v, in t: _GRID_PANELS_BELOW equal panels on [0, min(v, t_max)],
+    and where the grid reaches v, ends at t = v - h toward the layer below
+    it (_below_layer).  Past v, in w (_w_past): the panels of
+    _density_integral on [v, t_max] (_past_knots).  far marks the panels
+    past v; they follow the others, and on each side the panels ascend.
     """
     v = law.v
-    log_g, log_g_past = _log_integrands(law)
-    near = hi <= v
-    x_lo, x_hi = lo.copy(), hi.copy()  # t below v, w past it
-    x_lo[~near], x_hi[~near] = _w_past(lo[~near], v), _w_past(hi[~near], v)
+    end = min(v, t_max)
+    near = [end * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)]
+    past = [0.0]
+    if t_max >= v:
+        near = sorted(set(near).union(v - h for h in _below_layer(law, v)))
+    if t_max > v:
+        w_max = float(_w_past(t_max, v))
+        past = sorted({0.0, w_max, *_past_knots(law, 0.0, w_max, True)})
+    n = len(near) + len(past) - 2
+    return (np.array(near[:-1] + past[:-1]), np.array(near[1:] + past[1:]),
+            np.arange(n) >= len(near) - 1)
 
-    def panels(x_lo, x_hi, n_near):
-        # the first n_near panels lie below v; values, errors and scales in absolute units
-        vals, errs, nodes, log_scale = (np.concatenate(r) for r in zip(
-            _gk_panels(log_g, x_lo[:n_near], x_hi[:n_near], True),
-            _gk_panels(log_g_past, x_lo[n_near:], x_hi[n_near:], True)))
-        scale = _panel_scales(log_scale, x_lo, x_hi)
-        return vals * scale, errs * scale, nodes, scale
 
-    def misses(vals, errs):
-        return errs > tol.rel_tol * np.abs(vals)
+def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndarray):
+    """The Gauss-Kronrod panels [lo[i], hi[i]] of the unit-curvature density, in
+    t below v and in w where far (those follow the others), from one call of
+    the density integrand (_log_integrands): the nodes in w are mapped to t
+    and the Jacobian is added to their logs.
 
-    vals, errs, nodes, scale = panels(x_lo, x_hi, np.count_nonzero(near))
-    first = (x_lo, x_hi, nodes, scale)
-    segs = np.flatnonzero(misses(vals, errs))
-    if not segs.size:
-        return vals, errs, first, None
-    # the sub-panels of the segments in segs: owner, bounds, value, error, nodes, scale
-    sub = (segs, x_lo[segs], x_hi[segs], vals[segs], errs[segs], nodes[segs], scale[segs])
-    leaves = []
-    count = lo.size
-    while segs.size:
-        own, a, b, pv, pe, pn, ps = sub
-        mid = 0.5 * (a + b)
-        split = misses(pv, pe) & (a < mid) & (mid < b)
-        n_split = np.count_nonzero(split)
-        if not n_split:
-            raise QuadratureError(f"{segs.size} grid segments miss the tolerance with "
-                                  f"every sub-panel too narrow to halve")
-        count += n_split
-        if count > tol.max_subdivisions:
-            raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
-        keep = ~split
-        mid = mid[split]
-        halves = np.concatenate((own[split], own[split]))
-        h_lo, h_hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-        # those below v first; a stable order keeps each segment's sub-panels
-        # in their order, and with it the order of their sums
-        order = np.argsort(~near[halves], kind="stable")
-        halves, h_lo, h_hi = halves[order], h_lo[order], h_hi[order]
-        new = panels(h_lo, h_hi, np.count_nonzero(near[halves]))
-        sub = (np.concatenate((own[keep], halves)), np.concatenate((a[keep], h_lo)),
-               np.concatenate((b[keep], h_hi)),
-               *(np.concatenate((x[keep], y)) for x, y in zip((pv, pe, pn, ps), new)))
-        own, pv, pe = sub[0], sub[3], sub[4]
-        sv = np.bincount(own, weights=pv, minlength=lo.size)[segs]
-        se = np.bincount(own, weights=pe, minlength=lo.size)[segs]
-        done = ~misses(sv, se)
-        vals[segs[done]], errs[segs[done]] = sv[done], se[done]
-        segs = segs[~done]
-        live = np.isin(own, segs)
-        leaves.append(tuple(x[~live] for x in sub))
-        sub = tuple(x[live] for x in sub)
-    leaves = tuple(np.concatenate(x) for x in zip(*leaves))
-    return vals, errs, first, leaves
+    Returns (values, errors, nodes, scale): each panel's integral and error
+    estimate in absolute units, and its node values at _XK over their
+    largest with the factor that makes the interpolant through them on
+    [-1, 1] the integrand on the panel (_gk_panels, _panel_scales).
+    """
+    log_g = _log_integrands(law)[0]
+    k = _XK.size * np.count_nonzero(~far)  # the nodes below v come first
+
+    def log_f(x):
+        t, log_jacobian = _t_past(x[k:], law.v)
+        y = log_g(np.concatenate((x[:k], t)))
+        y[k:] += log_jacobian
+        return y
+
+    vals, errs, nodes, log_scale = _gk_panels(log_f, lo, hi, True)
+    scale = _panel_scales(log_scale, lo, hi)
+    return vals * scale, errs * scale, nodes, scale
+
+
+def _cdf_at(x, n_near, lo, hi, far, vals, errs, nodes, scale):
+    """The CDF and its error estimate at the ascending points x > 0, the first
+    n_near in t (at most v) and the others in w, and the panel of each.
+
+    A point's panel is found by bisection on the starts of the panels on its
+    side of v.  Its value is the sum of the panels before it plus its
+    panel's scale times the antiderivative of the node interpolant
+    (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
+    in [-1, 1].  Its error estimate is the panel errors summed through its
+    panel plus the interpolant's own, its last two Chebyshev coefficients in
+    units of the panel's scale: the Kronrod estimate, of the whole panel to
+    a far higher degree than 14, says nothing of the interpolant inside it.
+    """
+    p_near = np.count_nonzero(~far)
+    row = np.empty(x.size, dtype=np.intp)
+    row[:n_near] = np.searchsorted(lo[:p_near], x[:n_near], side="right") - 1
+    row[n_near:] = p_near - 1 + np.searchsorted(lo[p_near:], x[n_near:], side="right")
+    # per panel: the scaled coefficients with the start value folded into the
+    # first, the midpoint, the inverse half-width (0 for an empty panel) and
+    # the error estimate through the panel, the interpolant's own included
+    half = 0.5 * (hi - lo)
+    through = np.cumsum(errs) + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
+    c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
+    c[1:, 0] += np.cumsum(vals[:-1])
+    inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
+    # one row per quantity, so that the recurrence reads contiguous rows
+    g = np.take(np.vstack((c.T, lo + half, inv_half, through)), row, axis=1)
+    s = (x - g[-3]) * g[-2]
+    s2, b1, b2, tmp = 2.0 * s, g[-4].copy(), np.zeros_like(s), np.empty_like(s)
+    for j in range(_ANTIDERIVATIVE.shape[0] - 2, 0, -1):
+        np.multiply(s2, b1, out=tmp)
+        tmp -= b2
+        tmp += g[j]
+        b1, b2, tmp = tmp, b1, b2
+    return s * b1 - b2 + g[0], g[-1], row
 
 
 def _require_distance(delta) -> None:
@@ -946,27 +957,22 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
 
 def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """distance_cdf on an ascending 1-d grid, in one vectorised pass.
+    """distance_cdf on an ascending 1-d grid, from one representation of the law.
 
-    The knots of a grid of at most _GRID_KNOTS points are 0, the reduced
-    radius v and the grid points.  A longer grid, such as the sorted samples
-    of a Monte Carlo run, takes its knots from the law instead of from the
-    ranks of its points (_law_knots): 0, v, _GRID_PANELS_BELOW equal panels
-    in t below v and _GRID_PANELS_PAST in w past it; of its points only the
-    first, the last, and those of rank 1, 2, 4, ... below n / _GRID_LOW_RANKS,
-    kept so that no segment's mass dwarfs the CDF at its start.  Every
-    segment between neighbouring knots is one Gauss-Kronrod panel, or the
-    sub-panels it is halved into; the panels below v take one integrand
-    call and those past v one more (_segment_integrals).  The values at the
-    knots are the cumulative sums of the segments, each with the summed
-    error estimates.  A point between knots finds its segment by bisection
-    on the knots and takes the value at the start of its final sub-panel
-    plus the integral of the interpolant through that sub-panel's 15 node
-    values (_between_knots), with the summed error estimates through that
-    sub-panel plus the interpolant's own; the points whose estimate misses
-    the relative tolerance become knots and the grid is computed again,
-    _GRID_ROUNDS times at most before QuadratureError.  Leaving [0, 1] by
-    more than the error estimates raises ProbabilityRangeError.
+    The representation is Gauss-Kronrod panels of the density up to the
+    last point, the law's and not the grid's (_grid_panels), all evaluated
+    in one call of the density integrand (_panel_integrals).  The panels
+    that miss tol's relative target are halved together, all halves in one
+    more call, until each meets it.  Each point then takes the panels before
+    it plus its panel's node interpolant up to it (_cdf_at).  A point whose
+    error estimate misses the target halves the panel that holds it, or,
+    near 0, cuts the first panel at h/2, h/4, ... down past it: no point
+    becomes a panel end, and no panel is evaluated twice.  A 128-point grid
+    at the benchmark's law configurations is 12 panels and one call.
+    QuadratureError is raised where a panel to halve is too narrow to halve
+    in doubles, or where halving would take the panels past
+    tol.max_subdivisions; leaving [0, 1] by more than the error estimates
+    raises ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
@@ -976,118 +982,51 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         raise DomainError("deltas must be finite, ascending and >= 0")
     law = _unit_law(cfg, K)
     t = K.scale * deltas
-    if t.size <= _GRID_KNOTS:
-        knots, cum, cum_err, _, _ = _knot_integrals(law, t, tol)
-        at = np.searchsorted(knots, t)
-        return _as_probability(cum[at], cum_err[at])
-    knot = np.zeros(t.shape, dtype=bool)
-    # the first point has the least CDF, where the interpolant's error shows
-    # most; no segment follows the last
-    knot[[0, -1]] = True
-    # near 0 the CDF at a segment's start must not be far below the
-    # segment's mass, or the interpolant's error shows relative to it
-    knot[1 << np.arange((-(-t.size // _GRID_LOW_RANKS) - 1).bit_length())] = True
-    panels = _law_knots(law.v, t[-1])
-    for _ in range(_GRID_ROUNDS):
-        knots, cum, cum_err, first, leaves = _knot_integrals(
-            law, np.concatenate((panels, t[knot])), tol)
-        at = np.searchsorted(knots, t)
-        value, err = cum[at], cum_err[at]
-        inner = knots[at] != t
-        if inner.any():
-            value[inner], err[inner] = _between_knots(law, t[inner], at[inner] - 1, knots,
-                                                      cum, cum_err, first, leaves)
-        miss = err > tol.rel_tol * value
-        if not miss.any():
-            return _as_probability(value, err)
-        knot |= miss
-    raise QuadratureError(f"{np.count_nonzero(miss)} grid points still miss the tolerance "
-                          f"after {_GRID_ROUNDS} rounds of new knots")
-
-
-def _law_knots(v: float, t_max: float) -> np.ndarray:
-    """0, v and the ends of equal panels in t on [0, min(v, t_max)] and, past
-    v, in w on [v, t_max] (_w_past): a long grid's knots that do not depend
-    on its points."""
-    below = np.linspace(0.0, min(v, t_max), _GRID_PANELS_BELOW + 1)
-    if t_max <= v:
-        return below
-    s = np.linspace(0.0, _w_past(t_max, v), _GRID_PANELS_PAST + 1)[1:-1]
-    s /= 1.0 - s
-    return np.concatenate((below, v + s * s))
-
-
-def _knot_integrals(law: _UnitLaw, t, tol: Tolerance):
-    """The knots 0, v (up to t's largest) and the points t, sorted with copies
-    dropped, the CDF and its summed error estimates at each, and
-    _segment_integrals' panels between them."""
-    knots = np.unique(np.concatenate(([0.0, min(law.v, t.max(initial=0.0))], t)))
-    vals, errs, first, leaves = _segment_integrals(law, knots[:-1], knots[1:], tol)
-    return (knots, np.concatenate(([0.0], np.cumsum(vals))),
-            np.concatenate(([0.0], np.cumsum(errs))), first, leaves)
-
-
-def _between_knots(law: _UnitLaw, x, seg, knots, cum, cum_err, first, leaves):
-    """distance_cdf_grid's values and error estimates at the points x, each
-    strictly inside its segment [knots[seg], knots[seg + 1]].
-
-    In a segment settled on its first panel that panel holds the point; in
-    a refined one, the point's final sub-panel is found among the leaves
-    (sorted by segment and start) by the variable the point maps to: t
-    below v, w past it.  The value is the CDF at the start of that panel
-    plus its scale times the antiderivative of the node interpolant
-    (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
-    in [-1, 1].  The error estimate is the summed one through that panel
-    plus the interpolant's own, the size of its last two Chebyshev
-    coefficients in units of the panel's scale: the Kronrod estimate is
-    that of the panel's whole integral, which the rule gets right to a far
-    higher degree than the interpolant's 14, so it says nothing of the
-    interpolant at a point inside the panel.
-    """
-    v = law.v
-    far = knots[seg + 1] > v
-    x = x.copy()
-    x[far] = _w_past(x[far], v)
-    # the panels: every segment's first one, then the leaves
-    x_lo, x_hi, nodes, scale = first
-    start, through = cum[:-1], cum_err[1:]
-    row = seg.copy()
-    if leaves is not None:
-        order = np.lexsort((leaves[1], leaves[0]))
-        own, a, b, lv, le, ln, ls = (y[order] for y in leaves)
-        head = np.maximum.accumulate(np.where(np.diff(own, prepend=-1) != 0,
-                                              np.arange(own.size), 0))
-        before, errs = np.cumsum(lv) - lv, np.cumsum(le)
-        start = np.concatenate((start, cum[own] + before - before[head]))
-        through = np.concatenate((through, cum_err[own] + errs - (errs[head] - le[head])))
-        refined = np.zeros(x_lo.size, dtype=bool)
-        refined[own] = True
-        # the leaves below v come first, and within each group their starts ascend
-        n_near = np.count_nonzero(knots[own + 1] <= v)
-        for part, lo, hi in ((refined[seg] & ~far, 0, n_near),
-                             (refined[seg] & far, n_near, own.size)):
-            xp = np.maximum(x[part], x_lo[seg[part]])  # no rounding below the segment
-            row[part] = x_lo.size + lo - 1 + np.searchsorted(a[lo:hi], xp, side="right")
-        x_lo, x_hi = np.concatenate((x_lo, a)), np.concatenate((x_hi, b))
-        nodes, scale = np.concatenate((nodes, ln)), np.concatenate((scale, ls))
-    # per panel: the scaled coefficients with the start value folded into the
-    # first, the midpoint, the inverse half-width (0 for an empty panel) and
-    # the error estimate through the panel, the interpolant's own included
-    half = 0.5 * (x_hi - x_lo)
-    through = through + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
-    c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
-    c[:, 0] += start
-    inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
-    # one row per quantity, so that the recurrence reads contiguous rows
-    g = np.take(np.vstack((c.T, x_lo + half, inv_half, through)), row, axis=1)
-    s = (x - g[-3]) * g[-2]
-    s2, b1, b2, tmp = 2.0 * s, g[-4].copy(), np.zeros_like(s), np.empty_like(s)
-    for j in range(_ANTIDERIVATIVE.shape[0] - 2, 0, -1):
-        np.multiply(s2, b1, out=tmp)
-        tmp -= b2
-        tmp += g[j]
-        b1, b2, tmp = tmp, b1, b2
-    return s * b1 - b2 + g[0], g[-1]
+    value, err = np.zeros(t.shape), np.zeros(t.shape)
+    zeros = int(np.searchsorted(t, 0.0, side="right"))  # F(0) = 0
+    if zeros < t.size:
+        t = t[zeros:]
+        n_near = int(np.searchsorted(t, law.v, side="right"))
+        x = t.copy()
+        x[n_near:] = _w_past(t[n_near:], law.v)
+        lo, hi, far = _grid_panels(law, float(t[-1]))
+        panels = _panel_integrals(law, lo, hi, far)
+        while True:
+            vals, errs = panels[:2]
+            split = errs > tol.rel_tol * np.abs(vals)
+            depth = 1  # the halvings of the first panel toward 0
+            if not split.any():
+                value[zeros:], err[zeros:], row = _cdf_at(x, n_near, lo, hi, far, *panels)
+                miss = err[zeros:] > tol.rel_tol * np.abs(value[zeros:])
+                if not miss.any():
+                    break
+                split[row[miss]] = True
+                if row[miss][0] == 0:
+                    # F is 0 where the first panel starts: it is halved toward 0,
+                    # all at once, until the least point missing lies past a half
+                    depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
+            # cut each panel at its midpoint, the first at h/2^depth, ..., h/4, h/2
+            at = np.flatnonzero(split)
+            cuts, owner = 0.5 * (lo[at] + hi[at]), at  # owner: the panel each cut falls in
+            if depth > 1:
+                cuts = np.r_[np.ldexp(hi[0], -np.arange(depth, 0, -1)), cuts[1:]]
+                owner = np.r_[np.zeros(depth, dtype=np.intp), at[1:]]
+            if lo.size + cuts.size > tol.max_subdivisions:
+                raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
+            # each panel cut becomes its pieces, in place
+            keep = np.sort(np.r_[np.arange(lo.size), owner])
+            ends = owner + np.arange(cuts.size)  # the piece that each cut ends
+            lo, hi, far = lo[keep], hi[keep], far[keep]
+            hi[ends], lo[ends + 1] = cuts, cuts
+            new = np.zeros(lo.size, dtype=bool)
+            new[ends] = new[ends + 1] = True
+            if not _nodes_inside(lo[new], hi[new]).all():
+                raise QuadratureError("a grid panel misses the tolerance and is too narrow "
+                                      "to halve")
+            panels = tuple(y[keep] for y in panels)
+            for y, pieces in zip(panels, _panel_integrals(law, lo[new], hi[new], far[new])):
+                y[new] = pieces
+    return _as_probability(value, err)
 
 
 def distance_density(cfg: FlatConfig, K: Curvature, delta,

@@ -49,7 +49,8 @@ def _curvature(value: str) -> float:
     return K
 
 
-# largest grid of density-scan and scan-K
+# most rows of a scan: density-scan's and scan-K's --steps, and the rows that
+# scan-d's and scan-phase's --d-max give (_D_MAX_ROWS)
 MAX_STEPS = 100_000
 
 
@@ -262,6 +263,13 @@ def _cmd_scan_phase(args, tol):
     return _emit_csv(args, "d,K,p,limit", rows)
 
 
+# the rows of the scans over d, one per dimension up to --d-max
+_D_MAX_ROWS = {
+    "scan-d": lambda args: args.d_max - args.d_min + 1,
+    "scan-phase": lambda args: args.d_max - args.q,
+}
+
+
 def _cmd_simulate(args, tol):
     cfg = FlatConfig(args.d, args.q, args.gamma, args.u)
     K = Curvature(args.K)
@@ -318,6 +326,9 @@ _COMMANDS = {
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    rows = _D_MAX_ROWS.get(args.command)
+    if rows is not None and rows(args) > MAX_STEPS:
+        parser.error(f"argument --d-max: gives {rows(args)} rows, more than {MAX_STEPS}")
     rel = getattr(args, "rel_tol", 1e-9)
     try:
         tol = Tolerance(rel_tol=rel)

@@ -231,9 +231,9 @@ def _panel_scales(log_scale, a, b):
 def _nodes_inside(a, b):
     """Whether _gk_panel's outermost nodes on [a, b], rounded as it rounds them,
     lie strictly inside [a, b]: on a panel a few doubles wide they round onto
-    its ends."""
+    its ends.  Elementwise on arrays."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    return a < c - h * _X_OUTER and c + h * _X_OUTER < b
+    return (a < c - h * _X_OUTER) & (c + h * _X_OUTER < b)
 
 
 def _exp_or_raise(log_value, what):

@@ -985,14 +985,15 @@ class TestCdfGrid:
         np.linspace(1.05, 4.0, 300),                             # only points past v
     ], ids=["last-copies", "end-at-v", "v-copies", "zeros", "zeros-then", "below-v", "past-v"])
     def test_long_grid_shapes(self, deltas):
-        # more than 128 points, so most lie between knots
+        # more than 128 points, most of them inside the law's panels
         np.testing.assert_allclose(
             distance_cdf_grid(CFG, K1, deltas, TOL),
             [distance_cdf(CFG, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
 
     def test_a_wide_segment_is_refined(self, monkeypatch):
-        # one panel on [0, 12] misses the layer about 1/1000 wide below v = 12;
-        # halving settles it without an adaptive integral of its own
+        # the first panels below v = 12 are graded toward the layer about 1/1000
+        # wide below it, and those that miss it are halved: halving settles the
+        # grid without an adaptive integral of its own
         cfg = FlatConfig(1000, 999, 998, 12.0)
         refined = []
 
@@ -1012,8 +1013,8 @@ class TestCdfGrid:
 
     @pytest.mark.parametrize("cfg", [FlatConfig(40, 39, 38, 6.0), FlatConfig(200, 199, 1, 8.0)])
     def test_refines_failing_segments_together(self, cfg, monkeypatch):
-        # 25 and 15 segments of these grids miss the tolerance as one panel;
-        # a few rounds of halving settle all of them
+        # 9 of the 21 and 9 of the 24 first panels of these grids miss the
+        # tolerance; a few rounds of halving settle all of them
         calls = []
 
         def spy(*args, **kwargs):
@@ -1039,24 +1040,23 @@ class TestCdfGrid:
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 3000), TOL).shape == (3000,)
 
     def test_refinement_stops_at_the_subdivision_budget(self):
-        # the segment [0, 12] needs more halvings than a budget of 40 panels allows
+        # the layer below v = 12 needs more halvings than a budget of 40 panels allows
         with pytest.raises(QuadratureError, match="40 panels"):
             distance_cdf_grid(FlatConfig(1000, 999, 998, 12.0), K1, [12.0, 72.0],
                               Tolerance(max_subdivisions=40))
 
     def test_a_segment_too_narrow_to_halve_raises(self, monkeypatch):
-        # noise from 0.5 on never meets the tolerance, and the segment from 0.5
-        # to the next double cannot be halved
-        rng = np.random.default_rng(1)
-
-        def log_integrands(law):
+        # an integrand with a jump at 0.5 never meets the tolerance on the panel
+        # that holds the jump, and halving that panel ends at one a few doubles
+        # wide, whose halves would put nodes on their ends
+        def log_integrands(law, alpha=0.0):
             def log_g(x):
-                return np.where(x >= 0.5, rng.normal(size=x.shape), 0.0)
+                return np.where(x >= 0.5, 0.0, -1.0)
             return log_g, log_g
 
         monkeypatch.setattr(analytic, "_log_integrands", log_integrands)
         with pytest.raises(QuadratureError, match="too narrow to halve"):
-            distance_cdf_grid(CFG, K1, [0.5, math.nextafter(0.5, 1.0)], TOL)
+            distance_cdf_grid(CFG, K1, [0.5, 0.75], TOL)
 
     @pytest.mark.parametrize("trials", [5000, 100_000])
     @pytest.mark.parametrize("cfg, K", [
@@ -1066,8 +1066,8 @@ class TestCdfGrid:
         (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
         (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
     def test_monte_carlo_samples_match_pointwise(self, cfg, K, trials):
-        # beyond 128 points most lie between knots and take the node interpolant;
-        # (40, 39, 38) hits 124 times in 5000 trials, so all its points are knots
+        # every point takes the node interpolant of the law panel that holds it;
+        # (40, 39, 38) hits 125 times in 5000 trials, and its panels are refined
         samples = estimate_samples(cfg, K, trials)
         grid = distance_cdf_grid(cfg, K, samples, TOL)
         idx = np.unique(np.r_[np.arange(0, samples.size, 100), np.arange(1, 40, 3),
@@ -1077,40 +1077,92 @@ class TestCdfGrid:
             rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg, K", [(FlatConfig(3, 2, 1, 1.0), K1),
-                                        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02))])
+                                        (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
+                                        *BENCH_CONFIGS[1:3]])
     def test_long_grids_take_their_knots_from_the_law(self, cfg, K, monkeypatch):
-        # 4151 and 2202 sorted hits: about 25 segments, not one per 1/128 of the ranks
-        sizes = []
+        # 4151, 2202, 1605 and 2518 sorted hits: at most 40 first panels, not one
+        # per point; at these configurations (three of them the benchmark's law
+        # ones) a cold grid of the hits or of 128 points is one call of the
+        # density integrand, with no panel to refine
+        calls = []
 
-        def spy(law, lo, hi, tol):
-            sizes.append(lo.size)
-            return segment_integrals(law, lo, hi, tol)
+        def spy(law, alpha=0.0):
+            log_g, log_g_past = log_integrands(law, alpha)
+
+            def counted(t):
+                calls.append(t.size)
+                return log_g(t)
+            return counted, log_g_past
 
         samples = estimate_samples(cfg, K, 5000)
-        segment_integrals = analytic._segment_integrals
-        monkeypatch.setattr(analytic, "_segment_integrals", spy)
-        distance_cdf_grid(cfg, K, samples, TOL)
-        assert samples.size > 2000 and sizes[0] <= 40
+        log_integrands = analytic._log_integrands
+        monkeypatch.setattr(analytic, "_log_integrands", spy)
+        for deltas in (samples, [4.0 * cfg.u / 128 * (i + 1) for i in range(128)]):
+            calls.clear()
+            analytic._unit_law.cache_clear()
+            distance_cdf_grid(cfg, K, deltas, TOL)
+            assert len(calls) == 1 and calls[0] <= 40 * 15
+        assert samples.size > 1500
 
-    def test_points_that_miss_the_tolerance_become_knots(self, monkeypatch):
-        # 65 points, each with a copy 1e-6 relative past it: below t = 1.5, where
-        # the CDF grows from 1e-89 to 1e-76 across a few panels, 11 points'
-        # error estimates (the interpolant's own among them) miss rel_tol times
-        # their value, so the grid is computed again with those points as knots
+    def test_points_that_miss_the_tolerance_halve_their_panels(self, monkeypatch):
+        # 65 points, each with a copy 1e-6 relative past it: once every panel
+        # meets the tolerance, the error estimates of 44 points below v (the
+        # interpolant's own among them) still miss rel_tol times their value.
+        # The 22 panels that hold them are halved and only the halves are
+        # evaluated: no point becomes a panel end, and no panel is evaluated twice
         cfg = FlatConfig(40, 39, 38, 6.0)
         base = np.linspace(0.0, 12.0, 66)[1:]
         deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
-        sizes = []
+        panels, at_points = [], []
 
-        def spy(law, lo, hi, tol):
-            sizes.append(lo.size)
-            return segment_integrals(law, lo, hi, tol)
+        def spy_panels(law, lo, hi, far):
+            panels.append(list(zip(lo.tolist(), hi.tolist())))
+            return panel_integrals(law, lo, hi, far)
 
-        segment_integrals = analytic._segment_integrals
-        monkeypatch.setattr(analytic, "_segment_integrals", spy)
+        def spy_points(*args):
+            at_points.append(len(panels))
+            return cdf_at(*args)
+
+        panel_integrals, cdf_at = analytic._panel_integrals, analytic._cdf_at
+        monkeypatch.setattr(analytic, "_panel_integrals", spy_panels)
+        monkeypatch.setattr(analytic, "_cdf_at", spy_points)
         grid = distance_cdf_grid(cfg, K1, deltas, TOL)
         monkeypatch.undo()
-        assert len(sizes) == 2 and sizes[1] > sizes[0]
+        # the points were evaluated twice, with halves evaluated in between
+        assert len(at_points) == 2 and at_points[1] == at_points[0] + 1
+        evaluated = [p for call in panels for p in call]
+        assert len(set(evaluated)) == len(evaluated)
+        # every panel after the first call is a half of one evaluated before it
+        for i, call in enumerate(panels[1:], 1):
+            before = {p for c in panels[:i] for p in c}
+            assert len(call) % 2 == 0
+            for (a, m), (m2, b) in zip(call[::2], call[1::2]):
+                assert m == m2 == 0.5 * (a + b) and (a, b) in before
+        np.testing.assert_allclose(
+            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cfg", [CFG, FlatConfig(12, 8, 1, 1.0)])
+    @pytest.mark.parametrize("deltas", [[1e-300, 1.0], np.logspace(-12, 0.5, 128)])
+    def test_points_near_0_cut_the_first_panel_at_once(self, cfg, deltas, monkeypatch):
+        # F is 0 where the first panel [0, h] starts, so a point t far below h
+        # misses until that panel is halved toward 0 about log2(h / t) times:
+        # the halves ending at h/2^k, ..., h/4, h/2 are evaluated in one call,
+        # not one round each (about 1000 rounds for t = 1e-300)
+        panels = []
+
+        def spy(law, lo, hi, far):
+            panels.append((lo, hi))
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        grid = distance_cdf_grid(cfg, K1, deltas, TOL)
+        monkeypatch.undo()
+        assert len(panels) == 2
+        h, (lo, hi) = panels[0][1][0], panels[1]
+        k = lo.size - 1
+        np.testing.assert_array_equal(hi, np.ldexp(h, -np.arange(k, -1, -1)))
+        assert lo[0] == 0.0 and hi[0] <= deltas[0] < 2.0 * hi[0]
         np.testing.assert_allclose(
             grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
 
@@ -1158,21 +1210,24 @@ class TestGuards:
         assert info.value.partial.value > 0
 
     def test_cdf_grid_checks_its_range(self, monkeypatch):
-        # every segment of the grid gets the same value and error estimate
-        def segments(value, err):
-            return lambda law, lo, hi, tol: (np.full(lo.shape, value),
-                                             np.full(lo.shape, err), None, None)
+        # a constant density c below v = 1, so that F(t) = c t, on every panel
+        # with error estimates 5e-10 times the panel's value
+        def panels(c):
+            def panel_integrals(law, lo, hi, far):
+                return (c * (hi - lo), 5e-10 * abs(c) * (hi - lo), np.ones((lo.size, 15)),
+                        0.5 * c * (hi - lo))
+            return panel_integrals
 
-        monkeypatch.setattr(analytic, "_segment_integrals", segments(0.6, 1e-13))
+        monkeypatch.setattr(analytic, "_panel_integrals", panels(1.2))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
-        monkeypatch.setattr(analytic, "_segment_integrals", segments(-1e-3, 1e-13))
+        monkeypatch.setattr(analytic, "_panel_integrals", panels(-1e-3))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5], TOL)
         # an overshoot within the summed error estimates is clamped
-        monkeypatch.setattr(analytic, "_segment_integrals", segments(0.5 + 1e-10, 1e-9))
-        np.testing.assert_array_equal(
-            distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL), [0.5 + 1e-10, 1.0])
+        monkeypatch.setattr(analytic, "_panel_integrals", panels(1.0 + 2e-10))
+        grid = distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
+        assert grid[0] == pytest.approx(0.5 + 1e-10, rel=1e-15, abs=0.0) and grid[1] == 1.0
 
     @pytest.mark.parametrize("value", [math.nan, np.array([0.5, math.nan])])
     def test_nan_is_not_a_probability(self, value):

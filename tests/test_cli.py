@@ -273,6 +273,10 @@ SCAN_ARGS = {
     "scan-K": ["--d", "3", "--q", "2", "--gamma", "1", "--u", "1",
                "--K-min=-1", "--K-max=-0.5"],
 }
+D_SCAN_ARGS = {
+    "scan-d": ["--d-min", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"],
+    "scan-phase": ["--mode", "sub", "--q", "2", "--gamma", "1", "--u", "1"],
+}
 
 
 class TestStepsBound:
@@ -296,6 +300,29 @@ class TestStepsBound:
             args = build_parser().parse_args([command, *SCAN_ARGS[command],
                                               "--steps", str(steps)])
             assert args.steps == steps
+
+    # d from 3 (scan-d's --d-min, scan-phase's q + 1) to --d-max: one row each
+    @pytest.mark.parametrize("command, rows", [
+        ("scan-d", MAX_STEPS + 1), ("scan-d", 10**12),
+        ("scan-phase", MAX_STEPS + 1), ("scan-phase", 10**12),
+    ])
+    def test_d_max_out_of_range_exits_2_before_the_command(self, capsys, monkeypatch,
+                                                           command, rows):
+        def no_scan(args, tol):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, no_scan)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *D_SCAN_ARGS[command], "--d-max", str(rows + 2)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--d-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan-d", "scan-phase"])
+    def test_d_max_of_max_steps_rows_is_accepted(self, capsys, monkeypatch, command):
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args, tol: ran.append(args) or "")
+        assert run([command, *D_SCAN_ARGS[command], "--d-max", str(MAX_STEPS + 2)]) == EXIT_OK
+        assert ran[0].d_max == MAX_STEPS + 2
 
 
 class TestSimulate:
@@ -390,9 +417,16 @@ class TestSimulate:
         cfg = FlatConfig(doc["d"], doc["q"], doc["gamma"], doc["u"])
         K = Curvature(doc["curvature"])
         samples = simulate_distance_distribution(cfg, K, doc["trials"], doc["seed"]).finite_samples
-        # grids of at most 128 points make every point a knot: F at each sample
+        # each chunk of 128 samples is a grid of its own, on panels up to its own
+        # last sample, not those that simulate takes up to the largest sample
         cdf = np.concatenate([analytic.distance_cdf_grid(cfg, K, samples[i:i + 128], Tolerance())
                               for i in range(0, samples.size, 128)])
+        # and about 200 of them, the lowest 40 ranks among them, are the scalar CDF
+        idx = np.unique(np.r_[np.arange(min(40, samples.size)),
+                              np.linspace(0, samples.size - 1, 160).astype(int)])
+        np.testing.assert_allclose(
+            cdf[idx], [analytic.distance_cdf(cfg, K, float(x), Tolerance()) for x in samples[idx]],
+            rtol=1e-12, atol=0.0)
         exact = ks_statistic(samples, cdf / doc["analytic_p"])
         assert doc["ks_statistic"] == pytest.approx(exact, rel=0.0, abs=1e-12)
         if ks is not None:
