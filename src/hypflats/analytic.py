@@ -5,7 +5,12 @@ critical phase constant.
 Every hyperbolic evaluation first rescales to unit curvature (K = -1 with
 ball radius v = sqrt(-K) u) and starts from that configuration's law,
 _unit_law(cfg, K): the constants of the density and of p's integrands,
-computed once per configuration and memoised (64 of them).  On the event
+computed once per configuration and memoised (64 of them).  The law also
+memoises, per Tolerance, what depends on nothing else (_UnitLaw.memo): p's
+and the atom's integrals, each moment's, and the CDF grid's converged
+panels, so a repeated p, atom, conditional moment or grid, or a Monte
+Carlo check of one configuration, evaluates no integrand again; clearing
+_unit_law drops them with it.  On the event
 that the flats meet, the distance t from the origin to the intersection has
 the closed-form density
 
@@ -23,9 +28,11 @@ so a moment at the benchmark's configurations takes three integrand calls
 (below v, past v, and p's) instead of thirteen, and one at v = 1e-10
 returns its value where bisection toward v ran out of subdivisions.  A
 CDF grid, of 128 points or of 10^5 sorted Monte Carlo samples, is one
-representation of the law on those panels (_grid_panels), all evaluated
-in one integrand call and halved where they miss the tolerance; each
-point takes the integral of its panel's node interpolant.  The
+representation of the law on those panels (_grid_panels), placed by the
+law and the lattice panel past v of the last point alone, all evaluated
+in one integrand call, halved where they miss the tolerance and
+memoised; each point takes the integral of its panel's node
+interpolant.  Below 2^-1000 the CDF is closed form (_cdf_head).  The
 flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function,
 on first panels graded around the point r* where that function turns over,
@@ -64,7 +71,7 @@ decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -164,10 +171,15 @@ _SERIES_MAX_TERMS = 1000
 _LAYER_KNOT = 2.0
 _LAYER_MIN_SPAN = 4.0
 # the law's first panels (_grid_panels): a CDF grid's equal panels in t on
-# [0, min(v, its last point)], and, for the grid and a density integral
-# alike, equal panels in w past v, _GRID_PANELS_PAST per unit of w
+# [0, v], and, for the grid and a density integral alike, equal panels in w
+# past v, _GRID_PANELS_PAST per unit of w
 _GRID_PANELS_BELOW = 4
 _GRID_PANELS_PAST = 12
+# entries of one law's memo (_remember): p, the atom, 13 grid lattices and
+# moments, at a few tolerances
+_MEMO_ENTRIES = 64
+# below this reduced distance F(t) is closed form (_cdf_head)
+_HEAD_EDGE = 2.0 ** -1000
 
 
 # the 15 x 15 map from node values at _XK to the Chebyshev coefficients on
@@ -429,6 +441,20 @@ class _UnitLaw:
     log_pref: float
     hit_offset: float
     miss_offset: float
+    # what the functions of one tolerance computed from this law, keyed by
+    # (tol, kind, ...) (_remember); not part of the law's value
+    memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+
+
+def _remember(law: _UnitLaw, key: tuple, value):
+    """Store value under key in law.memo and return it.  A full memo
+    (_MEMO_ENTRIES) is emptied first, so a sweep over tolerances or moment
+    orders holds bounded memory; each step is one dict operation, so threads
+    sharing a law at worst compute an entry twice, never read a wrong one."""
+    if len(law.memo) >= _MEMO_ENTRIES:
+        law.memo.clear()
+    law.memo[key] = value
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -535,8 +561,16 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     lambda v <= _LAYER_MIN_SPAN: one call of the integrand then usually
     settles the integral.  Log-form integrals converge on tol's relative
     tolerance alone, so a miss probability near 0 keeps its digits.
+
+    The result is memoised with the law, per (tol, hit) (_remember): p, the
+    atom, a conditional moment's log p and a Monte Carlo check of one
+    configuration share one integral.
     """
     law = _unit_law(cfg, K)
+    key = (tol, "hit" if hit else "miss")
+    memo = law.memo.get(key)
+    if memo is not None:
+        return memo
     d, q, g, m, b, a1, v = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1, law.v
     e = math.exp(-2.0 * v)
     sinh_div, cosh_div = -math.expm1(-2.0 * v), -(1.0 + e)
@@ -598,9 +632,10 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         slope = (m - 1) / tanh_v + (g + a1) * tanh_v
     else:
         slope = q / tanh_v + (d - q) * tanh_v
-    return integrate_adaptive(log_hit if hit else log_miss, 0.0, v, tol, log_form=True,
-                              log_offset=law.hit_offset if hit else law.miss_offset,
-                              break_points=_layer_knots(slope, v))
+    return _remember(law, key, integrate_adaptive(
+        log_hit if hit else log_miss, 0.0, v, tol, log_form=True,
+        log_offset=law.hit_offset if hit else law.miss_offset,
+        break_points=_layer_knots(slope, v)))
 
 
 def intersection_probability(cfg: FlatConfig, K: Curvature,
@@ -812,7 +847,7 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     of magnitude below the true one; an absolute tolerance would accept that.
 
     So the first panels come from the law, each part's in one call of its
-    integrand, and they are those of distance_cdf_grid (_grid_panels).  Past
+    integrand, and they are built as distance_cdf_grid's are (_grid_panels).  Past
     v they are equal panels in w, _GRID_PANELS_PAST per unit of w: 12 for a
     moment, a few for a CDF just past v.  Where the part past v starts at v,
     its first panel is graded toward w = 0 too (_past_knots): at small v
@@ -855,27 +890,26 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                       float(np.logaddexp.reduce([r.log_value for r in parts])))
 
 
-def _grid_panels(law: _UnitLaw, t_max: float):
-    """distance_cdf_grid's first panels on [0, t_max], t_max > 0: (lo, hi, far).
+def _grid_panels(law: _UnitLaw, n: int):
+    """distance_cdf_grid's first panels, placed by the law and n alone: (lo, hi, far).
 
-    Below v, in t: _GRID_PANELS_BELOW equal panels on [0, min(v, t_max)],
-    and where the grid reaches v, ends at t = v - h toward the layer below
-    it (_below_layer).  Past v, in w (_w_past): the panels of
-    _density_integral on [v, t_max] (_past_knots).  far marks the panels
-    past v; they follow the others, and on each side the panels ascend.
+    Below v, in t: _GRID_PANELS_BELOW equal panels on [0, v] and ends at
+    t = v - h toward the layer below it (_below_layer).  Past v, in w
+    (_w_past): n of the lattice's equal panels, _GRID_PANELS_PAST per unit
+    of w, on [0, n / _GRID_PANELS_PAST], the first graded toward w = 0
+    (_past_knots); none where n = 0.  far marks the panels past v; they
+    follow the others, and on each side the panels ascend.
     """
     v = law.v
-    end = min(v, t_max)
-    near = [end * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)]
+    near = sorted({v * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)}
+                  .union(v - h for h in _below_layer(law, v)))
     past = [0.0]
-    if t_max >= v:
-        near = sorted(set(near).union(v - h for h in _below_layer(law, v)))
-    if t_max > v:
-        w_max = float(_w_past(t_max, v))
+    if n:
+        w_max = n / _GRID_PANELS_PAST
         past = sorted({0.0, w_max, *_past_knots(law, 0.0, w_max, True)})
-    n = len(near) + len(past) - 2
+    p_near = len(near) - 1
     return (np.array(near[:-1] + past[:-1]), np.array(near[1:] + past[1:]),
-            np.arange(n) >= len(near) - 1)
+            np.arange(p_near + len(past) - 1) >= p_near)
 
 
 def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndarray):
@@ -903,7 +937,63 @@ def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndar
     return vals * scale, errs * scale, nodes, scale
 
 
-def _cdf_at(x, n_near, lo, hi, far, vals, errs, nodes, scale):
+def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, depth: int = 1):
+    """The grid's panels with those marked in split cut at their midpoints, the
+    first at h/2^depth, ..., h/4, h/2 instead where depth > 1, h its end:
+    (lo, hi, far, panels) as new arrays, the given ones untouched.  Only the
+    pieces are evaluated, all in one call (_panel_integrals).
+
+    QuadratureError where the panels would pass tol.max_subdivisions or a
+    piece is too narrow for its nodes to lie inside it (_nodes_inside).
+    """
+    at = np.flatnonzero(split)
+    cuts, owner = 0.5 * (lo[at] + hi[at]), at  # owner: the panel each cut falls in
+    if depth > 1:
+        cuts = np.r_[np.ldexp(hi[0], -np.arange(depth, 0, -1)), cuts[1:]]
+        owner = np.r_[np.zeros(depth, dtype=np.intp), at[1:]]
+    if lo.size + cuts.size > tol.max_subdivisions:
+        raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
+    # each panel cut becomes its pieces, in place in the copies
+    keep = np.sort(np.r_[np.arange(lo.size), owner])
+    ends = owner + np.arange(cuts.size)  # the piece that each cut ends
+    lo, hi, far = lo[keep], hi[keep], far[keep]
+    hi[ends], lo[ends + 1] = cuts, cuts
+    new = np.zeros(lo.size, dtype=bool)
+    new[ends] = new[ends + 1] = True
+    if not _nodes_inside(lo[new], hi[new]).all():
+        raise QuadratureError("a grid panel misses the tolerance and is too narrow to halve")
+    panels = tuple(y[keep] for y in panels)
+    for y, pieces in zip(panels, _panel_integrals(law, lo[new], hi[new], far[new])):
+        y[new] = pieces
+    return lo, hi, far, panels
+
+
+def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
+    """Halve (_halve) every panel whose error estimate misses tol's relative
+    target, all of them at once, until none does."""
+    while True:
+        vals, errs = panels[:2]
+        split = errs > tol.rel_tol * np.abs(vals)
+        if not split.any():
+            return lo, hi, far, panels
+        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split)
+
+
+def _cdf_table(lo, hi, vals, errs, nodes, scale) -> np.ndarray:
+    """The per-panel table of _cdf_at, one row per quantity so that its
+    recurrence reads contiguous rows: the scaled Chebyshev coefficients of the
+    antiderivative with the start value folded into the first, the midpoint,
+    the inverse half-width (0 for an empty panel) and the error estimate
+    through the panel, the interpolant's own included."""
+    half = 0.5 * (hi - lo)
+    through = np.cumsum(errs) + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
+    c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
+    c[1:, 0] += np.cumsum(vals[:-1])
+    inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
+    return np.vstack((c.T, lo + half, inv_half, through))
+
+
+def _cdf_at(x, n_near, lo, far, table):
     """The CDF and its error estimate at the ascending points x > 0, the first
     n_near in t (at most v) and the others in w, and the panel of each.
 
@@ -911,25 +1001,17 @@ def _cdf_at(x, n_near, lo, hi, far, vals, errs, nodes, scale):
     side of v.  Its value is the sum of the panels before it plus its
     panel's scale times the antiderivative of the node interpolant
     (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
-    in [-1, 1].  Its error estimate is the panel errors summed through its
-    panel plus the interpolant's own, its last two Chebyshev coefficients in
-    units of the panel's scale: the Kronrod estimate, of the whole panel to
-    a far higher degree than 14, says nothing of the interpolant inside it.
+    in [-1, 1] (table, _cdf_table).  Its error estimate is the panel errors
+    summed through its panel plus the interpolant's own, its last two
+    Chebyshev coefficients in units of the panel's scale: the Kronrod
+    estimate, of the whole panel to a far higher degree than 14, says
+    nothing of the interpolant inside it.
     """
     p_near = np.count_nonzero(~far)
     row = np.empty(x.size, dtype=np.intp)
     row[:n_near] = np.searchsorted(lo[:p_near], x[:n_near], side="right") - 1
     row[n_near:] = p_near - 1 + np.searchsorted(lo[p_near:], x[n_near:], side="right")
-    # per panel: the scaled coefficients with the start value folded into the
-    # first, the midpoint, the inverse half-width (0 for an empty panel) and
-    # the error estimate through the panel, the interpolant's own included
-    half = 0.5 * (hi - lo)
-    through = np.cumsum(errs) + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
-    c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
-    c[1:, 0] += np.cumsum(vals[:-1])
-    inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
-    # one row per quantity, so that the recurrence reads contiguous rows
-    g = np.take(np.vstack((c.T, lo + half, inv_half, through)), row, axis=1)
+    g = np.take(table, row, axis=1)
     s = (x - g[-3]) * g[-2]
     s2, b1, b2, tmp = 2.0 * s, g[-4].copy(), np.zeros_like(s), np.empty_like(s)
     for j in range(_ANTIDERIVATIVE.shape[0] - 2, 0, -1):
@@ -938,6 +1020,40 @@ def _cdf_at(x, n_near, lo, hi, far, vals, errs, nodes, scale):
         tmp += g[j]
         b1, b2, tmp = tmp, b1, b2
     return s * b1 - b2 + g[0], g[-1], row
+
+
+def _grid_law(law: _UnitLaw, tol: Tolerance, n: int):
+    """The law's representation for grids whose last point lies in the n-th
+    lattice panel past v (at or below v where n = 0), memoised with the law:
+    (lo, hi, far, panels, table), read-only.
+
+    The first panels (_grid_panels), evaluated in one call (_panel_integrals)
+    and halved until each meets tol's relative target (_settle), with
+    _cdf_at's table (_cdf_table).  None of it depends on a point.
+    """
+    key = (tol, "grid", n)
+    entry = law.memo.get(key)
+    if entry is None:
+        lo, hi, far = _grid_panels(law, n)
+        lo, hi, far, panels = _settle(law, tol, lo, hi, far, _panel_integrals(law, lo, hi, far))
+        entry = (lo, hi, far, panels, _cdf_table(lo, hi, *panels))
+        for y in (lo, hi, far, *panels, entry[4]):
+            y.flags.writeable = False
+        _remember(law, key, entry)
+    return entry
+
+
+def _cdf_head(law: _UnitLaw, t):
+    """F(t) = A B(a, b) t^m / m at reduced distances 0 <= t < _HEAD_EDGE, t <= v.
+
+    There sinh s = s and cosh s = 1 for s <= t, far below a unit of
+    rounding, so the integral of the density is this power; a grid's first
+    panel cut down toward such a point would reach the subnormal doubles,
+    where its half-width's inverse overflows and its nodes fall on its ends.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf: F(0) = 0
+        return np.exp(law.log_pref - _LOG2 + law.betaln_ab - math.log(law.m)
+                      + law.m * np.log(t))
 
 
 def _require_distance(delta) -> None:
@@ -951,7 +1067,10 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
     _require_distance(delta)
     if delta == 0:
         return 0.0
-    res = _density_integral(_unit_law(cfg, K), 0.0, K.scale * delta, tol)
+    law, t = _unit_law(cfg, K), K.scale * delta
+    if t < min(_HEAD_EDGE, law.v):
+        return _as_probability(float(_cdf_head(law, t)), 0.0)
+    res = _density_integral(law, 0.0, t, tol)
     return _as_probability(res.value, res.error_estimate)
 
 
@@ -959,16 +1078,20 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """distance_cdf on an ascending 1-d grid, from one representation of the law.
 
-    The representation is Gauss-Kronrod panels of the density up to the
-    last point, the law's and not the grid's (_grid_panels), all evaluated
-    in one call of the density integrand (_panel_integrals).  The panels
-    that miss tol's relative target are halved together, all halves in one
-    more call, until each meets it.  Each point then takes the panels before
-    it plus its panel's node interpolant up to it (_cdf_at).  A point whose
-    error estimate misses the target halves the panel that holds it, or,
-    near 0, cuts the first panel at h/2, h/4, ... down past it: no point
-    becomes a panel end, and no panel is evaluated twice.  A 128-point grid
-    at the benchmark's law configurations is 12 panels and one call.
+    The representation is Gauss-Kronrod panels of the density placed by the
+    law alone (_grid_panels): below v always the same, past v the first n
+    panels of a lattice in w, n the fewest that reach the last point.  They
+    are evaluated in one call of the density integrand, halved where they
+    miss tol's relative target, and memoised with the law, per (tol, n)
+    (_grid_law): a repeated grid, or another sample of one configuration,
+    evaluates no panel.  Each point then takes the panels before it plus its
+    panel's node interpolant up to it (_cdf_at).  A point whose error
+    estimate misses the target halves the panel that holds it, or, near 0,
+    cuts the first panel at h/2, h/4, ... down past it, in copies of the
+    memoised panels: no point becomes a panel end, no panel is evaluated
+    twice in one call, and the memo never depends on a point.  Points below
+    _HEAD_EDGE take F's closed form there (_cdf_head).  A 128-point grid at
+    the benchmark's law configurations is 12 panels and one call, cold.
     QuadratureError is raised where a panel to halve is too narrow to halve
     in doubles, or where halving would take the panels past
     tol.max_subdivisions; leaving [0, 1] by more than the error estimates
@@ -983,49 +1106,34 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     law = _unit_law(cfg, K)
     t = K.scale * deltas
     value, err = np.zeros(t.shape), np.zeros(t.shape)
-    zeros = int(np.searchsorted(t, 0.0, side="right"))  # F(0) = 0
-    if zeros < t.size:
-        t = t[zeros:]
+    head = int(np.searchsorted(t, min(_HEAD_EDGE, law.v)))
+    value[:head] = _cdf_head(law, t[:head])
+    if head < t.size:
+        t = t[head:]
         n_near = int(np.searchsorted(t, law.v, side="right"))
         x = t.copy()
         x[n_near:] = _w_past(t[n_near:], law.v)
-        lo, hi, far = _grid_panels(law, float(t[-1]))
-        panels = _panel_integrals(law, lo, hi, far)
+        n = 0  # the fewest lattice panels past v that reach the last point
+        if n_near < x.size:
+            n = math.ceil(_GRID_PANELS_PAST * x[-1])
+            if n / _GRID_PANELS_PAST < x[-1]:  # 12 w rounded down onto n
+                n += 1
+        lo, hi, far, panels, table = _grid_law(law, tol, n)
         while True:
-            vals, errs = panels[:2]
-            split = errs > tol.rel_tol * np.abs(vals)
-            depth = 1  # the halvings of the first panel toward 0
-            if not split.any():
-                value[zeros:], err[zeros:], row = _cdf_at(x, n_near, lo, hi, far, *panels)
-                miss = err[zeros:] > tol.rel_tol * np.abs(value[zeros:])
-                if not miss.any():
-                    break
-                split[row[miss]] = True
-                if row[miss][0] == 0:
-                    # F is 0 where the first panel starts: it is halved toward 0,
-                    # all at once, until the least point missing lies past a half
-                    depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
-            # cut each panel at its midpoint, the first at h/2^depth, ..., h/4, h/2
-            at = np.flatnonzero(split)
-            cuts, owner = 0.5 * (lo[at] + hi[at]), at  # owner: the panel each cut falls in
-            if depth > 1:
-                cuts = np.r_[np.ldexp(hi[0], -np.arange(depth, 0, -1)), cuts[1:]]
-                owner = np.r_[np.zeros(depth, dtype=np.intp), at[1:]]
-            if lo.size + cuts.size > tol.max_subdivisions:
-                raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
-            # each panel cut becomes its pieces, in place
-            keep = np.sort(np.r_[np.arange(lo.size), owner])
-            ends = owner + np.arange(cuts.size)  # the piece that each cut ends
-            lo, hi, far = lo[keep], hi[keep], far[keep]
-            hi[ends], lo[ends + 1] = cuts, cuts
-            new = np.zeros(lo.size, dtype=bool)
-            new[ends] = new[ends + 1] = True
-            if not _nodes_inside(lo[new], hi[new]).all():
-                raise QuadratureError("a grid panel misses the tolerance and is too narrow "
-                                      "to halve")
-            panels = tuple(y[keep] for y in panels)
-            for y, pieces in zip(panels, _panel_integrals(law, lo[new], hi[new], far[new])):
-                y[new] = pieces
+            value[head:], err[head:], row = _cdf_at(x, n_near, lo, far, table)
+            miss = err[head:] > tol.rel_tol * np.abs(value[head:])
+            if not miss.any():
+                break
+            split = np.zeros(lo.size, dtype=bool)
+            split[row[miss]] = True
+            depth = 1
+            if row[miss][0] == 0:
+                # F is 0 where the first panel starts: it is halved toward 0,
+                # all at once, until the least point missing lies past a half
+                depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
+            lo, hi, far, panels = _settle(law, tol,
+                                          *_halve(law, tol, lo, hi, far, panels, split, depth))
+            table = _cdf_table(lo, hi, *panels)
     return _as_probability(value, err)
 
 
@@ -1059,8 +1167,9 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
     alpha > gamma - q.  Quadrature only runs on the finite branch: one
     integral over [0, infinity].  The conditional moment divides it by p
-    in log space, so it is finite where p underflows to 0.  A non-finite
-    alpha raises DomainError.
+    in log space, so it is finite where p underflows to 0.  Both integrals
+    are memoised with the law, per tolerance (and alpha): a repeated moment
+    evaluates no integrand.  A non-finite alpha raises DomainError.
     """
     K.require_hyperbolic()
     if not math.isfinite(alpha):
@@ -1071,7 +1180,10 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     if alpha == 0:
         return MomentResult(alpha, conditional, 1.0)
 
-    res = _density_integral(_unit_law(cfg, K), 0.0, math.inf, tol, alpha)
+    law, key = _unit_law(cfg, K), (tol, "moment", alpha)
+    res = law.memo.get(key)
+    if res is None:
+        res = _remember(law, key, _density_integral(law, 0.0, math.inf, tol, alpha))
     if not conditional:
         return MomentResult(alpha, conditional, K.scale ** (-alpha) * res.value)
     log_p = _offset_radius_integral(cfg, K, tol, hit=True).log_value

@@ -203,10 +203,11 @@ class HittingFlatSampler:
             r = top * u ** (1.0 / m)
             return r, -0.5 * (d + 1) * (np.log1p(-r * r) - math.log1p(-top * top))
         rho = self._v + np.log1p((1.0 - u) * self._drop) / self._lam
+        r = np.tanh(rho)
         log_accept = (d - 1) * _log_cosh(rho) - self._lam * rho
         if m > 1:
-            log_accept = log_accept + (m - 1) * (np.log(np.tanh(rho)) - math.log(top))
-        return np.tanh(rho), log_accept
+            log_accept = log_accept + (m - 1) * (np.log(r) - math.log(top))
+        return r, log_accept
 
     def _count(self, proposals, accepted):
         with self._count_lock:

@@ -142,6 +142,8 @@ def _gk_panel(f, a, b, log_form):
             return 0.0, 0.0, -math.inf
         if not math.isfinite(m):
             raise QuadratureError(f"non-finite log-integrand on [{a}, {b}]")
+        if h == 0.0:  # b - a is the least subnormal: the nodes are its ends
+            raise QuadratureError(f"the panel [{a}, {b}] is too narrow for its nodes")
         log_scale = m + math.log(h)
         h = 1.0
         vals = np.exp(y - m)

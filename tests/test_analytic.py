@@ -951,6 +951,158 @@ class TestUnitLaw:
         assert intersection_probability(CFG, K1, TOL) == warm[2]
 
 
+class TestLawMemo:
+    """p, the atom, moments and the CDF grid's converged panels are memoised
+    with the law, per tolerance."""
+
+    @staticmethod
+    def values(samples):
+        return [distance_cdf_grid(CFG, K1, np.linspace(0.0, 4.0, 129)[1:], TOL),
+                distance_cdf_grid(CFG, K1, samples, TOL),
+                intersection_probability(CFG, K1, TOL), atom_mass(CFG, K1, TOL),
+                moment(CFG, K1, 1.0, True, TOL).value]
+
+    def test_warm_calls_evaluate_nothing_and_equal_cold_ones(self, monkeypatch):
+        samples = estimate_samples(CFG, K1, 5000)
+        cold = self.values(samples)
+        calls = []
+
+        def spy(name):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original[name](*args, **kwargs)
+            return counted
+
+        original = {name: getattr(analytic, name)
+                    for name in ("_panel_integrals", "integrate_adaptive")}
+        for name in original:
+            monkeypatch.setattr(analytic, name, spy(name))
+        warm = self.values(samples)
+        assert calls == []
+        # clearing the laws drops their memos: the next calls are cold again
+        analytic._unit_law.cache_clear()
+        again = self.values(samples)
+        grids = [key for key in analytic._unit_law(CFG, K1).memo if key[1] == "grid"]
+        assert calls.count("_panel_integrals") == len(grids)  # one per lattice, shared
+        assert calls.count("integrate_adaptive") == 4  # p, the atom, the moment's two parts
+        for c, w, a in zip(cold, warm, again):
+            np.testing.assert_array_equal(w, c)
+            np.testing.assert_array_equal(a, c)
+
+    def test_each_tolerance_has_its_own_entries(self):
+        loose = Tolerance(rel_tol=1e-6)
+        p = intersection_probability(CFG, K1, TOL)
+        assert intersection_probability(CFG, K1, loose) == pytest.approx(p, rel=1e-6)
+        kinds = sorted((k[1], k[0].rel_tol) for k in analytic._unit_law(CFG, K1).memo)
+        assert kinds == [("hit", 1e-9), ("hit", 1e-6)]
+
+    def test_memoised_arrays_are_read_only(self):
+        distance_cdf_grid(CFG, K1, [0.5, 3.0], TOL)
+        (entry,) = analytic._unit_law(CFG, K1).memo.values()
+        for y in (*entry[:3], *entry[3], entry[4]):
+            assert not y.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = y[0]
+
+    def test_a_grid_is_placed_by_its_last_point_alone(self):
+        # grids whose last points lie in the same lattice panel past v share
+        # one entry; t = 2 is w = 1/2, the end of the sixth; a grid that ends
+        # below v needs no panel past it
+        for deltas in ([0.5, 2.1], [0.1, 1.5, 2.2], [2.0], [0.5, 0.9]):
+            distance_cdf_grid(CFG, K1, deltas, TOL)
+        w = [analytic._w_past(t, 1.0) for t in (2.1, 2.2, 2.0)]
+        assert [12 * x for x in w] == pytest.approx([6.14, 6.27, 6.0], abs=0.01)
+        grids = [k[1:] for k in analytic._unit_law(CFG, K1).memo]
+        assert grids == [("grid", 7), ("grid", 6), ("grid", 0)]
+
+    def test_points_that_halve_panels_leave_the_memo_alone(self, monkeypatch):
+        # the points of this grid miss the tolerance until panels holding them
+        # are halved (TestCdfGrid): the halving works on copies
+        cfg = FlatConfig(40, 39, 38, 6.0)
+        base = np.linspace(0.0, 12.0, 66)[1:]
+        deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
+        law = analytic._unit_law(cfg, K1)
+        first = distance_cdf_grid(cfg, K1, deltas, TOL)
+        (key, entry), = law.memo.items()
+        panels = []
+
+        def spy(law, lo, hi, far):
+            panels.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        np.testing.assert_array_equal(distance_cdf_grid(cfg, K1, deltas, TOL), first)
+        assert len(panels) == 1  # only the halves, from the memoised panels
+        assert list(law.memo) == [key] and law.memo[key] is entry
+
+
+    def test_threads_sharing_a_full_memo_read_the_same_values(self, monkeypatch):
+        # a memo of 2 entries is emptied every few calls while 6 threads fill
+        # it: every value still equals the one computed alone
+        import sys
+        import threading
+
+        samples = estimate_samples(CFG, K1, 5000)
+        reference = self.values(samples)
+        monkeypatch.setattr(analytic, "_MEMO_ENTRIES", 2)
+        analytic._unit_law.cache_clear()
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(5):
+                    results.append(self.values(samples))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and len(results) == 30
+        for got in results:
+            for g, r in zip(got, reference):
+                np.testing.assert_array_equal(g, r)
+
+
+class TestTinyDistances:
+    """Below _HEAD_EDGE = 2^-1000 the CDF is closed form, A B(a, b) t^m / m;
+    one subnormal distance gives a value, not a failure."""
+
+    @pytest.mark.parametrize("cfg", [CFG, FlatConfig(10, 9, 8, 2.0)])
+    def test_continuous_at_the_edge(self, cfg):
+        # m = 1: F(t) / t is the density at 0 on both sides
+        edge = analytic._HEAD_EDGE
+        below = distance_cdf(cfg, K1, edge * (1.0 - 2.0**-30), TOL)
+        at = distance_cdf(cfg, K1, edge, TOL)
+        assert at > 0.0
+        assert below == pytest.approx(at * (1.0 - 2.0**-30), rel=1e-12, abs=0.0)
+
+    def test_one_subnormal_distance(self):
+        law = analytic._unit_law(CFG, K1)
+        f0 = math.exp(law.log_pref - math.log(2.0) + law.betaln_ab)  # the density at 0
+        assert distance_cdf(CFG, K1, 1e-320, TOL) == pytest.approx(f0 * 1e-320, rel=1e-3)
+        assert distance_cdf(CFG, K1, 5e-324, TOL) == pytest.approx(f0 * 5e-324, abs=5e-324)
+        # at m = 7 the power underflows; at K = -1/4 the distance itself does
+        assert distance_cdf(FlatConfig(12, 8, 1, 1.0), K1, 1e-320, TOL) == 0.0
+        assert distance_cdf(CFG, Curvature(-0.25), 5e-324, TOL) == 0.0
+
+    @pytest.mark.parametrize("deltas", [
+        [5e-324], [5e-324, 1.0], [0.0, 1e-320, 2.0**-1000, 1e-300, 1.0], [1e-310, 2.5, 2.5]])
+    def test_grid_matches_pointwise(self, deltas):
+        np.testing.assert_allclose(
+            distance_cdf_grid(CFG, K1, deltas, TOL),
+            [distance_cdf(CFG, K1, x, TOL) for x in deltas], rtol=1e-12, atol=0.0)
+
+
 class TestCdfGrid:
     @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
         (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
@@ -1046,12 +1198,13 @@ class TestCdfGrid:
                               Tolerance(max_subdivisions=40))
 
     def test_a_segment_too_narrow_to_halve_raises(self, monkeypatch):
-        # an integrand with a jump at 0.5 never meets the tolerance on the panel
-        # that holds the jump, and halving that panel ends at one a few doubles
-        # wide, whose halves would put nodes on their ends
+        # an integrand with a jump at 0.6, inside the panel [0.5, 0.75], never
+        # meets the tolerance on the panel that holds the jump, and halving that
+        # panel ends at one a few doubles wide, whose halves would put nodes on
+        # their ends
         def log_integrands(law, alpha=0.0):
             def log_g(x):
-                return np.where(x >= 0.5, 0.0, -1.0)
+                return np.where(x >= 0.6, 0.0, -1.0)
             return log_g, log_g
 
         monkeypatch.setattr(analytic, "_log_integrands", log_integrands)
@@ -1218,13 +1371,16 @@ class TestGuards:
                         0.5 * c * (hi - lo))
             return panel_integrals
 
+        # the law memoises its panels, so each patch starts from a fresh law
         monkeypatch.setattr(analytic, "_panel_integrals", panels(1.2))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
+        analytic._unit_law.cache_clear()
         monkeypatch.setattr(analytic, "_panel_integrals", panels(-1e-3))
         with pytest.raises(ProbabilityRangeError):
             distance_cdf_grid(CFG, K1, [0.5], TOL)
         # an overshoot within the summed error estimates is clamped
+        analytic._unit_law.cache_clear()
         monkeypatch.setattr(analytic, "_panel_integrals", panels(1.0 + 2e-10))
         grid = distance_cdf_grid(CFG, K1, [0.5, 1.0], TOL)
         assert grid[0] == pytest.approx(0.5 + 1e-10, rel=1e-15, abs=0.0) and grid[1] == 1.0

@@ -88,6 +88,12 @@ class TestCdf:
         assert code == EXIT_OK
         assert float(out) == pytest.approx(P_STAR_3_2_1, abs=1e-7)
 
+    def test_one_subnormal_delta_exits_0(self, capsys):
+        code, out, err = invoke(capsys, "cdf", *BASE, "--delta", "5e-324")
+        assert code == EXIT_OK and err == ""
+        assert float(out) == analytic.distance_cdf(FlatConfig(3, 2, 1, 1.0), Curvature(-1.0),
+                                                   5e-324)
+
     def test_nan_delta_exits_2(self, capsys):
         code, out, err = invoke(capsys, "cdf", *BASE, "--delta", "nan")
         assert code == EXIT_USAGE
@@ -390,6 +396,17 @@ class TestSimulate:
         law = analytic._unit_law.cache_info()
         assert law.misses == 1
         assert law.hits >= 2
+
+    def test_seeds_share_one_grid_entry(self, capsys):
+        # the CDF grid's panels are placed by the law and the last sample's
+        # lattice panel past v, so two runs of one configuration share them,
+        # with p and the atom
+        for seed in ("1", "2"):
+            code, _, _ = invoke(capsys, "simulate", *BASE, "--trials", "5000", "--seed", seed)
+            assert code == EXIT_OK
+        law = analytic._unit_law(FlatConfig(3, 2, 1, 1.0), Curvature(-1.0))
+        kinds = [k[1] for k in law.memo]
+        assert sorted(kinds) == ["grid", "hit", "miss"]
 
     def test_no_hits_is_valid_json(self, capsys):
         # p is 1.8e-39 here: nothing hits and there is no KS statistic

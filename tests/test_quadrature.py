@@ -132,6 +132,11 @@ class TestIntegrateAdaptive:
         assert exc.value.partial is not None
         assert exc.value.partial.converged is False
 
+    def test_a_panel_one_subnormal_wide_raises(self):
+        # its half-width rounds to 0, so every node lies on an end
+        with pytest.raises(QuadratureError, match="too narrow for its nodes"):
+            integrate_adaptive(lambda x: np.zeros_like(x), 0.0, 5e-324, log_form=True)
+
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
             integrate_adaptive(np.sin, 1.0, 0.0, TOL)
