@@ -36,7 +36,8 @@ interpolant.  Below 2^-1000 the CDF is closed form (_cdf_head).  The
 flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function,
 on first panels graded around the point r* where that function turns over,
-which usually settle it in one integrand call.
+which usually settle it in one integrand call, memoised per argument tuple
+and tolerance (_rho_integral).
 
 The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
@@ -1100,14 +1101,16 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
         raise DomainError(f"deltas must be a 1-d sequence, got shape {deltas.shape}")
-    if not (np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
-            and np.all(np.diff(deltas) >= 0)):
+    # first >= 0, last finite and ascending: a NaN anywhere fails one of them
+    if deltas.size and not (deltas[0] >= 0 and deltas[-1] < math.inf
+                            and (np.diff(deltas) >= 0).all()):
         raise DomainError("deltas must be finite, ascending and >= 0")
     law = _unit_law(cfg, K)
     t = K.scale * deltas
     value, err = np.zeros(t.shape), np.zeros(t.shape)
     head = int(np.searchsorted(t, min(_HEAD_EDGE, law.v)))
-    value[:head] = _cdf_head(law, t[:head])
+    if head:
+        value[:head] = _cdf_head(law, t[:head])
     if head < t.size:
         t = t[head:]
         n_near = int(np.searchsorted(t, law.v, side="right"))
@@ -1244,6 +1247,11 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
     toward 0 (r*/2, r*/4) or double toward 1 (2 r*, 4 r*, ...).  That
     settles rho in one integrand call at the benchmark's configurations,
     where bisection from one panel took 5 to 7.
+
+    The integral is memoised per (u, q, gamma, kappa, tol), 64 of them
+    (_rho_integral): a repeated rho evaluates no integrand and returns the
+    first call's value bit for bit.  Invalid arguments raise before the
+    lookup, and a call that raises stores nothing.
     """
     if not 0 <= gamma <= q - 1:
         raise DomainError(f"need 0 <= gamma <= q-1, got gamma={gamma}, q={q}")
@@ -1251,6 +1259,13 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
         raise DomainError(f"need u > 0, got {u}")
     if not kappa > 0:
         raise DomainError(f"need kappa > 0, got {kappa}")
+    res = _rho_integral(u, q, gamma, kappa, tol)
+    return _as_probability(res.value, res.error_estimate)
+
+
+@lru_cache(maxsize=64)
+def _rho_integral(u: float, q: int, gamma: int, kappa: float, tol: Tolerance) -> QuadResult:
+    """rho's integral (critical_constant_rho) at valid arguments, memoised."""
     m, a, z = q - gamma, 0.5 * (q + 1), 0.5 * kappa * u * u
     if not z > 0:
         # the integrand is then r^-(gamma+2) / a, whose integral diverges at r = 0
@@ -1278,9 +1293,8 @@ def critical_constant_rho(u: float, q: int, gamma: int, kappa: float,
         # 2 r*, 4 r*, ... below 1: r* = f 2^e with 1/2 <= f < 1, so 2^k r* < 1 for k <= -e
         knots += ([r_star + h for h in _layer_knots((gamma + 2) / r_star, 1.0 - r_star)]
                   or [r_star * 2.0**k for k in range(1, 1 - math.frexp(r_star)[1])])
-    res = integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref,
-                             break_points=knots)
-    return _as_probability(res.value, res.error_estimate)
+    return integrate_adaptive(log_outer, 0.0, 1.0, tol, log_form=True, log_offset=pref,
+                              break_points=knots)
 
 
 def phase_limit(mode: PhaseMode, u: float, q: int, gamma: int,

@@ -42,11 +42,22 @@ class RunManifest:
         return "# " + json.dumps(asdict(self), sort_keys=True)
 
 
+def _finite(value: str) -> float:
+    """argparse type: a finite float."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return x
+
+
 def _curvature(value: str) -> float:
-    K = float(value)
+    K = _finite(value)
     if K >= 0:
         raise argparse.ArgumentTypeError(f"curvature K must be < 0, got {K}")
     return K
+
+
+_finite.__name__ = _curvature.__name__ = "float"  # argparse names the type in its error message
 
 
 # most rows of a scan: density-scan's and scan-K's --steps, and the rows that
@@ -54,18 +65,46 @@ def _curvature(value: str) -> float:
 MAX_STEPS = 100_000
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type: an int in [lo, hi], or >= lo when hi is None."""
+def _int_in(lo: int, hi: int):
+    """argparse type: an int in [lo, hi]."""
     def parse(value: str) -> int:
         n = int(value)
         if n < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
-        if hi is not None and n > hi:
+        if n > hi:
             raise argparse.ArgumentTypeError(f"must be <= {hi}, got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names the type in its error message
     return parse
+
+
+def _join_negative_numbers(argv: list) -> list:
+    """argv with each "--flag -1e-3" written "--flag=-1e-3".
+
+    argparse's pattern for negative numbers (Python 3.10 to 3.13) takes "-1"
+    and "-0.5" as a flag's value but reads a number with an exponent, such
+    as "-1e-3", or "-inf", as an option, so "--K -1e-3" failed with
+    "expected one argument".  The critical schedule K = -kappa / d makes
+    such curvatures common.  Joined to its flag, a number is never read as
+    an option.
+    """
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
 
 
 def _add_cfg_args(p, curvature=True):
@@ -105,8 +144,8 @@ def build_parser():
     p = sub.add_parser("density-scan", help="distance density on a delta grid (CSV)")
     _add_cfg_args(p)
     _add_tol_arg(p)
-    p.add_argument("--delta-min", type=float, required=True)
-    p.add_argument("--delta-max", type=float, required=True)
+    p.add_argument("--delta-min", type=_finite, required=True)
+    p.add_argument("--delta-max", type=_finite, required=True)
     p.add_argument("--steps", type=_int_in(1, MAX_STEPS), required=True,
                    help=f"grid points, 1..{MAX_STEPS}")
 
@@ -153,11 +192,12 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo check against the analytic law (JSON)")
     _add_cfg_args(p)
     _add_tol_arg(p)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_int_in(1, montecarlo.MAX_TRIALS), default=100_000,
+                   help=f"trials, 1..{montecarlo.MAX_TRIALS} (default 100000)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=_int_in(1), default=1,
-                   help="worker threads over trial blocks (default 1; the output "
-                        "does not depend on it)")
+    p.add_argument("--threads", type=_int_in(1, montecarlo.MAX_THREADS), default=1,
+                   help=f"worker threads over trial blocks, 1..{montecarlo.MAX_THREADS} "
+                        "(default 1; the output does not depend on it)")
 
     return parser
 
@@ -325,7 +365,7 @@ _COMMANDS = {
 
 def run(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     rows = _D_MAX_ROWS.get(args.command)
     if rows is not None and rows(args) > MAX_STEPS:
         parser.error(f"argument --d-max: gives {rows(args)} rows, more than {MAX_STEPS}")

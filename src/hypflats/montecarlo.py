@@ -58,6 +58,13 @@ __all__ = [
 _BLOCK_TRIALS = 1024
 _QR_ATTEMPTS = 8
 _REJECTION_ROUNDS = 10_000
+# most trials of one run: memory grows with them, and one 10^6-trial
+# simulate at (3, 2, 1, u=1), p about 0.84, peaks near 260 MB, so a run at
+# the cap may take a few GB
+MAX_TRIALS = 10_000_000
+# most worker threads of one run, more than the cores of most hosts; the
+# blocks, not the threads, fix the output
+MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -308,8 +315,10 @@ def _block_distances(sampler, rng, n):
 
 def _run_trials(cfg, K, trials, seed, threads=None):
     """Hyperbolic intersection distance per trial; +inf marks a miss."""
-    if trials < 1:
-        raise DomainError("need trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
+    if threads is not None and not 1 <= threads <= MAX_THREADS:
+        raise DomainError(f"need 1 <= threads <= {MAX_THREADS}, got {threads}")
     seed = _check_seed(seed)
     sampler = _get_sampler(cfg, K)
 

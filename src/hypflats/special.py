@@ -32,7 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Curvature:
-    """Curvature K <= 0 of the model space, with the derived scale sqrt(-K)."""
+    """Curvature K <= 0 of the model space, with the derived scale sqrt(-K).
+
+    Its hash is computed once, at construction (see FlatConfig).
+    """
 
     K: float
     scale: float = field(init=False)
@@ -41,6 +44,13 @@ class Curvature:
         if not math.isfinite(self.K) or self.K > 0:
             raise DomainError(f"curvature must satisfy K <= 0, got {self.K}")
         object.__setattr__(self, "scale", math.sqrt(-self.K))
+        object.__setattr__(self, "_hash", hash((self.K, self.scale)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.K,)
 
     @property
     def is_flat(self) -> bool:
@@ -66,6 +76,12 @@ class FlatConfig:
     d is the ambient dimension, q the dimension of the central flat, gamma
     the generic dimension of the intersection.  The moving flat then has
     dimension k = d - q + gamma.
+
+    Its hash is that of the field tuple, as a frozen dataclass's, but
+    computed once, at construction: every memoised function keys on it.  It
+    is not a field, so equality, repr and asdict do not see it, and a
+    pickle rebuilds the configuration, so the hash is always this
+    interpreter's.
     """
 
     d: int
@@ -84,6 +100,13 @@ class FlatConfig:
             )
         if not (self.u > 0 and math.isfinite(self.u)):
             raise DomainError(f"need u > 0, got u={self.u}")
+        object.__setattr__(self, "_hash", hash((self.d, self.q, self.gamma, self.u)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.d, self.q, self.gamma, self.u)
 
     @property
     def k(self) -> int:

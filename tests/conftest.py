@@ -13,11 +13,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.ge
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    # the unit-curvature laws, the radial masses and the Monte Carlo samplers
-    # are memoised; clearing them makes a test that counts or patches
-    # quadrature calls, or reads a sampler's proposal counters, see the same
-    # calls whatever ran before it
+    # the unit-curvature laws, rho's integrals, the radial masses and the
+    # Monte Carlo samplers are memoised; clearing them makes a test that
+    # counts or patches quadrature calls, or reads a sampler's proposal
+    # counters, see the same calls whatever ran before it
     analytic._unit_law.cache_clear()
+    analytic._rho_integral.cache_clear()
     analytic.log_radial_mass.cache_clear()
     analytic._radial_mass_parts.cache_clear()
     montecarlo._get_sampler.cache_clear()

@@ -1390,10 +1390,34 @@ class TestGuards:
         with pytest.raises(ProbabilityRangeError):
             analytic._as_probability(value, 0.0)
 
-    @pytest.mark.parametrize("deltas", [[math.nan], [0.5, math.nan, 1.0], [0.5, math.inf]])
+    @pytest.mark.parametrize("deltas", [[math.nan], [0.5, math.nan, 1.0], [0.5, math.inf],
+                                        [math.nan, 0.5, 1.0], [0.5, 1.0, math.nan],
+                                        [-math.inf, 0.5], [0.5, -math.inf], [math.inf],
+                                        [0.5, math.inf, 1.0]])
     def test_cdf_grid_rejects_non_finite_distances(self, deltas):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^deltas must be finite, ascending and >= 0$"):
             distance_cdf_grid(CFG, K1, deltas, TOL)
+
+    @pytest.mark.parametrize("deltas", [[1.0, 0.5], [-0.5, 1.0], [0.5, 1.0, 0.75]])
+    def test_cdf_grid_rejects_descending_or_negative_distances(self, deltas):
+        with pytest.raises(DomainError, match="^deltas must be finite, ascending and >= 0$"):
+            distance_cdf_grid(CFG, K1, deltas, TOL)
+
+    def test_cdf_grid_accepts_an_empty_grid(self):
+        out = distance_cdf_grid(CFG, K1, [], TOL)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_cdf_grid_skips_the_head_above_its_edge(self, monkeypatch):
+        grid = np.array([0.0, 1e-3, 0.5, 2.0])
+        cold = distance_cdf_grid(CFG, K1, grid, TOL)
+
+        def fail(law, t):
+            raise AssertionError("_cdf_head called")
+
+        monkeypatch.setattr(analytic, "_cdf_head", fail)
+        np.testing.assert_array_equal(distance_cdf_grid(CFG, K1, grid[1:], TOL), cold[1:])
+        with pytest.raises(AssertionError, match="_cdf_head"):
+            distance_cdf_grid(CFG, K1, grid, TOL)
 
     def test_cdf_grid_rejects_a_scalar(self):
         with pytest.raises(DomainError):
@@ -1546,6 +1570,39 @@ class TestPhase:
         monkeypatch.setattr(analytic, "integrate_adaptive", spy)
         critical_constant_rho(12.0, 200, 199, 12.0, TOL)
         assert len(calls) == 1
+
+    def test_warm_rho_evaluates_nothing_and_equals_the_cold_one(self, integrand_calls):
+        keys = BENCH_RHO + [(12.0, 200, 199, 12.0)]
+        cold = [critical_constant_rho(*key, TOL) for key in keys]
+        assert len(integrand_calls) == len(keys)
+        integrand_calls.clear()
+        warm = [critical_constant_rho(*key, TOL) for key in keys]
+        warm += [phase_limit(PhaseMode.critical(key[3]), *key[:3], TOL) for key in keys]
+        assert integrand_calls == []
+        assert warm == cold + cold
+        # clearing the memo makes the next call cold again
+        analytic._rho_integral.cache_clear()
+        assert critical_constant_rho(*keys[0], TOL) == cold[0]
+        assert len(integrand_calls) == 1
+
+    def test_each_tolerance_has_its_own_rho(self, integrand_calls):
+        key, loose = BENCH_RHO[0], Tolerance(rel_tol=1e-6)
+        rho = critical_constant_rho(*key, TOL)
+        assert critical_constant_rho(*key, loose) == pytest.approx(rho, rel=1e-6, abs=0.0)
+        assert len(integrand_calls) == 2
+        assert analytic._rho_integral.cache_info().currsize == 2
+        critical_constant_rho(*key, loose)
+        critical_constant_rho(*key, TOL)
+        assert len(integrand_calls) == 2
+
+    @pytest.mark.parametrize("key", [(1.0, 2, 2, 1.0), (0.0, 2, 1, 1.0), (1.0, 2, 1, -1.0),
+                                     (math.nan, 2, 1, 1.0), (1.0, 2, 1, math.nan),
+                                     (1e-170, 2, 1, 1.0), (1e10, 50, 3, 1.0)])
+    def test_invalid_rho_arguments_are_not_remembered(self, key):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                critical_constant_rho(*key, TOL)
+        assert analytic._rho_integral.cache_info().currsize == 0
 
     def test_rho_is_one_1d_integral(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -12,6 +12,7 @@ from hypflats import (Curvature, FlatConfig, ks_statistic,
                       simulate_distance_distribution)
 from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_parser,
                           run)
+from hypflats.montecarlo import MAX_THREADS, MAX_TRIALS
 from hypflats.quadrature import Tolerance
 from oracles import ATOM_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1
 
@@ -329,6 +330,92 @@ class TestStepsBound:
         monkeypatch.setitem(cli._COMMANDS, command, lambda args, tol: ran.append(args) or "")
         assert run([command, *D_SCAN_ARGS[command], "--d-max", str(MAX_STEPS + 2)]) == EXIT_OK
         assert ran[0].d_max == MAX_STEPS + 2
+
+
+class TestSimulateBounds:
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", str(MAX_TRIALS + 1)), ("--trials", str(10**15)),
+        ("--threads", "0"), ("--threads", str(MAX_THREADS + 1)), ("--threads", "10000"),
+    ])
+    def test_out_of_range_exits_2_at_parse_time(self, capsys, monkeypatch, flag, value):
+        def no_run(args, tol):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", no_run)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", *BASE, "--seed", "1", flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    def test_caps_are_accepted(self, capsys, monkeypatch):
+        # parsed only: nothing runs at a cap
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args, tol: ran.append(args) or "")
+        assert run(["simulate", *BASE, "--seed", "1", "--trials", str(MAX_TRIALS),
+                    "--threads", str(MAX_THREADS)]) == EXIT_OK
+        assert (ran[0].trials, ran[0].threads) == (MAX_TRIALS, MAX_THREADS)
+
+
+class TestNumberArguments:
+    @pytest.mark.parametrize("K", ["-1e-3", "-1E-3", "-2.5e+0", "-1e0"])
+    def test_prob_takes_a_curvature_with_an_exponent(self, capsys, K):
+        code, out, err = invoke(capsys, "prob", "--d", "3", "--q", "2", "--gamma", "1",
+                                "--K", K, "--u", "1")
+        p = analytic.intersection_probability(FlatConfig(3, 2, 1, 1.0), Curvature(float(K)))
+        assert code == EXIT_OK and err == "" and out == f"{p:.12g}\n"
+
+    def test_scan_K_takes_curvatures_with_an_exponent(self, capsys):
+        args = ["scan-K", "--d", "3", "--q", "2", "--gamma", "1", "--u", "1", "--steps", "3"]
+        code, out, err = invoke(capsys, *args, "--K-min", "-1e-2", "--K-max", "-1e-3")
+        assert code == EXIT_OK and err == ""
+        joined = invoke(capsys, *args, "--K-min=-1e-2", "--K-max=-1e-3")[1]
+        # the manifest's timestamp differs; the rows do not
+        assert out.split("\n")[1:] == joined.split("\n")[1:]
+        assert [row.split(",")[0] for row in out.split("\n")[2:5]] == ["-0.01", "-0.0055",
+                                                                        "-0.001"]
+
+    def test_a_flag_keeps_its_own_argument(self):
+        assert cli._join_negative_numbers(["prob", "--K", "-1e-3", "--u", "1", "--json"]) == [
+            "prob", "--K=-1e-3", "--u", "1", "--json"]
+        # a flag already joined, a positive number and a word stay as they are
+        assert cli._join_negative_numbers(["--K=-1", "-2e-3", "--u", "1e-3", "--output", "-x"]) == [
+            "--K=-1", "-2e-3", "--u", "1e-3", "--output", "-x"]
+
+    @pytest.mark.parametrize("command, argv, flag", [
+        ("prob", ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-inf", "--u", "1"], "--K"),
+        ("prob", ["--d", "3", "--q", "2", "--gamma", "1", "--K=nan", "--u", "1"], "--K"),
+        ("scan-K", [*SCAN_ARGS["scan-K"][:-2], "--K-min=-inf", "--K-max=-0.5", "--steps", "3"],
+         "--K-min"),
+        ("scan-K", [*SCAN_ARGS["scan-K"][:-2], "--K-min", "-1", "--K-max", "nan", "--steps", "3"],
+         "--K-max"),
+        ("density-scan", [*BASE, "--delta-min", "0.2", "--delta-max", "inf", "--steps", "3"],
+         "--delta-max"),
+        ("density-scan", [*BASE, "--delta-min", "nan", "--delta-max", "1", "--steps", "3"],
+         "--delta-min"),
+        ("density-scan", [*BASE, "--delta-min", "-inf", "--delta-max", "1", "--steps", "3"],
+         "--delta-min"),
+    ])
+    def test_non_finite_exits_2_at_parse_time(self, capsys, monkeypatch, command, argv, flag):
+        def no_run(args, tol):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, no_run)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *argv])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["prob", "--d", "3", "--q", "2", "--gamma", "1", "--K", "abc", "--u", "1"], "--K"),
+        (["density-scan", *BASE, "--delta-min", "x", "--delta-max", "1", "--steps", "3"],
+         "--delta-min"),
+    ])
+    def test_a_word_is_an_invalid_float(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: invalid float value:" in capsys.readouterr().err
 
 
 class TestSimulate:

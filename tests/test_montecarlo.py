@@ -420,6 +420,16 @@ class TestBlocks:
         assert counts[0][1] == blocks * mc._BLOCK_TRIALS
         assert counts[0][0] > counts[0][1]
 
+    @pytest.mark.parametrize("trials, threads", [(mc.MAX_TRIALS + 1, None), (0, None),
+                                                 (1000, mc.MAX_THREADS + 1), (1000, 0)])
+    def test_runs_past_the_caps_raise_before_drawing(self, monkeypatch, trials, threads):
+        def no_sampler(cfg, K):
+            raise AssertionError("a sampler was built")
+
+        monkeypatch.setattr(mc, "_get_sampler", no_sampler)
+        with pytest.raises(DomainError, match="trials|threads"):
+            mc._run_trials(CFG, K1, trials, 1, threads)
+
 
 class TestKsStatistic:
     def test_perfect_fit_small(self):

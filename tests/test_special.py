@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +38,20 @@ class TestCurvature:
     def test_ball_radius(self):
         assert Curvature(-0.25).ball_radius == 2.0
 
+    @pytest.mark.parametrize("K", [-1.0, -0.5, -1e-3, 0.0, -2.0 ** -1074])
+    def test_hash_is_that_of_the_field_tuple(self, K):
+        curv = Curvature(K)
+        assert hash(curv) == hash((curv.K, curv.scale))
+        assert dataclasses.astuple(curv) == (curv.K, curv.scale)
+
+    def test_hash_survives_equality_repr_asdict_and_pickling(self):
+        curv = Curvature(-0.5)
+        assert curv == Curvature(-0.5) and curv != Curvature(-0.25)
+        assert repr(curv) == f"Curvature(K=-0.5, scale={math.sqrt(0.5)!r})"
+        assert dataclasses.asdict(curv) == {"K": -0.5, "scale": math.sqrt(0.5)}
+        copy = pickle.loads(pickle.dumps(curv))
+        assert copy == curv and hash(copy) == hash(curv)
+
 
 class TestFlatConfig:
     def test_valid(self):
@@ -50,6 +66,21 @@ class TestFlatConfig:
     def test_invalid(self, d, q, g, u):
         with pytest.raises(DomainError):
             FlatConfig(d, q, g, u)
+
+    @pytest.mark.parametrize("d,q,g,u", [(3, 2, 1, 1.0), (30, 3, 1, 3.0), (1000, 999, 998, 1e-300)])
+    def test_hash_is_that_of_the_field_tuple(self, d, q, g, u):
+        cfg = FlatConfig(d, q, g, u)
+        assert hash(cfg) == hash((d, q, g, u)) == hash(dataclasses.astuple(cfg))
+
+    def test_hash_survives_equality_repr_asdict_and_pickling(self):
+        cfg = FlatConfig(5, 3, 1, 2.0)
+        assert cfg == FlatConfig(5, 3, 1, 2.0) and cfg != FlatConfig(5, 3, 1, 2.5)
+        assert {cfg: 1}[FlatConfig(5, 3, 1, 2.0)] == 1
+        assert repr(cfg) == "FlatConfig(d=5, q=3, gamma=1, u=2.0)"
+        assert dataclasses.asdict(cfg) == {"d": 5, "q": 3, "gamma": 1, "u": 2.0}
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
+        assert hash(dataclasses.replace(cfg, u=3.0)) == hash((5, 3, 1, 3.0))
 
 
 class TestSphereSurface:
