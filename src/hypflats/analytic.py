@@ -57,9 +57,11 @@ density and the Crofton constant.  It is exact and takes no quadrature: a
 recurrence in the power of cosh, and the halving sinh t = 2 sinh(t/2) cosh(t/2)
 where that power is even, write it as sums of positive terms in log space
 (_log_sinh_cosh_parts), a leading power sinh^m v cosh^(d-m-1) v times a
-factor of order log d.  It is memoised per (d, m, v) with that factor
-(_radial_mass_parts): the unit-curvature law, the Crofton constant and the
-Monte Carlo sampler of one configuration share one evaluation.
+factor of order log d (_radial_mass_parts).  A configuration's law holds it
+(_UnitLaw.log_R), and the Monte Carlo sampler reads it there, so one
+configuration evaluates it once; it has no memo of its own.  The law's
+reduction to unit curvature (reduce_to_unit_curvature) is also the one
+check of v: outside [_MIN_REDUCED_RADIUS, infinity) it raises DomainError.
 
 Every integral here is integrate_adaptive in log form, which keeps the
 integral's scale in log space: it converges on the relative tolerance
@@ -156,6 +158,9 @@ class PhaseMode:
 
 
 _BETAINC_FLOOR = 1e-200
+# the least reduced radius sqrt(-K) u: at v = 1e-307 a 128-point CDF grid at
+# (1000, 999, 2) overflows a panel's inverse half-width next to 0
+_MIN_REDUCED_RADIUS = 1e-300
 _UNIT_CURVATURE = Curvature(-1.0)
 _LOG2 = math.log(2.0)
 # the radial mass's sums drop terms below this fraction of the sum
@@ -340,7 +345,6 @@ def _log_sinh_power_integral(a: int, v: float, log_sinh: float, log_cosh: float)
             + _log_series(t2 * half / (half + 0.5 * (a + 2))))
 
 
-@lru_cache(maxsize=64)
 def log_radial_mass(d: int, m: int, rho: float) -> float:
     """log of the radial mass, the integral of sinh^(m-1) t cosh^(d-m) t over [0, rho].
 
@@ -351,19 +355,17 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
     it as sums of positive terms, in log space, whatever the layer about
     1/((d-m) tanh rho) wide below rho that holds the mass.
 
-    Memoised: the Crofton constant, p, the atom mass, the density and the
-    Monte Carlo sampler of one configuration share one evaluation
-    (_radial_mass_parts).  A log beyond the largest double (rho near 1e308)
-    raises QuadratureError.
+    Closed form, so it is not memoised; a configuration's law holds its
+    radial mass (_UnitLaw.log_R).  A log beyond the largest double (rho near
+    1e308) raises QuadratureError.
     """
     return _radial_mass_parts(d, m, rho)[0]
 
 
-@lru_cache(maxsize=64)
 def _radial_mass_parts(d: int, m: int, rho: float) -> tuple[float, float]:
     """(log R, log_factor): log_radial_mass and the factor that multiplies its
     leading power sinh^m rho cosh^(d-m-1) rho (at m = d there is no power and the
-    factor is log R), memoised.
+    factor is log R).
 
     The offset-radius integrals take their integrands' powers relative to
     that leading power, so only the factor, whose size is about log d, meets
@@ -408,10 +410,15 @@ def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
     """Rescale to K = -1: ball radius becomes v = sqrt(-K) u.
 
     Probabilities are invariant; distances shrink by sqrt(-K) and densities
-    gain a factor sqrt(-K).
+    gain a factor sqrt(-K).  A v below _MIN_REDUCED_RADIUS, or one that
+    underflows to 0 or overflows, raises DomainError.
     """
     K.require_hyperbolic()
-    return FlatConfig(cfg.d, cfg.q, cfg.gamma, K.scale * cfg.u), _UNIT_CURVATURE
+    v = K.scale * cfg.u
+    if not _MIN_REDUCED_RADIUS <= v < math.inf:
+        raise DomainError(f"need {_MIN_REDUCED_RADIUS:g} <= sqrt(-K) u < inf, "
+                          f"got sqrt(-K) u = {v} at K={K.K}, u={cfg.u}")
+    return FlatConfig(cfg.d, cfg.q, cfg.gamma, v), _UNIT_CURVATURE
 
 
 @dataclass(frozen=True)
@@ -429,6 +436,7 @@ class _UnitLaw:
 
     cfg1: FlatConfig  # the configuration at K = -1, ball radius v
     v: float
+    tanh_v: float
     m: int  # q - gamma
     a: float
     b: float
@@ -460,18 +468,19 @@ def _remember(law: _UnitLaw, key: tuple, value):
 
 @lru_cache(maxsize=64)
 def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
-    """The unit-curvature law of (cfg, K), memoised: every hyperbolic function starts here.
+    """The unit-curvature law of (cfg, K), memoised: every hyperbolic function,
+    and the Monte Carlo sampler, starts here.
 
-    Its radial mass comes from log_radial_mass, which has its own memo
-    shared with the sampler and the Crofton constant.  No value depends on
-    whether the law was cached.
+    It is the one reduction of a configuration to unit curvature
+    (reduce_to_unit_curvature, which checks v) and the one memo of its
+    radial mass (_radial_mass_parts, evaluated once here).  No value depends
+    on whether the law was cached.
     """
     cfg1, _ = reduce_to_unit_curvature(cfg, K)
     d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
     m, a, b, a1 = q - g, 0.5 * (q + 1), 0.5 * (d - q), 0.5 * (g + 1)
     betaln_ab, betaln_a1b = betaln(a, b), betaln(a1, b)
-    log_R = log_radial_mass(d, m, v)
-    log_R_factor = _radial_mass_parts(d, m, v)[1]
+    log_R, log_R_factor = _radial_mass_parts(d, m, v)
     log_sinh, log_cosh = _log_sinh_cosh(v)
 
     def offset(n1, n2):
@@ -481,8 +490,9 @@ def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
 
     # log tanh v = log(-expm1(-2v)) - log1p(e^(-2v)): no cancellation at large v
     log_tanh = math.log(-math.expm1(-2.0 * v)) - math.log1p(math.exp(-2.0 * v))
-    return _UnitLaw(cfg1, v, m, a, b, a1, log_sinh, log_cosh, log_tanh, betaln_ab, betaln_a1b,
-                    log_R, _LOG2 - betaln_a1b - log_R, offset(m - 1, g), offset(q, d - q - 1))
+    return _UnitLaw(cfg1, v, math.tanh(v), m, a, b, a1, log_sinh, log_cosh, log_tanh,
+                    betaln_ab, betaln_a1b, log_R, _LOG2 - betaln_a1b - log_R,
+                    offset(m - 1, g), offset(q, d - q - 1))
 
 
 def _as_probability(value, error_estimate):
@@ -509,11 +519,13 @@ def _layer_knots(slope: float, span: float) -> list:
     """The distances h = 2^k _LAYER_KNOT / slope, k = 0, 1, ..., below span from
     the end of an integral whose integrand's log falls off at rate slope away
     from that end: first panels graded toward the layer about 1/slope wide that
-    holds its mass; none where slope * span <= _LAYER_MIN_SPAN."""
+    holds its mass; none where slope * span <= _LAYER_MIN_SPAN or where
+    _LAYER_KNOT / slope is 0."""
     knots = []
     if slope * span > _LAYER_MIN_SPAN:
         h = _LAYER_KNOT / slope
-        while h < span:
+        # h is 0 where slope overflows (v near 1e-308), and doubling 0 never reaches span
+        while 0.0 < h < span:
             knots.append(h)
             h *= 2.0
     return knots
@@ -628,11 +640,10 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
                         - (g + 1) * law.log_tanh_v + law.betaln_a1b)
         return out
 
-    tanh_v = math.tanh(v)
     if hit:
-        slope = (m - 1) / tanh_v + (g + a1) * tanh_v
+        slope = (m - 1) / law.tanh_v + (g + a1) * law.tanh_v
     else:
-        slope = q / tanh_v + (d - q) * tanh_v
+        slope = q / law.tanh_v + (d - q) * law.tanh_v
     return _remember(law, key, integrate_adaptive(
         log_hit if hit else log_miss, 0.0, v, tol, log_form=True,
         log_offset=law.hit_offset if hit else law.miss_offset,
@@ -803,8 +814,7 @@ def _log_integrands(law: _UnitLaw, alpha: float = 0.0):
 def _below_layer(law: _UnitLaw, span: float) -> list:
     """_layer_knots toward v from below over span: the density's log-slope at v
     is lambda = (m-1) coth v + gamma tanh v."""
-    tanh_v = math.tanh(law.v)
-    return _layer_knots((law.m - 1) / tanh_v + law.cfg1.gamma * tanh_v, span)
+    return _layer_knots((law.m - 1) / law.tanh_v + law.cfg1.gamma * law.tanh_v, span)
 
 
 def _past_knots(law: _UnitLaw, w_lo: float, w_hi: float, graded: bool) -> list:
@@ -818,7 +828,7 @@ def _past_knots(law: _UnitLaw, w_lo: float, w_hi: float, graded: bool) -> list:
     if graded:
         # I_x(a, b) is about 1/2 where 1 - x, about 2 coth v (t - v), reaches
         # b / (a + b): at s = s0, and w is about s there
-        s0 = math.sqrt(math.tanh(law.v) * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
+        s0 = math.sqrt(law.tanh_v * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
         knots += [w_lo + h for h in _layer_knots(_LAYER_KNOT / s0, (w_hi - w_lo) / n)]
     return knots
 
@@ -1066,9 +1076,9 @@ def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """P(distance of the intersection to the origin <= delta)."""
     _require_distance(delta)
+    law, t = _unit_law(cfg, K), K.scale * delta
     if delta == 0:
         return 0.0
-    law, t = _unit_law(cfg, K), K.scale * delta
     if t < min(_HEAD_EDGE, law.v):
         return _as_probability(float(_cdf_head(law, t)), 0.0)
     res = _density_integral(law, 0.0, t, tol)
@@ -1174,7 +1184,7 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     are memoised with the law, per tolerance (and alpha): a repeated moment
     evaluates no integrand.  A non-finite alpha raises DomainError.
     """
-    K.require_hyperbolic()
+    law = _unit_law(cfg, K)
     if not math.isfinite(alpha):
         raise DomainError(f"moment order alpha must be finite, got {alpha}")
     lo = cfg.gamma - cfg.q
@@ -1183,7 +1193,7 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     if alpha == 0:
         return MomentResult(alpha, conditional, 1.0)
 
-    law, key = _unit_law(cfg, K), (tol, "moment", alpha)
+    key = (tol, "moment", alpha)
     res = law.memo.get(key)
     if res is None:
         res = _remember(law, key, _density_integral(law, 0.0, math.inf, tol, alpha))

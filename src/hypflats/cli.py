@@ -33,7 +33,6 @@ class RunManifest:
     command: str
     parameters: dict
     version: str = __version__
-    seed: int | None = None
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
@@ -202,20 +201,12 @@ def build_parser():
     return parser
 
 
-def _manifest(args, stochastic=False):
+def _emit_csv(args, header, rows):
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("command", "output") and v is not None
     }
-    return RunManifest(
-        command=args.command,
-        parameters=params,
-        seed=getattr(args, "seed", None) if stochastic else None,
-    )
-
-
-def _emit_csv(args, header, rows, stochastic=False):
-    lines = [_manifest(args, stochastic).to_comment(), header]
+    lines = [RunManifest(command=args.command, parameters=params).to_comment(), header]
     lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     return "\n".join(lines) + "\n"

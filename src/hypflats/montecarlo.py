@@ -36,13 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import _log_cosh, log_radial_mass
+from .analytic import _log_cosh, _unit_law
 from .errors import ConstructionError, DomainError
 from .klein import _BOUNDARY_TOL, AffineFlat
 # re-exported: perfbench's traced run looks it up on this module
 from .klein import intersect_with_central_subspace  # noqa: F401
 from .linalg import Basis, require_orthonormal
-from .special import Curvature, FlatConfig, klein_radius
+from .special import Curvature, FlatConfig
 
 __all__ = [
     "SimEstimate",
@@ -156,9 +156,10 @@ class HittingFlatSampler:
       by truncated-exponential inversion; equal to the law at rho = v.
 
     The sampler takes the envelope with the larger a priori acceptance,
-    the radial mass log_radial_mass(d, m, v) over the envelope's mass; the
-    radial mass is closed form (sums of positive terms, no quadrature) and
-    shared with the configuration's analytic functions.
+    the radial mass over the envelope's mass.  v, tanh v, log tanh v,
+    log cosh v and the radial mass are the configuration's unit-curvature
+    law's (analytic._unit_law), which checks v and is shared with the
+    configuration's analytic functions.
     Both envelopes give the exact law, so the choice, which depends on
     (cfg, K) only, changes the speed and never the law.
 
@@ -167,30 +168,26 @@ class HittingFlatSampler:
     """
 
     def __init__(self, cfg: FlatConfig, K: Curvature):
-        K.require_hyperbolic()
+        law = _unit_law(cfg, K)
         self.cfg = cfg
         self.K = K
-        self.m = cfg.q - cfg.gamma
-        self.R = klein_radius(K, cfg.u)
+        self.m = law.m
+        self.R = law.tanh_v / K.scale  # the Klein radius of the ball
         self.proposals = 0
         self.accepted = 0
         self._count_lock = threading.Lock()
-        d, m = cfg.d, self.m
-        v = self._v = K.scale * cfg.u
-        self._tanh_v = math.tanh(v)
-        log_tanh_v = math.log(self._tanh_v)
-        log_cosh_v = float(_log_cosh(v))
+        d, m, log_tanh_v, log_cosh_v = cfg.d, self.m, law.log_tanh_v, law.log_cosh_v
+        self._v, self._tanh_v = law.v, law.tanh_v
         # chord of (d-1) log cosh on [0, v]: slope and the drop e^(-lam v) - 1
-        self._lam = (d - 1) * log_cosh_v / v
+        self._lam = (d - 1) * log_cosh_v / law.v
         self._drop = math.expm1(-(d - 1) * log_cosh_v)
-        log_mass = log_radial_mass(d, m, v)
         log_power = m * log_tanh_v - math.log(m) + (d + 1) * log_cosh_v
         log_envelopes = {"power": log_power}
         if self._drop < 0.0:  # else (d-1) log cosh v is lost to rounding (v below ~1e-8)
             log_envelopes["exponential"] = ((m - 1) * log_tanh_v + (d - 1) * log_cosh_v
                                             + math.log(-self._drop) - math.log(self._lam))
         self._envelope = min(log_envelopes, key=log_envelopes.get)
-        self._acceptance = math.exp(log_mass - log_envelopes[self._envelope])
+        self._acceptance = math.exp(law.log_R - log_envelopes[self._envelope])
 
     @property
     def envelope(self) -> str:

@@ -203,6 +203,51 @@ class TestReduction:
         with pytest.raises(CurvatureModeError):
             reduce_to_unit_curvature(CFG, Curvature(0.0))
 
+    def test_the_least_reduced_radius_is_accepted(self):
+        cfg1, _ = reduce_to_unit_curvature(FlatConfig(3, 2, 1, 1e-150), Curvature(-1e-300))
+        assert cfg1.u == 1e-300
+        assert intersection_probability(FlatConfig(1000, 999, 2, 1e-300), K1, TOL) == (
+            pytest.approx(1.0, abs=1e-12))
+
+    @pytest.mark.parametrize("u, K", [
+        (1e-301, -1.0),    # below the least reduced radius
+        (1e-310, -1.0),    # subnormal
+        (1e-160, -1e-300),  # v = 1e-310 from normal K and u
+        (1e-200, -1e-300),  # v underflows to 0
+        (1e300, -1e300),   # v overflows
+    ])
+    def test_reduced_radius_out_of_range(self, u, K):
+        with pytest.raises(DomainError, match=r"sqrt\(-K\) u .* at K=.*, u="):
+            reduce_to_unit_curvature(FlatConfig(3, 2, 1, u), Curvature(K))
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg, K: intersection_probability(cfg, K, TOL),
+        lambda cfg, K: atom_mass(cfg, K, TOL),
+        lambda cfg, K: distance_density(cfg, K, 1e-310, TOL),
+        lambda cfg, K: distance_density(cfg, K, np.array([1e-310, 1.0]), TOL),
+        lambda cfg, K: distance_cdf(cfg, K, 1e-310, TOL),
+        lambda cfg, K: distance_cdf(cfg, K, 0.0, TOL),
+        lambda cfg, K: distance_cdf_grid(cfg, K, np.linspace(0.0, 1e-305, 128), TOL),
+        lambda cfg, K: moment(cfg, K, 1.0, True, TOL),
+        lambda cfg, K: moment(cfg, K, -0.5, False, TOL),
+        lambda cfg, K: moment(cfg, K, 5.0, False, TOL),  # divergent
+        lambda cfg, K: estimate_intersection_probability(cfg, K, 10, 1),
+        lambda cfg, K: simulate_distance_distribution(cfg, K, 10, 1),
+    ])
+    @pytest.mark.parametrize("key", [(3, 2, 1, 1e-310), (10, 5, 1, 2.3e-308),
+                                     (1000, 999, 2, 1e-306), (4, 3, 1, 1e-310)])
+    def test_every_entry_point_checks_the_reduced_radius(self, call, key):
+        # these configurations made _layer_knots grow a list without end,
+        # or p's and the atom's integrals never return
+        with pytest.raises(DomainError, match=r"sqrt\(-K\) u"):
+            call(FlatConfig(*key), K1)
+
+    def test_layer_knots_stop_where_the_slope_overflows(self):
+        # h = 2 / slope is 0 there, and doubling it never reached the span
+        assert analytic._layer_knots(math.inf, 1.0) == []
+        assert analytic._layer_knots(1e308 * 10.0, 1e-300) == []
+        assert analytic._layer_knots(4.0, 8.0) == [0.5, 1.0, 2.0, 4.0]
+
 
 class TestIntersectionProbability:
     def test_matches_independent_oracle(self):
@@ -903,10 +948,11 @@ class TestPrefactor:
         moment(CFG, K1, 1.0, True, TOL)
         assert crofton_calls == []
 
-    def test_cdf_grid_computes_the_crofton_constant_once(self):
-        # the density's normaliser is the radial mass, the Crofton constant's evaluation
+    def test_cdf_grid_computes_the_crofton_constant_once(self, radial_mass_calls):
+        # the density's normaliser is the radial mass, evaluated once with the law
         distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL)
-        assert log_radial_mass.cache_info().misses == 1
+        assert radial_mass_calls == [(3, 1, 1.0)]
+        assert analytic._unit_law.cache_info().misses == 1
 
 
 class TestUnitLaw:
@@ -937,18 +983,19 @@ class TestUnitLaw:
         assert scalar == distance_density(cfg, K1, np.array([30.0]), TOL)[0]
         assert scalar == distance_density(cfg, K1, np.array([6.0, 30.0, 60.0]), TOL)[1]
 
-    def test_same_values_with_a_cold_cache(self):
+    def test_same_values_with_a_cold_cache(self, radial_mass_calls):
         deltas = np.linspace(0.1, 4.0, 7)
         warm = [distance_density(CFG, K1, deltas, TOL), distance_cdf(CFG, K1, 1.5, TOL),
                 intersection_probability(CFG, K1, TOL)]
+        assert radial_mass_calls == [(3, 1, 1.0)]
         analytic._unit_law.cache_clear()
-        log_radial_mass.cache_clear()
-        analytic._radial_mass_parts.cache_clear()
         np.testing.assert_array_equal(distance_density(CFG, K1, deltas, TOL), warm[0])
         analytic._unit_law.cache_clear()
         assert distance_cdf(CFG, K1, 1.5, TOL) == warm[1]
         analytic._unit_law.cache_clear()
         assert intersection_probability(CFG, K1, TOL) == warm[2]
+        # the law is the radial mass's only memo: each cold law evaluates it once
+        assert radial_mass_calls == [(3, 1, 1.0)] * 4
 
 
 class TestLawMemo:
@@ -1186,7 +1233,6 @@ class TestCdfGrid:
         def fail(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
 
-        log_radial_mass(3, 1, 1.0)  # the Crofton constant's, memoised
         monkeypatch.setattr(analytic, "integrate_adaptive", fail)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 3000), TOL).shape == (3000,)

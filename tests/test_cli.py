@@ -168,20 +168,22 @@ class TestCsvCommands:
         manifest = json.loads(lines[0][2:])
         assert manifest["command"] == "density-scan"
         assert "timestamp" in manifest and "version" in manifest
+        assert "seed" not in manifest
         assert lines[1] == "delta,f"
         assert len(lines) == 2 + 5 + 1 and lines[-1] == ""
         for row in lines[2:-1]:
             delta, f = row.split(",")
             assert float(f) >= 0.0
 
-    def test_density_scan_computes_the_crofton_constant_once(self, capsys):
-        # the density's normaliser is the radial mass, the Crofton constant's evaluation
+    def test_density_scan_computes_the_crofton_constant_once(self, capsys, radial_mass_calls):
+        # the density's normaliser is the radial mass, evaluated once with the law
         code, out, _ = invoke(
             capsys, "density-scan", *BASE,
             "--delta-min", "0.2", "--delta-max", "3.0", "--steps", "50",
         )
         assert code == EXIT_OK and len(out.split("\n")) == 2 + 50 + 1
-        assert analytic.log_radial_mass.cache_info().misses == 1
+        assert radial_mass_calls == [(3, 1, 1.0)]
+        assert analytic._unit_law.cache_info().misses == 1
 
     def test_scan_d(self, capsys):
         code, out, _ = invoke(
@@ -332,6 +334,20 @@ class TestStepsBound:
         assert ran[0].d_max == MAX_STEPS + 2
 
 
+class TestReducedRadius:
+    @pytest.mark.parametrize("command", ["prob", "cdf", "moment", "density-scan", "simulate"])
+    @pytest.mark.parametrize("K, u", [("-1", "1e-310"), ("-1e-300", "1e-160"),
+                                      ("-1e-300", "1e-200"), ("-1e300", "1e300")])
+    def test_out_of_range_exits_2(self, capsys, command, K, u):
+        extra = {"prob": [], "cdf": ["--delta", "1"], "moment": ["--alpha", "1"],
+                 "density-scan": ["--delta-min", "0.1", "--delta-max", "1", "--steps", "3"],
+                 "simulate": ["--trials", "10", "--seed", "1"]}[command]
+        code, out, err = invoke(capsys, command, "--d", "3", "--q", "2", "--gamma", "1",
+                                "--K", K, "--u", u, *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert "sqrt(-K) u" in err and f"u={float(u)}" in err
+
+
 class TestSimulateBounds:
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", str(MAX_TRIALS + 1)), ("--trials", str(10**15)),
@@ -469,17 +485,15 @@ class TestSimulate:
                                                      rel=1e-11, abs=0.0)
         assert doc["p_deviation_sigmas"] == doc["atom_deviation_sigmas"]
 
-    def test_computes_the_radial_mass_once(self, capsys):
-        # the sampler and the unit-curvature law share one memoised radial mass,
-        # and p, the atom and the CDF grid share one memoised law
+    def test_computes_the_radial_mass_once(self, capsys, radial_mass_calls):
+        # the sampler, p, the atom and the CDF grid share one memoised law,
+        # which evaluates the radial mass once
         code, _, _ = invoke(
             capsys, "simulate", "--d", "7", "--q", "4", "--gamma", "2", "--K", "-0.7",
             "--u", "1.3", "--trials", "200", "--seed", "5",
         )
         assert code == EXIT_OK
-        info = analytic.log_radial_mass.cache_info()
-        assert info.misses == 1
-        assert info.hits >= 1
+        assert radial_mass_calls == [(7, 2, math.sqrt(0.7) * 1.3)]
         law = analytic._unit_law.cache_info()
         assert law.misses == 1
         assert law.hits >= 2

@@ -17,6 +17,7 @@ from hypflats import (
     sample_hitting_flat,
     simulate_distance_distribution,
 )
+import hypflats.analytic as analytic
 import hypflats.montecarlo as mc
 from hypflats.montecarlo import _trial_rng
 from oracles import probability_closed_form_oracle, radial_cdf_oracle, radial_cdf_rho_oracle
@@ -129,6 +130,34 @@ def reference_radius(sampler, rng):
 
 
 class TestHittingFlatSampler:
+    @pytest.mark.parametrize("cfg", [CFG, FlatConfig(7, 4, 2, 1.3), FlatConfig(50, 2, 1, 0.28),
+                                     FlatConfig(1000, 999, 998, 12.0), FlatConfig(3, 2, 1, 1e-200)])
+    def test_reads_its_constants_from_the_law(self, cfg, radial_mass_calls):
+        # v, tanh v, log tanh v, log cosh v and the radial mass are the law's,
+        # and a sampler built after its law evaluates no radial mass
+        law = analytic._unit_law(cfg, K1)
+        sampler = HittingFlatSampler(cfg, K1)
+        assert len(radial_mass_calls) == 1
+        d, m = cfg.d, law.m
+        assert (sampler._v, sampler._tanh_v, sampler.m) == (law.v, law.tanh_v, m)
+        assert sampler.R == law.tanh_v / K1.scale
+        assert sampler._lam == (d - 1) * law.log_cosh_v / law.v
+        assert sampler._drop == math.expm1(-(d - 1) * law.log_cosh_v)
+        if sampler.envelope == "power":
+            log_envelope = m * law.log_tanh_v - math.log(m) + (d + 1) * law.log_cosh_v
+        else:
+            log_envelope = ((m - 1) * law.log_tanh_v + (d - 1) * law.log_cosh_v
+                            + math.log(-sampler._drop) - math.log(sampler._lam))
+        assert sampler.acceptance == math.exp(law.log_R - log_envelope)
+
+    @pytest.mark.parametrize("u, K", [(1e-310, -1.0), (1e-200, -1e-300), (1e300, -1e300)])
+    def test_checks_the_reduced_radius(self, u, K):
+        cfg, K = FlatConfig(3, 2, 1, u), Curvature(K)
+        with pytest.raises(DomainError, match=r"sqrt\(-K\) u"):
+            HittingFlatSampler(cfg, K)
+        with pytest.raises(DomainError, match=r"sqrt\(-K\) u"):
+            sample_hitting_flat(cfg, K, np.random.default_rng(1))
+
     def test_flat_dimension_and_hitting(self):
         from hypflats import klein_radius_inv
 
