@@ -7,10 +7,12 @@ ball radius v = sqrt(-K) u) and starts from that configuration's law,
 _unit_law(cfg, K): the constants of the density and of p's integrands,
 computed once per configuration and memoised (64 of them).  The law also
 memoises, per Tolerance, what depends on nothing else (_UnitLaw.memo): p's
-and the atom's integrals, each moment's, and the CDF grid's converged
-panels, so a repeated p, atom, conditional moment or grid, or a Monte
-Carlo check of one configuration, evaluates no integrand again; clearing
-_unit_law drops them with it.  On the event
+and the atom's integrals, one store of the density's first panels and
+their node values (_law_store), each moment's integral, and each grid's
+settled prefix of the store, so a repeated p, atom, conditional moment or
+grid, or a Monte Carlo check of one configuration, evaluates no integrand
+again, and a grid and a moment evaluate the first panels once between
+them; clearing _unit_law drops them with it.  On the event
 that the flats meet, the distance t from the origin to the intersection has
 the closed-form density
 
@@ -18,20 +20,24 @@ the closed-form density
 
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
-R the radial mass below, as in p (_log_density, in log space).  The CDF and
-the moments are 1-d integrals of it, in y = (t/v)^k below v, which makes
-a moment's power of t at 0 smooth, and in w = s/(1+s), s = sqrt(t - v),
-past v: a moment is one integral to infinity.  Their first panels come
-from the law: equal in w past v (_GRID_PANELS_PAST per unit of w), and
-graded toward v on both sides where the integral reaches v (_layer_knots),
-so a moment at the benchmark's configurations takes three integrand calls
-(below v, past v, and p's) instead of thirteen, and one at v = 1e-10
-returns its value where bisection toward v ran out of subdivisions.  A
-CDF grid, of 128 points or of 10^5 sorted Monte Carlo samples, is one
-representation of the law on those panels (_grid_panels), placed by the
-law and the lattice panel past v of the last point alone, all evaluated
-in one integrand call, halved where they miss the tolerance and
-memoised; each point takes the integral of its panel's node
+R the radial mass below, as in p (_log_density, in log space; a float t
+takes the same terms from the math module, _log_density_float).  The CDF
+and the moments are 1-d integrals of it, in t (or y = (t/v)^k) below v
+and in w = s/(1+s), s = sqrt(t - v), past v: a moment is one integral to
+infinity.  Their first panels come from the law: equal in w past v
+(_GRID_PANELS_PAST per unit of w), and graded toward v on both sides
+where the integral reaches v (_layer_knots).  The store holds those of
+the whole law: 4 equal panels and the graded ones below v, and the whole
+lattice in w, ends at exactly k / 12, all evaluated in one integrand
+call.  A moment with m + alpha >= 2 is its node values weighted by
+t^alpha, halved in copies against the moment's own total
+(_moment_integral); one below that, and the scalar CDF, are adaptive
+integrals on the same kind of first panels (_density_integral), in
+y = (t/v)^k below v, so a moment near its divergence has no power of t
+to resolve at 0.  A CDF grid, of 128 points or of 10^5 sorted Monte Carlo
+samples, is the store's prefix up to the lattice panel past v of its last
+point, halved where a panel misses the tolerance and memoised per prefix
+(_grid_law); each point takes the integral of its panel's node
 interpolant.  Below 2^-1000 the CDF is closed form (_cdf_head).  The
 flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
 closed form; rho is one 1-d integral of a lower incomplete gamma function,
@@ -73,12 +79,16 @@ decide.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaincc, gammainc, gammaln, hyp1f1
+# the ufunc betainc's own function, without its dispatch on floats: 0.4
+# against 1.4 us a call
+from scipy.special.cython_special import betainc as _betainc_float
 
 from .errors import DomainError, ProbabilityRangeError, QuadratureError
 from .quadrature import (
@@ -88,6 +98,7 @@ from .quadrature import (
     Tolerance,
     _exp_or_raise,
     _gk_panels,
+    _gk_sums,
     _nodes_inside,
     _panel_scales,
     integrate_adaptive,
@@ -176,13 +187,14 @@ _SERIES_MAX_TERMS = 1000
 # _LAYER_MIN_SPAN; a wider layer costs no panel of its own
 _LAYER_KNOT = 2.0
 _LAYER_MIN_SPAN = 4.0
-# the law's first panels (_grid_panels): a CDF grid's equal panels in t on
-# [0, v], and, for the grid and a density integral alike, equal panels in w
-# past v, _GRID_PANELS_PAST per unit of w
+# the law's first panels (_law_store): equal panels in t on [0, v], and, for
+# the store and a density integral alike, equal panels in w past v,
+# _GRID_PANELS_PAST per unit of w; the store's end at exactly k / 12 (_LATTICE)
 _GRID_PANELS_BELOW = 4
 _GRID_PANELS_PAST = 12
-# entries of one law's memo (_remember): p, the atom, 13 grid lattices and
-# moments, at a few tolerances
+_LATTICE = [k / _GRID_PANELS_PAST for k in range(_GRID_PANELS_PAST + 1)]
+# entries of one law's memo (_remember): p, the atom, the store, 13 grid
+# prefixes and moments, at a few tolerances
 _MEMO_ENTRIES = 64
 # below this reduced distance F(t) is closed form (_cdf_head)
 _HEAD_EDGE = 2.0 ** -1000
@@ -388,7 +400,9 @@ def log_crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
     """log of the total invariant measure of k-flats hitting the radius-u ball.
 
     At K < 0 it is omega_(d-k) (-K)^((k-d)/2) times the radial mass
-    log_radial_mass(d, d-k, sqrt(-K) u).
+    log_radial_mass(d, d-k, sqrt(-K) u); a reduced radius sqrt(-K) u outside
+    [_MIN_REDUCED_RADIUS, infinity) raises the configurations' DomainError,
+    naming K and u (_reduced_radius).
     """
     if not 0 <= k <= d - 1:
         raise DomainError(f"need 0 <= k <= d-1, got k={k}, d={d}")
@@ -397,13 +411,22 @@ def log_crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
     n = d - k
     if K.is_flat:
         return log_sphere_surface(n) + n * math.log(u) - math.log(n)
-    s = K.scale
-    return (log_sphere_surface(n) + (k - d) * math.log(s)
-            + log_radial_mass(d, n, s * u))
+    return (log_sphere_surface(n) + (k - d) * math.log(K.scale)
+            + log_radial_mass(d, n, _reduced_radius(K, u)))
 
 
 def crofton_constant(d: int, k: int, u: float, K: Curvature) -> float:
     return math.exp(log_crofton_constant(d, k, u, K))
+
+
+def _reduced_radius(K: Curvature, u: float) -> float:
+    """v = sqrt(-K) u at K < 0, or DomainError naming K and u where v is below
+    _MIN_REDUCED_RADIUS, underflows to 0 or overflows."""
+    v = K.scale * u
+    if not _MIN_REDUCED_RADIUS <= v < math.inf:
+        raise DomainError(f"need {_MIN_REDUCED_RADIUS:g} <= sqrt(-K) u < inf, "
+                          f"got sqrt(-K) u = {v} at K={K.K}, u={u}")
+    return v
 
 
 def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
@@ -411,14 +434,10 @@ def reduce_to_unit_curvature(cfg: FlatConfig, K: Curvature):
 
     Probabilities are invariant; distances shrink by sqrt(-K) and densities
     gain a factor sqrt(-K).  A v below _MIN_REDUCED_RADIUS, or one that
-    underflows to 0 or overflows, raises DomainError.
+    underflows to 0 or overflows, raises DomainError (_reduced_radius).
     """
     K.require_hyperbolic()
-    v = K.scale * cfg.u
-    if not _MIN_REDUCED_RADIUS <= v < math.inf:
-        raise DomainError(f"need {_MIN_REDUCED_RADIUS:g} <= sqrt(-K) u < inf, "
-                          f"got sqrt(-K) u = {v} at K={K.K}, u={cfg.u}")
-    return FlatConfig(cfg.d, cfg.q, cfg.gamma, v), _UNIT_CURVATURE
+    return FlatConfig(cfg.d, cfg.q, cfg.gamma, _reduced_radius(K, cfg.u)), _UNIT_CURVATURE
 
 
 @dataclass(frozen=True)
@@ -505,6 +524,8 @@ def _as_probability(value, error_estimate):
     if isinstance(value, float) and -slack <= value <= 1.0 + slack:
         return min(1.0, max(0.0, value))
     v = np.asarray(value, dtype=float)
+    if v.size and v.min() >= 0.0 and v.max() <= 1.0:  # false at nan
+        return float(v) if v.ndim == 0 else v
     inside = (v >= -slack) & (v <= 1.0 + slack)  # false at nan
     if not inside.all():
         i = np.unravel_index(np.argmin(inside), v.shape)
@@ -752,18 +773,15 @@ def _log_density(law: _UnitLaw, t) -> np.ndarray:
     taken out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
     so no power of order d multiplies a log of sinh t there.
 
-    A float t takes the one side of v it lies on, with no masks: the same
-    NumPy calls in the same order, so it equals the array path bit for bit.
+    The side of v is t > v, not log x < 0: at t = v the two forms differ by
+    more than rounding (I_x(a, 1/2) has a square-root edge at x = 1), and a
+    rounded log x may take either sign there.  _log_density_float is the
+    same terms in the same order at a float t.
     """
-    if isinstance(t, float):
-        ls_t = _log_sinh(t)
-        log_x = 2.0 * (law.log_sinh_v - ls_t)
-        head = _log_head(law, t)
-        return head + _log_past(law, ls_t, log_x) if log_x < 0.0 else _log_near(law, head, ls_t)
     t = np.asarray(t, dtype=float)
     ls_t = _log_sinh(t)
     log_x = np.minimum(0.0, 2.0 * (law.log_sinh_v - ls_t))
-    far = log_x < 0.0
+    far = t > law.v
     head = _log_head(law, t)
     n_far = np.count_nonzero(far)
     if n_far == far.size:
@@ -776,6 +794,32 @@ def _log_density(law: _UnitLaw, t) -> np.ndarray:
     out[near] = _log_near(law, out[near], ls_t[near])
     out[far] += _log_past(law, ls_t[far], log_x[far])
     return out
+
+
+def _log_density_float(law: _UnitLaw, t: float) -> float:
+    """_log_density at a float t > 0: the same terms in the same order, from
+    the math module and one scalar betainc (the series of
+    _log_incomplete_beta_tail where that is below _BETAINC_FLOOR).  NumPy's
+    log, exp, expm1 and log1p are not libm's, so the two paths agree to the
+    rounding of those terms, not bit for bit."""
+    g = law.cfg1.gamma
+    head = law.log_pref - _LOG2
+    if g:
+        head += g * (t + math.log1p(math.exp(-2.0 * t)) - _LOG2)
+    if t <= law.v:
+        head += law.betaln_ab
+        if law.m == 1:
+            return head
+        return head + (law.m - 1) * (t + math.log(-math.expm1(-2.0 * t)) - _LOG2)
+    a, ls_t = law.a, t + math.log(-math.expm1(-2.0 * t)) - _LOG2
+    log_x = min(0.0, 2.0 * (law.log_sinh_v - ls_t))
+    x = math.exp(log_x)
+    i = _betainc_float(a, law.b, x)
+    if i >= _BETAINC_FLOOR:
+        tail = math.log(i) + law.betaln_ab - a * log_x
+    else:
+        tail = float(_log_incomplete_beta_tail(a, law.b, law.betaln_ab, x, log_x))
+    return head + ((law.cfg1.q + 1) * law.log_sinh_v - (g + 2) * ls_t + tail)
 
 
 def _w_past(t, v):
@@ -826,16 +870,24 @@ def _past_knots(law: _UnitLaw, w_lo: float, w_hi: float, graded: bool) -> list:
     n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
     knots = list(np.linspace(w_lo, w_hi, n + 1)[1:-1])
     if graded:
-        # I_x(a, b) is about 1/2 where 1 - x, about 2 coth v (t - v), reaches
-        # b / (a + b): at s = s0, and w is about s there
-        s0 = math.sqrt(law.tanh_v * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
-        knots += [w_lo + h for h in _layer_knots(_LAYER_KNOT / s0, (w_hi - w_lo) / n)]
+        knots += [w_lo + h for h in _past_layer(law, (w_hi - w_lo) / n)]
     return knots
+
+
+def _past_layer(law: _UnitLaw, span: float) -> list:
+    """_layer_knots away from v, in w over span: at s0, 2 s0, 4 s0, ...,
+    s0^2 = tanh v (d-q) / (2 (d+1)).  I_x(a, b) is about 1/2 where 1 - x,
+    about 2 coth v (t - v), reaches b / (a + b): at s = s0, and w is about
+    s there."""
+    s0 = math.sqrt(law.tanh_v * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
+    return _layer_knots(_LAYER_KNOT / s0, span)
 
 
 def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                       alpha: float = 0.0) -> QuadResult:
-    """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi].
+    """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi]:
+    distance_cdf's, and a moment's where m + alpha < 2 (_moment_integral
+    takes the others).
 
     Below v the density is A B(a, b) sinh^(m-1) t cosh^gamma t, so the
     integrand is t^(m-1+alpha) E(t), E = A B(a, b) (sinh t / t)^(m-1)
@@ -858,7 +910,7 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     of magnitude below the true one; an absolute tolerance would accept that.
 
     So the first panels come from the law, each part's in one call of its
-    integrand, and they are built as distance_cdf_grid's are (_grid_panels).  Past
+    integrand, and they are built as the law's store is (_law_store).  Past
     v they are equal panels in w, _GRID_PANELS_PAST per unit of w: 12 for a
     moment, a few for a CDF just past v.  Where the part past v starts at v,
     its first panel is graded toward w = 0 too (_past_knots): at small v
@@ -901,58 +953,138 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
                       float(np.logaddexp.reduce([r.log_value for r in parts])))
 
 
-def _grid_panels(law: _UnitLaw, n: int):
-    """distance_cdf_grid's first panels, placed by the law and n alone: (lo, hi, far).
-
-    Below v, in t: _GRID_PANELS_BELOW equal panels on [0, v] and ends at
-    t = v - h toward the layer below it (_below_layer).  Past v, in w
-    (_w_past): n of the lattice's equal panels, _GRID_PANELS_PAST per unit
-    of w, on [0, n / _GRID_PANELS_PAST], the first graded toward w = 0
-    (_past_knots); none where n = 0.  far marks the panels past v; they
-    follow the others, and on each side the panels ascend.
-    """
-    v = law.v
-    near = sorted({v * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)}
-                  .union(v - h for h in _below_layer(law, v)))
-    past = [0.0]
-    if n:
-        w_max = n / _GRID_PANELS_PAST
-        past = sorted({0.0, w_max, *_past_knots(law, 0.0, w_max, True)})
-    p_near = len(near) - 1
-    return (np.array(near[:-1] + past[:-1]), np.array(near[1:] + past[1:]),
-            np.arange(p_near + len(past) - 1) >= p_near)
-
-
 def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndarray):
     """The Gauss-Kronrod panels [lo[i], hi[i]] of the unit-curvature density, in
     t below v and in w where far (those follow the others), from one call of
     the density integrand (_log_integrands): the nodes in w are mapped to t
     and the Jacobian is added to their logs.
 
-    Returns (values, errors, nodes, scale): each panel's integral and error
-    estimate in absolute units, and its node values at _XK over their
-    largest with the factor that makes the interpolant through them on
-    [-1, 1] the integrand on the panel (_gk_panels, _panel_scales).
+    Returns _gk_panels' (values, errors, log_nodes, log_scale) in log form
+    and the (n, 15) nodes t: each panel's integral and error estimate are values
+    and errors times exp(log_scale), and log_nodes are the logs of its node
+    values at _XK less their largest, so that exp(log_scale) times the
+    interpolant through exp(log_nodes) on [-1, 1] is the integrand on the
+    panel.  A grid takes them to absolute units (_absolute), a moment
+    weights them by t^alpha in log space (_moment_weigh).
     """
     log_g = _log_integrands(law)[0]
     k = _XK.size * np.count_nonzero(~far)  # the nodes below v come first
+    t = np.empty((lo.size, _XK.size))  # the nodes in t, as log_f receives them
 
     def log_f(x):
-        t, log_jacobian = _t_past(x[k:], law.v)
-        y = log_g(np.concatenate((x[:k], t)))
+        t_past, log_jacobian = _t_past(x[k:], law.v)
+        t.flat[:k], t.flat[k:] = x[:k], t_past
+        y = log_g(t.ravel())
         y[k:] += log_jacobian
         return y
 
-    vals, errs, nodes, log_scale = _gk_panels(log_f, lo, hi, True)
+    return (*_gk_panels(log_f, lo, hi, True), t)
+
+
+def _absolute(lo, hi, far, raw):
+    """_panel_integrals' panels in absolute units, as a grid holds them:
+    (values, errors, nodes, scale), the nodes over their largest,
+    QuadratureError where a scale overflows (_panel_scales)."""
+    vals, errs, log_nodes, log_scale = raw[:4]
     scale = _panel_scales(log_scale, lo, hi)
-    return vals * scale, errs * scale, nodes, scale
+    return vals * scale, errs * scale, np.exp(log_nodes), scale
 
 
-def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, depth: int = 1):
-    """The grid's panels with those marked in split cut at their midpoints, the
+def _law_store(law: _UnitLaw, tol: Tolerance):
+    """The law's first panels and the density's node values on them, memoised
+    with the law per tol: (lo, hi, far, raw, prefix), read-only.
+
+    Below v, in t: _GRID_PANELS_BELOW equal panels on [0, v] and ends at
+    t = v - h toward the layer below it (_below_layer).  Past v, in w
+    (_w_past): the whole lattice of _GRID_PANELS_PAST equal panels on [0, 1],
+    with ends at exactly k / _GRID_PANELS_PAST (_LATTICE), the first graded
+    toward w = 0 (_past_layer).  far marks the panels past v; they follow
+    the others, and on each side the panels ascend.  raw is
+    _panel_integrals' (values, errors, log_nodes, log_scale, t), all from
+    one call of the density integrand, and prefix[n] the number of panels that end at
+    or below the n-th lattice end: the first prefix[n] panels reach w = n /
+    _GRID_PANELS_PAST, and every grid's panels are such a prefix.
+
+    Nothing here is refined.  The grid (_grid_law) settles its prefix panel
+    by panel, and a moment (_moment_integral) refines against its own
+    total, each on copies: settling the whole lattice panel by panel would
+    halve the far panels in w, where the density falls like e^(-2 t), about
+    ten times for no grid and no moment.
+    """
+    key = (tol, "panels")
+    store = law.memo.get(key)
+    if store is None:
+        v = law.v
+        near = sorted({v * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)}
+                      .union(v - h for h in _below_layer(law, v)))
+        past = sorted({*_LATTICE, *_past_layer(law, _LATTICE[1])})
+        lo, hi = np.array(near[:-1] + past[:-1]), np.array(near[1:] + past[1:])
+        p_near = len(near) - 1
+        far = np.arange(lo.size) >= p_near
+        prefix = p_near + np.searchsorted(hi[p_near:], _LATTICE, side="right")
+        raw = _panel_integrals(law, lo, hi, far)
+        for y in (lo, hi, far, *raw, prefix):
+            y.flags.writeable = False
+        store = _remember(law, key, (lo, hi, far, raw, prefix))
+    return store
+
+
+def _moment_weigh(alpha: float):
+    """The map from _panel_integrals' panels to those of t^alpha times the
+    density: (values, errors, log_scale).  alpha log t is added to the log
+    node values, taken relative to their largest again, and summed
+    (_gk_sums): in log space, so neither factor's range within a panel can
+    underflow the other's mass."""
+    def weigh(lo, hi, far, raw):
+        y = raw[2] + alpha * np.log(raw[4])
+        top = y.max(axis=1)
+        top[top == -math.inf] = 0.0  # an empty panel: its log_scale is -inf already
+        return (*_gk_sums(np.exp(y - top[:, None])), raw[3] + top)
+    return weigh
+
+
+def _moment_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
+    """Integral of t^alpha times the unit-curvature density over [0, infinity]
+    where m + alpha >= 2, from the law's first panels (_law_store).
+
+    There t^(m-1+alpha) is at least t^1 at 0, and no change of variable is
+    needed below v (_density_integral's y = (t/v)^k serves m + alpha < 2).
+    The store's node values are weighted by t^alpha (_moment_weigh), and
+    while the summed error estimate misses tol's relative target the panels
+    whose error exceeds that target's share per panel are halved, all in one
+    call (_halve), in copies: the store is never changed.  Sums are kept in
+    units of the largest panel scale, so log_value is finite where value
+    underflows.
+    """
+    lo, hi, far, raw, _ = _law_store(law, tol)
+    weigh = _moment_weigh(alpha)
+    panels, evals = weigh(lo, hi, far, raw), _XK.size * lo.size
+    while True:
+        vals, errs, log_scale = panels
+        ref = float(log_scale.max())
+        if ref == -math.inf:  # every node value is 0
+            return QuadResult(0.0, 0.0, evals, True)
+        unit = np.exp(log_scale - ref)
+        total, total_err = math.fsum(vals * unit), math.fsum(errs * unit)
+        target = tol.rel_tol * total
+        if total_err <= target:
+            break
+        abs_errs = errs * unit
+        split = abs_errs > target / lo.size
+        split[np.argmax(abs_errs)] = True  # one at least, whatever the sums' rounding
+        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, weigh)
+        evals += 2 * _XK.size * np.count_nonzero(split)
+    log_value = ref + math.log(total)
+    value = _exp_or_raise(log_value, "the integral")
+    return QuadResult(value, value * (total_err / total), evals, True, log_value)
+
+
+def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh, depth: int = 1):
+    """The panels with those marked in split cut at their midpoints, the
     first at h/2^depth, ..., h/4, h/2 instead where depth > 1, h its end:
     (lo, hi, far, panels) as new arrays, the given ones untouched.  Only the
-    pieces are evaluated, all in one call (_panel_integrals).
+    pieces are evaluated, all in one call (_panel_integrals), and weigh
+    takes them to the caller's units (_absolute for a grid, _moment_weigh).
 
     QuadratureError where the panels would pass tol.max_subdivisions or a
     piece is too narrow for its nodes to lie inside it (_nodes_inside).
@@ -963,7 +1095,7 @@ def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, depth: int
         cuts = np.r_[np.ldexp(hi[0], -np.arange(depth, 0, -1)), cuts[1:]]
         owner = np.r_[np.zeros(depth, dtype=np.intp), at[1:]]
     if lo.size + cuts.size > tol.max_subdivisions:
-        raise QuadratureError(f"grid refinement exceeded {tol.max_subdivisions} panels")
+        raise QuadratureError(f"panel refinement exceeded {tol.max_subdivisions} panels")
     # each panel cut becomes its pieces, in place in the copies
     keep = np.sort(np.r_[np.arange(lo.size), owner])
     ends = owner + np.arange(cuts.size)  # the piece that each cut ends
@@ -972,22 +1104,23 @@ def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, depth: int
     new = np.zeros(lo.size, dtype=bool)
     new[ends] = new[ends + 1] = True
     if not _nodes_inside(lo[new], hi[new]).all():
-        raise QuadratureError("a grid panel misses the tolerance and is too narrow to halve")
+        raise QuadratureError("a panel misses the tolerance and is too narrow to halve")
     panels = tuple(y[keep] for y in panels)
-    for y, pieces in zip(panels, _panel_integrals(law, lo[new], hi[new], far[new])):
-        y[new] = pieces
+    pieces = weigh(lo[new], hi[new], far[new], _panel_integrals(law, lo[new], hi[new], far[new]))
+    for y, piece in zip(panels, pieces):
+        y[new] = piece
     return lo, hi, far, panels
 
 
 def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
-    """Halve (_halve) every panel whose error estimate misses tol's relative
-    target, all of them at once, until none does."""
+    """Halve (_halve) every grid panel whose error estimate misses tol's
+    relative target, all of them at once, until none does."""
     while True:
         vals, errs = panels[:2]
         split = errs > tol.rel_tol * np.abs(vals)
         if not split.any():
             return lo, hi, far, panels
-        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split)
+        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, _absolute)
 
 
 def _cdf_table(lo, hi, vals, errs, nodes, scale) -> np.ndarray:
@@ -1004,12 +1137,12 @@ def _cdf_table(lo, hi, vals, errs, nodes, scale) -> np.ndarray:
     return np.vstack((c.T, lo + half, inv_half, through))
 
 
-def _cdf_at(x, n_near, lo, far, table):
+def _cdf_at(x, n_near, lo, p_near, table):
     """The CDF and its error estimate at the ascending points x > 0, the first
     n_near in t (at most v) and the others in w, and the panel of each.
 
     A point's panel is found by bisection on the starts of the panels on its
-    side of v.  Its value is the sum of the panels before it plus its
+    side of v, the first p_near panels below it.  Its value is the sum of the panels before it plus its
     panel's scale times the antiderivative of the node interpolant
     (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
     in [-1, 1] (table, _cdf_table).  Its error estimate is the panel errors
@@ -1018,7 +1151,6 @@ def _cdf_at(x, n_near, lo, far, table):
     estimate, of the whole panel to a far higher degree than 14, says
     nothing of the interpolant inside it.
     """
-    p_near = np.count_nonzero(~far)
     row = np.empty(x.size, dtype=np.intp)
     row[:n_near] = np.searchsorted(lo[:p_near], x[:n_near], side="right") - 1
     row[n_near:] = p_near - 1 + np.searchsorted(lo[p_near:], x[n_near:], side="right")
@@ -1036,18 +1168,23 @@ def _cdf_at(x, n_near, lo, far, table):
 def _grid_law(law: _UnitLaw, tol: Tolerance, n: int):
     """The law's representation for grids whose last point lies in the n-th
     lattice panel past v (at or below v where n = 0), memoised with the law:
-    (lo, hi, far, panels, table), read-only.
+    (lo, hi, far, panels, table, p_near), read-only, p_near the number of
+    panels below v.
 
-    The first panels (_grid_panels), evaluated in one call (_panel_integrals)
-    and halved until each meets tol's relative target (_settle), with
-    _cdf_at's table (_cdf_table).  None of it depends on a point.
+    The store's first prefix[n] panels (_law_store), which evaluates nothing
+    when the store is warm, in absolute units (_absolute) and halved until
+    each meets tol's relative target (_settle), with _cdf_at's table
+    (_cdf_table).  None of it depends on a point.
     """
     key = (tol, "grid", n)
     entry = law.memo.get(key)
     if entry is None:
-        lo, hi, far = _grid_panels(law, n)
-        lo, hi, far, panels = _settle(law, tol, lo, hi, far, _panel_integrals(law, lo, hi, far))
-        entry = (lo, hi, far, panels, _cdf_table(lo, hi, *panels))
+        lo, hi, far, raw, prefix = _law_store(law, tol)
+        k = prefix[n]
+        lo, hi, far = lo[:k], hi[:k], far[:k]
+        panels = _absolute(lo, hi, far, tuple(y[:k] for y in raw))
+        lo, hi, far, panels = _settle(law, tol, lo, hi, far, panels)
+        entry = (lo, hi, far, panels, _cdf_table(lo, hi, *panels), int(np.count_nonzero(~far)))
         for y in (lo, hi, far, *panels, entry[4]):
             y.flags.writeable = False
         _remember(law, key, entry)
@@ -1090,19 +1227,23 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     """distance_cdf on an ascending 1-d grid, from one representation of the law.
 
     The representation is Gauss-Kronrod panels of the density placed by the
-    law alone (_grid_panels): below v always the same, past v the first n
-    panels of a lattice in w, n the fewest that reach the last point.  They
-    are evaluated in one call of the density integrand, halved where they
-    miss tol's relative target, and memoised with the law, per (tol, n)
-    (_grid_law): a repeated grid, or another sample of one configuration,
-    evaluates no panel.  Each point then takes the panels before it plus its
-    panel's node interpolant up to it (_cdf_at).  A point whose error
-    estimate misses the target halves the panel that holds it, or, near 0,
-    cuts the first panel at h/2, h/4, ... down past it, in copies of the
-    memoised panels: no point becomes a panel end, no panel is evaluated
-    twice in one call, and the memo never depends on a point.  Points below
-    _HEAD_EDGE take F's closed form there (_cdf_head).  A 128-point grid at
-    the benchmark's law configurations is 12 panels and one call, cold.
+    law alone: a prefix of the law's store of first panels (_law_store),
+    below v always the same, past v the first n panels of the lattice in w,
+    n the fewest that reach the last point.  The store is evaluated in one
+    call of the density integrand, shared with the moments and with grids
+    of any n; the prefix is halved where its panels miss tol's relative
+    target and memoised with the law, per (tol, n) (_grid_law): a repeated
+    grid, or another sample of one configuration, evaluates no panel.  Each
+    point then takes the panels before it plus its panel's node
+    interpolant up to it (_cdf_at): a warm grid is its input check, one
+    search per side of v, the Clenshaw sum and the range check.  A point
+    whose error estimate misses the target halves the panel that holds it,
+    or, near 0, cuts the first panel at h/2, h/4, ... down past it, in
+    copies of the memoised panels: no point becomes a panel end, no panel
+    is evaluated twice in one call, and the memo never depends on a point.
+    Points below _HEAD_EDGE take F's closed form there (_cdf_head).  At the
+    benchmark's law configurations the store is 16 panels, and a 128-point
+    grid reads 12 of them with no halving.
     QuadratureError is raised where a panel to halve is too narrow to halve
     in doubles, or where halving would take the panels past
     tol.max_subdivisions; leaving [0, 1] by more than the error estimates
@@ -1113,40 +1254,38 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         raise DomainError(f"deltas must be a 1-d sequence, got shape {deltas.shape}")
     # first >= 0, last finite and ascending: a NaN anywhere fails one of them
     if deltas.size and not (deltas[0] >= 0 and deltas[-1] < math.inf
-                            and (np.diff(deltas) >= 0).all()):
+                            and (deltas[1:] >= deltas[:-1]).all()):
         raise DomainError("deltas must be finite, ascending and >= 0")
     law = _unit_law(cfg, K)
     t = K.scale * deltas
-    value, err = np.zeros(t.shape), np.zeros(t.shape)
-    head = int(np.searchsorted(t, min(_HEAD_EDGE, law.v)))
+    edge = min(_HEAD_EDGE, law.v)
+    head = int(np.searchsorted(t, edge)) if t.size and t[0] < edge else 0
+    if head == t.size:
+        return _as_probability(_cdf_head(law, t), 0.0)
+    x = t[head:]  # in t up to v and in w past it
+    n_near = int(np.searchsorted(x, law.v, side="right"))
+    if n_near < x.size:
+        x[n_near:] = _w_past(x[n_near:], law.v)
+    # the fewest lattice panels past v that reach the last point
+    n = bisect.bisect_left(_LATTICE, x[-1]) if n_near < x.size else 0
+    lo, hi, far, panels, table, p_near = _grid_law(law, tol, n)
+    while True:
+        value, err, row = _cdf_at(x, n_near, lo, p_near, table)
+        miss = err > tol.rel_tol * np.abs(value)
+        if not miss.any():
+            break
+        split = np.zeros(lo.size, dtype=bool)
+        split[row[miss]] = True
+        depth = 1
+        if row[miss][0] == 0:
+            # F is 0 where the first panel starts: it is halved toward 0,
+            # all at once, until the least point missing lies past a half
+            depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
+        lo, hi, far, panels = _settle(
+            law, tol, *_halve(law, tol, lo, hi, far, panels, split, _absolute, depth))
+        table, p_near = _cdf_table(lo, hi, *panels), int(np.count_nonzero(~far))
     if head:
-        value[:head] = _cdf_head(law, t[:head])
-    if head < t.size:
-        t = t[head:]
-        n_near = int(np.searchsorted(t, law.v, side="right"))
-        x = t.copy()
-        x[n_near:] = _w_past(t[n_near:], law.v)
-        n = 0  # the fewest lattice panels past v that reach the last point
-        if n_near < x.size:
-            n = math.ceil(_GRID_PANELS_PAST * x[-1])
-            if n / _GRID_PANELS_PAST < x[-1]:  # 12 w rounded down onto n
-                n += 1
-        lo, hi, far, panels, table = _grid_law(law, tol, n)
-        while True:
-            value[head:], err[head:], row = _cdf_at(x, n_near, lo, far, table)
-            miss = err[head:] > tol.rel_tol * np.abs(value[head:])
-            if not miss.any():
-                break
-            split = np.zeros(lo.size, dtype=bool)
-            split[row[miss]] = True
-            depth = 1
-            if row[miss][0] == 0:
-                # F is 0 where the first panel starts: it is halved toward 0,
-                # all at once, until the least point missing lies past a half
-                depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
-            lo, hi, far, panels = _settle(law, tol,
-                                          *_halve(law, tol, lo, hi, far, panels, split, depth))
-            table = _cdf_table(lo, hi, *panels)
+        value, err = np.r_[_cdf_head(law, t[:head]), value], np.r_[np.zeros(head), err]
     return _as_probability(value, err)
 
 
@@ -1156,15 +1295,18 @@ def distance_density(cfg: FlatConfig, K: Curvature, delta,
 
     delta is a distance (the result is a float) or an array of them (the
     result is an array of the same shape).  A float, np.float64 included,
-    takes _log_density's float branch, with no array bookkeeping, and gives
-    the array call's value bit for bit.  Closed form from the memoised
+    takes _log_density_float, math calls and one scalar betainc with no array
+    bookkeeping; it agrees with the array call to the rounding of the log
+    density's terms (NumPy's log and exp are not libm's), and both pick the
+    side of v by comparing t with v.  Closed form from the memoised
     unit-curvature law (_unit_law), so tol is not used; it is accepted like
     everywhere else.
     """
     if isinstance(delta, float):
         if not 0.0 < delta < math.inf:
             raise DomainError(f"need finite delta > 0, got {delta}")
-        return float(K.scale * np.exp(_log_density(_unit_law(cfg, K), K.scale * delta)))
+        s = K.scale
+        return s * math.exp(_log_density_float(_unit_law(cfg, K), s * float(delta)))
     t = np.asarray(delta, dtype=float)
     if not ((t > 0) & (t < math.inf)).all():
         raise DomainError(f"need finite delta > 0, got {delta}")
@@ -1179,7 +1321,10 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     Divergence is decided by the analytic criterion: the unconditional
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
     alpha > gamma - q.  Quadrature only runs on the finite branch: one
-    integral over [0, infinity].  The conditional moment divides it by p
+    integral over [0, infinity], where m + alpha >= 2 a sum over the law's
+    store of first panels weighted by t^alpha (_moment_integral), which a
+    CDF grid shares, and below that an adaptive integral in y = (t/v)^k
+    below v (_density_integral).  The conditional moment divides it by p
     in log space, so it is finite where p underflows to 0.  Both integrals
     are memoised with the law, per tolerance (and alpha): a repeated moment
     evaluates no integrand.  A non-finite alpha raises DomainError.
@@ -1196,7 +1341,8 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     key = (tol, "moment", alpha)
     res = law.memo.get(key)
     if res is None:
-        res = _remember(law, key, _density_integral(law, 0.0, math.inf, tol, alpha))
+        res = _remember(law, key, _moment_integral(law, tol, alpha) if law.m + alpha >= 2.0
+                        else _density_integral(law, 0.0, math.inf, tol, alpha))
     if not conditional:
         return MomentResult(alpha, conditional, K.scale ** (-alpha) * res.value)
     log_p = _offset_radius_integral(cfg, K, tol, hit=True).log_value

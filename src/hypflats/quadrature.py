@@ -172,10 +172,11 @@ def _gk_panels(f, a, b, log_form):
     array.  Returns the arrays (values, errors, nodes, log_scale) in
     _gk_panel's units, with its checks on every panel: panel i's integral
     and error estimate are values[i] and errors[i] times exp(log_scale[i]).
-    nodes[i] are panel i's 15 node values at _XK, in log form divided by
-    their largest, so that there the integral over any part of the panel is
-    exp(log_scale[i]) times that of the interpolant through nodes[i] on
-    [-1, 1] (_panel_scales gives those factors).  Its NumPy calls on
+    nodes[i] are panel i's 15 node values at _XK; in log form their logs
+    less the largest (-inf where a value is 0), so that there the integral
+    over any part of the panel is exp(log_scale[i]) times that of the
+    interpolant through exp(nodes[i]) on [-1, 1] (_panel_scales gives those
+    factors), and weights may be added to them in log space.  Its NumPy calls on
     (n, 15) arrays cost about 2.5 times _gk_panel's scalar arithmetic at
     n = 1, so the adaptive loop, which bisects one panel at a time, keeps
     _gk_panel for its refinement.
@@ -195,26 +196,34 @@ def _gk_panels(f, a, b, log_form):
                 raise QuadratureError(f"non-finite log-integrand on [{a[i]}, {b[i]}]")
             # an empty panel's nodes are then 0, and its log_scale -inf
             m = np.where(m == -math.inf, 0.0, m)
-        vals = np.exp(y - m[:, None])
+        log_nodes = y - m[:, None]
         # a panel of width 0 (two abscissae that round to one) has log_scale -inf too
         with np.errstate(divide="ignore"):
             log_scale = log_scale + np.log(h)
-        kv, kg = (vals @ _WKG).T
-        k15, raw, resabs = kv, np.abs(kv - kg), kv
-        resasc = np.abs(vals - 0.5 * kv[:, None]) @ _WK
-    else:
-        if not np.isfinite(y).all():
-            i = int(np.argmax(~np.isfinite(y).all(axis=1)))
-            raise QuadratureError(f"non-finite integrand value on [{a[i]}, {b[i]}]")
-        log_scale = np.zeros_like(h)
-        vals = y
-        kv, kg = (vals @ _WKG).T
-        k15, raw, resabs = h * kv, h * np.abs(kv - kg), h * (np.abs(vals) @ _WK)
-        resasc = h * (np.abs(vals - 0.5 * kv[:, None]) @ _WK)
-    # QUADPACK-style sharpening of the raw Gauss/Kronrod difference,
-    # resasc min(1, (200 raw / resasc)^1.5), and 0 where resasc is 0
-    err = resasc * (np.minimum(200.0 * raw, resasc) / np.maximum(resasc, _TINY)) ** 1.5
-    return k15, np.maximum(err, _ROUNDOFF * resabs), vals, log_scale
+        return (*_gk_sums(np.exp(log_nodes)), log_nodes, log_scale)
+    if not np.isfinite(y).all():
+        i = int(np.argmax(~np.isfinite(y).all(axis=1)))
+        raise QuadratureError(f"non-finite integrand value on [{a[i]}, {b[i]}]")
+    kv, kg = (y @ _WKG).T
+    raw, resabs = h * np.abs(kv - kg), h * (np.abs(y) @ _WK)
+    resasc = h * (np.abs(y - 0.5 * kv[:, None]) @ _WK)
+    return h * kv, np.maximum(_sharpened(raw, resasc), _ROUNDOFF * resabs), y, np.zeros_like(h)
+
+
+def _sharpened(raw, resasc):
+    """QUADPACK-style sharpening of the raw Gauss/Kronrod difference,
+    resasc min(1, (200 raw / resasc)^1.5), and 0 where resasc is 0."""
+    return resasc * (np.minimum(200.0 * raw, resasc) / np.maximum(resasc, _TINY)) ** 1.5
+
+
+def _gk_sums(vals):
+    """The log-form sums of _gk_panels on the (n, 15) node values vals, each row
+    a panel's values at _XK in units of its scale, half-width included: the
+    Kronrod sums and their error estimates.  Any positive weights of the node
+    values (a moment's powers of t) may be applied before the call."""
+    kv, kg = (vals @ _WKG).T
+    resasc = np.abs(vals - 0.5 * kv[:, None]) @ _WK
+    return kv, np.maximum(_sharpened(np.abs(kv - kg), resasc), _ROUNDOFF * kv)
 
 
 def _panel_scales(log_scale, a, b):

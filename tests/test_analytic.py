@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,59 @@ CFG = FlatConfig(3, 2, 1, 1.0)
 K1 = Curvature(-1.0)
 
 
+EPS = np.finfo(float).eps
+
+# the density's configurations for its two paths (TestDistanceDensity)
+DENSITY_CONFIGS = [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
+                   (FlatConfig(1000, 999, 1, 1.0), K1), (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
+                   (FlatConfig(4, 3, 2, 0.8), K1), (FlatConfig(1000, 999, 998, 12.0), K1),
+                   (FlatConfig(4, 2, 0, 0.3), K1)]
+
+
+def density_points(cfg):
+    """28 distances: 22 up to 4u, u itself (t = v), u (1 -+ 1e-9) astride it,
+    30, u (1 + 1e-12), where I_x(a, b) is at its square-root edge, and 2.5 u."""
+    u = cfg.u
+    return np.append(np.linspace(0.01, 4.0 * u, 22),
+                     [u, u * (1.0 - 1e-9), u * (1.0 + 1e-9), 30.0, u * (1.0 + 1e-12), 2.5 * u])
+
+
+def log_density_rounding(law, t):
+    """A bound on the rounding error of the log density at reduced distance t.
+
+    Each term of _log_density is taken to one unit of rounding of its
+    magnitude, twice over: log 2, log_pref, log B(a, b), gamma log cosh t
+    and (m - 1) log sinh t below v; past v (q + 1) log sinh v, (gamma + 2)
+    log sinh t, log I_x and a log x instead of the last.  log sinh t's own
+    terms (t, log(1 - e^(-2t)), log 2) carry their rounding through each of
+    its coefficients, and past v through log x = 2 (log sinh v - log sinh t)
+    into log I_x - a log x, whose slope in log x is kappa - a,
+    kappa = x^a (1-x)^(b-1) / (B(a, b) I_x): large next to x = 1, where
+    I_x(a, 1/2) has a square-root edge.
+    """
+    from scipy.special import betainc
+
+    g, v, ln2 = law.cfg1.gamma, law.v, math.log(2.0)
+    log1m = math.log(-math.expm1(-2.0 * t))
+    ls_t = t + log1m - ln2
+    ls_err = t + abs(log1m) + ln2 + abs(ls_t)  # log sinh t's terms and its sum
+    terms = (abs(law.log_pref) + ln2 + abs(law.betaln_ab)
+             + g * (t + math.log1p(math.exp(-2.0 * t)) + ln2))
+    if t <= v:
+        return 2.0 * EPS * (terms + (law.m - 1) * ls_err)
+    a, b = law.a, law.b
+    log_x = min(0.0, 2.0 * (law.log_sinh_v - ls_t))
+    x = math.exp(log_x)
+    i = float(betainc(a, b, x))
+    kappa = 0.0
+    if 0.0 < x < 1.0 and i > 0.0:
+        kappa = math.exp(a * log_x + (b - 1.0) * math.log1p(-x) - law.betaln_ab) / i
+    log_x_err = 2.0 * (ls_err + abs(law.log_sinh_v)) + abs(log_x)
+    terms += ((law.cfg1.q + 1) * abs(law.log_sinh_v) + (g + 2) * ls_err
+              + (abs(math.log(i)) if i > 0.0 else 0.0) + a * abs(log_x))
+    return 2.0 * EPS * (terms + abs(kappa - a) * log_x_err)
+
+
 @pytest.fixture
 def integrand_calls(monkeypatch):
     # the node count of each call of an integrand of integrate_adaptive in analytic
@@ -67,6 +121,19 @@ def integrand_calls(monkeypatch):
 
 
 class TestCroftonConstant:
+    @pytest.mark.parametrize("u, K, v", [(1e-200, Curvature(-1e-300), "0.0"),
+                                         (1e-301, K1, "1e-301"),
+                                         (1e200, Curvature(-1e300), "inf")])
+    def test_reduced_radius_outside_the_domain_names_K_and_u(self, u, K, v):
+        # the configurations' own check: sqrt(-K) u underflows to 0, lies
+        # below 1e-300 or overflows
+        match = re.escape(f"need 1e-300 <= sqrt(-K) u < inf, got sqrt(-K) u = {v} "
+                          f"at K={K.K}, u={u}") + "$"
+        with pytest.raises(DomainError, match=match):
+            log_crofton_constant(3, 1, u, K)
+        with pytest.raises(DomainError, match=match):
+            reduce_to_unit_curvature(FlatConfig(3, 2, 1, u), K)
+
     def test_flat_space_closed_form(self):
         # omega_{d-k} u^{d-k} / (d-k)
         val = crofton_constant(3, 1, 2.0, Curvature(0.0))
@@ -486,39 +553,51 @@ class TestDistanceDensity:
 
     # gamma = 0 at (5,3,0); m = 1, no power of sinh t, at (4,3,2); the series
     # below betainc's floor at (1000,999,998, v=12), where delta = 30 has
-    # I_x(500, 1/2) < 1e-200; at (4,2,0, v=0.3) log x is exactly 0 at t = v,
-    # where the two sides' forms differ in the last bit
-    @pytest.mark.parametrize("cfg, K", [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
-                                        (FlatConfig(1000, 999, 1, 1.0), K1),
-                                        (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
-                                        (FlatConfig(4, 3, 2, 0.8), K1),
-                                        (FlatConfig(1000, 999, 998, 12.0), K1),
-                                        (FlatConfig(4, 2, 0, 0.3), K1)])
+    # I_x(500, 1/2) < 1e-200; at (4,2,0, v=0.3) log x is exactly 0 at t = v
+    @pytest.mark.parametrize("cfg, K", DENSITY_CONFIGS)
     def test_array_is_the_scalar_calls(self, cfg, K):
-        # delta = u is t = v exactly; odd entries go in as np.float64
-        deltas = np.append(np.linspace(0.01, 4.0 * cfg.u, 22), [cfg.u, 30.0]).reshape(4, 6)
-        f = distance_density(cfg, K, deltas, TOL)
-        assert f.shape == deltas.shape
-        np.testing.assert_array_equal(
-            f, [[distance_density(cfg, K, x if j % 2 else float(x), TOL)
-                 for j, x in enumerate(row)] for row in deltas])
+        # the float path is math calls, the array path NumPy's: they agree to
+        # the rounding of the log density's terms, and the density's exp and
+        # scale add a few units more (and a few subnormal units where the
+        # density underflows, at d = 1000).  delta = u is t = v exactly, where
+        # both take the side below v; odd entries go in as np.float64
+        deltas = density_points(cfg)
+        f = distance_density(cfg, K, deltas.reshape(4, 7), TOL)
+        assert f.shape == (4, 7)
+        law = analytic._unit_law(cfg, K)
+        for j, (x, got) in enumerate(zip(deltas.tolist(), f.ravel())):
+            scalar = distance_density(cfg, K, np.float64(x) if j % 2 else x, TOL)
+            bound = log_density_rounding(law, K.scale * x) + 4.0 * EPS
+            assert abs(scalar - got) <= bound * got + 4.0 * math.ulp(0.0), x
         assert type(distance_density(cfg, K, 0.5, TOL)) is float
         assert type(distance_density(cfg, K, np.float64(0.5), TOL)) is float
+
+    @pytest.mark.parametrize("cfg, K", DENSITY_CONFIGS)
+    def test_both_paths_match_the_oracle(self, cfg, K):
+        # each path is within the rounding of its terms of the mpmath density
+        law = analytic._unit_law(cfg, K)
+        t = K.scale * density_points(cfg)
+        array = analytic._log_density(law, t)
+        for x, got in zip(t.tolist(), array):
+            ref = log_density_oracle(cfg.d, cfg.q, cfg.gamma, law.v, x)
+            bound = log_density_rounding(law, x)
+            assert abs(got - ref) <= bound, x
+            assert abs(analytic._log_density_float(law, x) - ref) <= bound, x
 
     def test_float_takes_betainc_only_past_v(self, monkeypatch):
         calls = []
 
         def spy(a, b, x):
-            calls.append(np.ndim(x))
+            calls.append(type(x))
             return betainc(a, b, x)
 
-        betainc = analytic.betainc
+        betainc = analytic._betainc_float
         distance_density(CFG, K1, 0.5, TOL)  # the law is built before the spy
-        monkeypatch.setattr(analytic, "betainc", spy)
+        monkeypatch.setattr(analytic, "_betainc_float", spy)
         distance_density(CFG, K1, 0.5, TOL)
         assert calls == []
         distance_density(CFG, K1, 1.5, TOL)
-        assert calls == [0]
+        assert calls == [float]
 
 
 class TestMoment:
@@ -567,6 +646,9 @@ class TestMoment:
             COND_MEAN_MPMATH[key], rel=1e-15, abs=0.0)
 
     def test_is_one_integral_to_infinity(self, monkeypatch):
+        # where m + alpha >= 2 a moment is one sum over the law's store of first
+        # panels, which reach w = 1, t = infinity; below that it is one
+        # adaptive integral over [0, infinity], in y = (t/v)^k below v
         calls = []
 
         def spy(law, lo, hi, tol, alpha=0.0):
@@ -575,9 +657,30 @@ class TestMoment:
 
         density_integral = analytic._density_integral
         monkeypatch.setattr(analytic, "_density_integral", spy)
-        moment(CFG, K1, 1.0, True, TOL)
-        moment(CFG, K1, -0.5, False, TOL)
-        assert calls == [(0.0, math.inf)] * 2
+        moment(CFG, K1, 1.0, True, TOL)  # m + alpha = 2
+        lo, hi, far = analytic._law_store(analytic._unit_law(CFG, K1), TOL)[:3]
+        assert calls == [] and lo[0] == 0.0 and hi[-1] == 1.0 and far[-1]
+        moment(CFG, K1, -0.5, False, TOL)  # m + alpha = 1/2
+        assert calls == [(0.0, math.inf)]
+
+    @pytest.mark.parametrize("d, q, g, v, calls", [(600, 300, 0, 4.0, 3),
+                                                   (533, 512, 509, 3.04e-5, 3)])
+    def test_cold_conditional_mean_integrand_calls(self, d, q, g, v, calls, monkeypatch,
+                                                   integrand_calls):
+        # the store (one call), one round of halving against the moment's own
+        # total (one call) and p (one call), where the adaptive density
+        # integral took 7 and 13
+        panels = []
+
+        def spy(law, lo, hi, far):
+            panels.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        got = moment(FlatConfig(d, q, g, v), K1, 1.0, True, TOL).value
+        assert len(panels) + len(integrand_calls) == calls
+        assert got == pytest.approx(conditional_mean_mp_oracle(d, q, g, v), rel=1e-9, abs=0.0)
 
     def test_conditional_beyond_the_largest_double_raises(self):
         # the integral of t^300 f(t) is a double; divided by p = e^-994.5 it is not
@@ -980,8 +1083,10 @@ class TestUnitLaw:
         assert betainc(500.0, 0.5, x) < 1e-200  # the hypergeometric series
         scalar = distance_density(cfg, K1, 30.0, TOL)
         assert type(scalar) is float and scalar > 0.0
-        assert scalar == distance_density(cfg, K1, np.array([30.0]), TOL)[0]
-        assert scalar == distance_density(cfg, K1, np.array([6.0, 30.0, 60.0]), TOL)[1]
+        bound = log_density_rounding(analytic._unit_law(cfg, K1), 30.0) + 4.0 * EPS
+        for array in (distance_density(cfg, K1, np.array([30.0]), TOL)[0],
+                      distance_density(cfg, K1, np.array([6.0, 30.0, 60.0]), TOL)[1]):
+            assert abs(scalar / array - 1.0) <= bound
 
     def test_same_values_with_a_cold_cache(self, radial_mass_calls):
         deltas = np.linspace(0.1, 4.0, 7)
@@ -1010,6 +1115,8 @@ class TestLawMemo:
                 moment(CFG, K1, 1.0, True, TOL).value]
 
     def test_warm_calls_evaluate_nothing_and_equal_cold_ones(self, monkeypatch):
+        # both grids (the samples reach the eighth lattice panel, as the
+        # 128-point grid does) and the moment read one store of first panels
         samples = estimate_samples(CFG, K1, 5000)
         cold = self.values(samples)
         calls = []
@@ -1029,9 +1136,10 @@ class TestLawMemo:
         # clearing the laws drops their memos: the next calls are cold again
         analytic._unit_law.cache_clear()
         again = self.values(samples)
-        grids = [key for key in analytic._unit_law(CFG, K1).memo if key[1] == "grid"]
-        assert calls.count("_panel_integrals") == len(grids)  # one per lattice, shared
-        assert calls.count("integrate_adaptive") == 4  # p, the atom, the moment's two parts
+        kinds = sorted(key[1:] for key in analytic._unit_law(CFG, K1).memo)
+        assert kinds == [("grid", 8), ("hit",), ("miss",), ("moment", 1.0), ("panels",)]
+        assert calls.count("_panel_integrals") == 1  # the store, shared
+        assert calls.count("integrate_adaptive") == 2  # p and the atom
         for c, w, a in zip(cold, warm, again):
             np.testing.assert_array_equal(w, c)
             np.testing.assert_array_equal(a, c)
@@ -1045,22 +1153,39 @@ class TestLawMemo:
 
     def test_memoised_arrays_are_read_only(self):
         distance_cdf_grid(CFG, K1, [0.5, 3.0], TOL)
-        (entry,) = analytic._unit_law(CFG, K1).memo.values()
-        for y in (*entry[:3], *entry[3], entry[4]):
+        store, grid = analytic._unit_law(CFG, K1).memo.values()
+        for y in (*store[:3], *store[3], store[4], *grid[:3], *grid[3], grid[4]):
             assert not y.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 y[0] = y[0]
 
-    def test_a_grid_is_placed_by_its_last_point_alone(self):
-        # grids whose last points lie in the same lattice panel past v share
-        # one entry; t = 2 is w = 1/2, the end of the sixth; a grid that ends
-        # below v needs no panel past it
+    def test_a_grid_is_placed_by_its_last_point_alone(self, monkeypatch):
+        # every grid's panels are a prefix of the law's store, evaluated once:
+        # the first n lattice panels past v, n placed by the last point alone
+        # (t = 2 is w = 1/2, the end of the sixth), none for a grid that ends
+        # below v.  The lattice ends are exactly k / 12 in every prefix
+        calls = []
+
+        def spy(law, lo, hi, far):
+            calls.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
         for deltas in ([0.5, 2.1], [0.1, 1.5, 2.2], [2.0], [0.5, 0.9]):
             distance_cdf_grid(CFG, K1, deltas, TOL)
         w = [analytic._w_past(t, 1.0) for t in (2.1, 2.2, 2.0)]
         assert [12 * x for x in w] == pytest.approx([6.14, 6.27, 6.0], abs=0.01)
-        grids = [k[1:] for k in analytic._unit_law(CFG, K1).memo]
-        assert grids == [("grid", 7), ("grid", 6), ("grid", 0)]
+        memo = analytic._unit_law(CFG, K1).memo
+        assert [k[1:] for k in memo] == [("panels",), ("grid", 7), ("grid", 6), ("grid", 0)]
+        assert len(calls) == 1
+        lo, hi, far = memo[TOL, "panels"][:3]
+        assert hi[far].tolist()[1:] == [k / 12 for k in range(2, 13)]
+        for n in (7, 6, 0):
+            grid = memo[TOL, "grid", n]
+            k = grid[0].size
+            np.testing.assert_array_equal(grid[0], lo[:k])
+            assert grid[1][-1] == (n / 12 if n else 1.0) and far[:k].sum() == grid[2].sum()
 
     def test_points_that_halve_panels_leave_the_memo_alone(self, monkeypatch):
         # the points of this grid miss the tolerance until panels holding them
@@ -1070,7 +1195,8 @@ class TestLawMemo:
         deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
         law = analytic._unit_law(cfg, K1)
         first = distance_cdf_grid(cfg, K1, deltas, TOL)
-        (key, entry), = law.memo.items()
+        memo = dict(law.memo)  # the store and the grid's entry
+        assert [k[1] for k in memo] == ["panels", "grid"]
         panels = []
 
         def spy(law, lo, hi, far):
@@ -1081,7 +1207,41 @@ class TestLawMemo:
         monkeypatch.setattr(analytic, "_panel_integrals", spy)
         np.testing.assert_array_equal(distance_cdf_grid(cfg, K1, deltas, TOL), first)
         assert len(panels) == 1  # only the halves, from the memoised panels
-        assert list(law.memo) == [key] and law.memo[key] is entry
+        assert list(law.memo) == list(memo)
+        assert all(law.memo[k] is entry for k, entry in memo.items())
+
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS[:3] + [(FlatConfig(40, 39, 38, 6.0), K1)])
+    def test_grid_and_moment_are_the_same_in_either_order(self, cfg, K, monkeypatch):
+        # a cold grid then a moment, a cold moment then a grid, and a cold
+        # recompute: bit for bit the same, and each panel evaluated once
+        deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
+        evaluated = []
+
+        def spy(law, lo, hi, far):
+            evaluated.extend(zip(lo.tolist(), hi.tolist()))
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+
+        def cold(grid_first):
+            analytic._unit_law.cache_clear()
+            evaluated.clear()
+            if grid_first:
+                grid = distance_cdf_grid(cfg, K, deltas, TOL)
+                mean = moment(cfg, K, 1.0, True, TOL).value
+            else:
+                mean = moment(cfg, K, 1.0, True, TOL).value
+                grid = distance_cdf_grid(cfg, K, deltas, TOL)
+            assert len(set(evaluated)) == len(evaluated)
+            lo, hi = analytic._law_store(analytic._unit_law(cfg, K), TOL)[:2]
+            assert set(zip(lo.tolist(), hi.tolist())) <= set(evaluated)
+            return grid, mean
+
+        runs = [cold(True), cold(False), cold(True)]
+        for grid, mean in runs[1:]:
+            np.testing.assert_array_equal(grid, runs[0][0])
+            assert mean == runs[0][1]
 
 
     def test_threads_sharing_a_full_memo_read_the_same_values(self, monkeypatch):
@@ -1411,10 +1571,13 @@ class TestGuards:
     def test_cdf_grid_checks_its_range(self, monkeypatch):
         # a constant density c below v = 1, so that F(t) = c t, on every panel
         # with error estimates 5e-10 times the panel's value
+        # in _panel_integrals' log form: node values 1 on scales |c| (hi - lo) / 2,
+        # so values 2 sign(c) and error estimates 1e-9; each point below is at
+        # the end of a panel, where only the panel values count
         def panels(c):
             def panel_integrals(law, lo, hi, far):
-                return (c * (hi - lo), 5e-10 * abs(c) * (hi - lo), np.ones((lo.size, 15)),
-                        0.5 * c * (hi - lo))
+                return (np.full(lo.size, math.copysign(2.0, c)), np.full(lo.size, 1e-9),
+                        np.zeros((lo.size, 15)), np.log(0.5 * abs(c) * (hi - lo)))
             return panel_integrals
 
         # the law memoises its panels, so each patch starts from a fresh law

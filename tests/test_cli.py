@@ -498,16 +498,26 @@ class TestSimulate:
         assert law.misses == 1
         assert law.hits >= 2
 
-    def test_seeds_share_one_grid_entry(self, capsys):
-        # the CDF grid's panels are placed by the law and the last sample's
-        # lattice panel past v, so two runs of one configuration share them,
-        # with p and the atom
-        for seed in ("1", "2"):
-            code, _, _ = invoke(capsys, "simulate", *BASE, "--trials", "5000", "--seed", seed)
+    def test_seeds_share_one_grid_entry(self, capsys, monkeypatch):
+        # the CDF grids of runs of one configuration are prefixes of one store
+        # of the law's first panels, placed by the law alone: six seeds
+        # evaluate each first panel once in all, and share it with p and the
+        # atom; each last sample's lattice panel past v has a grid entry
+        evaluated = []
+
+        def spy(law, lo, hi, far):
+            evaluated.extend(zip(lo.tolist(), hi.tolist()))
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        for seed in range(1, 7):
+            code, _, _ = invoke(capsys, "simulate", *BASE, "--trials", "5000", "--seed", str(seed))
             assert code == EXIT_OK
+        assert len(set(evaluated)) == len(evaluated)
         law = analytic._unit_law(FlatConfig(3, 2, 1, 1.0), Curvature(-1.0))
         kinds = [k[1] for k in law.memo]
-        assert sorted(kinds) == ["grid", "hit", "miss"]
+        assert kinds.count("panels") == 1 and set(kinds) == {"grid", "hit", "miss", "panels"}
 
     def test_no_hits_is_valid_json(self, capsys):
         # p is 1.8e-39 here: nothing hits and there is no KS statistic
