@@ -20,8 +20,9 @@ the closed-form density
 
 m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
-R the radial mass below, as in p (_log_density, in log space; a float t
-takes the same terms from the math module, _log_density_float).  The CDF
+R the radial mass below, as in p (_log_density, in log space and relative
+to v as p is; a float t takes the same terms from the math module,
+_log_density_float).  The CDF
 and the moments are 1-d integrals of it, in t (or y = (t/v)^k) below v
 and in w = s/(1+s), s = sqrt(t - v), past v: a moment is one integral to
 infinity.  Their first panels come from the law: equal in w past v
@@ -49,13 +50,15 @@ The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
 (_offset_radius_integral): rho has the radial-mass law, and given rho the
 flats meet with a probability that is a regularized incomplete beta
-function of sech^2 rho.  They are taken in h = v - rho, relative to their
-values at v: each node's log is a difference of logs of sinh and cosh that
-cancels nothing, and the large powers of sinh v and cosh v meet those of
-the radial mass once, in closed form, so no log near d v rounds in them.
-Their mass lies in a layer about 1/d wide below v at large d, so their
-first panels are graded toward it, h = 2, 4, 8, ... over the integrand's
-log-slope at v, and all of them take one call of the integrand.
+function of sech^2 rho.  They, the density, the CDF and the moments are
+taken relative to v: each log-integrand is a constant of the law plus
+multiples of log sinh t - log sinh v and log cosh t - log cosh v, which
+cancel nothing (_log_ratios_at_v), and the large powers of sinh v and
+cosh v meet the radial mass's once, in that constant, so no log near d v
+rounds in them.  p's and the atom's run in h = v - rho; their mass lies
+in a layer about 1/d wide below v at large d, so their first panels are
+graded toward it, h = 2, 4, 8, ... over the integrand's log-slope at v,
+and all of them take one call of the integrand.
 
 The radial mass log_radial_mass(d, m, v), the log of the integral of
 sinh^(m-1) t cosh^(d-m) t over [0, v], normalises the offset-radius law, the
@@ -169,6 +172,7 @@ class PhaseMode:
 
 
 _BETAINC_FLOOR = 1e-200
+_TINY = float(np.finfo(float).tiny)
 # the least reduced radius sqrt(-K) u: at v = 1e-307 a 128-point CDF grid at
 # (1000, 999, 2) overflows a panel's inverse half-width next to 0
 _MIN_REDUCED_RADIUS = 1e-300
@@ -225,19 +229,11 @@ def _antiderivative_matrix() -> np.ndarray:
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
 
-def _log_cosh(x):
-    return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
-
-
 def _log_sinhc(t):
     """log(sinh t / t) for t >= 0, 0 at t = 0: log(-expm1(-2t) / 2t) + t, with no
     cancellation of log t where t is small."""
-    t = np.maximum(t, np.finfo(float).tiny)
+    t = np.maximum(t, _TINY)
     return t + np.log(-np.expm1(-2.0 * t) / (2.0 * t))
-
-
-def _log_sinh(t):
-    return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
 def _log_sinh_cosh(v: float) -> tuple[float, float]:
@@ -447,10 +443,11 @@ class _UnitLaw:
     a = (q+1)/2, b = (d-q)/2, a1 = (gamma+1)/2; betaln_ab is log B(a, b),
     the density's, and betaln_a1b is log B(a1, b) = log B(b, a1), that of
     p's and the atom's integrands; log_pref is log(2 / (B(a1, b) R)), R the
-    radial mass: p's normalisation, and the density's prefactor
-    A = B(a, b) exp(log_pref) / 2.  hit_offset and miss_offset are the logs
-    of the offset-radius integrands' powers at v over R's, with R's factor
-    and B(a1, b) (_offset_radius_integral).
+    radial mass, the CDF's closed-form head's (_cdf_head).  hit_offset and
+    miss_offset are the logs of the offset-radius integrands' powers at v
+    over R's, with R's factor and B(a1, b) (_offset_radius_integral), and
+    hit_offset the density's too; e2v = e^(-2v), sinh_div = 1 - e2v and
+    cosh_div = -(1 + e2v) serve _log_ratios_at_v.
     """
 
     cfg1: FlatConfig  # the configuration at K = -1, ball radius v
@@ -460,9 +457,11 @@ class _UnitLaw:
     a: float
     b: float
     a1: float
-    log_sinh_v: float
     log_cosh_v: float
     log_tanh_v: float
+    e2v: float
+    sinh_div: float
+    cosh_div: float
     betaln_ab: float
     betaln_a1b: float
     log_R: float
@@ -507,9 +506,10 @@ def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
         return math.fsum(_log_power_terms(n1 - m, n2 - (d - m - 1), v, log_sinh, log_cosh)
                          + [-log_R_factor, -betaln_a1b])
 
-    # log tanh v = log(-expm1(-2v)) - log1p(e^(-2v)): no cancellation at large v
-    log_tanh = math.log(-math.expm1(-2.0 * v)) - math.log1p(math.exp(-2.0 * v))
-    return _UnitLaw(cfg1, v, math.tanh(v), m, a, b, a1, log_sinh, log_cosh, log_tanh,
+    e2v, sinh_div = math.exp(-2.0 * v), -math.expm1(-2.0 * v)
+    # log tanh v = log(1 - e^(-2v)) - log1p(e^(-2v)): no cancellation at large v
+    return _UnitLaw(cfg1, v, math.tanh(v), m, a, b, a1, log_cosh,
+                    math.log(sinh_div) - math.log1p(e2v), e2v, sinh_div, -(1.0 + e2v),
                     betaln_ab, betaln_a1b, log_R, _LOG2 - betaln_a1b - log_R,
                     offset(m - 1, g), offset(q, d - q - 1))
 
@@ -552,6 +552,25 @@ def _layer_knots(slope: float, span: float) -> list:
     return knots
 
 
+def _log_ratios_at_v(law: _UnitLaw, h, past: bool = False, sinh: bool = True):
+    """(log sinh t - log sinh v, log cosh t - log cosh v) at t = v - h, elementwise,
+    the first None unless sinh: every log-integrand of the law is a constant
+    at v plus multiples of these.
+
+        log sinh t - log sinh v = -h + log1p(E M / (1 - e^(-2v))),
+        log cosh t - log cosh v = -h + log1p(-E M / (1 + e^(-2v))),
+
+    E M = e^(-2v) - e^(-2t), leave nothing to cancel.  E M is e^(-2t) expm1(-2h)
+    where h >= 0, at least -(1 - e^(-2v)), so the first log1p is -inf at
+    t = 0, never nan; past v (every h < 0) it is -e^(-2v) expm1(2h), in
+    (0, e^(-2v)), so nothing overflows however far t lies.
+    """
+    em = (-law.e2v * np.expm1(2.0 * h) if past
+          else np.exp(2.0 * (h - law.v)) * np.expm1(-2.0 * h))
+    return (np.log1p(em / law.sinh_div) - h if sinh else None,
+            np.log1p(em / law.cosh_div) - h)
+
+
 def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
                             hit: bool) -> QuadResult:
     """P(the flats meet) if hit, else P(they miss), as one integral over the offset radius.
@@ -578,15 +597,9 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     Both are log-form integrals in h = v - rho, relative to their values
     at v: at large d their logs are sums of terms near d v (or, at small v,
     near d log v), whose rounding alone would cost 1e-12 of p at d = 1000.
-    With E = e^(-2 rho) and M = expm1(-2h) <= 0,
-
-        log sinh rho - log sinh v = -h + log1p(E M / -expm1(-2v)),
-        log cosh rho - log cosh v = -h + log1p(-E M / (1 + e^(-2v))),
-
-    the differences of Ls(t) = log(-expm1(-2t)) and of Lc(t) = log1p(e^(-2t))
-    at rho and at v, with nothing left to cancel.  The powers at v, over
-    R's leading power and with R's factor and the beta function, are the
-    integral's log_offset (_UnitLaw.hit_offset, miss_offset).
+    A node's log is a sum of multiples of log sinh rho - log sinh v and of
+    log cosh rho - log cosh v (_log_ratios_at_v); the powers at v over R's
+    leading power, with R's factor and B(a', b), are the log_offset.
 
     The mass lies in a layer about 1/lambda wide below v, lambda the
     integrand's log-slope at v ((m-1) coth v + (gamma+a') tanh v for the
@@ -606,19 +619,10 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
     if memo is not None:
         return memo
     d, q, g, m, b, a1, v = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.b, law.a1, law.v
-    e = math.exp(-2.0 * v)
-    sinh_div, cosh_div = -math.expm1(-2.0 * v), -(1.0 + e)
-
-    def em_of(h):
-        # E M >= expm1(-2v) where h <= v, so E M / -expm1(-2v) >= -1: its
-        # log1p is -inf at rho = 0 and never nan
-        return np.exp(2.0 * (h - v)) * np.expm1(-2.0 * h)
 
     def log_hit(h):
-        em = em_of(h)
-        dlc = np.log1p(em / cosh_div) - h  # log cosh rho - log cosh v
+        dls, dlc = _log_ratios_at_v(law, h, sinh=m > 1 or g == 0)
         log_x = -2.0 * (dlc + law.log_cosh_v)  # log sech^2 rho
-        dls = np.log1p(em / sinh_div) - h if m > 1 or g == 0 else None
         if g:
             out = _log_incomplete_beta_tail(b, a1, law.betaln_a1b, np.exp(log_x), log_x)
         else:
@@ -638,8 +642,7 @@ def _offset_radius_integral(cfg: FlatConfig, K: Curvature, tol: Tolerance,
         return out + (m - 1) * dls if m > 1 else out
 
     def log_miss(h):
-        em = em_of(h)
-        dls, dlc = np.log1p(em / sinh_div) - h, np.log1p(em / cosh_div) - h
+        dls, dlc = _log_ratios_at_v(law, h)
         log_y = 2.0 * (dls - dlc + law.log_tanh_v)  # log tanh^2 rho
         out = q * dls + (d - q - 1) * dlc
         # the nodes with y > 1/2 where 1 - I_x(b, a') is not deep in its tail
@@ -735,91 +738,82 @@ def _log_lower_gamma_tail(a: float, c):
     p = gammainc(a, c)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(p) + gammaln(a) - a * np.log(c)
-    under = p < np.finfo(float).tiny
+    under = p < _TINY
     if under.any():
         cu = c[under]
         out[under] = -cu - math.log(a) + np.log(hyp1f1(1.0, a + 1.0, cu))
     return out
 
 
-def _log_head(law: _UnitLaw, t):
-    """log(A cosh^gamma t / B(a, b)), the density's factor on both sides of v (_log_density)."""
-    head = law.log_pref - _LOG2
-    g = law.cfg1.gamma
-    return head + g * _log_cosh(t) if g else head
-
-
-def _log_near(law: _UnitLaw, head, ls_t):
-    """head plus log(B(a, b) sinh^(m-1) t), the log density for t <= v, ls_t = log sinh t;
-    at m = 1 the power of sinh t is 0 and sinh^0 = 1, also at t = 0."""
-    head = head + law.betaln_ab
-    return head + (law.m - 1) * ls_t if law.m > 1 else head
-
-
-def _log_past(law: _UnitLaw, ls_t, log_x):
-    """log(sinh^(q+1) v / sinh^(gamma+2) t B_x(a, b) / x^a), the log density for t > v
-    less _log_head, ls_t = log sinh t, log_x = log x < 0."""
-    q, g = law.cfg1.q, law.cfg1.gamma
-    return ((q + 1) * law.log_sinh_v - (g + 2) * ls_t
-            + _log_incomplete_beta_tail(law.a, law.b, law.betaln_ab, np.exp(log_x), log_x))
-
-
 def _log_density(law: _UnitLaw, t) -> np.ndarray:
     """log of the distance density at unit curvature, elementwise on reduced distances t > 0.
 
-    f(t) = A sinh^(m-1) t cosh^gamma t I_x(a, b), m = q - gamma,
-    a = (q+1)/2, b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t),
-    A = B(a, b) exp(law.log_pref) / 2.  For t > v the factor x^a of I_x is
-    taken out and merged with sinh^(m-1) t into sinh^(q+1) v / sinh^(gamma+2) t,
-    so no power of order d multiplies a log of sinh t there.
+    f(t) = A sinh^(m-1) t cosh^gamma t I_x(a, b), m = q - gamma, a = (q+1)/2,
+    b = (d-q)/2, x = min(1, sinh^2 v / sinh^2 t), A = B(a, b) / (B(a1, b) R):
+    p's hit integrand's powers times B(a, b) I_x(a, b) / B(a1, b).  So, with
+    p's constant at v (hit_offset) and Dls, Dlc from _log_ratios_at_v, h = v - t,
 
-    The side of v is t > v, not log x < 0: at t = v the two forms differ by
-    more than rounding (I_x(a, 1/2) has a square-root edge at x = 1), and a
-    rounded log x may take either sign there.  _log_density_float is the
-    same terms in the same order at a float t.
+        t <= v:  hit_offset + log B(a, b) + (m-1) Dls + gamma Dlc,
+        t > v:   hit_offset + gamma Dlc - (gamma+2) Dls + log(B_x(a, b) / x^a),
+
+    log x = -2 Dls: past v x^a is taken out of I_x.  No term near d v
+    rounds.  Below v Dls is -h + log(-expm1(-2t) / (1 - e^(-2v))), from t:
+    the kernel's form, from h alone, loses t's low digits where t << v.  The
+    side of v is t > v, not log x < 0: the two forms differ by more than
+    rounding at t = v (I_x(a, 1/2) has a square-root edge at x = 1).
+    _log_density_float is the same terms in the same order at a float t.
     """
     t = np.asarray(t, dtype=float)
-    ls_t = _log_sinh(t)
-    log_x = np.minimum(0.0, 2.0 * (law.log_sinh_v - ls_t))
-    far = t > law.v
-    head = _log_head(law, t)
+    h = law.v - t
+    far = h < 0.0
     n_far = np.count_nonzero(far)
-    if n_far == far.size:
-        return head + _log_past(law, ls_t, log_x)
-    if not n_far:
-        out = _log_near(law, head, ls_t)
-        return out if law.m > 1 else np.full(t.shape, out)
-    out = np.full(t.shape, head)
-    near = ~far
-    out[near] = _log_near(law, out[near], ls_t[near])
-    out[far] += _log_past(law, ls_t[far], log_x[far])
+    if n_far in (0, far.size):
+        return _log_density_side(law, t, h, n_far > 0)
+    out, near = np.empty(t.shape), ~far
+    out[near] = _log_density_side(law, t[near], h[near], False)
+    out[far] = _log_density_side(law, t[far], h[far], True)
     return out
 
 
+def _log_density_side(law: _UnitLaw, t, h, past: bool) -> np.ndarray:
+    """_log_density at t, h = v - t, past v if past (every h < 0), else at or below it."""
+    m, g = law.m, law.cfg1.gamma
+    dls, dlc = _log_ratios_at_v(law, h, past, sinh=past)
+    if past:
+        log_x = -2.0 * dls
+        out = (law.hit_offset - (g + 2) * dls
+               + _log_incomplete_beta_tail(law.a, law.b, law.betaln_ab, np.exp(log_x), log_x))
+    else:
+        out = np.full(np.shape(t), law.hit_offset + law.betaln_ab)
+        if m > 1:
+            out += (m - 1) * (np.log(-np.expm1(-2.0 * t) / law.sinh_div) - h)
+    return out + g * dlc if g else out
+
+
 def _log_density_float(law: _UnitLaw, t: float) -> float:
-    """_log_density at a float t > 0: the same terms in the same order, from
-    the math module and one scalar betainc (the series of
-    _log_incomplete_beta_tail where that is below _BETAINC_FLOOR).  NumPy's
-    log, exp, expm1 and log1p are not libm's, so the two paths agree to the
-    rounding of those terms, not bit for bit."""
-    g = law.cfg1.gamma
-    head = law.log_pref - _LOG2
-    if g:
-        head += g * (t + math.log1p(math.exp(-2.0 * t)) - _LOG2)
-    if t <= law.v:
-        head += law.betaln_ab
-        if law.m == 1:
-            return head
-        return head + (law.m - 1) * (t + math.log(-math.expm1(-2.0 * t)) - _LOG2)
-    a, ls_t = law.a, t + math.log(-math.expm1(-2.0 * t)) - _LOG2
-    log_x = min(0.0, 2.0 * (law.log_sinh_v - ls_t))
+    """_log_density at a float t > 0: the same terms in the same order from the
+    math module and, past v, one scalar betainc (or _log_incomplete_beta_tail's
+    series), in no more calls than log sinh t and log cosh t would take: E M is
+    -e^(-2v) expm1(2h), or -e^(-2t) where e^(-2v) is subnormal and negligible.
+    NumPy's log and exp are not libm's: the paths agree to rounding, not bits."""
+    m, g, h = law.m, law.cfg1.gamma, law.v - t
+    past = h < 0.0
+    if g or past:
+        em = (-law.e2v * math.expm1(2.0 * h) if past or law.e2v >= _TINY
+              else -math.exp(-2.0 * t))
+    lc = g * (math.log1p(em / law.cosh_div) - h) if g else 0.0
+    if not past:
+        out = law.hit_offset + law.betaln_ab
+        if m > 1:
+            out += (m - 1) * (math.log(-math.expm1(-2.0 * t) / law.sinh_div) - h)
+        return out + lc
+    dls = math.log1p(em / law.sinh_div) - h
+    a, log_x = law.a, -2.0 * dls
     x = math.exp(log_x)
     i = _betainc_float(a, law.b, x)
-    if i >= _BETAINC_FLOOR:
-        tail = math.log(i) + law.betaln_ab - a * log_x
-    else:
-        tail = float(_log_incomplete_beta_tail(a, law.b, law.betaln_ab, x, log_x))
-    return head + ((law.cfg1.q + 1) * law.log_sinh_v - (g + 2) * ls_t + tail)
+    tail = (math.log(i) + law.betaln_ab - a * log_x if i >= _BETAINC_FLOOR
+            else float(_log_incomplete_beta_tail(a, law.b, law.betaln_ab, x, log_x)))
+    return law.hit_offset - (g + 2) * dls + tail + lc
 
 
 def _w_past(t, v):
@@ -897,8 +891,10 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
     m + alpha where that is below 2 and 1 otherwise, over
     [(lo/v)^k, (min(hi, v)/v)^k]: there the integrand is
     v^(m+alpha) / k y^((m+alpha)/k - 1) E(v y^(1/k)), bounded and at least
-    C^1, the power and the Jacobian taken together in closed form.  t =
-    v y^(1/k) may underflow to 0, where E is smooth and no log of t is taken
+    C^1, the power and the Jacobian taken together in closed form.  log E
+    is taken relative to v, as (m-1) (log sinhc t - log sinhc v) plus gamma
+    (log cosh t - log cosh v) (_log_ratios_at_v), E(v) in the offset with
+    hit_offset; t = v y^(1/k) may underflow to 0, where no log of t is taken
     (_log_sinhc).  The part past v runs in w = s / (1 + s), s = sqrt(t - v)
     (_log_integrands); hi = infinity is w = 1.
 
@@ -925,20 +921,22 @@ def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
         power = m + alpha
         k = power if power < 2.0 else 1.0
 
+        log_sinhc_v = float(_log_sinhc(v))
+
         def log_g_below(y):
             # y^(power/k - 1) is y^0 where k = power; sinh^0 = 1 at m = 1
             t = v * y ** (1.0 / k)
             out = (power - 1.0) * np.log(y) if k != power else np.zeros(y.shape)
             if m > 1:
-                out += (m - 1) * _log_sinhc(t)
+                out += (m - 1) * (_log_sinhc(t) - log_sinhc_v)
             if g:
-                out += g * _log_cosh(t)
+                out += g * _log_ratios_at_v(law, v - t, sinh=False)[1]
             return out
 
         knots = [(1.0 - h / v) ** k for h in _below_layer(law, v - lo)] if hi >= v else ()
         parts.append(integrate_adaptive(
             log_g_below, (lo / v) ** k, (min(hi, v) / v) ** k, tol, log_form=True,
-            log_offset=law.log_pref - _LOG2 + law.betaln_ab + power * math.log(v) - math.log(k),
+            log_offset=law.hit_offset + law.betaln_ab + (alpha + 1.0) * math.log(v) - math.log(k),
             break_points=knots))
     if hi > v:
         log_g_past = _log_integrands(law, alpha)[1]

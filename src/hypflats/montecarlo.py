@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import _log_cosh, _unit_law
+from .analytic import _unit_law
 from .errors import ConstructionError, DomainError
 from .klein import _BOUNDARY_TOL, AffineFlat
 # re-exported: perfbench's traced run looks it up on this module
@@ -65,6 +65,10 @@ MAX_TRIALS = 10_000_000
 # most worker threads of one run, more than the cores of most hosts; the
 # blocks, not the threads, fix the output
 MAX_THREADS = 256
+
+
+def _log_cosh(x):
+    return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,42 @@ MOMENT_NEAR_DIVERGENCE_MPMATH = {
     (533, 512, 509, 3.04e-5, -2.99): 9060562058785602.0,
     (3, 2, 1, 1.0, -0.5): 1.3909339156791476,
 }
+# At d = 1000 and 200 with large v, where a log near d v once rounded in the
+# density (ROADMAP item 1), 2026-10:
+#   log_density_oracle at 50 and at 70 digits, equal in every digit shown,
+#   at t = v - 1e-2, v - 1e-3, v, v + 1e-3, v + 0.1 and v + 1.  At
+#   (600, 300, 0, v=4) the density is e^-1193 to e^-1012 there, below the
+#   smallest normal double, so it has no entry.  Keys (d, q, g, v, t).
+#   F(v) at (1000, 999, 998, v=12): B(a, b) D omega_(d-g) / (2 C) times the
+#   mpmath radial mass (999, 1, 12), the density's integral over [0, v] at
+#   m = 1, at 40 and at 60 digits: 1.229458277303906746977068e-05 both.
+#   moment_mp_oracle at 30 and at 40 digits, equal in every digit shown:
+#   unconditional moments with m + alpha = 1/2.  Keys (d, q, g, v, alpha).
+LOG_DENSITY_LARGE_D_MPMATH = {
+    (1000, 999, 998, 12.0, 11.99): -14.380598540560507,
+    (1000, 999, 998, 12.0, 11.999): -5.3985985412458435,
+    (1000, 999, 998, 12.0, 12.0): -4.400598541321823,
+    (1000, 999, 998, 12.0, 12.001): -5.251544554769094,
+    (1000, 999, 998, 12.0, 12.1): -7.431089698717394,
+    (1000, 999, 998, 12.0, 13.0): -10.007967014130402,
+    (1000, 2, 1, 1.0, 0.99): -429.51501420208666,
+    (1000, 2, 1, 1.0, 0.999): -429.50818075018145,
+    (1000, 2, 1, 1.0, 1.0): -429.50741936611934,
+    (1000, 2, 1, 1.0, 1.001): -429.5066575620828,
+    (1000, 2, 1, 1.0, 1.1): -429.4292640573936,
+    (1000, 2, 1, 1.0, 2.0): -428.61619744924445,
+    (200, 199, 1, 8.0, 7.99): -6.415665665881656,
+    (200, 199, 1, 8.0, 7.999): -4.63366526446083,
+    (200, 199, 1, 8.0, 8.0): -4.435665220302827,
+    (200, 199, 1, 8.0, 8.001): -4.877071856444367,
+    (200, 199, 1, 8.0, 8.1): -6.679219999886358,
+    (200, 199, 1, 8.0, 9.0): -9.239932288406786,
+}
+CDF_AT_V_1000_999_998_V12_MPMATH = 1.2294582773039068e-05
+MOMENT_LARGE_D_MPMATH = {
+    (1000, 999, 998, 12.0, -0.5): 8.84438867355182e-05,
+    (200, 199, 1, 8.0, -197.5): 8.241916190692564e-183,
+}
 # atom_mass_mp_oracle at 30 digits, 2026-10; the same to 20 digits at 40
 # digits, and as 1 minus the integral of the closed-form density at 50 and
 # 60 digits (split at v/2, v and v (1 + 2^k) for k = -6..29).  1 - p loses

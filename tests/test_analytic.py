@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
 from hypflats.special import log_constant_D, log_sphere_surface
-from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH, COND_MEAN_MPMATH,
-                     EUCLID_CDF_MPMATH, LOG_RADIAL_MASS_1000_V300_MPMATH,
+from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
+                     CDF_AT_V_1000_999_998_V12_MPMATH, COND_MEAN_MPMATH,
+                     EUCLID_CDF_MPMATH, LOG_DENSITY_LARGE_D_MPMATH,
+                     LOG_RADIAL_MASS_1000_V300_MPMATH, MOMENT_LARGE_D_MPMATH,
                      MOMENT_NEAR_DIVERGENCE_MPMATH, P_1E5_V12_MPMATH,
                      P_GAMMA_0_SMALL_V_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
                      P_STAR_3_2_1_MPMATH,
@@ -71,37 +74,72 @@ def density_points(cfg):
 def log_density_rounding(law, t):
     """A bound on the rounding error of the log density at reduced distance t.
 
-    Each term of _log_density is taken to one unit of rounding of its
-    magnitude, twice over: log 2, log_pref, log B(a, b), gamma log cosh t
-    and (m - 1) log sinh t below v; past v (q + 1) log sinh v, (gamma + 2)
-    log sinh t, log I_x and a log x instead of the last.  log sinh t's own
-    terms (t, log(1 - e^(-2t)), log 2) carry their rounding through each of
-    its coefficients, and past v through log x = 2 (log sinh v - log sinh t)
-    into log I_x - a log x, whose slope in log x is kappa - a,
-    kappa = x^a (1-x)^(b-1) / (B(a, b) I_x): large next to x = 1, where
-    I_x(a, 1/2) has a square-root edge.
+    _log_density is the law's constant at v plus multiples of Dls and Dlc,
+    the differences from v of log sinh t and log cosh t
+    (_log_ratios_at_v), and past v log I = log(B_x(a, b) / x^a).  Each
+    rounding is counted in units U = EPS / 2 of its result's magnitude: two
+    for a call of log, exp, expm1, log1p, betainc or betaln, one for an
+    arithmetic operation.  The terms:
+
+    - the constant: hit_offset's parts in _unit_law (its powers of sinh v
+      and cosh v, the radial mass's factor and log B(a1, b)) and their
+      fsum, and log B(a, b) below v;
+    - a difference -h + log1p(z), z = E M / (1 -+ e^(-2v)): E M and the
+      divisor to 8 U, which log1p magnifies by |z| / (1 + z); log1p's 2 U;
+      h = v - t, whose rounding (none for v/2 <= t <= 2v) enters through the
+      difference's slope in h (tanh t, coth t); and the sum.  Below v
+      Dls = -h + log r, r = -expm1(-2t) / (1 - e^(-2v)), r to 5 U;
+    - past v, log I's own terms (log I_x, log B(a, b), a log x), and the
+      error of log x = -2 Dls, with exp's 2 U in x = e^(log x), through
+      log I's slope in log x, kappa - a, kappa = x^a (1-x)^(b-1) / (B(a, b) I_x):
+      large next to x = 1, where I_x(a, 1/2) has a square-root edge;
+    - each product of a difference and its power, and each partial sum.
     """
     from scipy.special import betainc
 
-    g, v, ln2 = law.cfg1.gamma, law.v, math.log(2.0)
-    log1m = math.log(-math.expm1(-2.0 * t))
-    ls_t = t + log1m - ln2
-    ls_err = t + abs(log1m) + ln2 + abs(ls_t)  # log sinh t's terms and its sum
-    terms = (abs(law.log_pref) + ln2 + abs(law.betaln_ab)
-             + g * (t + math.log1p(math.exp(-2.0 * t)) + ln2))
+    d, q, g, m, v = law.cfg1.d, law.cfg1.q, law.cfg1.gamma, law.m, law.v
+    h = v - t
+    h_err = abs(Fraction(v) - Fraction(t) - Fraction(h)) / (EPS / 2.0)  # h's own rounding, in U
+    em = law.e2v - math.exp(-2.0 * t)  # E M: only its size counts
+
+    def diff(z, slope):
+        # the difference and its error, in U
+        dz = math.log1p(z) - h
+        return dz, 8.0 * abs(z) / (1.0 + z) + 2.0 * abs(math.log1p(z)) + h_err * slope + abs(dz)
+
+    # hit_offset: the fsum of its powers of sinh v and cosh v (_log_power_terms,
+    # exact products but for the log1p terms where 1 <= v <= 1e300), the
+    # radial mass's factor and log B(a1, b)
+    n1, n2 = -1, q + 1 - d
+    if 1.0 <= v <= 1e300:
+        power = abs(n1 * math.log1p(-law.e2v)) + abs(n2 * math.log1p(law.e2v))
+    else:
+        power = abs(n1) * (abs(math.log(math.sinh(v))) + 1.0) + abs(n2 * math.log(math.cosh(v)))
+    log_factor = analytic._radial_mass_parts(d, m, v)[1]
+    units = 2.0 * (power + abs(log_factor) + abs(law.betaln_a1b)) + abs(law.hit_offset)
+    dlc, lc_err = diff(em / law.cosh_div, math.tanh(t))
     if t <= v:
-        return 2.0 * EPS * (terms + (law.m - 1) * ls_err)
-    a, b = law.a, law.b
-    log_x = min(0.0, 2.0 * (law.log_sinh_v - ls_t))
-    x = math.exp(log_x)
-    i = float(betainc(a, b, x))
-    kappa = 0.0
-    if 0.0 < x < 1.0 and i > 0.0:
-        kappa = math.exp(a * log_x + (b - 1.0) * math.log1p(-x) - law.betaln_ab) / i
-    log_x_err = 2.0 * (ls_err + abs(law.log_sinh_v)) + abs(log_x)
-    terms += ((law.cfg1.q + 1) * abs(law.log_sinh_v) + (g + 2) * ls_err
-              + (abs(math.log(i)) if i > 0.0 else 0.0) + a * abs(log_x))
-    return 2.0 * EPS * (terms + abs(kappa - a) * log_x_err)
+        log_r = math.log(-math.expm1(-2.0 * t) / law.sinh_div)
+        dls, ls_err = log_r - h, 5.0 + 2.0 * abs(log_r) + h_err + abs(log_r - h)
+        parts = [law.hit_offset + law.betaln_ab, (m - 1) * dls, g * dlc]
+        units += 2.0 * abs(law.betaln_ab) + (m - 1) * ls_err
+    else:
+        dls, ls_err = diff(em / law.sinh_div, 1.0 / math.tanh(t))
+        a, b = law.a, law.b
+        log_x = -2.0 * dls
+        x = math.exp(log_x)
+        i = float(betainc(a, b, x))
+        kappa = 0.0
+        if 0.0 < x < 1.0 and i > 0.0:
+            kappa = math.exp(a * log_x + (b - 1.0) * math.log1p(-x) - law.betaln_ab) / i
+        log_i = math.log(i) if i > 0.0 else 0.0
+        parts = [law.hit_offset, -(g + 2) * dls, log_i + law.betaln_ab - a * log_x, g * dlc]
+        units += ((g + 2) * ls_err + 2.0 * (abs(log_i) + abs(law.betaln_ab)) + a * abs(log_x)
+                  + abs(kappa - a) * (2.0 * ls_err + 2.0))
+    # the products and the sums, where there is one (no power at m = 1 or gamma = 0)
+    parts = [p for p in parts if p]
+    units += g * lc_err + sum(abs(sum(parts[:k])) + abs(parts[k - 1]) for k in range(2, len(parts) + 1))
+    return units * EPS / 2.0
 
 
 @pytest.fixture
@@ -407,6 +445,12 @@ class TestIntersectionProbability:
         assert fn(FlatConfig(d, q, g, v), K1, Tolerance(rel_tol=1e-13)) == pytest.approx(
             AT_THE_LOG_FLOOR_MPMATH[key], rel=1e-13, abs=0.0)
 
+    def test_cdf_at_v_below_the_log_rounding_floor(self):
+        # the density's integral below v, at the default tolerance: grid and scalar
+        cfg = FlatConfig(1000, 999, 998, 12.0)
+        for got in (distance_cdf_grid(cfg, K1, [12.0], TOL)[0], distance_cdf(cfg, K1, 12.0, TOL)):
+            assert got == pytest.approx(CDF_AT_V_1000_999_998_V12_MPMATH, rel=2e-13, abs=0.0)
+
     @pytest.mark.parametrize("key", sorted(P_PAST_THE_DOMAIN_MPMATH))
     def test_past_the_documented_dimension(self, key):
         # the radial mass is closed form, and p's integrand is taken relative
@@ -584,6 +628,15 @@ class TestDistanceDensity:
             assert abs(got - ref) <= bound, x
             assert abs(analytic._log_density_float(law, x) - ref) <= bound, x
 
+    def test_both_paths_match_frozen_mpmath_at_large_d(self):
+        # at (1000,999,998, v=12) log_pref is near -11300 and gamma log cosh t
+        # near +11300, each rounding at 1.8e-12; the log density takes
+        # differences from v instead (_log_ratios_at_v)
+        for (d, q, g, v, t), ref in LOG_DENSITY_LARGE_D_MPMATH.items():
+            law = analytic._unit_law(FlatConfig(d, q, g, v), K1)
+            assert abs(float(analytic._log_density(law, np.array([t]))[0]) - ref) <= 2e-13, (d, t)
+            assert abs(analytic._log_density_float(law, t) - ref) <= 2e-13, (d, t)
+
     def test_float_takes_betainc_only_past_v(self, monkeypatch):
         calls = []
 
@@ -719,6 +772,13 @@ class TestNearTheDivergence:
         d, q, g, v, alpha = key
         got = moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value
         assert got == pytest.approx(MOMENT_NEAR_DIVERGENCE_MPMATH[key], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("key", sorted(MOMENT_LARGE_D_MPMATH))
+    def test_at_large_d_to_the_rounding(self, key):
+        # the integrand in y is E's log relative to v, and its constant p's
+        d, q, g, v, alpha = key
+        got = moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value
+        assert got == pytest.approx(MOMENT_LARGE_D_MPMATH[key], rel=1e-13, abs=0.0)
 
     def test_oracle_reproduces_its_frozen_value(self):
         key = (3, 2, 1, 1.0, -0.99)
