@@ -32,19 +32,19 @@ the whole law: 4 equal panels and the graded ones below v, and the whole
 lattice in w, ends at exactly k / 12, all evaluated in one integrand
 call.  A moment with m + alpha >= 2 is its node values weighted by
 t^alpha, halved in copies against the moment's own total
-(_moment_integral); one below that, and the scalar CDF, are adaptive
-integrals on the same kind of first panels (_density_integral), in
-y = (t/v)^k below v, so a moment near its divergence has no power of t
-to resolve at 0.  A CDF grid, of 128 points or of 10^5 sorted Monte Carlo
-samples, is the store's prefix up to the lattice panel past v of its last
-point, halved where a panel misses the tolerance and memoised per prefix
-(_grid_law); each point takes the integral of its panel's node
-interpolant.  Below 2^-1000 the CDF is closed form (_cdf_head).  The
-flat-space (K -> 0) distance CDF and the normaliser of the critical constant rho are
-closed form; rho is one 1-d integral of a lower incomplete gamma function,
-on first panels graded around the point r* where that function turns over,
-which usually settle it in one integrand call, memoised per argument tuple
-and tolerance (_rho_integral).
+(_moment_integral); one below that is an adaptive integral on the same
+first panels (_density_integral), in y = (t/v)^k below v, so a moment
+near its divergence has no power of t to resolve at 0.  The CDF has one
+engine: a grid, of one point (distance_cdf), of 128 or of 10^5 sorted
+Monte Carlo samples, is the store's prefix up to the lattice panel past v
+of its last point, halved where a panel misses the tolerance and
+memoised per prefix (_grid_law); each point takes the integral of its
+panel's node interpolant.  Below 2^-1000 the CDF is closed form
+(_cdf_head).  The flat-space (K -> 0) distance CDF and the normaliser of
+the critical constant rho are closed form; rho is one 1-d integral of a
+lower incomplete gamma function, on first panels graded around the
+point r* where that function turns over, which usually settle it in one
+integrand call, memoised per argument tuple and tolerance (_rho_integral).
 
 The intersection probability and its complement, the atom mass, are 1-d
 integrals over the offset radius rho in [0, v] of the moving flat
@@ -855,95 +855,54 @@ def _below_layer(law: _UnitLaw, span: float) -> list:
     return _layer_knots((law.m - 1) / law.tanh_v + law.cfg1.gamma * law.tanh_v, span)
 
 
-def _past_knots(law: _UnitLaw, w_lo: float, w_hi: float, graded: bool) -> list:
-    """The interior ends of the first panels in w on [w_lo, w_hi] past v:
-    max(1, ceil(_GRID_PANELS_PAST (w_hi - w_lo))) equal panels, the first
-    graded toward w_lo too if graded, at s0, 2 s0, 4 s0, ... (_layer_knots),
-    s0^2 = tanh v (d-q) / (2 (d+1)) the t - v where I_x(a, b) has fallen to
-    about 1/2."""
-    n = max(1, math.ceil(_GRID_PANELS_PAST * (w_hi - w_lo)))
-    knots = list(np.linspace(w_lo, w_hi, n + 1)[1:-1])
-    if graded:
-        knots += [w_lo + h for h in _past_layer(law, (w_hi - w_lo) / n)]
-    return knots
-
-
-def _past_layer(law: _UnitLaw, span: float) -> list:
-    """_layer_knots away from v, in w over span: at s0, 2 s0, 4 s0, ...,
-    s0^2 = tanh v (d-q) / (2 (d+1)).  I_x(a, b) is about 1/2 where 1 - x,
-    about 2 coth v (t - v), reaches b / (a + b): at s = s0, and w is about
-    s there."""
+def _past_ends(law: _UnitLaw) -> list:
+    """The ends in w of the law's first panels past v, the store's and a
+    moment's near its divergence (_density_integral): the lattice
+    k / _GRID_PANELS_PAST, 0 and 1 among them, the first panel graded toward
+    w = 0 at s0, 2 s0, 4 s0, ... (_layer_knots), s0^2 = tanh v (d-q) / (2 (d+1)),
+    where I_x(a, b) has fallen to about 1/2 (w is about s there)."""
     s0 = math.sqrt(law.tanh_v * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
-    return _layer_knots(_LAYER_KNOT / s0, span)
+    return sorted({*_LATTICE, *_layer_knots(_LAYER_KNOT / s0, _LATTICE[1])})
 
 
-def _density_integral(law: _UnitLaw, lo: float, hi: float, tol: Tolerance,
-                      alpha: float = 0.0) -> QuadResult:
-    """Integral of t^alpha times the unit-curvature density over reduced distances [lo, hi]:
-    distance_cdf's, and a moment's where m + alpha < 2 (_moment_integral
+def _density_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
+    """Integral of t^alpha times the unit-curvature density over [0, infinity]
+    where m + alpha < 2, a moment near its divergence (_moment_integral
     takes the others).
 
-    Below v the density is A B(a, b) sinh^(m-1) t cosh^gamma t, so the
-    integrand is t^(m-1+alpha) E(t), E = A B(a, b) (sinh t / t)^(m-1)
-    cosh^gamma t smooth.  In t a moment near its divergence at
-    alpha = gamma - q has t^(m-1+alpha) at t = 0, with mass closer to 0 than
-    bisection in doubles reaches.  So that part runs in y = (t/v)^k, k =
-    m + alpha where that is below 2 and 1 otherwise, over
-    [(lo/v)^k, (min(hi, v)/v)^k]: there the integrand is
-    v^(m+alpha) / k y^((m+alpha)/k - 1) E(v y^(1/k)), bounded and at least
-    C^1, the power and the Jacobian taken together in closed form.  log E
-    is taken relative to v, as (m-1) (log sinhc t - log sinhc v) plus gamma
-    (log cosh t - log cosh v) (_log_ratios_at_v), E(v) in the offset with
-    hit_offset; t = v y^(1/k) may underflow to 0, where no log of t is taken
-    (_log_sinhc).  The part past v runs in w = s / (1 + s), s = sqrt(t - v)
-    (_log_integrands); hi = infinity is w = 1.
-
-    Both parts are log-form integrals, so only tol's relative tolerance
-    decides convergence, and log_value is finite where value underflows.
-    The density peaks at v in a layer that can be far narrower than a panel
-    (about 1/d wide below v at gamma near q, and thin in w for large upper
-    limits), and a first panel whose nodes all miss it sees a value orders
-    of magnitude below the true one; an absolute tolerance would accept that.
-
-    So the first panels come from the law, each part's in one call of its
-    integrand, and they are built as the law's store is (_law_store).  Past
-    v they are equal panels in w, _GRID_PANELS_PAST per unit of w: 12 for a
-    moment, a few for a CDF just past v.  Where the part past v starts at v,
-    its first panel is graded toward w = 0 too (_past_knots): at small v
-    that layer is far thinner than a panel (s0 = 2e-6 at
-    (1000,999,998, v=1e-8)).  Below v, where the integral reaches v, the
-    panels end at t = v - h, mapped to y, h = 2/lambda, 4/lambda, ...
-    (_below_layer, as p's), lambda the density's log-slope at v.
+    Below v the integrand is t^(m-1+alpha) E(t), E = A B(a, b)
+    (sinh t / t)^(m-1) cosh^gamma t smooth, with mass closer to 0 than
+    bisection in doubles reaches.  So that part runs in y = (t/v)^k,
+    k = m + alpha, where it is v^k / k E(v y^(1/k)), bounded and smooth;
+    log E is taken relative to v ((m-1) (log sinhc t - log sinhc v) plus
+    gamma (log cosh t - log cosh v), _log_ratios_at_v), E(v) in the offset,
+    and t = v y^(1/k) may underflow to 0 (_log_sinhc).  The part past v
+    runs in w = s / (1 + s), s = sqrt(t - v) (_log_integrands).  Both are
+    log-form integrals, so tol's relative tolerance alone decides, and
+    log_value is finite where value underflows.  Their first panels are the
+    law's, each part's in one call: past v the store's ends in w
+    (_past_ends), below v t = v - h mapped to y, h = 2/lambda, 4/lambda, ...
+    (_below_layer), lambda the density's log-slope at v.
     """
-    v, m, g = law.v, law.m, law.cfg1.gamma
-    parts = []
-    if lo < v:
-        power = m + alpha
-        k = power if power < 2.0 else 1.0
+    v, m, g, k = law.v, law.m, law.cfg1.gamma, law.m + alpha
+    log_sinhc_v = float(_log_sinhc(v))
 
-        log_sinhc_v = float(_log_sinhc(v))
+    def log_g_below(y):
+        t = v * y ** (1.0 / k)
+        out = np.zeros(y.shape)
+        if m > 1:  # sinh^0 = 1 at m = 1
+            out += (m - 1) * (_log_sinhc(t) - log_sinhc_v)
+        if g:
+            out += g * _log_ratios_at_v(law, v - t, sinh=False)[1]
+        return out
 
-        def log_g_below(y):
-            # y^(power/k - 1) is y^0 where k = power; sinh^0 = 1 at m = 1
-            t = v * y ** (1.0 / k)
-            out = (power - 1.0) * np.log(y) if k != power else np.zeros(y.shape)
-            if m > 1:
-                out += (m - 1) * (_log_sinhc(t) - log_sinhc_v)
-            if g:
-                out += g * _log_ratios_at_v(law, v - t, sinh=False)[1]
-            return out
-
-        knots = [(1.0 - h / v) ** k for h in _below_layer(law, v - lo)] if hi >= v else ()
-        parts.append(integrate_adaptive(
-            log_g_below, (lo / v) ** k, (min(hi, v) / v) ** k, tol, log_form=True,
+    parts = [
+        integrate_adaptive(
+            log_g_below, 0.0, 1.0, tol, log_form=True,
             log_offset=law.hit_offset + law.betaln_ab + (alpha + 1.0) * math.log(v) - math.log(k),
-            break_points=knots))
-    if hi > v:
-        log_g_past = _log_integrands(law, alpha)[1]
-        w_lo = _w_past(max(lo, v), v)
-        w_hi = 1.0 if hi == math.inf else _w_past(hi, v)
-        parts.append(integrate_adaptive(log_g_past, w_lo, w_hi, tol, log_form=True,
-                                        break_points=_past_knots(law, w_lo, w_hi, lo <= v)))
+            break_points=[(1.0 - h / v) ** k for h in _below_layer(law, v)]),
+        integrate_adaptive(_log_integrands(law, alpha)[1], 0.0, 1.0, tol, log_form=True,
+                           break_points=_past_ends(law))]
     return QuadResult(math.fsum(r.value for r in parts),
                       math.fsum(r.error_estimate for r in parts),
                       sum(r.evaluations for r in parts),
@@ -995,8 +954,8 @@ def _law_store(law: _UnitLaw, tol: Tolerance):
     Below v, in t: _GRID_PANELS_BELOW equal panels on [0, v] and ends at
     t = v - h toward the layer below it (_below_layer).  Past v, in w
     (_w_past): the whole lattice of _GRID_PANELS_PAST equal panels on [0, 1],
-    with ends at exactly k / _GRID_PANELS_PAST (_LATTICE), the first graded
-    toward w = 0 (_past_layer).  far marks the panels past v; they follow
+    with ends at exactly k / _GRID_PANELS_PAST, the first graded toward
+    w = 0 (_past_ends).  far marks the panels past v; they follow
     the others, and on each side the panels ascend.  raw is
     _panel_integrals' (values, errors, log_nodes, log_scale, t), all from
     one call of the density integrand, and prefix[n] the number of panels that end at
@@ -1015,7 +974,7 @@ def _law_store(law: _UnitLaw, tol: Tolerance):
         v = law.v
         near = sorted({v * i / _GRID_PANELS_BELOW for i in range(_GRID_PANELS_BELOW + 1)}
                       .union(v - h for h in _below_layer(law, v)))
-        past = sorted({*_LATTICE, *_past_layer(law, _LATTICE[1])})
+        past = _past_ends(law)
         lo, hi = np.array(near[:-1] + past[:-1]), np.array(near[1:] + past[1:])
         p_near = len(near) - 1
         far = np.arange(lo.size) >= p_near
@@ -1112,10 +1071,19 @@ def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh, dep
 
 def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
     """Halve (_halve) every grid panel whose error estimate misses tol's
-    relative target, all of them at once, until none does."""
+    relative target, rel_tol times its value or times the rounding of F at
+    its end where that is larger (a far panel with almost no mass moves no
+    point past it), all at once, until none does.  Where the density near 0
+    is t^(m-1), m - 1 above the 7-point Gauss rule's degree 13, the first
+    panel's relative estimate does not shrink as it is halved, so its floor
+    is the rounding of the prefix's total, and the points near it cut it
+    (distance_cdf_grid)."""
+    power_head = law.m - 1 > _XK.size - 2
     while True:
         vals, errs = panels[:2]
-        split = errs > tol.rel_tol * np.abs(vals)
+        floor = np.cumsum(vals)
+        floor[0] = floor[-1 if power_head else 0]
+        split = errs > tol.rel_tol * np.maximum(np.abs(vals), 2.0**-53 * floor)
         if not split.any():
             return lo, hi, far, panels
         lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, _absolute)
@@ -1209,20 +1177,16 @@ def _require_distance(delta) -> None:
 
 def distance_cdf(cfg: FlatConfig, K: Curvature, delta: float,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """P(distance of the intersection to the origin <= delta)."""
+    """P(distance of the intersection to the origin <= delta): the one-point
+    distance_cdf_grid, whose memo it shares."""
     _require_distance(delta)
-    law, t = _unit_law(cfg, K), K.scale * delta
-    if delta == 0:
-        return 0.0
-    if t < min(_HEAD_EDGE, law.v):
-        return _as_probability(float(_cdf_head(law, t)), 0.0)
-    res = _density_integral(law, 0.0, t, tol)
-    return _as_probability(res.value, res.error_estimate)
+    return float(distance_cdf_grid(cfg, K, [delta], tol)[0])
 
 
 def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """distance_cdf on an ascending 1-d grid, from one representation of the law.
+    """The distance CDF on an ascending 1-d grid, from one representation of
+    the law; distance_cdf is its one-point case.
 
     The representation is Gauss-Kronrod panels of the density placed by the
     law alone: a prefix of the law's store of first panels (_law_store),
@@ -1241,7 +1205,8 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     is evaluated twice in one call, and the memo never depends on a point.
     Points below _HEAD_EDGE take F's closed form there (_cdf_head).  At the
     benchmark's law configurations the store is 16 panels, and a 128-point
-    grid reads 12 of them with no halving.
+    grid reads 12 of them with no halving.  A cold grid of one point pays
+    for the store and its settle all the same; a warm one reads the memo.
     QuadratureError is raised where a panel to halve is too narrow to halve
     in doubles, or where halving would take the panels past
     tol.max_subdivisions; leaving [0, 1] by more than the error estimates
@@ -1274,6 +1239,9 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
             break
         split = np.zeros(lo.size, dtype=bool)
         split[row[miss]] = True
+        # and the first panel where its own error misses the least point
+        # missing, as one settled against the total can (_settle)
+        split[0] |= panels[1][0] > tol.rel_tol * abs(value[miss][0])
         depth = 1
         if row[miss][0] == 0:
             # F is 0 where the first panel starts: it is halved toward 0,
@@ -1320,9 +1288,10 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
     alpha > gamma - q.  Quadrature only runs on the finite branch: one
     integral over [0, infinity], where m + alpha >= 2 a sum over the law's
-    store of first panels weighted by t^alpha (_moment_integral), which a
-    CDF grid shares, and below that an adaptive integral in y = (t/v)^k
-    below v (_density_integral).  The conditional moment divides it by p
+    store of first panels weighted by t^alpha (_moment_integral), which the
+    CDF shares, and below that, near the divergence, an adaptive integral
+    in y = (t/v)^k below v on the store's ends in w past it
+    (_density_integral).  The conditional moment divides it by p
     in log space, so it is finite where p underflows to 0.  Both integrals
     are memoised with the law, per tolerance (and alpha): a repeated moment
     evaluates no integrand.  A non-finite alpha raises DomainError.
@@ -1340,7 +1309,7 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     res = law.memo.get(key)
     if res is None:
         res = _remember(law, key, _moment_integral(law, tol, alpha) if law.m + alpha >= 2.0
-                        else _density_integral(law, 0.0, math.inf, tol, alpha))
+                        else _density_integral(law, tol, alpha))
     if not conditional:
         return MomentResult(alpha, conditional, K.scale ** (-alpha) * res.value)
     log_p = _offset_radius_integral(cfg, K, tol, hit=True).log_value

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own quadrature: the
 probability oracle uses scipy's QAGS on the raw (r, z) form of the double
-integral, one critical-constant oracle is a plain midpoint Riemann sum,
+integral, the distance CDF oracle scipy's QUADPACK over the offset radius
+(cdf_offset_radius), one critical-constant oracle is a plain midpoint Riemann sum,
 one radial-law oracle is a dense trapezoid CDF, and the radial mass, its
 CDF, the closed-form distance density and the probability it integrates
 to, the miss probability as an integral over the offset radius, the
@@ -15,6 +16,7 @@ order 1/d) before it is integrated.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -94,6 +96,89 @@ def radial_cdf_oracle(d, m, R, K, r_values):
     )
     cdf /= cdf[-1]
     return np.interp(np.asarray(r_values, dtype=float), grid, cdf)
+
+
+# below this reduced distance sinh rho = rho and cosh rho = 1 to rounding
+_POWER_EDGE = 2.0 ** -1000
+
+
+def cdf_offset_radius(d, q, g, v, t):
+    """The distance CDF F(t) at K = -1 and ball radius v, as an integral over
+    the offset radius, by scipy's QUADPACK (QAGS, with break points).
+
+    The offset radius rho of the moving flat has density w(rho) / W on
+    [0, v], w = sinh^(m-1) rho cosh^(d-m) rho, m = q - g, W its integral.
+    Given rho the intersection lies within t iff X / (X + Y) <= z, X and Y
+    independent chi^2(d-q) and chi^2(g+1) variables and
+    z = 1 - tanh^2 rho / tanh^2 t, so
+
+        F(t) = integral over [0, min(v, t)] of w(rho) I_z(b, a') d rho / W,
+
+    b = (d-q)/2, a' = (g+1)/2.  It shares no formula with the closed-form
+    density that the library integrates.  Both integrals run on w relative
+    to its value at v (_offset_radius_quad), so no log near d v rounds in
+    them, and below 2^-1000, where F is c t^m to rounding, F(t) is
+    F(2^-1000) (t / 2^-1000)^m.
+    """
+    if t <= 0.0:
+        return 0.0
+    if t < _POWER_EDGE:
+        return cdf_offset_radius(d, q, g, v, _POWER_EDGE) * (t / _POWER_EDGE) ** (q - g)
+    return _offset_radius_quad(d, q, g, v, t) / _offset_radius_mass(d, q, g, v)
+
+
+@lru_cache(maxsize=None)
+def _offset_radius_mass(d, q, g, v):
+    """W / w(v), the offset-radius law's mass relative to w at v (_offset_radius_quad)."""
+    return _offset_radius_quad(d, q, g, v, None)
+
+
+def _offset_radius_quad(d, q, g, v, t):
+    """The integral over [0, top], top = min(v, t), of w(rho) / w(v) times
+    I_z(b, a') (cdf_offset_radius), or of w(rho) / w(v) alone where t is None
+    and top = v.
+
+    With h = v - rho the ratio's logs are
+
+        log sinh rho - log sinh v = -h + log(-expm1(-2 rho)) - log(-expm1(-2 v)),
+        log cosh rho - log cosh v = -h + log1p(e^(-2 rho)) - log1p(e^(-2 v)),
+
+    and z = sinh(t - rho) sinh(t + rho) / (cosh^2 rho sinh^2 t), each sinh
+    over sinh t as a ratio of expm1's: 1 - (tanh rho / tanh t)^2 loses six
+    digits near v at d = 1000.  The integral runs in s, rho = top - s^2,
+    where I_z's square-root edge at rho = t (z^b at b = 1/2) is smooth and
+    t - rho = (t - top) + s^2 is exact; the break points s = sqrt(2^k / lambda),
+    lambda the log-slope of w at top, grade the panels toward the layer
+    about 1/lambda wide below top that holds the mass at large d.
+    """
+    from scipy.special import betainc
+
+    m, b, a1 = q - g, 0.5 * (d - q), 0.5 * (g + 1)
+    top = v if t is None else min(v, t)
+    log_sinh_v, log_cosh_v = math.log(-math.expm1(-2.0 * v)), math.log1p(math.exp(-2.0 * v))
+    e = None if t is None else math.expm1(-2.0 * t)
+
+    def f(s):
+        s2 = s * s
+        rho, h = max(top - s2, 0.0), (v - top) + s2
+        if rho == 0.0 and m > 1:
+            return 0.0
+        out = (d - m) * (math.log1p(math.exp(-2.0 * rho)) - log_cosh_v - h)
+        if m > 1:
+            out += (m - 1) * (math.log(-math.expm1(-2.0 * rho)) - log_sinh_v - h)
+        value = 2.0 * s * math.exp(out)
+        if t is None:
+            return value
+        z = (math.expm1(-2.0 * ((t - top) + s2)) / e) * (math.expm1(-2.0 * (t + rho)) / e)
+        return value * float(betainc(b, a1, z / math.cosh(rho) ** 2))
+
+    slope = (m - 1) / math.tanh(top) + (d - m) * math.tanh(top)
+    knots, h = [], 1.0 / slope
+    while h < top:
+        knots.append(math.sqrt(h))
+        h *= 2.0
+    return quad(f, 0.0, math.sqrt(top), points=knots or None,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 # mpmath is imported where it is used: the benchmark loads this module for
@@ -407,13 +492,19 @@ P_STAR_1000_999_998_V12_MPMATH = 0.00031013106614781824
 # conditional_mean_mp_oracle at 30 digits, 2026-10; the same to 17 digits
 # at 40 digits with the quadrature also split at v - k/d (k = 1..64) and
 # v + h (h = 0.001..0.5).  At (600, 300, 0, v=4) p is e^-994.54, below the
-# smallest double, and the conditional law is well defined.  Keys (d, q, g, v).
+# smallest double, and the conditional law is well defined.  The
+# (533, 512, 509, 3.04e-5) entry is conditional_mean_mp_oracle(533, 512,
+# 509, 3.04e-5) at dps=30, 2026-10-20, the same in every digit at dps=40;
+# it and the (600, 300, 0, 4.0) one, which that call at dps=30 reproduces
+# bit for bit on that date, take 0.9 s and 7.8 s to recompute.  Keys
+# (d, q, g, v).
 COND_MEAN_MPMATH = {
     (3, 2, 1, 1.0): 0.7164044986140533,
     (10, 9, 8, 8.0): 8.18185251517835,
     (40, 39, 38, 6.0): 6.2804814200194246,
     (600, 300, 0, 4.0): 6.7919147551653145,
     (1000, 999, 998, 12.0): 12.305850807038588,
+    (533, 512, 509, 3.04e-5): 2.326603352413793e-05,
 }
 # moment_mp_oracle at 30 and at 40 digits, 2026-10, equal in every digit
 # shown: unconditional moments near their divergence at alpha = gamma - q,

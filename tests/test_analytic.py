@@ -44,7 +44,7 @@ from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
                      P_STAR_820_104_75_MPMATH,
                      P_STAR_1000_999_998_V12_MPMATH, P_600_300_0_V3_1_MPMATH, RHO_MPMATH,
-                     RHO_SUBNORMAL_MPMATH, atom_mass_mp_oracle,
+                     RHO_SUBNORMAL_MPMATH, atom_mass_mp_oracle, cdf_offset_radius,
                      conditional_mean_mp_oracle, euclidean_cdf_mp_oracle, log_density_oracle, log_radial_mass_oracle,
                      moment_mp_oracle, probability_closed_form_oracle, probability_offset_mp_oracle,
                      probability_oracle, rho_mp_oracle, rho_riemann_oracle)
@@ -55,6 +55,25 @@ K1 = Curvature(-1.0)
 
 
 EPS = np.finfo(float).eps
+
+
+def offset_radius_cdf(cfg, K, deltas):
+    """oracles.cdf_offset_radius at each of deltas, reduced to unit curvature
+    as the library reduces them: v = sqrt(-K) u, t = sqrt(-K) delta."""
+    v = K.scale * cfg.u
+    return np.array([cdf_offset_radius(cfg.d, cfg.q, cfg.gamma, v, K.scale * float(x))
+                     for x in deltas])
+
+
+# the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
+BENCH_CONFIGS = [
+    (FlatConfig(3, 2, 1, 1.0), K1),
+    (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
+    (FlatConfig(4, 2, 0, 0.8), K1),
+    (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
+    (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
+]
+
 
 # the density's configurations for its two paths (TestDistanceDensity)
 DENSITY_CONFIGS = [(CFG, K1), (FlatConfig(30, 3, 1, 3.0), Curvature(-1 / 30)),
@@ -446,10 +465,13 @@ class TestIntersectionProbability:
             AT_THE_LOG_FLOOR_MPMATH[key], rel=1e-13, abs=0.0)
 
     def test_cdf_at_v_below_the_log_rounding_floor(self):
-        # the density's integral below v, at the default tolerance: grid and scalar
+        # the density's integral below v, at the default tolerance, and the
+        # offset-radius oracle that the grid tests compare with
         cfg = FlatConfig(1000, 999, 998, 12.0)
-        for got in (distance_cdf_grid(cfg, K1, [12.0], TOL)[0], distance_cdf(cfg, K1, 12.0, TOL)):
-            assert got == pytest.approx(CDF_AT_V_1000_999_998_V12_MPMATH, rel=2e-13, abs=0.0)
+        assert distance_cdf(cfg, K1, 12.0, TOL) == pytest.approx(
+            CDF_AT_V_1000_999_998_V12_MPMATH, rel=2e-13, abs=0.0)
+        assert cdf_offset_radius(1000, 999, 998, 12.0, 12.0) == pytest.approx(
+            CDF_AT_V_1000_999_998_V12_MPMATH, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("key", sorted(P_PAST_THE_DOMAIN_MPMATH))
     def test_past_the_documented_dimension(self, key):
@@ -554,9 +576,32 @@ class TestDistanceCdf:
 
     def test_grid_matches_pointwise(self):
         ds = np.array([0.2, 0.5, 1.0, 2.5])
-        grid = distance_cdf_grid(CFG, K1, ds, TOL)
-        for d, g in zip(ds, grid):
-            assert g == pytest.approx(distance_cdf(CFG, K1, float(d), TOL), abs=1e-9)
+        np.testing.assert_allclose(distance_cdf_grid(CFG, K1, ds, TOL),
+                                   offset_radius_cdf(CFG, K1, ds), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
+        (FlatConfig(40, 39, 38, 6.0), K1), (FlatConfig(1000, 999, 998, 12.0), K1)])
+    def test_is_the_one_point_grid(self, cfg, K):
+        # bit for bit, below v, at v and past it, and at the head's edge
+        for x in (0.0, 2.0**-1000 / K.scale, 0.5 * cfg.u, cfg.u, 3.0 * cfg.u, cfg.u + 50.0 / K.scale):
+            assert distance_cdf(cfg, K, x, TOL) == distance_cdf_grid(cfg, K, [x], TOL)[0], x
+
+    @pytest.mark.parametrize("cfg, deltas", [(CFG, (0.5, 1.5, 3.0, 51.0)),
+                                             (FlatConfig(40, 39, 38, 6.0), (7.0, 46.0))])
+    def test_a_warm_call_evaluates_no_panel(self, cfg, deltas, monkeypatch):
+        # the grid's memo, per (tol, n): a second identical call reads it
+        first = [distance_cdf(cfg, K1, x, TOL) for x in deltas]
+        panels = []
+
+        def spy(law, lo, hi, far):
+            panels.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        for x, value in zip(deltas, first):
+            assert distance_cdf(cfg, K1, x, TOL) == value
+            assert panels == [], x
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -704,9 +749,9 @@ class TestMoment:
         # adaptive integral over [0, infinity], in y = (t/v)^k below v
         calls = []
 
-        def spy(law, lo, hi, tol, alpha=0.0):
-            calls.append((lo, hi))
-            return density_integral(law, lo, hi, tol, alpha)
+        def spy(law, tol, alpha):
+            calls.append(alpha)
+            return density_integral(law, tol, alpha)
 
         density_integral = analytic._density_integral
         monkeypatch.setattr(analytic, "_density_integral", spy)
@@ -714,7 +759,7 @@ class TestMoment:
         lo, hi, far = analytic._law_store(analytic._unit_law(CFG, K1), TOL)[:3]
         assert calls == [] and lo[0] == 0.0 and hi[-1] == 1.0 and far[-1]
         moment(CFG, K1, -0.5, False, TOL)  # m + alpha = 1/2
-        assert calls == [(0.0, math.inf)]
+        assert calls == [-0.5]
 
     @pytest.mark.parametrize("d, q, g, v, calls", [(600, 300, 0, 4.0, 3),
                                                    (533, 512, 509, 3.04e-5, 3)])
@@ -733,7 +778,7 @@ class TestMoment:
         monkeypatch.setattr(analytic, "_panel_integrals", spy)
         got = moment(FlatConfig(d, q, g, v), K1, 1.0, True, TOL).value
         assert len(panels) + len(integrand_calls) == calls
-        assert got == pytest.approx(conditional_mean_mp_oracle(d, q, g, v), rel=1e-9, abs=0.0)
+        assert got == pytest.approx(COND_MEAN_MPMATH[d, q, g, v], rel=1e-9, abs=0.0)
 
     def test_conditional_beyond_the_largest_double_raises(self):
         # the integral of t^300 f(t) is a double; divided by p = e^-994.5 it is not
@@ -813,23 +858,14 @@ class TestNearTheDivergence:
         assert steps[1] == pytest.approx(steps[0], rel=0.0, abs=1e-3)
 
 
-# the benchmark's law configurations and its mc-validate ones, (3,2,1,1) in both
-BENCH_CONFIGS = [
-    (FlatConfig(3, 2, 1, 1.0), K1),
-    (FlatConfig(5, 3, 0, 1.5), Curvature(-0.5)),
-    (FlatConfig(4, 2, 0, 0.8), K1),
-    (FlatConfig(30, 3, 1, 3.0), Curvature(-1.0 / 30.0)),
-    (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
-]
-
-
 # the critical constants the benchmark's law workload asks for, (u, q, gamma, kappa)
 BENCH_RHO = [(1.0, 2, 1, 1.0), (1.5, 3, 0, 2.0), (0.8, 1, 0, 0.5)]
 # integrand calls when the density integrals and rho bisected from one first
 # panel (the offset-radius integral already had its graded panels), at
 # K = -1: (conditional moment of order 1 with its p, unconditional moment of
 # order -1/2, distance_cdf at v/2, 3v/2 and 3v) per (d, q, gamma, v), and
-# the calls of rho per (u, q, gamma, kappa)
+# the calls of rho per (u, q, gamma, kappa).  distance_cdf, a one-point
+# grid, is held to its columns in panel evaluations from a cold law
 ONE_PANEL_CALLS = {
     (3, 2, 1, 1.0): (13, 37, 1, 2, 6),
     (12, 8, 1, 1.0): (15, 14, 1, 6, 8),
@@ -873,14 +909,27 @@ class TestFirstPanelsFromTheLaw:
         assert len(integrand_calls) == 1
 
     @pytest.mark.parametrize("key", sorted(ONE_PANEL_CALLS))
-    def test_no_more_calls_than_from_one_panel(self, key, integrand_calls):
+    def test_no_more_calls_than_from_one_panel(self, key, integrand_calls, monkeypatch):
+        # the moments count integrate_adaptive's integrand calls, and a cold
+        # distance_cdf its panel evaluations (_panel_integrals) as well
         cfg, v = FlatConfig(*key), key[3]
         calls = []
         for f in (lambda: moment(cfg, K1, 1.0, True, TOL),
-                  lambda: moment(cfg, K1, -0.5, False, TOL),
-                  *(lambda x=x: distance_cdf(cfg, K1, x * v, TOL) for x in (0.5, 1.5, 3.0))):
+                  lambda: moment(cfg, K1, -0.5, False, TOL)):
             integrand_calls.clear()
             f()
+            calls.append(len(integrand_calls))
+
+        def spy(law, lo, hi, far):
+            integrand_calls.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        for x in (0.5, 1.5, 3.0):
+            analytic._unit_law.cache_clear()
+            integrand_calls.clear()
+            distance_cdf(cfg, K1, x * v, TOL)
             calls.append(len(integrand_calls))
         assert all(n <= ceiling for n, ceiling in zip(calls, ONE_PANEL_CALLS[key])), calls
 
@@ -945,40 +994,13 @@ def density_2d(cfg, K, delta):
     return K.scale * res.value
 
 
-def cdf_offset_radius(cfg, K, delta):
-    """The distance CDF as an integral over the offset radius, by scipy's QAGS.
-
-    At unit curvature the offset radius rho in [0, v] has density
-    sinh^(m-1) rho cosh^(d-m) rho / R, and given rho the intersection lies
-    within delta iff X / (X + Y) <= 1 - tanh^2 rho / tanh^2 delta, with
-    X ~ chi^2(d-q) and Y ~ chi^2(gamma+1) independent, so that
-    X / (X + Y) ~ Beta((d-q)/2, (gamma+1)/2).
-    """
-    from scipy.integrate import quad
-    from scipy.special import betainc
-
-    cfg1, _ = reduce_to_unit_curvature(cfg, K)
-    d, q, g, v = cfg1.d, cfg1.q, cfg1.gamma, cfg1.u
-    t = K.scale * delta
-    b, a1 = 0.5 * (d - q), 0.5 * (g + 1)
-
-    def law(rho):
-        return math.sinh(rho) ** (q - g - 1) * math.cosh(rho) ** (d - q + g)
-
-    def hit(rho):
-        return law(rho) * betainc(b, a1, 1.0 - (math.tanh(rho) / math.tanh(t)) ** 2)
-
-    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
-    return quad(hit, 0.0, min(t, v), **opts)[0] / quad(law, 0.0, v, **opts)[0]
-
-
 class TestClosedForm:
     """The 1-d closed-form density against the 2-d paths and against mpmath.
 
     The 2-d paths are the radial-angular integral of density_2d and the
-    (offset radius, Beta ratio) integral of cdf_offset_radius, whose inner
-    integral is an incomplete beta function; intersection_probability is
-    the second at delta = infinity.
+    (offset radius, Beta ratio) integral of oracles.cdf_offset_radius, whose
+    inner integral is an incomplete beta function; intersection_probability
+    is the second at delta = infinity.
     """
 
     @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS)
@@ -992,9 +1014,9 @@ class TestClosedForm:
     def test_cdf_grid_matches_2d_path(self, cfg, K):
         deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
         grid = distance_cdf_grid(cfg, K, deltas, TOL)
-        for i in (15, 41, 127):   # 0.5 u, 1.3 u and 4 u
-            assert grid[i] == pytest.approx(cdf_offset_radius(cfg, K, deltas[i]),
-                                            rel=1e-12, abs=0.0)
+        idx = [15, 41, 127]   # 0.5 u, 1.3 u and 4 u
+        np.testing.assert_allclose(grid[idx], offset_radius_cdf(cfg, K, deltas[idx]),
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg, K", BENCH_CONFIGS + [
         (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
@@ -1011,9 +1033,13 @@ class TestClosedForm:
         (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
         (FlatConfig(200, 199, 1, 8.0), K1), (FlatConfig(1000, 999, 998, 12.0), K1)])
     def test_density_integral_to_infinity_is_p(self, cfg, K):
-        # the density's mass and p's offset-radius integral, one normaliser apart
+        # the density's mass and p's offset-radius integral, one normaliser
+        # apart: the mass as a moment of order 0 takes it, by the store's sum
+        # where m >= 2 and by the adaptive integral in y = (t/v)^m where m = 1
         tol = Tolerance(rel_tol=1e-12)
-        res = analytic._density_integral(analytic._unit_law(cfg, K), 0.0, math.inf, tol)
+        law = analytic._unit_law(cfg, K)
+        integral = analytic._moment_integral if law.m >= 2 else analytic._density_integral
+        res = integral(law, tol, 0.0)
         assert res.value == pytest.approx(intersection_probability(cfg, K, tol), rel=1e-11,
                                           abs=0.0)
 
@@ -1365,9 +1391,10 @@ class TestTinyDistances:
     @pytest.mark.parametrize("deltas", [
         [5e-324], [5e-324, 1.0], [0.0, 1e-320, 2.0**-1000, 1e-300, 1.0], [1e-310, 2.5, 2.5]])
     def test_grid_matches_pointwise(self, deltas):
+        # below 2^-1000 the oracle is its value there times (t / 2^-1000)^m
         np.testing.assert_allclose(
             distance_cdf_grid(CFG, K1, deltas, TOL),
-            [distance_cdf(CFG, K1, x, TOL) for x in deltas], rtol=1e-12, atol=0.0)
+            offset_radius_cdf(CFG, K1, deltas), rtol=1e-12, atol=0.0)
 
 
 class TestCdfGrid:
@@ -1375,10 +1402,11 @@ class TestCdfGrid:
         (FlatConfig(10, 9, 8, 8.0), K1), (FlatConfig(40, 39, 38, 6.0), K1),
         (FlatConfig(1000, 999, 998, 12.0), K1)])
     def test_matches_pointwise(self, cfg, K):
+        # F underflows to 0 at the first points at d = 1000, in both
         deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
         np.testing.assert_allclose(
             distance_cdf_grid(cfg, K, deltas, TOL),
-            [distance_cdf(cfg, K, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+            offset_radius_cdf(cfg, K, deltas), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("deltas", [
         [0.0, 0.0, 0.3],            # zeros
@@ -1391,8 +1419,7 @@ class TestCdfGrid:
     def test_grid_shapes(self, deltas):
         grid = distance_cdf_grid(CFG, K1, deltas, TOL)
         assert grid.shape == (len(deltas),)
-        np.testing.assert_allclose(
-            grid, [distance_cdf(CFG, K1, x, TOL) for x in deltas], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid, offset_radius_cdf(CFG, K1, deltas), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("deltas", [
         np.r_[np.linspace(0.1, 3.0, 300), [3.0] * 10],           # copies of the last point
@@ -1407,55 +1434,36 @@ class TestCdfGrid:
         # more than 128 points, most of them inside the law's panels
         np.testing.assert_allclose(
             distance_cdf_grid(CFG, K1, deltas, TOL),
-            [distance_cdf(CFG, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+            offset_radius_cdf(CFG, K1, deltas), rtol=1e-12, atol=0.0)
 
     def test_a_wide_segment_is_refined(self, monkeypatch):
         # the first panels below v = 12 are graded toward the layer about 1/1000
         # wide below it, and those that miss it are halved: halving settles the
         # grid without an adaptive integral of its own
         cfg = FlatConfig(1000, 999, 998, 12.0)
-        refined = []
-
-        def spy(law, lo, hi, tol):
-            refined.append((lo, hi))
-            return density_integral(law, lo, hi, tol)
-
-        density_integral = analytic._density_integral
-        monkeypatch.setattr(analytic, "_density_integral", spy)
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail_adaptive)
         grid = distance_cdf_grid(cfg, K1, [12.0, 72.0], TOL)
-        assert refined == []
-        monkeypatch.undo()
-        np.testing.assert_allclose(
-            grid, [distance_cdf(cfg, K1, 12.0, TOL), distance_cdf(cfg, K1, 72.0, TOL)],
-            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, [12.0, 72.0]),
+                                   rtol=1e-12, atol=0.0)
         assert grid[1] == pytest.approx(P_STAR_1000_999_998_V12_MPMATH, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("cfg", [FlatConfig(40, 39, 38, 6.0), FlatConfig(200, 199, 1, 8.0)])
     def test_refines_failing_segments_together(self, cfg, monkeypatch):
         # 9 of the 21 and 9 of the 24 first panels of these grids miss the
         # tolerance; a few rounds of halving settle all of them
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args[1:3])
-            return density_integral(*args, **kwargs)
-
-        density_integral = analytic._density_integral
-        monkeypatch.setattr(analytic, "_density_integral", spy)
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail_adaptive)
         deltas = np.linspace(0.0, 4.0 * cfg.u, 129)[1:]
         grid = distance_cdf_grid(cfg, K1, deltas, TOL)
-        assert calls == []
-        monkeypatch.undo()
-        np.testing.assert_allclose(
-            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
 
     def test_makes_no_adaptive_call(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("integrate_adaptive called")
-
-        monkeypatch.setattr(analytic, "integrate_adaptive", fail)
+        # nor does distance_cdf, the one-point grid, cold or warm
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail_adaptive)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 128), TOL).shape == (128,)
         assert distance_cdf_grid(CFG, K1, np.linspace(0.05, 4.0, 3000), TOL).shape == (3000,)
+        analytic._unit_law.cache_clear()
+        for x in (0.0, 1e-320, 0.5, 1.0, 3.0, 51.0, 0.5, 51.0):
+            assert 0.0 <= distance_cdf(CFG, K1, x, TOL) <= 1.0
 
     def test_refinement_stops_at_the_subdivision_budget(self):
         # the layer below v = 12 needs more halvings than a budget of 40 panels allows
@@ -1491,9 +1499,8 @@ class TestCdfGrid:
         grid = distance_cdf_grid(cfg, K, samples, TOL)
         idx = np.unique(np.r_[np.arange(0, samples.size, 100), np.arange(1, 40, 3),
                               samples.size - 1])
-        np.testing.assert_allclose(
-            grid[idx], [distance_cdf(cfg, K, float(x), TOL) for x in samples[idx]],
-            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid[idx], offset_radius_cdf(cfg, K, samples[idx]),
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg, K", [(FlatConfig(3, 2, 1, 1.0), K1),
                                         (FlatConfig(50, 2, 1, 2.0), Curvature(-0.02)),
@@ -1557,8 +1564,7 @@ class TestCdfGrid:
             assert len(call) % 2 == 0
             for (a, m), (m2, b) in zip(call[::2], call[1::2]):
                 assert m == m2 == 0.5 * (a + b) and (a, b) in before
-        np.testing.assert_allclose(
-            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg", [CFG, FlatConfig(12, 8, 1, 1.0)])
     @pytest.mark.parametrize("deltas", [[1e-300, 1.0], np.logspace(-12, 0.5, 128)])
@@ -1582,8 +1588,33 @@ class TestCdfGrid:
         k = lo.size - 1
         np.testing.assert_array_equal(hi, np.ldexp(h, -np.arange(k, -1, -1)))
         assert lo[0] == 0.0 and hi[0] <= deltas[0] < 2.0 * hi[0]
-        np.testing.assert_allclose(
-            grid, [distance_cdf(cfg, K1, float(x), TOL) for x in deltas], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("deltas", [[0.001], [0.07], [0.5], np.linspace(0.0, 4.0, 129)[1:],
+                                        np.logspace(-10, 0.5, 64)])
+    def test_a_high_power_first_panel_is_not_halved_to_underflow(self, deltas, monkeypatch):
+        # at (100, 50, 25) the density near 0 is t^24, above the 7-point
+        # Gauss rule's degree, and the first panel's relative error estimate
+        # stays put as it is halved: it is settled against the prefix's total,
+        # and the points in it or just past it cut it, not 40 rounds of
+        # halving down to underflow
+        cfg, calls = FlatConfig(100, 50, 25, 1.0), []
+
+        def spy(law, lo, hi, far):
+            calls.append(lo.size)
+            return panel_integrals(law, lo, hi, far)
+
+        panel_integrals = analytic._panel_integrals
+        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        analytic._unit_law.cache_clear()
+        grid = distance_cdf_grid(cfg, K1, deltas, TOL)
+        monkeypatch.undo()
+        assert len(calls) <= 10, calls
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
+
+
+def fail_adaptive(*args, **kwargs):
+    raise AssertionError("integrate_adaptive called")
 
 
 def estimate_samples(cfg, K, trials):

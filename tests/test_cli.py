@@ -14,7 +14,7 @@ from hypflats.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, MAX_STEPS, build_
                           run)
 from hypflats.montecarlo import MAX_THREADS, MAX_TRIALS
 from hypflats.quadrature import Tolerance
-from oracles import ATOM_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1
+from oracles import ATOM_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1, cdf_offset_radius
 
 BASE = ["--d", "3", "--q", "2", "--gamma", "1", "--K", "-1", "--u", "1"]
 
@@ -549,11 +549,14 @@ class TestSimulate:
         # last sample, not those that simulate takes up to the largest sample
         cdf = np.concatenate([analytic.distance_cdf_grid(cfg, K, samples[i:i + 128], Tolerance())
                               for i in range(0, samples.size, 128)])
-        # and about 200 of them, the lowest 40 ranks among them, are the scalar CDF
+        # and about 200 of them, the lowest 40 ranks among them, are the
+        # offset-radius CDF of the oracles
         idx = np.unique(np.r_[np.arange(min(40, samples.size)),
                               np.linspace(0, samples.size - 1, 160).astype(int)])
+        v = K.scale * cfg.u
         np.testing.assert_allclose(
-            cdf[idx], [analytic.distance_cdf(cfg, K, float(x), Tolerance()) for x in samples[idx]],
+            cdf[idx], [cdf_offset_radius(cfg.d, cfg.q, cfg.gamma, v, K.scale * float(x))
+                       for x in samples[idx]],
             rtol=1e-12, atol=0.0)
         exact = ks_statistic(samples, cdf / doc["analytic_p"])
         assert doc["ks_statistic"] == pytest.approx(exact, rel=0.0, abs=1e-12)
