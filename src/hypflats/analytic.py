@@ -36,11 +36,11 @@ t^alpha, halved in copies against the moment's own total
 first panels (_density_integral), in y = (t/v)^k below v, so a moment
 near its divergence has no power of t to resolve at 0.  The CDF has one
 engine: a grid, of one point (distance_cdf), of 128 or of 10^5 sorted
-Monte Carlo samples, is the store's prefix up to the lattice panel past v
-of its last point, halved where a panel misses the tolerance and
-memoised per prefix (_grid_law); each point takes the integral of its
-panel's node interpolant.  Below 2^-1000 the CDF is closed form
-(_cdf_head).  The flat-space (K -> 0) distance CDF and the normaliser of
+Monte Carlo samples, reads the store's prefix up to the lattice panel
+past v of its last point, halved past v where a panel misses the
+tolerance and memoised per prefix (_grid_law); each point takes the
+integral of its panel's node interpolant or, below v, F's closed form
+(_cdf_below).  The flat-space (K -> 0) distance CDF and the normaliser of
 the critical constant rho are closed form; rho is one 1-d integral of a
 lower incomplete gamma function, on first panels graded around the
 point r* where that function turns over, which usually settle it in one
@@ -66,14 +66,15 @@ density and the Crofton constant.  It is exact and takes no quadrature: a
 recurrence in the power of cosh, and the halving sinh t = 2 sinh(t/2) cosh(t/2)
 where that power is even, write it as sums of positive terms in log space
 (_log_sinh_cosh_parts), a leading power sinh^m v cosh^(d-m-1) v times a
-factor of order log d (_radial_mass_parts).  A configuration's law holds it
+factor of order log d (_radial_mass_parts).  The same recurrence, on an
+array of radii, is the CDF below v.  A configuration's law holds it
 (_UnitLaw.log_R), and the Monte Carlo sampler reads it there, so one
 configuration evaluates it once; it has no memo of its own.  The law's
 reduction to unit curvature (reduce_to_unit_curvature) is also the one
 check of v: outside [_MIN_REDUCED_RADIUS, infinity) it raises DomainError.
 
-Every integral here is integrate_adaptive in log form, which keeps the
-integral's scale in log space: it converges on the relative tolerance
+Every integral here keeps its scale in log space (integrate_adaptive in
+log form, or the store's panels): it converges on the relative tolerance
 alone, so a subnormal p or rho keeps its digits, and its log_value is
 finite where p underflows, so a conditional moment is a ratio of logs.  No
 function here uses a Tolerance's abs_tol: its rel_tol and max_subdivisions
@@ -200,8 +201,6 @@ _LATTICE = [k / _GRID_PANELS_PAST for k in range(_GRID_PANELS_PAST + 1)]
 # entries of one law's memo (_remember): p, the atom, the store, 13 grid
 # prefixes and moments, at a few tolerances
 _MEMO_ENTRIES = 64
-# below this reduced distance F(t) is closed form (_cdf_head)
-_HEAD_EDGE = 2.0 ** -1000
 
 
 # the 15 x 15 map from node values at _XK to the Chebyshev coefficients on
@@ -273,7 +272,8 @@ def _log_power_terms(n1: int, n2: int, v: float, log_sinh: float, log_cosh: floa
 
 def _terms_needed(n: int, ratio: float) -> int:
     """How many of n positive terms to sum, each at most ratio times the one before
-    and the first 1: those dropped add at most _SUM_EPS."""
+    and the first 1: those dropped add at most _SUM_EPS.  Sums that share their
+    terms take the largest of their ratios."""
     if ratio >= 1.0:
         return n
     if ratio <= 0.0:
@@ -281,76 +281,86 @@ def _terms_needed(n: int, ratio: float) -> int:
     return min(n, 1 + math.ceil(math.log(_SUM_EPS * (1.0 - ratio)) / math.log(ratio)))
 
 
-def _log_series(ratios: np.ndarray) -> float:
-    """log(1 + r1 + r1 r2 + r1 r2 r3 + ...) for positive ratios r1, r2, ..."""
-    return math.log1p(float(np.cumprod(ratios).sum()))
+class _OnFloat:
+    """math's functions under NumPy's names, for the radial mass's float radius."""
+    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    max = all = any = staticmethod(lambda x: x)
 
 
-def _log_sinh_cosh_parts(a: int, b: int, v: float, log_sinh: float,
-                         log_cosh: float) -> tuple[int, int, float]:
-    """I(a, b; v), the integral of sinh^a t cosh^b t over [0, v], a, b >= 0, a + b >= 1,
-    as its leading power and the rest: (n1, n2, log_factor) with
-    I(a, b; v) = sinh^n1 v cosh^n2 v exp(log_factor); log_sinh and log_cosh are at v.
+def _log_series(ratios: np.ndarray):
+    """log(1 + r1 + r1 r2 + r1 r2 r3 + ...) for positive ratios r1, r2, ... along
+    the last axis: one sum per radius, a float for one radius given as a float."""
+    total = np.cumprod(ratios, axis=-1).sum(axis=-1)
+    return math.log1p(total) if ratios.ndim == 1 else np.log1p(total)
+
+
+def _log_sinh_cosh_parts(a: int, b: int, t, log_sinh, log_cosh):
+    """I(a, b; t), the integral of sinh^a s cosh^b s over [0, t], a, b >= 0, a + b >= 1,
+    at a float radius t or an array of them, as (n1, n2, log_factor) with
+    I(a, b; t) = sinh^n1 t cosh^n2 t exp(log_factor); log_sinh and log_cosh are at t.
 
     Differentiating sinh^(a+1) cosh^(b-1) gives
-    I(a, b) = (sinh^(a+1) v cosh^(b-1) v + (b - 1) I(a, b - 2)) / (a + b), so
-    I(a, b) = sinh^(a+1) v cosh^(b-1) v / (a + b) * sum_k r_k, r_0 = 1,
-    r_k = r_(k-1) sech^2 v (b + 1 - 2k) / (a + b - 2k).  At odd b the sum
-    ends by itself (at I(a, 1) = sinh^(a+1) v / (a + 1)); at even b it takes
-    the terms k < b/2 and adds c I(a, 0; v), c = prod_(j < b/2)
-    (b - 1 - 2j) / (a + b - 2j), unless c v sinh^a v, a bound on that
-    remainder, is below _SUM_EPS of the sum.  Every term is positive.  For
-    b >= 1 the power is (a + 1, b - 1) and the factor, the log of the sum
-    over a + b, is small next to it: about log(a + b) in size at most.  At
-    b = 0 the power is (0, 0) and the factor is the whole log.
+    I(a, b) = (sinh^(a+1) t cosh^(b-1) t + (b - 1) I(a, b - 2)) / (a + b), so
+    I(a, b) = sinh^(a+1) t cosh^(b-1) t / (a + b) * sum_k r_k, r_0 = 1,
+    r_k = r_(k-1) sech^2 t (b + 1 - 2k) / (a + b - 2k), as many positive terms
+    at every radius as the largest sech^2 t needs.  At odd b the sum ends by
+    itself; at even b it takes the terms k < b/2 and adds c I(a, 0; t),
+    c = prod_(j < b/2) (b - 1 - 2j) / (a + b - 2j), unless c t sinh^a t, a
+    bound on that remainder, is below _SUM_EPS of the sum at every radius.
+    The power is (a + 1, b - 1), or (a + 1, 0) at b = 0
+    (_log_sinh_power_integral); the factor, about log(a + b) in size at most,
+    depends on t only through sech^2 t and t / sinh t.
     """
     if b == 0:
-        return 0, 0, _log_sinh_power_integral(a, v, log_sinh, log_cosh)
-    sech2 = math.exp(-2.0 * log_cosh)
+        return a + 1, 0, _log_sinh_power_integral(a, t, log_sinh, log_cosh)
+    xp = _OnFloat if isinstance(t, float) else np
+    sech2 = xp.exp(-2.0 * log_cosh)
     # the factor (b + 1 - 2k) / (a + b - 2k) is at most 1 where a >= 1 and 2 where a = 0
-    n = _terms_needed((b + 1) // 2, sech2 if a else 2.0 * sech2)
+    n = _terms_needed((b + 1) // 2, xp.max(sech2) * (1.0 if a else 2.0))
     top = np.arange(b - 1.0, b + 1.0 - 2.0 * n, -2.0)  # b + 1 - 2k for k = 1 .. n - 1
-    log_factor = _log_series(sech2 * top / (top + (a - 1))) - math.log(a + b)
+    log_factor = _log_series(np.multiply.outer(sech2, top) / (top + (a - 1))) - math.log(a + b)
     if b % 2:
         return a + 1, b - 1, log_factor
-    log_power = math.fsum(_log_power_terms(a + 1, b - 1, v, log_sinh, log_cosh))
-    # c <= 1, so the remainder is at most v sinh^a v
-    log_bound = math.log(v) + a * log_sinh - log_power
-    if log_bound < log_factor + _LOG_SUM_EPS:
+    # the remainder over the power is at most c t / (sinh t cosh^(b-1) t), c <= 1
+    log_bound = (-_log_sinhc(t) if xp is np else math.log(t) - log_sinh) - (b - 1) * log_cosh
+    if xp.all(log_bound < log_factor + _LOG_SUM_EPS):
         return a + 1, b - 1, log_factor
     top = np.arange(b - 1.0, 0.0, -2.0)  # b - 1 - 2j for j < b/2
     log_c = float(np.log(top / (top + (a + 1))).sum())
-    if log_c + log_bound < log_factor + _LOG_SUM_EPS:
+    if xp.all(log_c + log_bound < log_factor + _LOG_SUM_EPS):
         return a + 1, b - 1, log_factor
-    log_rest = log_c + _log_sinh_power_integral(a, v, log_sinh, log_cosh) - log_power
-    return a + 1, b - 1, float(np.logaddexp(log_factor, log_rest))
+    log_rest = log_c + _log_sinh_power_integral(a, t, log_sinh, log_cosh) - (b - 1) * log_cosh
+    return a + 1, b - 1, np.logaddexp(log_factor, log_rest)
 
 
-def _log_sinh_cosh_integral(a: int, b: int, v: float) -> float:
-    """log I(a, b; v), the integral of sinh^a t cosh^b t over [0, v] (_log_sinh_cosh_parts)."""
-    log_sinh, log_cosh = _log_sinh_cosh(v)
-    n1, n2, log_factor = _log_sinh_cosh_parts(a, b, v, log_sinh, log_cosh)
-    return math.fsum(_log_power_terms(n1, n2, v, log_sinh, log_cosh) + [log_factor])
+def _log_sinh_power_integral(a: int, t, log_sinh, log_cosh):
+    """log(I(a, 0; t) / sinh^(a+1) t), I(a, 0; t) the integral of sinh^a s over
+    [0, t], at a radius t or an array of them; log_sinh and log_cosh are at t.
 
-
-def _log_sinh_power_integral(a: int, v: float, log_sinh: float, log_cosh: float) -> float:
-    """log I(a, 0; v), the integral of sinh^a t over [0, v]; log_sinh and log_cosh are at v.
-
-    I(0, 0; v) = v.  Up to v = 1/2 it is the series
-    tanh^(a+1) v cosh^a v / (a + 1) * sum_n (1/2)_n / ((a+3)/2)_n tanh^(2n) v,
+    I(0, 0; t) = t.  Up to t = 1/2 it is the series
+    tanh^(a+1) t cosh^a t / (a + 1) * sum_n (1/2)_n / ((a+3)/2)_n tanh^(2n) t,
     whose ratios are at most tanh^2(1/2) = 0.21.  Past 1/2,
-    sinh t = 2 sinh(t/2) cosh(t/2) gives I(a, 0; v) = 2^(a+1) I(a, a; v/2).
+    sinh s = 2 sinh(s/2) cosh(s/2) gives I(a, 0; t) = 2^(a+1) I(a, a; t/2),
+    sinh^(a+1) t cosh^(-2)(t/2) times the factor of I(a, a; t/2)
+    (_log_sinh_cosh_parts).  Radii on both sides of 1/2 take a call each.
     """
     if a == 0:
-        return math.log(v)
-    if v > 0.5:
-        return math.fsum([(a + 1) * _LOG2_HI, (a + 1) * _LOG2_MID, (a + 1) * _LOG2_LO,
-                          _log_sinh_cosh_integral(a, a, 0.5 * v)])
-    log_tanh = log_sinh - log_cosh
-    t2 = math.exp(2.0 * log_tanh)
-    half = np.arange(0.5, _terms_needed(_SINH_SERIES_TERMS, t2) - 1.0)  # n - 1/2 for n >= 1
-    return ((a + 1) * log_tanh + a * log_cosh - math.log(a + 1)
-            + _log_series(t2 * half / (half + 0.5 * (a + 2))))
+        return -_log_sinhc(t)
+    xp, low = _OnFloat if isinstance(t, float) else np, t <= 0.5
+    if xp.all(low):
+        t2 = xp.exp(2.0 * (log_sinh - log_cosh))
+        half = np.arange(0.5, _terms_needed(_SINH_SERIES_TERMS, xp.max(t2)) - 1.0)  # n - 1/2, n >= 1
+        return (_log_series(np.multiply.outer(t2, half) / (half + 0.5 * (a + 2)))
+                - log_cosh - math.log(a + 1))
+    if not xp.any(low):
+        s = 0.5 * t
+        log_cosh_s = s - _LOG2 + xp.log1p(xp.exp(-2.0 * s))
+        log_sinh_s = s - _LOG2 + xp.log(-xp.expm1(-2.0 * s))
+        return _log_sinh_cosh_parts(a, a, s, log_sinh_s, log_cosh_s)[2] - 2.0 * log_cosh_s
+    out = np.empty(t.shape)
+    for side in (low, ~low):
+        out[side] = _log_sinh_power_integral(a, t[side], log_sinh[side], log_cosh[side])
+    return out
 
 
 def log_radial_mass(d: int, m: int, rho: float) -> float:
@@ -372,8 +382,8 @@ def log_radial_mass(d: int, m: int, rho: float) -> float:
 
 def _radial_mass_parts(d: int, m: int, rho: float) -> tuple[float, float]:
     """(log R, log_factor): log_radial_mass and the factor that multiplies its
-    leading power sinh^m rho cosh^(d-m-1) rho (at m = d there is no power and the
-    factor is log R).
+    leading power sinh^m rho cosh^(d-m-1) rho (sinh^d rho at m = d, which no
+    configuration's law has).
 
     The offset-radius integrals take their integrands' powers relative to
     that leading power, so only the factor, whose size is about log d, meets
@@ -442,12 +452,12 @@ class _UnitLaw:
 
     a = (q+1)/2, b = (d-q)/2, a1 = (gamma+1)/2; betaln_ab is log B(a, b),
     the density's, and betaln_a1b is log B(a1, b) = log B(b, a1), that of
-    p's and the atom's integrands; log_pref is log(2 / (B(a1, b) R)), R the
-    radial mass, the CDF's closed-form head's (_cdf_head).  hit_offset and
-    miss_offset are the logs of the offset-radius integrands' powers at v
-    over R's, with R's factor and B(a1, b) (_offset_radius_integral), and
-    hit_offset the density's too; e2v = e^(-2v), sinh_div = 1 - e2v and
-    cosh_div = -(1 + e2v) serve _log_ratios_at_v.
+    p's and the atom's integrands.  hit_offset and miss_offset are the logs
+    of the offset-radius integrands' powers at v over R's, R the radial
+    mass, with R's factor and B(a1, b) (_offset_radius_integral), hit_offset
+    the density's too, and cdf_offset that of F below v with B(a, b)
+    (_cdf_below).  e2v = e^(-2v), sinh_div = 1 - e2v and cosh_div = -(1 + e2v)
+    serve _log_ratios_at_v.
     """
 
     cfg1: FlatConfig  # the configuration at K = -1, ball radius v
@@ -465,8 +475,8 @@ class _UnitLaw:
     betaln_ab: float
     betaln_a1b: float
     log_R: float
-    log_pref: float
     hit_offset: float
+    cdf_offset: float
     miss_offset: float
     # what the functions of one tolerance computed from this law, keyed by
     # (tol, kind, ...) (_remember); not part of the law's value
@@ -510,8 +520,8 @@ def _unit_law(cfg: FlatConfig, K: Curvature) -> _UnitLaw:
     # log tanh v = log(1 - e^(-2v)) - log1p(e^(-2v)): no cancellation at large v
     return _UnitLaw(cfg1, v, math.tanh(v), m, a, b, a1, log_cosh,
                     math.log(sinh_div) - math.log1p(e2v), e2v, sinh_div, -(1.0 + e2v),
-                    betaln_ab, betaln_a1b, log_R, _LOG2 - betaln_a1b - log_R,
-                    offset(m - 1, g), offset(q, d - q - 1))
+                    betaln_ab, betaln_a1b, log_R, offset(m - 1, g),
+                    offset(m, max(g - 1, 0)) + betaln_ab, offset(q, d - q - 1))
 
 
 def _as_probability(value, error_estimate):
@@ -955,18 +965,14 @@ def _law_store(law: _UnitLaw, tol: Tolerance):
     t = v - h toward the layer below it (_below_layer).  Past v, in w
     (_w_past): the whole lattice of _GRID_PANELS_PAST equal panels on [0, 1],
     with ends at exactly k / _GRID_PANELS_PAST, the first graded toward
-    w = 0 (_past_ends).  far marks the panels past v; they follow
-    the others, and on each side the panels ascend.  raw is
-    _panel_integrals' (values, errors, log_nodes, log_scale, t), all from
-    one call of the density integrand, and prefix[n] the number of panels that end at
-    or below the n-th lattice end: the first prefix[n] panels reach w = n /
-    _GRID_PANELS_PAST, and every grid's panels are such a prefix.
-
-    Nothing here is refined.  The grid (_grid_law) settles its prefix panel
-    by panel, and a moment (_moment_integral) refines against its own
-    total, each on copies: settling the whole lattice panel by panel would
-    halve the far panels in w, where the density falls like e^(-2 t), about
-    ten times for no grid and no moment.
+    w = 0 (_past_ends).  far marks the panels past v; they follow the
+    others, and on each side the panels ascend.  raw is _panel_integrals'
+    (values, errors, log_nodes, log_scale, t), all from one call of the
+    density integrand, and prefix[n] the number of panels that end at or
+    below the n-th lattice end, w = n / _GRID_PANELS_PAST: every grid's
+    panels are such a prefix.  Nothing here is refined: a grid settles its
+    prefix past v (_grid_law), and a moment refines against its own total
+    (_moment_integral), each on copies.
     """
     key = (tol, "panels")
     store = law.memo.get(key)
@@ -1036,26 +1042,21 @@ def _moment_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
     return QuadResult(value, value * (total_err / total), evals, True, log_value)
 
 
-def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh, depth: int = 1):
-    """The panels with those marked in split cut at their midpoints, the
-    first at h/2^depth, ..., h/4, h/2 instead where depth > 1, h its end:
+def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh):
+    """The panels with those marked in split cut at their midpoints:
     (lo, hi, far, panels) as new arrays, the given ones untouched.  Only the
-    pieces are evaluated, all in one call (_panel_integrals), and weigh
+    halves are evaluated, all in one call (_panel_integrals), and weigh
     takes them to the caller's units (_absolute for a grid, _moment_weigh).
 
     QuadratureError where the panels would pass tol.max_subdivisions or a
-    piece is too narrow for its nodes to lie inside it (_nodes_inside).
+    half is too narrow for its nodes to lie inside it (_nodes_inside).
     """
     at = np.flatnonzero(split)
-    cuts, owner = 0.5 * (lo[at] + hi[at]), at  # owner: the panel each cut falls in
-    if depth > 1:
-        cuts = np.r_[np.ldexp(hi[0], -np.arange(depth, 0, -1)), cuts[1:]]
-        owner = np.r_[np.zeros(depth, dtype=np.intp), at[1:]]
-    if lo.size + cuts.size > tol.max_subdivisions:
+    if lo.size + at.size > tol.max_subdivisions:
         raise QuadratureError(f"panel refinement exceeded {tol.max_subdivisions} panels")
-    # each panel cut becomes its pieces, in place in the copies
-    keep = np.sort(np.r_[np.arange(lo.size), owner])
-    ends = owner + np.arange(cuts.size)  # the piece that each cut ends
+    # each panel cut becomes its halves, in place in the copies
+    cuts, keep = 0.5 * (lo[at] + hi[at]), np.sort(np.r_[np.arange(lo.size), at])
+    ends = at + np.arange(at.size)  # the first half of each panel cut
     lo, hi, far = lo[keep], hi[keep], far[keep]
     hi[ends], lo[ends + 1] = cuts, cuts
     new = np.zeros(lo.size, dtype=bool)
@@ -1070,33 +1071,38 @@ def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh, dep
 
 
 def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
-    """Halve (_halve) every grid panel whose error estimate misses tol's
-    relative target, rel_tol times its value or times the rounding of F at
-    its end where that is larger (a far panel with almost no mass moves no
-    point past it), all at once, until none does.  Where the density near 0
-    is t^(m-1), m - 1 above the 7-point Gauss rule's degree 13, the first
-    panel's relative estimate does not shrink as it is halved, so its floor
-    is the rounding of the prefix's total, and the points near it cut it
-    (distance_cdf_grid)."""
-    power_head = law.m - 1 > _XK.size - 2
+    """Halve (_halve) every grid panel past v whose error misses half tol's
+    relative target against its value or, with its interpolant's (_cdf_table),
+    against F at its start, all at once, until none does; each target is at
+    least F's rounding at the panel's end.  With F(v)'s error within the other
+    half (distance_cdf_grid), every point past v then meets the target."""
+    half = 0.5 * tol.rel_tol
     while True:
-        vals, errs = panels[:2]
-        floor = np.cumsum(vals)
-        floor[0] = floor[-1 if power_head else 0]
-        split = errs > tol.rel_tol * np.maximum(np.abs(vals), 2.0**-53 * floor)
+        vals, errs, nodes, scale = panels
+        end = np.cumsum(vals)
+        floor = 2.0**-53 * end
+        own = errs + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
+        split = far & ((errs > half * np.maximum(vals, floor))
+                       | (own > half * np.maximum(end - vals, floor)))
         if not split.any():
             return lo, hi, far, panels
         lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, _absolute)
 
 
-def _cdf_table(lo, hi, vals, errs, nodes, scale) -> np.ndarray:
+def _cdf_table(lo, hi, far, vals, errs, nodes, scale) -> np.ndarray:
     """The per-panel table of _cdf_at, one row per quantity so that its
     recurrence reads contiguous rows: the scaled Chebyshev coefficients of the
     antiderivative with the start value folded into the first, the midpoint,
     the inverse half-width (0 for an empty panel) and the error estimate
-    through the panel, the interpolant's own included."""
+    through the panel.  That is the panel errors summed through it plus the
+    interpolant's own, its last two Chebyshev coefficients in units of the
+    panel's scale (the Kronrod estimate, of the whole panel to a far higher
+    degree than 14, says nothing of the interpolant inside it), and below v
+    2^-40 of the panel's value, a generous bound on the Clenshaw sum's
+    rounding: most of the error of a point where F is far below it."""
     half = 0.5 * (hi - lo)
-    through = np.cumsum(errs) + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
+    through = (np.cumsum(errs) + scale * np.abs(nodes @ _CHEBYSHEV[-2:].T).sum(axis=1)
+               + np.where(far, 0.0, 2.0**-40 * np.abs(vals)))
     c = scale[:, None] * (nodes @ _ANTIDERIVATIVE.T)
     c[1:, 0] += np.cumsum(vals[:-1])
     inv_half = np.divide(1.0, half, out=np.zeros_like(half), where=half > 0.0)
@@ -1108,14 +1114,11 @@ def _cdf_at(x, n_near, lo, p_near, table):
     n_near in t (at most v) and the others in w, and the panel of each.
 
     A point's panel is found by bisection on the starts of the panels on its
-    side of v, the first p_near panels below it.  Its value is the sum of the panels before it plus its
-    panel's scale times the antiderivative of the node interpolant
-    (_ANTIDERIVATIVE), summed by Clenshaw's recurrence at the point's place
-    in [-1, 1] (table, _cdf_table).  Its error estimate is the panel errors
-    summed through its panel plus the interpolant's own, its last two
-    Chebyshev coefficients in units of the panel's scale: the Kronrod
-    estimate, of the whole panel to a far higher degree than 14, says
-    nothing of the interpolant inside it.
+    side of v, the first p_near panels below it.  Its value is the sum of
+    the panels before it plus its panel's scale times the antiderivative of
+    the node interpolant (_ANTIDERIVATIVE), summed by Clenshaw's recurrence
+    at the point's place in [-1, 1] (table, _cdf_table), and its error
+    estimate is the table's through its panel.
     """
     row = np.empty(x.size, dtype=np.intp)
     row[:n_near] = np.searchsorted(lo[:p_near], x[:n_near], side="right") - 1
@@ -1134,13 +1137,10 @@ def _cdf_at(x, n_near, lo, p_near, table):
 def _grid_law(law: _UnitLaw, tol: Tolerance, n: int):
     """The law's representation for grids whose last point lies in the n-th
     lattice panel past v (at or below v where n = 0), memoised with the law:
-    (lo, hi, far, panels, table, p_near), read-only, p_near the number of
-    panels below v.
-
-    The store's first prefix[n] panels (_law_store), which evaluates nothing
-    when the store is warm, in absolute units (_absolute) and halved until
-    each meets tol's relative target (_settle), with _cdf_at's table
-    (_cdf_table).  None of it depends on a point.
+    (lo, hi, far, panels, table, p_near, at_v), read-only, p_near the number
+    of panels below v and at_v their sums, F(v) and its error.  It is the
+    store's first prefix[n] panels (_law_store) in absolute units, settled
+    past v (_settle), with _cdf_at's table: none of it depends on a point.
     """
     key = (tol, "grid", n)
     entry = law.memo.get(key)
@@ -1150,24 +1150,35 @@ def _grid_law(law: _UnitLaw, tol: Tolerance, n: int):
         lo, hi, far = lo[:k], hi[:k], far[:k]
         panels = _absolute(lo, hi, far, tuple(y[:k] for y in raw))
         lo, hi, far, panels = _settle(law, tol, lo, hi, far, panels)
-        entry = (lo, hi, far, panels, _cdf_table(lo, hi, *panels), int(np.count_nonzero(~far)))
+        p_near = int(np.count_nonzero(~far))
+        at_v = tuple(float(np.cumsum(y[:p_near])[-1]) for y in panels[:2])
+        entry = (lo, hi, far, panels, _cdf_table(lo, hi, far, *panels), p_near, at_v)
         for y in (lo, hi, far, *panels, entry[4]):
             y.flags.writeable = False
         _remember(law, key, entry)
     return entry
 
 
-def _cdf_head(law: _UnitLaw, t):
-    """F(t) = A B(a, b) t^m / m at reduced distances 0 <= t < _HEAD_EDGE, t <= v.
+def _cdf_below(law: _UnitLaw, t) -> np.ndarray:
+    """F(t) at reduced distances 0 <= t <= v in closed form, elementwise.
 
-    There sinh s = s and cosh s = 1 for s <= t, far below a unit of
-    rounding, so the integral of the density is this power; a grid's first
-    panel cut down toward such a point would reach the subnormal doubles,
-    where its half-width's inverse overflows and its nodes fall on its ends.
+    There I_x(a, b) = 1 and F(t) = A I(m-1, gamma; t) = F(v) R_q(m, t) / R_q(m, v),
+    R_q the radial mass (log_radial_mass): E cap L is uniform in the invariant
+    measure of the gamma-flats of L.  Like the density (_log_density_side),
+    it is cdf_offset plus multiples of Dls, from t, and of Dlc
+    (_log_ratios_at_v), plus the small factor of _log_sinh_cosh_parts.
     """
-    with np.errstate(divide="ignore"):  # log 0 = -inf: F(0) = 0
-        return np.exp(law.log_pref - _LOG2 + law.betaln_ab - math.log(law.m)
-                      + law.m * np.log(t))
+    h, e = law.v - t, -np.expm1(-2.0 * t)  # e = 2t exactly where t is tiny
+    # a subnormal ratio e / sinh_div keeps few digits: scale those by 2^64 first
+    k = np.where(e < _TINY * law.sinh_div, 64, 0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at t = 0
+        dls = np.log(np.ldexp(e, k) / law.sinh_div) - (h + k * _LOG2)
+    dlc = _log_ratios_at_v(law, h, sinh=False)[1]
+    n1, n2, log_factor = _log_sinh_cosh_parts(law.m - 1, law.cfg1.gamma, t,
+                                              dls + (law.log_tanh_v + law.log_cosh_v),
+                                              dlc + law.log_cosh_v)
+    out = law.cdf_offset + log_factor + n1 * dls
+    return np.exp(out + n2 * dlc if n2 else out)
 
 
 def _require_distance(delta) -> None:
@@ -1189,28 +1200,20 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
     the law; distance_cdf is its one-point case.
 
     The representation is Gauss-Kronrod panels of the density placed by the
-    law alone: a prefix of the law's store of first panels (_law_store),
-    below v always the same, past v the first n panels of the lattice in w,
-    n the fewest that reach the last point.  The store is evaluated in one
-    call of the density integrand, shared with the moments and with grids
-    of any n; the prefix is halved where its panels miss tol's relative
-    target and memoised with the law, per (tol, n) (_grid_law): a repeated
-    grid, or another sample of one configuration, evaluates no panel.  Each
-    point then takes the panels before it plus its panel's node
-    interpolant up to it (_cdf_at): a warm grid is its input check, one
-    search per side of v, the Clenshaw sum and the range check.  A point
-    whose error estimate misses the target halves the panel that holds it,
-    or, near 0, cuts the first panel at h/2, h/4, ... down past it, in
-    copies of the memoised panels: no point becomes a panel end, no panel
-    is evaluated twice in one call, and the memo never depends on a point.
-    Points below _HEAD_EDGE take F's closed form there (_cdf_head).  At the
-    benchmark's law configurations the store is 16 panels, and a 128-point
-    grid reads 12 of them with no halving.  A cold grid of one point pays
-    for the store and its settle all the same; a warm one reads the memo.
-    QuadratureError is raised where a panel to halve is too narrow to halve
-    in doubles, or where halving would take the panels past
-    tol.max_subdivisions; leaving [0, 1] by more than the error estimates
-    raises ProbabilityRangeError.
+    law alone, memoised per (tol, n) (_grid_law): a prefix of the law's store
+    (_law_store), below v never refined, past v the first n lattice panels
+    in w, n the fewest that reach the last point, halved to the target their
+    points need.  Each point takes the panels before it plus its panel's
+    node interpolant up to it (_cdf_at).  Below v, where F is a ratio of
+    radial masses (_cdf_below), the points whose error estimate misses tol's
+    relative target take that closed form, in one call, and so does F(v),
+    which anchors every point past v; F(v) also does where the store's sum
+    below v misses half the target.  A point past v that still misses halves
+    its panel, in copies: the memo never depends on a point, and a warm grid
+    evaluates no panel.  QuadratureError is raised where a panel to halve is
+    too narrow in doubles or halving would pass tol.max_subdivisions;
+    leaving [0, 1] by more than the error estimates raises
+    ProbabilityRangeError.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1:
@@ -1220,38 +1223,33 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
                             and (deltas[1:] >= deltas[:-1]).all()):
         raise DomainError("deltas must be finite, ascending and >= 0")
     law = _unit_law(cfg, K)
-    t = K.scale * deltas
-    edge = min(_HEAD_EDGE, law.v)
-    head = int(np.searchsorted(t, edge)) if t.size and t[0] < edge else 0
-    if head == t.size:
-        return _as_probability(_cdf_head(law, t), 0.0)
-    x = t[head:]  # in t up to v and in w past it
+    x = K.scale * deltas  # in t up to v and in w past it
     n_near = int(np.searchsorted(x, law.v, side="right"))
-    if n_near < x.size:
-        x[n_near:] = _w_past(x[n_near:], law.v)
+    near, past = x[:n_near], x[n_near:]
+    past[:] = _w_past(past, law.v)
     # the fewest lattice panels past v that reach the last point
-    n = bisect.bisect_left(_LATTICE, x[-1]) if n_near < x.size else 0
-    lo, hi, far, panels, table, p_near = _grid_law(law, tol, n)
-    while True:
-        value, err, row = _cdf_at(x, n_near, lo, p_near, table)
+    n = bisect.bisect_left(_LATTICE, x[-1]) if past.size else 0
+    lo, hi, far, panels, table, p_near, (f_v, err_v) = _grid_law(law, tol, n)
+    value, err, row = _cdf_at(x, n_near, lo, p_near, table)
+    miss, shift, drop = err > tol.rel_tol * np.abs(value), 0.0, 0.0
+    if miss[:n_near].any() or err_v > 0.5 * tol.rel_tol * f_v:
+        below = miss[:n_near] | (near == law.v)  # they read F(v)
+        closed = _cdf_below(law, np.append(near[below], law.v))
+        value[:n_near][below], err[:n_near][below] = closed[:-1], 0.0
+        shift, drop = closed[-1] - f_v, err_v  # F(v) closed form: no error below v
+        value[n_near:] += shift
+        err[n_near:] -= drop
         miss = err > tol.rel_tol * np.abs(value)
-        if not miss.any():
-            break
+    while miss[n_near:].any():
         split = np.zeros(lo.size, dtype=bool)
-        split[row[miss]] = True
-        # and the first panel where its own error misses the least point
-        # missing, as one settled against the total can (_settle)
-        split[0] |= panels[1][0] > tol.rel_tol * abs(value[miss][0])
-        depth = 1
-        if row[miss][0] == 0:
-            # F is 0 where the first panel starts: it is halved toward 0,
-            # all at once, until the least point missing lies past a half
-            depth = max(1, math.ceil(math.log2(hi[0]) - math.log2(x[miss][0])))
+        split[row[n_near:][miss[n_near:]]] = True
         lo, hi, far, panels = _settle(
-            law, tol, *_halve(law, tol, lo, hi, far, panels, split, _absolute, depth))
-        table, p_near = _cdf_table(lo, hi, *panels), int(np.count_nonzero(~far))
-    if head:
-        value, err = np.r_[_cdf_head(law, t[:head]), value], np.r_[np.zeros(head), err]
+            law, tol, *_halve(law, tol, lo, hi, far, panels, split, _absolute))
+        value[n_near:], err[n_near:], row[n_near:] = _cdf_at(
+            past, 0, lo, p_near, _cdf_table(lo, hi, far, *panels))
+        value[n_near:] += shift
+        err[n_near:] -= drop
+        miss = err > tol.rel_tol * np.abs(value)
     return _as_probability(value, err)
 
 

@@ -112,19 +112,23 @@ def cdf_offset_radius(d, q, g, v, t):
     independent chi^2(d-q) and chi^2(g+1) variables and
     z = 1 - tanh^2 rho / tanh^2 t, so
 
-        F(t) = integral over [0, min(v, t)] of w(rho) I_z(b, a') d rho / W,
+        F(t) = integral over [0, top] of w(rho) I_z(b, a') d rho / W,
 
-    b = (d-q)/2, a' = (g+1)/2.  It shares no formula with the closed-form
-    density that the library integrates.  Both integrals run on w relative
-    to its value at v (_offset_radius_quad), so no log near d v rounds in
-    them, and below 2^-1000, where F is c t^m to rounding, F(t) is
-    F(2^-1000) (t / 2^-1000)^m.
+    top = min(v, t), b = (d-q)/2, a' = (g+1)/2.  It shares no formula with
+    the closed-form density that the library integrates.  The integral runs
+    on w relative to its value at top and W on w relative to its value at v
+    (_offset_radius_quad), and w(top) / w(v) joins them in log space
+    (_log_w_ratio), so no log near d v rounds in them and F keeps its digits
+    where (top / v)^(m-1) underflows.  Below 2^-1000, where F is c t^m to
+    rounding, F(t) is F(2^-1000) (t / 2^-1000)^m.
     """
     if t <= 0.0:
         return 0.0
     if t < _POWER_EDGE:
         return cdf_offset_radius(d, q, g, v, _POWER_EDGE) * (t / _POWER_EDGE) ** (q - g)
-    return _offset_radius_quad(d, q, g, v, t) / _offset_radius_mass(d, q, g, v)
+    top = min(v, t)
+    return (math.exp(_log_w_ratio(d, q - g, top, v, v - top))
+            * (_offset_radius_quad(d, q, g, top, t) / _offset_radius_mass(d, q, g, v)))
 
 
 @lru_cache(maxsize=None)
@@ -133,51 +137,62 @@ def _offset_radius_mass(d, q, g, v):
     return _offset_radius_quad(d, q, g, v, None)
 
 
-def _offset_radius_quad(d, q, g, v, t):
-    """The integral over [0, top], top = min(v, t), of w(rho) / w(v) times
-    I_z(b, a') (cdf_offset_radius), or of w(rho) / w(v) alone where t is None
-    and top = v.
+def _log_w_ratio(d, m, rho, top, h):
+    """log w(rho) - log w(top), w = sinh^(m-1) cosh^(d-m), h = top - rho >= 0, as
 
-    With h = v - rho the ratio's logs are
+        log sinh rho - log sinh top = -h + log(expm1(-2 rho) / expm1(-2 top)),
+        log cosh rho - log cosh top = -h + log1p(-e^(-2 rho) expm1(-2h) / (1 + e^(-2 top))):
 
-        log sinh rho - log sinh v = -h + log(-expm1(-2 rho)) - log(-expm1(-2 v)),
-        log cosh rho - log cosh v = -h + log1p(e^(-2 rho)) - log1p(e^(-2 v)),
+    ratios, not differences of two logs near log(2 top) where top is tiny,
+    and the first not 1 + x either, which cancels where rho << top."""
+    out = (d - m) * (math.log1p(-math.exp(-2.0 * rho) * math.expm1(-2.0 * h)
+                                / (1.0 + math.exp(-2.0 * top))) - h)
+    if m > 1:
+        out += (m - 1) * (math.log(math.expm1(-2.0 * rho) / math.expm1(-2.0 * top)) - h)
+    return out
 
-    and z = sinh(t - rho) sinh(t + rho) / (cosh^2 rho sinh^2 t), each sinh
-    over sinh t as a ratio of expm1's: 1 - (tanh rho / tanh t)^2 loses six
-    digits near v at d = 1000.  The integral runs in s, rho = top - s^2,
-    where I_z's square-root edge at rho = t (z^b at b = 1/2) is smooth and
-    t - rho = (t - top) + s^2 is exact; the break points s = sqrt(2^k / lambda),
-    lambda the log-slope of w at top, grade the panels toward the layer
-    about 1/lambda wide below top that holds the mass at large d.
+
+def _offset_radius_quad(d, q, g, top, t):
+    """The integral over [0, top] of w(rho) / w(top) times I_z(b, a')
+    (cdf_offset_radius), top <= t, or of w(rho) / w(top) alone where t is None.
+
+    w's ratio is _log_w_ratio's, and z = sinh(t - rho) sinh(t + rho) /
+    (cosh^2 rho sinh^2 t), each sinh over sinh t as a ratio of expm1's:
+    1 - (tanh rho / tanh t)^2 loses six digits near v at d = 1000.  The
+    integral runs in s, rho = top - s^2, where I_z's square-root edge at
+    rho = t (z^b at b = 1/2) is smooth and t - rho = (t - top) + s^2 is
+    exact.  Its break points grade the panels toward the two layers that
+    can hold the mass: the one about 1/lambda wide below top, lambda the
+    log-slope of w there (at large d), at s = sqrt(2^k / lambda); and,
+    where I_z(b, a') falls at rho of about rho0 = tanh t sqrt(a' / b) < top
+    (at large b and t << v), the one above rho = 0, at rho = 2^k rho0.
     """
     from scipy.special import betainc
 
     m, b, a1 = q - g, 0.5 * (d - q), 0.5 * (g + 1)
-    top = v if t is None else min(v, t)
-    log_sinh_v, log_cosh_v = math.log(-math.expm1(-2.0 * v)), math.log1p(math.exp(-2.0 * v))
     e = None if t is None else math.expm1(-2.0 * t)
 
     def f(s):
         s2 = s * s
-        rho, h = max(top - s2, 0.0), (v - top) + s2
+        rho = max(top - s2, 0.0)
         if rho == 0.0 and m > 1:
             return 0.0
-        out = (d - m) * (math.log1p(math.exp(-2.0 * rho)) - log_cosh_v - h)
-        if m > 1:
-            out += (m - 1) * (math.log(-math.expm1(-2.0 * rho)) - log_sinh_v - h)
-        value = 2.0 * s * math.exp(out)
+        value = 2.0 * s * math.exp(_log_w_ratio(d, m, rho, top, s2))
         if t is None:
             return value
         z = (math.expm1(-2.0 * ((t - top) + s2)) / e) * (math.expm1(-2.0 * (t + rho)) / e)
         return value * float(betainc(b, a1, z / math.cosh(rho) ** 2))
 
     slope = (m - 1) / math.tanh(top) + (d - m) * math.tanh(top)
-    knots, h = [], 1.0 / slope
-    while h < top:
+    h, rho0 = 1.0 / slope, (math.inf if t is None else math.tanh(t) * math.sqrt(a1 / b))
+    knots = []  # none within a factor 2 of top: QAGP fails on a panel of a few doubles
+    while h < 0.5 * top:
         knots.append(math.sqrt(h))
         h *= 2.0
-    return quad(f, 0.0, math.sqrt(top), points=knots or None,
+    while rho0 < 0.5 * top:
+        knots.append(math.sqrt(top - rho0))
+        rho0 *= 2.0
+    return quad(f, 0.0, math.sqrt(top), points=sorted(set(knots)) or None,
                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
@@ -554,6 +569,15 @@ LOG_DENSITY_LARGE_D_MPMATH = {
     (200, 199, 1, 8.0, 9.0): -9.239932288406786,
 }
 CDF_AT_V_1000_999_998_V12_MPMATH = 1.2294582773039068e-05
+# F(t) far below v, where I_z(b, a') confines cdf_offset_radius's integrand
+# to rho below about t sqrt(a'/b) (or a layer next to top), 2026-10: the
+# density's constant A of _mp_density times the mpmath radial mass
+# R_q(q - g, t), and mpmath's quad of sinh^(q-g-1) cosh^g over [0, t], at 40
+# and at 60 digits, all equal in every digit shown.  Keys (d, q, g, v, t).
+CDF_FAR_BELOW_V_MPMATH = {
+    (1000, 2, 0, 1.0, 7.197e-10): 1.633204607868782e-207,
+    (533, 512, 509, 3.04e-5, 7.308e-9): 1.3077161202385595e-11,
+}
 MOMENT_LARGE_D_MPMATH = {
     (1000, 999, 998, 12.0, -0.5): 8.84438867355182e-05,
     (200, 199, 1, 8.0, -197.5): 8.241916190692564e-183,

@@ -32,9 +32,9 @@ import hypflats.analytic as analytic
 from hypflats import ProbabilityRangeError, QuadratureError
 from hypflats.analytic import log_crofton_constant, log_radial_mass
 from hypflats.quadrature import integrate_adaptive
-from hypflats.special import log_constant_D, log_sphere_surface
+from hypflats.special import betaln, log_constant_D, log_sphere_surface
 from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
-                     CDF_AT_V_1000_999_998_V12_MPMATH, COND_MEAN_MPMATH,
+                     CDF_AT_V_1000_999_998_V12_MPMATH, CDF_FAR_BELOW_V_MPMATH, COND_MEAN_MPMATH,
                      EUCLID_CDF_MPMATH, LOG_DENSITY_LARGE_D_MPMATH,
                      LOG_RADIAL_MASS_1000_V300_MPMATH, MOMENT_LARGE_D_MPMATH,
                      MOMENT_NEAR_DIVERGENCE_MPMATH, P_1E5_V12_MPMATH,
@@ -175,6 +175,34 @@ def integrand_calls(monkeypatch):
 
     monkeypatch.setattr(analytic, "integrate_adaptive", spy)
     return calls
+
+
+@pytest.fixture
+def panel_calls(monkeypatch):
+    # the (lo, hi, far) of each panel evaluation of the law's density
+    # (_panel_integrals) from here on: the store, then any halves
+    calls = []
+    panel_integrals = analytic._panel_integrals
+
+    def spy(law, lo, hi, far):
+        calls.append((lo, hi, far))
+        return panel_integrals(law, lo, hi, far)
+
+    monkeypatch.setattr(analytic, "_panel_integrals", spy)
+    return calls
+
+
+def halves_below_v(calls):
+    """The panels below v evaluated after the store (panel_calls): a grid settles
+    and halves none of them."""
+    return sum(int(np.count_nonzero(~far)) for _, _, far in calls[1:])
+
+
+def log_pref(cfg, K):
+    """log(2 / (B((gamma+1)/2, (d-q)/2) R)), R the radial mass at v = sqrt(-K) u:
+    the density's constant over B((q+1)/2, (d-q)/2), times 2."""
+    d, q, g = cfg.d, cfg.q, cfg.gamma
+    return math.log(2.0) - betaln(0.5 * (g + 1), 0.5 * (d - q)) - log_radial_mass(d, q - g, K.scale * cfg.u)
 
 
 class TestCroftonConstant:
@@ -865,22 +893,23 @@ BENCH_RHO = [(1.0, 2, 1, 1.0), (1.5, 3, 0, 2.0), (0.8, 1, 0, 0.5)]
 # K = -1: (conditional moment of order 1 with its p, unconditional moment of
 # order -1/2, distance_cdf at v/2, 3v/2 and 3v) per (d, q, gamma, v), and
 # the calls of rho per (u, q, gamma, kappa).  distance_cdf, a one-point
-# grid, is held to its columns in panel evaluations from a cold law
+# grid, is held to its columns in panel evaluations from a cold law: the
+# store, and past v the halvings of its settle; below v, none
 ONE_PANEL_CALLS = {
-    (3, 2, 1, 1.0): (13, 37, 1, 2, 6),
-    (12, 8, 1, 1.0): (15, 14, 1, 6, 8),
-    (40, 39, 38, 6.0): (25, 24, 11, 18, 20),
-    (600, 300, 0, 4.0): (37, 34, 15, 28, 32),
-    (100, 50, 25, 1.0): (23, 22, 7, 12, 18),
-    (10, 9, 8, 8.0): (21, 20, 7, 14, 16),
-    (7, 4, 0, 2.0): (15, 18, 1, 4, 6),
-    (30, 3, 1, 0.548): (17, 41, 1, 4, 6),
-    (1000, 999, 998, 12.0): (39, 38, 21, 32, 36),
-    (200, 199, 1, 8.0): (31, 30, 15, 24, 26),
-    (1000, 500, 0, 0.01): (33, 34, 15, 28, 24),
-    (10, 9, 8, 1e-4): (21, 47, 1, 4, 6),
-    (3, 2, 1, 1e-4): (19, 43, 1, 2, 4),
-    (533, 512, 509, 3.04e-5): (33, 46, 1, 16, 18),
+    (3, 2, 1, 1.0): (13, 37, 1, 1, 1),
+    (12, 8, 1, 1.0): (15, 14, 1, 1, 1),
+    (40, 39, 38, 6.0): (25, 24, 1, 1, 4),
+    (600, 300, 0, 4.0): (37, 34, 1, 1, 1),
+    (100, 50, 25, 1.0): (23, 22, 1, 3, 3),
+    (10, 9, 8, 8.0): (21, 20, 1, 1, 4),
+    (7, 4, 0, 2.0): (15, 18, 1, 1, 1),
+    (30, 3, 1, 0.548): (17, 41, 1, 1, 1),
+    (1000, 999, 998, 12.0): (39, 38, 1, 1, 4),
+    (200, 199, 1, 8.0): (31, 30, 1, 1, 4),
+    (1000, 500, 0, 0.01): (33, 34, 1, 8, 8),
+    (10, 9, 8, 1e-4): (21, 47, 1, 3, 3),
+    (3, 2, 1, 1e-4): (19, 43, 1, 2, 2),
+    (533, 512, 509, 3.04e-5): (33, 46, 1, 5, 5),
 }
 ONE_PANEL_RHO_CALLS = {
     (1.0, 2, 1, 1.0): 7, (1.5, 3, 0, 2.0): 5, (0.8, 1, 0, 0.5): 7, (0.1, 2, 0, 0.1): 17,
@@ -986,7 +1015,7 @@ def density_2d(cfg, K, delta):
     t = K.scale * delta
     r = math.tanh(t)
     theta_max = math.asin(min(1.0, math.tanh(cfg1.u) / r))
-    offset = (analytic._unit_law(cfg, K).log_pref - 2.0 * math.log(math.cosh(t))
+    offset = (log_pref(cfg, K) - 2.0 * math.log(math.cosh(t))
               + (cfg.q - cfg.gamma - 1) * math.log(r))
     res = integrate_adaptive(
         lambda theta: backend.log_kernel_theta(cfg.d, cfg.q, -1.0, r, theta), 0.0, theta_max,
@@ -1129,7 +1158,7 @@ class TestPrefactor:
         d, g, v = cfg1.d, cfg1.gamma, cfg1.u
         ref = (log_constant_D(cfg1) + log_sphere_surface(d - g)
                - log_crofton_constant(d, cfg1.k, v, K1))
-        assert analytic._unit_law(cfg1, K1).log_pref == pytest.approx(ref, rel=0.0, abs=1e-12)
+        assert log_pref(cfg1, K1) == pytest.approx(ref, rel=0.0, abs=1e-12)
 
     def test_density_path_calls_no_crofton_constant(self, crofton_calls):
         distance_density(CFG, K1, 0.5, TOL)
@@ -1274,12 +1303,14 @@ class TestLawMemo:
             assert grid[1][-1] == (n / 12 if n else 1.0) and far[:k].sum() == grid[2].sum()
 
     def test_points_that_halve_panels_leave_the_memo_alone(self, monkeypatch):
-        # the points of this grid miss the tolerance until panels holding them
-        # are halved (TestCdfGrid): the halving works on copies
-        cfg = FlatConfig(40, 39, 38, 6.0)
-        base = np.linspace(0.0, 12.0, 66)[1:]
-        deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
+        # with the settle past v switched off, points past v of this grid miss
+        # the tolerance until the 5 lattice panels holding them are halved (F
+        # rises from 1e-14 at v = 1 to 1e-4 within a few of them): the halving
+        # works on copies
+        cfg = FlatConfig(100, 50, 25, 1.0)
+        deltas = np.linspace(0.0, 4.0, 129)[1:]
         law = analytic._unit_law(cfg, K1)
+        monkeypatch.setattr(analytic, "_settle", lambda law, tol, *panels: panels)
         first = distance_cdf_grid(cfg, K1, deltas, TOL)
         memo = dict(law.memo)  # the store and the grid's entry
         assert [k[1] for k in memo] == ["panels", "grid"]
@@ -1292,7 +1323,7 @@ class TestLawMemo:
         panel_integrals = analytic._panel_integrals
         monkeypatch.setattr(analytic, "_panel_integrals", spy)
         np.testing.assert_array_equal(distance_cdf_grid(cfg, K1, deltas, TOL), first)
-        assert len(panels) == 1  # only the halves, from the memoised panels
+        assert panels == [10]  # only the halves, from the memoised panels
         assert list(law.memo) == list(memo)
         assert all(law.memo[k] is entry for k, entry in memo.items())
 
@@ -1367,21 +1398,23 @@ class TestLawMemo:
 
 
 class TestTinyDistances:
-    """Below _HEAD_EDGE = 2^-1000 the CDF is closed form, A B(a, b) t^m / m;
-    one subnormal distance gives a value, not a failure."""
+    """A tiny distance below v misses the tolerance on the store's first panel
+    and takes F's closed form (_cdf_below), down to the subnormal doubles:
+    a value, not a failure, and no panel is cut toward 0."""
 
     @pytest.mark.parametrize("cfg", [CFG, FlatConfig(10, 9, 8, 2.0)])
     def test_continuous_at_the_edge(self, cfg):
-        # m = 1: F(t) / t is the density at 0 on both sides
-        edge = analytic._HEAD_EDGE
+        # m = 1: F(t) / t is the density at 0 on both sides of 2^-1000, where
+        # the oracle turns to its power law
+        edge = 2.0**-1000
         below = distance_cdf(cfg, K1, edge * (1.0 - 2.0**-30), TOL)
         at = distance_cdf(cfg, K1, edge, TOL)
         assert at > 0.0
         assert below == pytest.approx(at * (1.0 - 2.0**-30), rel=1e-12, abs=0.0)
 
     def test_one_subnormal_distance(self):
-        law = analytic._unit_law(CFG, K1)
-        f0 = math.exp(law.log_pref - math.log(2.0) + law.betaln_ab)  # the density at 0
+        # the density at 0, A = B(a, b) / (B(a1, b) R) at m = 1
+        f0 = math.exp(log_pref(CFG, K1) - math.log(2.0) + betaln(1.5, 0.5))
         assert distance_cdf(CFG, K1, 1e-320, TOL) == pytest.approx(f0 * 1e-320, rel=1e-3)
         assert distance_cdf(CFG, K1, 5e-324, TOL) == pytest.approx(f0 * 5e-324, abs=5e-324)
         # at m = 7 the power underflows; at K = -1/4 the distance itself does
@@ -1390,11 +1423,12 @@ class TestTinyDistances:
 
     @pytest.mark.parametrize("deltas", [
         [5e-324], [5e-324, 1.0], [0.0, 1e-320, 2.0**-1000, 1e-300, 1.0], [1e-310, 2.5, 2.5]])
-    def test_grid_matches_pointwise(self, deltas):
+    def test_grid_matches_pointwise(self, deltas, panel_calls):
         # below 2^-1000 the oracle is its value there times (t / 2^-1000)^m
         np.testing.assert_allclose(
             distance_cdf_grid(CFG, K1, deltas, TOL),
             offset_radius_cdf(CFG, K1, deltas), rtol=1e-12, atol=0.0)
+        assert halves_below_v(panel_calls) == 0
 
 
 class TestCdfGrid:
@@ -1466,24 +1500,25 @@ class TestCdfGrid:
             assert 0.0 <= distance_cdf(CFG, K1, x, TOL) <= 1.0
 
     def test_refinement_stops_at_the_subdivision_budget(self):
-        # the layer below v = 12 needs more halvings than a budget of 40 panels allows
-        with pytest.raises(QuadratureError, match="40 panels"):
+        # the store's 31 panels and the halving of those past v = 12 need more
+        # than a budget of 32 panels allows (the panels below v are never halved)
+        with pytest.raises(QuadratureError, match="32 panels"):
             distance_cdf_grid(FlatConfig(1000, 999, 998, 12.0), K1, [12.0, 72.0],
-                              Tolerance(max_subdivisions=40))
+                              Tolerance(max_subdivisions=32))
 
     def test_a_segment_too_narrow_to_halve_raises(self, monkeypatch):
-        # an integrand with a jump at 0.6, inside the panel [0.5, 0.75], never
-        # meets the tolerance on the panel that holds the jump, and halving that
-        # panel ends at one a few doubles wide, whose halves would put nodes on
-        # their ends
+        # an integrand with a jump at t = 1.6, past v = 1 inside the lattice
+        # panel [5/12, 1/2] in w, never meets the tolerance on the panel that
+        # holds the jump, and halving that panel ends at one a few doubles
+        # wide, whose halves would put nodes on their ends
         def log_integrands(law, alpha=0.0):
             def log_g(x):
-                return np.where(x >= 0.6, 0.0, -1.0)
+                return np.where(x >= 1.6, 0.0, -1.0)
             return log_g, log_g
 
         monkeypatch.setattr(analytic, "_log_integrands", log_integrands)
         with pytest.raises(QuadratureError, match="too narrow to halve"):
-            distance_cdf_grid(CFG, K1, [0.5, 0.75], TOL)
+            distance_cdf_grid(CFG, K1, [1.5, 2.0], TOL)
 
     @pytest.mark.parametrize("trials", [5000, 100_000])
     @pytest.mark.parametrize("cfg, K", [
@@ -1530,91 +1565,133 @@ class TestCdfGrid:
             assert len(calls) == 1 and calls[0] <= 40 * 15
         assert samples.size > 1500
 
-    def test_points_that_miss_the_tolerance_halve_their_panels(self, monkeypatch):
-        # 65 points, each with a copy 1e-6 relative past it: once every panel
-        # meets the tolerance, the error estimates of 44 points below v (the
-        # interpolant's own among them) still miss rel_tol times their value.
-        # The 22 panels that hold them are halved and only the halves are
-        # evaluated: no point becomes a panel end, and no panel is evaluated twice
+    def test_points_that_miss_the_tolerance_take_the_closed_form(self, monkeypatch, panel_calls):
+        # 65 points, each with a copy 1e-6 relative past it: on the store's
+        # panels the error estimates of the 64 points below v (the
+        # interpolant's own among them) miss rel_tol times their value.  They
+        # take F's closed form in one call, v with them, and no panel below v
+        # is halved; the grid stays ascending
         cfg = FlatConfig(40, 39, 38, 6.0)
         base = np.linspace(0.0, 12.0, 66)[1:]
         deltas = np.sort(np.r_[base, base * (1.0 + 1e-6)])
-        panels, at_points = [], []
-
-        def spy_panels(law, lo, hi, far):
-            panels.append(list(zip(lo.tolist(), hi.tolist())))
-            return panel_integrals(law, lo, hi, far)
-
-        def spy_points(*args):
-            at_points.append(len(panels))
-            return cdf_at(*args)
-
-        panel_integrals, cdf_at = analytic._panel_integrals, analytic._cdf_at
-        monkeypatch.setattr(analytic, "_panel_integrals", spy_panels)
-        monkeypatch.setattr(analytic, "_cdf_at", spy_points)
+        closed = spy_cdf_below(monkeypatch)
         grid = distance_cdf_grid(cfg, K1, deltas, TOL)
-        monkeypatch.undo()
-        # the points were evaluated twice, with halves evaluated in between
-        assert len(at_points) == 2 and at_points[1] == at_points[0] + 1
-        evaluated = [p for call in panels for p in call]
-        assert len(set(evaluated)) == len(evaluated)
-        # every panel after the first call is a half of one evaluated before it
-        for i, call in enumerate(panels[1:], 1):
-            before = {p for c in panels[:i] for p in c}
-            assert len(call) % 2 == 0
-            for (a, m), (m2, b) in zip(call[::2], call[1::2]):
-                assert m == m2 == 0.5 * (a + b) and (a, b) in before
+        assert len(closed) == 1
+        np.testing.assert_array_equal(closed[0], np.r_[deltas[deltas <= 6.0], 6.0])
+        assert halves_below_v(panel_calls) == 0 and (np.diff(grid) >= 0.0).all()
         np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg", [CFG, FlatConfig(12, 8, 1, 1.0)])
     @pytest.mark.parametrize("deltas", [[1e-300, 1.0], np.logspace(-12, 0.5, 128)])
-    def test_points_near_0_cut_the_first_panel_at_once(self, cfg, deltas, monkeypatch):
+    def test_points_near_0_cut_the_first_panel_at_once(self, cfg, deltas, monkeypatch, panel_calls):
         # F is 0 where the first panel [0, h] starts, so a point t far below h
-        # misses until that panel is halved toward 0 about log2(h / t) times:
-        # the halves ending at h/2^k, ..., h/4, h/2 are evaluated in one call,
-        # not one round each (about 1000 rounds for t = 1e-300)
-        panels = []
-
-        def spy(law, lo, hi, far):
-            panels.append((lo, hi))
-            return panel_integrals(law, lo, hi, far)
-
-        panel_integrals = analytic._panel_integrals
-        monkeypatch.setattr(analytic, "_panel_integrals", spy)
+        # misses on it.  Such points take F's closed form at once, in one call
+        # with v, where cutting [0, h] toward 0 would take about log2(h / t)
+        # halves (about 1000 for t = 1e-300): no panel below v is cut
+        closed = spy_cdf_below(monkeypatch)
         grid = distance_cdf_grid(cfg, K1, deltas, TOL)
-        monkeypatch.undo()
-        assert len(panels) == 2
-        h, (lo, hi) = panels[0][1][0], panels[1]
-        k = lo.size - 1
-        np.testing.assert_array_equal(hi, np.ldexp(h, -np.arange(k, -1, -1)))
-        assert lo[0] == 0.0 and hi[0] <= deltas[0] < 2.0 * hi[0]
+        assert len(closed) == 1 and closed[0][0] == deltas[0] and closed[0][-1] == 1.0
+        assert halves_below_v(panel_calls) == 0
         np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("deltas", [[0.001], [0.07], [0.5], np.linspace(0.0, 4.0, 129)[1:],
                                         np.logspace(-10, 0.5, 64)])
-    def test_a_high_power_first_panel_is_not_halved_to_underflow(self, deltas, monkeypatch):
+    def test_a_high_power_first_panel_is_not_halved_to_underflow(self, deltas, panel_calls):
         # at (100, 50, 25) the density near 0 is t^24, above the 7-point
         # Gauss rule's degree, and the first panel's relative error estimate
-        # stays put as it is halved: it is settled against the prefix's total,
-        # and the points in it or just past it cut it, not 40 rounds of
-        # halving down to underflow
-        cfg, calls = FlatConfig(100, 50, 25, 1.0), []
-
-        def spy(law, lo, hi, far):
-            calls.append(lo.size)
-            return panel_integrals(law, lo, hi, far)
-
-        panel_integrals = analytic._panel_integrals
-        monkeypatch.setattr(analytic, "_panel_integrals", spy)
-        analytic._unit_law.cache_clear()
+        # stays put as it is halved: the points near 0 take F's closed form
+        # instead, and a cold grid is the store and at most two halvings past v
+        cfg = FlatConfig(100, 50, 25, 1.0)
         grid = distance_cdf_grid(cfg, K1, deltas, TOL)
-        monkeypatch.undo()
-        assert len(calls) <= 10, calls
+        assert len(panel_calls) <= 3 and halves_below_v(panel_calls) == 0
         np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, deltas), rtol=1e-12, atol=0.0)
+
+
+# the steep rows of the grid's cost table: a layer about 1/d wide below v,
+# or F near 0 a high power of t
+STEEP = [(10, 9, 8, 8.0), (40, 39, 38, 6.0), (200, 199, 1, 8.0), (100, 50, 25, 1.0),
+         (1000, 999, 998, 12.0)]
+
+
+class TestClosedFormBelowV:
+    """Below v F is a ratio of radial masses (_cdf_below): a grid reads the
+    store's panels there as they are, and the points that miss take it."""
+
+    @pytest.mark.parametrize("key", STEEP)
+    def test_a_warm_grid_evaluates_no_panel(self, key, panel_calls):
+        # a second identical 128-point grid on (0, 4v] (at (40, 39, 38) that
+        # is (0, 24]) and distance_cdf at v/2, v and 2v: the points below v
+        # that miss take the closed form again, and nothing is halved
+        cfg, v = FlatConfig(*key), key[3]
+        deltas, points = np.linspace(0.0, 4.0 * v, 129)[1:], [0.5 * v, v, 2.0 * v]
+        grid = distance_cdf_grid(cfg, K1, deltas, TOL)
+        cdf = [distance_cdf(cfg, K1, x, TOL) for x in points]
+        panel_calls.clear()
+        np.testing.assert_array_equal(distance_cdf_grid(cfg, K1, deltas, TOL), grid)
+        assert [distance_cdf(cfg, K1, x, TOL) for x in points] == cdf
+        assert panel_calls == []
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12, 1e-13])
+    def test_cdf_at_v_meets_tight_tolerances(self, rel_tol):
+        # the grid's F(v), its 32nd point, and the scalar call's against mpmath
+        cfg, tol = FlatConfig(1000, 999, 998, 12.0), Tolerance(rel_tol=rel_tol)
+        grid = distance_cdf_grid(cfg, K1, np.linspace(0.0, 48.0, 129)[1:], tol)
+        for got in (grid[31], distance_cdf(cfg, K1, 12.0, tol)):
+            assert got == pytest.approx(CDF_AT_V_1000_999_998_V12_MPMATH, rel=rel_tol, abs=0.0)
+
+    @pytest.mark.parametrize("key", sorted(ONE_PANEL_CALLS))
+    def test_matches_the_oracle_far_below_v(self, key):
+        # on logspace(-12, 0, 64) v, with exact zeros where both underflow; the
+        # closed form is F(v) R_q(m, t) / R_q(m, v), R_q the radial mass
+        d, q, g, v = key
+        cfg, t = FlatConfig(*key), np.logspace(-12.0, 0.0, 64) * v
+        grid = distance_cdf_grid(cfg, K1, t, TOL)
+        np.testing.assert_allclose(grid, offset_radius_cdf(cfg, K1, t), rtol=1e-12, atol=0.0)
+        assert (np.diff(grid) >= 0.0).all()
+        if q >= 2:
+            law = analytic._unit_law(cfg, K1)
+            ratio = [log_radial_mass(q, q - g, x) - log_radial_mass(q, q - g, v) for x in t]
+            np.testing.assert_allclose(
+                analytic._cdf_below(law, t), analytic._cdf_below(law, np.array([v]))[0] * np.exp(ratio),
+                rtol=1e-12, atol=0.0)
+
+    def test_a_tiny_radius_grid_and_the_oracle_are_flat(self):
+        # at v = 1e-290 the hyperbolic law is the flat one to rounding: F near
+        # 4e-302 and F(v) keep their digits in the grid and in the oracle
+        cfg = FlatConfig(1000, 999, 2, 1e-290)
+        deltas = np.linspace(0.0, 4e-290, 129)[1:]
+        flat = np.array([euclidean_distance_cdf(cfg, x, TOL) for x in deltas])
+        normal = flat >= np.finfo(float).tiny
+        oracle = offset_radius_cdf(cfg, K1, deltas)
+        assert normal.sum() > 100 and (oracle[normal] > 0.0).all()
+        for got in (distance_cdf_grid(cfg, K1, deltas, TOL), oracle):
+            np.testing.assert_allclose(got[normal], flat[normal], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("key", sorted(CDF_FAR_BELOW_V_MPMATH))
+    def test_the_oracle_far_below_v_matches_mpmath(self, key):
+        # where I_z(b, a') holds the offset-radius integrand to a thin layer
+        d, q, g, v, t = key
+        ref = CDF_FAR_BELOW_V_MPMATH[key]
+        assert cdf_offset_radius(*key) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert distance_cdf(FlatConfig(d, q, g, v), K1, t, TOL) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
 
 
 def fail_adaptive(*args, **kwargs):
     raise AssertionError("integrate_adaptive called")
+
+
+def spy_cdf_below(monkeypatch):
+    """The points of every call of F's closed form below v (_cdf_below) from here on."""
+    calls = []
+    cdf_below = analytic._cdf_below
+
+    def spy(law, t):
+        calls.append(np.array(t))
+        return cdf_below(law, t)
+
+    monkeypatch.setattr(analytic, "_cdf_below", spy)
+    return calls
 
 
 def estimate_samples(cfg, K, trials):
@@ -1707,17 +1784,20 @@ class TestGuards:
         out = distance_cdf_grid(CFG, K1, [], TOL)
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
-    def test_cdf_grid_skips_the_head_above_its_edge(self, monkeypatch):
+    def test_cdf_grid_takes_the_closed_form_only_where_a_point_misses(self, monkeypatch,
+                                                                       panel_calls):
+        # at (3, 2, 1, v=1) the points 1e-3, 0.5 and 2 meet the tolerance on
+        # the store's panels; at 0 the first panel's error misses F(0) = 0, so
+        # 0 and v take the closed form, and v's anchors the point past it
         grid = np.array([0.0, 1e-3, 0.5, 2.0])
-        cold = distance_cdf_grid(CFG, K1, grid, TOL)
-
-        def fail(law, t):
-            raise AssertionError("_cdf_head called")
-
-        monkeypatch.setattr(analytic, "_cdf_head", fail)
-        np.testing.assert_array_equal(distance_cdf_grid(CFG, K1, grid[1:], TOL), cold[1:])
-        with pytest.raises(AssertionError, match="_cdf_head"):
-            distance_cdf_grid(CFG, K1, grid, TOL)
+        closed = spy_cdf_below(monkeypatch)
+        part = distance_cdf_grid(CFG, K1, grid[1:], TOL)
+        assert closed == []
+        whole = distance_cdf_grid(CFG, K1, grid, TOL)
+        assert [c.tolist() for c in closed] == [[0.0, 1.0]] and whole[0] == 0.0
+        np.testing.assert_array_equal(whole[1:3], part[:2])
+        assert halves_below_v(panel_calls) == 0
+        np.testing.assert_allclose(whole, offset_radius_cdf(CFG, K1, grid), rtol=1e-12, atol=0.0)
 
     def test_cdf_grid_rejects_a_scalar(self):
         with pytest.raises(DomainError):
