@@ -22,19 +22,18 @@ m = q - gamma, x = min(1, sinh^2 v / sinh^2 t), I_x the regularized
 incomplete beta function and A = B((q+1)/2, (d-q)/2) / (B((gamma+1)/2, (d-q)/2) R),
 R the radial mass below, as in p (_log_density, in log space and relative
 to v as p is; a float t takes the same terms from the math module,
-_log_density_float).  The CDF
-and the moments are 1-d integrals of it, in t (or y = (t/v)^k) below v
-and in w = s/(1+s), s = sqrt(t - v), past v: a moment is one integral to
-infinity.  Their first panels come from the law: equal in w past v
-(_GRID_PANELS_PAST per unit of w), and graded toward v on both sides
-where the integral reaches v (_layer_knots).  The store holds those of
-the whole law: 4 equal panels and the graded ones below v, and the whole
-lattice in w, ends at exactly k / 12, all evaluated in one integrand
-call.  A moment with m + alpha >= 2 is its node values weighted by
-t^alpha, halved in copies against the moment's own total
-(_moment_integral); one below that is an adaptive integral on the same
-first panels (_density_integral), in y = (t/v)^k below v, so a moment
-near its divergence has no power of t to resolve at 0.  The CDF has one
+_log_density_float).  The CDF and the moments are 1-d integrals of it, in
+t below v and in w = s/(1+s), s = sqrt(t - v), past v: a moment is one
+integral to infinity.  Their first panels come from the law: equal in w
+past v (_GRID_PANELS_PAST per unit of w), and graded toward v on both
+sides where the integral reaches v (_layer_knots).  The store holds those
+of the whole law: 4 equal panels and the graded ones below v, and the
+whole lattice in w, ends at exactly k / 12, all evaluated in one integrand
+call.  A moment is its node values weighted by t^alpha, halved in copies
+against the moment's own total (_moment_integral); near its divergence,
+where m + alpha < 2, the store's first panel gives way to a head below a
+t0 of at most 2^-26.5 in closed form, to 2^-53, and panels doubling from
+t0 on, so no power of t meets a quadrature rule at 0.  The CDF has one
 engine: a grid, of one point (distance_cdf), of 128 or of 10^5 sorted
 Monte Carlo samples, reads the store's prefix up to the lattice panel
 past v of its last point, halved past v where a panel misses the
@@ -186,15 +185,15 @@ _LOG_SUM_EPS = math.log(_SUM_EPS)
 _SINH_SERIES_TERMS = 64
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 1000
-# first panels graded toward a layer (_layer_knots: p's, the atom's, the density
-# integrals' next to v, rho's) end h = 2^k _LAYER_KNOT / lambda from its edge,
+# first panels graded toward a layer (_layer_knots: p's, the atom's, the store's
+# next to v, rho's) end h = 2^k _LAYER_KNOT / lambda from its edge,
 # lambda the integrand's log-slope there, where lambda times the span exceeds
 # _LAYER_MIN_SPAN; a wider layer costs no panel of its own
 _LAYER_KNOT = 2.0
 _LAYER_MIN_SPAN = 4.0
-# the law's first panels (_law_store): equal panels in t on [0, v], and, for
-# the store and a density integral alike, equal panels in w past v,
-# _GRID_PANELS_PAST per unit of w; the store's end at exactly k / 12 (_LATTICE)
+# the law's first panels (_law_store): equal panels in t on [0, v], and equal
+# panels in w past v, _GRID_PANELS_PAST per unit of w, ending at exactly
+# k / 12 (_LATTICE)
 _GRID_PANELS_BELOW = 4
 _GRID_PANELS_PAST = 12
 _LATTICE = [k / _GRID_PANELS_PAST for k in range(_GRID_PANELS_PAST + 1)]
@@ -838,27 +837,6 @@ def _t_past(w, v):
     return v + s * s, math.log(2.0) + np.log(w) - 3.0 * np.log1p(-w)
 
 
-def _log_integrands(law: _UnitLaw, alpha: float = 0.0):
-    """log of t^alpha times the unit-curvature density, in t and, past v, in w.
-
-    Past v the density has a (t - v)^((d-q)/2) term, a square root at
-    d - q = 1, which Gauss-Kronrod resolves slowly.  In w = s / (1 + s),
-    s = sqrt(t - v), the integrand 2 s g(v + s^2) / (1 - w)^2 is smooth and
-    [v, infinity] is [0, 1]; the quadrature never evaluates w = 1.
-    """
-    v = law.v
-
-    def log_g(t):
-        val = _log_density(law, t)
-        return val + alpha * np.log(t) if alpha else val
-
-    def log_g_past(w):
-        t, log_jacobian = _t_past(w, v)
-        return log_jacobian + log_g(t)
-
-    return log_g, log_g_past
-
-
 def _below_layer(law: _UnitLaw, span: float) -> list:
     """_layer_knots toward v from below over span: the density's log-slope at v
     is lambda = (m-1) coth v + gamma tanh v."""
@@ -866,65 +844,23 @@ def _below_layer(law: _UnitLaw, span: float) -> list:
 
 
 def _past_ends(law: _UnitLaw) -> list:
-    """The ends in w of the law's first panels past v, the store's and a
-    moment's near its divergence (_density_integral): the lattice
-    k / _GRID_PANELS_PAST, 0 and 1 among them, the first panel graded toward
-    w = 0 at s0, 2 s0, 4 s0, ... (_layer_knots), s0^2 = tanh v (d-q) / (2 (d+1)),
-    where I_x(a, b) has fallen to about 1/2 (w is about s there)."""
+    """The ends in w of the store's first panels past v (_law_store): the
+    lattice k / _GRID_PANELS_PAST, 0 and 1 among them, the first panel graded
+    toward w = 0 at s0, 2 s0, 4 s0, ... (_layer_knots),
+    s0^2 = tanh v (d-q) / (2 (d+1)), where I_x(a, b) has fallen to about 1/2
+    (w is about s there)."""
     s0 = math.sqrt(law.tanh_v * (law.cfg1.d - law.cfg1.q) / (2.0 * law.cfg1.d + 2.0))
     return sorted({*_LATTICE, *_layer_knots(_LAYER_KNOT / s0, _LATTICE[1])})
-
-
-def _density_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
-    """Integral of t^alpha times the unit-curvature density over [0, infinity]
-    where m + alpha < 2, a moment near its divergence (_moment_integral
-    takes the others).
-
-    Below v the integrand is t^(m-1+alpha) E(t), E = A B(a, b)
-    (sinh t / t)^(m-1) cosh^gamma t smooth, with mass closer to 0 than
-    bisection in doubles reaches.  So that part runs in y = (t/v)^k,
-    k = m + alpha, where it is v^k / k E(v y^(1/k)), bounded and smooth;
-    log E is taken relative to v ((m-1) (log sinhc t - log sinhc v) plus
-    gamma (log cosh t - log cosh v), _log_ratios_at_v), E(v) in the offset,
-    and t = v y^(1/k) may underflow to 0 (_log_sinhc).  The part past v
-    runs in w = s / (1 + s), s = sqrt(t - v) (_log_integrands).  Both are
-    log-form integrals, so tol's relative tolerance alone decides, and
-    log_value is finite where value underflows.  Their first panels are the
-    law's, each part's in one call: past v the store's ends in w
-    (_past_ends), below v t = v - h mapped to y, h = 2/lambda, 4/lambda, ...
-    (_below_layer), lambda the density's log-slope at v.
-    """
-    v, m, g, k = law.v, law.m, law.cfg1.gamma, law.m + alpha
-    log_sinhc_v = float(_log_sinhc(v))
-
-    def log_g_below(y):
-        t = v * y ** (1.0 / k)
-        out = np.zeros(y.shape)
-        if m > 1:  # sinh^0 = 1 at m = 1
-            out += (m - 1) * (_log_sinhc(t) - log_sinhc_v)
-        if g:
-            out += g * _log_ratios_at_v(law, v - t, sinh=False)[1]
-        return out
-
-    parts = [
-        integrate_adaptive(
-            log_g_below, 0.0, 1.0, tol, log_form=True,
-            log_offset=law.hit_offset + law.betaln_ab + (alpha + 1.0) * math.log(v) - math.log(k),
-            break_points=[(1.0 - h / v) ** k for h in _below_layer(law, v)]),
-        integrate_adaptive(_log_integrands(law, alpha)[1], 0.0, 1.0, tol, log_form=True,
-                           break_points=_past_ends(law))]
-    return QuadResult(math.fsum(r.value for r in parts),
-                      math.fsum(r.error_estimate for r in parts),
-                      sum(r.evaluations for r in parts),
-                      all(r.converged for r in parts),
-                      float(np.logaddexp.reduce([r.log_value for r in parts])))
 
 
 def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndarray):
     """The Gauss-Kronrod panels [lo[i], hi[i]] of the unit-curvature density, in
     t below v and in w where far (those follow the others), from one call of
-    the density integrand (_log_integrands): the nodes in w are mapped to t
-    and the Jacobian is added to their logs.
+    _log_density: the nodes in w are mapped to t and the Jacobian is added to
+    their logs.  Past v the density has a (t - v)^((d-q)/2) term, a square
+    root at d - q = 1, which Gauss-Kronrod resolves slowly; in
+    w = s / (1 + s), s = sqrt(t - v), the integrand 2 s f(v + s^2) / (1 - w)^2
+    is smooth, [v, infinity] is [0, 1], and no node lies at w = 1.
 
     Returns _gk_panels' (values, errors, log_nodes, log_scale) in log form
     and the (n, 15) nodes t: each panel's integral and error estimate are values
@@ -934,14 +870,13 @@ def _panel_integrals(law: _UnitLaw, lo: np.ndarray, hi: np.ndarray, far: np.ndar
     panel.  A grid takes them to absolute units (_absolute), a moment
     weights them by t^alpha in log space (_moment_weigh).
     """
-    log_g = _log_integrands(law)[0]
     k = _XK.size * np.count_nonzero(~far)  # the nodes below v come first
     t = np.empty((lo.size, _XK.size))  # the nodes in t, as log_f receives them
 
     def log_f(x):
         t_past, log_jacobian = _t_past(x[k:], law.v)
         t.flat[:k], t.flat[k:] = x[:k], t_past
-        y = log_g(t.ravel())
+        y = _log_density(law, t.ravel())
         y[k:] += log_jacobian
         return y
 
@@ -1007,39 +942,62 @@ def _moment_weigh(alpha: float):
 
 
 def _moment_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
-    """Integral of t^alpha times the unit-curvature density over [0, infinity]
-    where m + alpha >= 2, from the law's first panels (_law_store).
+    """Integral of t^alpha times the unit-curvature density over [0, infinity],
+    from the law's first panels (_law_store) weighted by t^alpha (_moment_weigh).
 
-    There t^(m-1+alpha) is at least t^1 at 0, and no change of variable is
-    needed below v (_density_integral's y = (t/v)^k serves m + alpha < 2).
-    The store's node values are weighted by t^alpha (_moment_weigh), and
-    while the summed error estimate misses tol's relative target the panels
+    Where k = m + alpha >= 2 the integrand is at least t^1 at 0 and the
+    store's first panel [0, e] serves.  Below 2 it does not vanish at 0, and
+    [0, e] gives way to the head [0, t0] in closed form and panels from t0
+    to e, each at most twice as long as the one before, in one call.  Below
+    v, t^alpha f(t) = A t^(k-1) phi(t), phi = (sinh t / t)^(m-1) cosh^gamma t
+    = 1 + e1 t^2 + O(t^4), e1 = (m-1)/6 + gamma/2 >= 0, so the head's integral
+    is A t0^k (1/k + e1 t0^2 / (k+2) + ...), and t0^(alpha+1) f(t0) / k
+    exceeds it by a relative 2 e1 t0^2 / (k+2) at most: below 2^-53 at
+    t0 = min(e, 2^-26.5 / sqrt(max(e1, 1))).  The head is a panel of error 0
+    whose log scale is that, log f(t0) from _log_density.
+
+    While the summed error estimate misses tol's relative target the panels
     whose error exceeds that target's share per panel are halved, all in one
     call (_halve), in copies: the store is never changed.  Sums are kept in
     units of the largest panel scale, so log_value is finite where value
-    underflows.
+    underflows.  _halve's QuadratureError carries the sum so far, unconverged.
     """
     lo, hi, far, raw, _ = _law_store(law, tol)
     weigh = _moment_weigh(alpha)
     panels, evals = weigh(lo, hi, far, raw), _XK.size * lo.size
+    k, e = law.m + alpha, float(hi[0])
+    if k < 2.0:
+        e1 = (law.m - 1) / 6.0 + 0.5 * law.cfg1.gamma
+        t0 = min(e, 2.0**-26.5 / math.sqrt(max(e1, 1.0)))
+        ends = np.geomspace(t0, e, 1 + math.ceil(math.log2(e / t0)))  # [t0] where t0 = e
+        g_lo, g_hi, g_far = ends[:-1], ends[1:], np.zeros(ends.size - 1, dtype=bool)
+        grown = weigh(g_lo, g_hi, g_far, _panel_integrals(law, g_lo, g_hi, g_far))
+        head = (alpha + 1.0) * math.log(t0) + float(_log_density(law, t0)) - math.log(k)
+        lo, hi = np.r_[0.0, g_lo, lo[1:]], np.r_[t0, g_hi, hi[1:]]
+        far = np.r_[False, g_far, far[1:]]
+        panels = tuple(np.r_[h, g, y[1:]] for h, g, y in zip((1.0, 0.0, head), grown, panels))
+        evals += _XK.size * (g_lo.size - 1) + 1
     while True:
         vals, errs, log_scale = panels
         ref = float(log_scale.max())
         if ref == -math.inf:  # every node value is 0
             return QuadResult(0.0, 0.0, evals, True)
         unit = np.exp(log_scale - ref)
-        total, total_err = math.fsum(vals * unit), math.fsum(errs * unit)
-        target = tol.rel_tol * total
-        if total_err <= target:
-            break
         abs_errs = errs * unit
-        split = abs_errs > target / lo.size
+        total, total_err = math.fsum(vals * unit), math.fsum(abs_errs)
+        log_value = ref + math.log(total)
+        value = _exp_or_raise(log_value, "the integral")
+        converged = total_err <= tol.rel_tol * total
+        res = QuadResult(value, value * (total_err / total), evals, converged, log_value)
+        if converged:
+            return res
+        split = abs_errs > tol.rel_tol * total / lo.size
         split[np.argmax(abs_errs)] = True  # one at least, whatever the sums' rounding
-        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, weigh)
+        try:
+            lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, weigh)
+        except QuadratureError as exc:
+            raise QuadratureError(str(exc), partial=res) from None
         evals += 2 * _XK.size * np.count_nonzero(split)
-    log_value = ref + math.log(total)
-    value = _exp_or_raise(log_value, "the integral")
-    return QuadResult(value, value * (total_err / total), evals, True, log_value)
 
 
 def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh):
@@ -1285,14 +1243,13 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     Divergence is decided by the analytic criterion: the unconditional
     moment is finite iff alpha in (gamma - q, 0]; the conditional one iff
     alpha > gamma - q.  Quadrature only runs on the finite branch: one
-    integral over [0, infinity], where m + alpha >= 2 a sum over the law's
-    store of first panels weighted by t^alpha (_moment_integral), which the
-    CDF shares, and below that, near the divergence, an adaptive integral
-    in y = (t/v)^k below v on the store's ends in w past it
-    (_density_integral).  The conditional moment divides it by p
-    in log space, so it is finite where p underflows to 0.  Both integrals
-    are memoised with the law, per tolerance (and alpha): a repeated moment
-    evaluates no integrand.  A non-finite alpha raises DomainError.
+    integral over [0, infinity], a sum over the law's store of first panels
+    weighted by t^alpha (_moment_integral), which the CDF shares, with a
+    closed-form head below t0 near the divergence, where m + alpha < 2.
+    The conditional moment divides it by p in log space, so it is finite
+    where p underflows to 0.  Both integrals are memoised with the law, per
+    tolerance (and alpha): a repeated moment evaluates no integrand.  A
+    non-finite alpha raises DomainError.
     """
     law = _unit_law(cfg, K)
     if not math.isfinite(alpha):
@@ -1306,8 +1263,7 @@ def moment(cfg: FlatConfig, K: Curvature, alpha: float, conditional: bool,
     key = (tol, "moment", alpha)
     res = law.memo.get(key)
     if res is None:
-        res = _remember(law, key, _moment_integral(law, tol, alpha) if law.m + alpha >= 2.0
-                        else _density_integral(law, tol, alpha))
+        res = _remember(law, key, _moment_integral(law, tol, alpha))
     if not conditional:
         return MomentResult(alpha, conditional, K.scale ** (-alpha) * res.value)
     log_p = _offset_radius_integral(cfg, K, tol, hit=True).log_value

@@ -536,6 +536,13 @@ MOMENT_NEAR_DIVERGENCE_MPMATH = {
     (30, 3, 1, 0.548, -1.99): 3.2324293101104415,
     (533, 512, 509, 3.04e-5, -2.99): 9060562058785602.0,
     (3, 2, 1, 1.0, -0.5): 1.3909339156791476,
+    # steep rows, whose density falls fast below v: moment_mp_oracle at 30
+    # and at 40 digits, 2026-10-20, equal in every digit shown
+    (40, 39, 38, 6.0, -0.9999): 0.004026659698573204,
+    (200, 199, 198, 8.0, -0.999): 0.0009171063409538565,
+    (1000, 999, 998, 3.0, -0.999): 0.3269768956269786,
+    (1000, 999, 998, 12.0, -0.99): 2.587005692330445e-05,
+    (1000, 999, 998, 12.0, -0.999): 2.529254831495354e-05,
 }
 # At d = 1000 and 200 with large v, where a log near d v once rounded in the
 # density (ROADMAP item 1), 2026-10:

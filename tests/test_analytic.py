@@ -772,22 +772,24 @@ class TestMoment:
             COND_MEAN_MPMATH[key], rel=1e-15, abs=0.0)
 
     def test_is_one_integral_to_infinity(self, monkeypatch):
-        # where m + alpha >= 2 a moment is one sum over the law's store of first
-        # panels, which reach w = 1, t = infinity; below that it is one
-        # adaptive integral over [0, infinity], in y = (t/v)^k below v
+        # a moment of either order is one sum over the law's store of first
+        # panels, which reach w = 1, t = infinity; below m + alpha = 2 its
+        # head below t0 is closed form, and neither order integrates adaptively
         calls = []
 
-        def spy(law, tol, alpha):
-            calls.append(alpha)
-            return density_integral(law, tol, alpha)
+        def spy(law, tol):
+            calls.append(tol)
+            return law_store(law, tol)
 
-        density_integral = analytic._density_integral
-        monkeypatch.setattr(analytic, "_density_integral", spy)
+        intersection_probability(CFG, K1, TOL)  # the conditional moment's p
+        law_store = analytic._law_store
+        monkeypatch.setattr(analytic, "_law_store", spy)
+        monkeypatch.setattr(analytic, "integrate_adaptive", fail_adaptive)
         moment(CFG, K1, 1.0, True, TOL)  # m + alpha = 2
-        lo, hi, far = analytic._law_store(analytic._unit_law(CFG, K1), TOL)[:3]
-        assert calls == [] and lo[0] == 0.0 and hi[-1] == 1.0 and far[-1]
+        lo, hi, far = law_store(analytic._unit_law(CFG, K1), TOL)[:3]
+        assert calls == [TOL] and lo[0] == 0.0 and hi[-1] == 1.0 and far[-1]
         moment(CFG, K1, -0.5, False, TOL)  # m + alpha = 1/2
-        assert calls == [-0.5]
+        assert calls == [TOL, TOL]
 
     @pytest.mark.parametrize("d, q, g, v, calls", [(600, 300, 0, 4.0, 3),
                                                    (533, 512, 509, 3.04e-5, 3)])
@@ -838,7 +840,9 @@ def flat_moment(d, q, g, alpha):
 
 
 class TestNearTheDivergence:
-    """Below v a moment runs in y = (t/v)^k, where its t^(m-1+alpha) at t = 0 is smooth."""
+    """Where k = m + alpha < 2 a moment's integrand t^(k-1) times a smooth
+    factor does not vanish at 0: its head below t0 is closed form,
+    t0^(alpha+1) f(t0) / k to 2^-53, and the store's panels serve from t0 on."""
 
     @pytest.mark.parametrize("key", sorted(MOMENT_NEAR_DIVERGENCE_MPMATH))
     def test_matches_mpmath(self, key):
@@ -846,9 +850,18 @@ class TestNearTheDivergence:
         got = moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value
         assert got == pytest.approx(MOMENT_NEAR_DIVERGENCE_MPMATH[key], rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("key", sorted(MOMENT_NEAR_DIVERGENCE_MPMATH))
+    def test_meets_a_tight_tolerance(self, key):
+        # the steep rows, whose density falls fast below v, were up to 1.9e-11
+        # off at rel_tol 1e-12 when the head ran in y = (t/v)^k
+        d, q, g, v, alpha = key
+        got = moment(FlatConfig(d, q, g, v), K1, alpha, False, Tolerance(rel_tol=1e-12)).value
+        assert got == pytest.approx(MOMENT_NEAR_DIVERGENCE_MPMATH[key], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("key", sorted(MOMENT_LARGE_D_MPMATH))
     def test_at_large_d_to_the_rounding(self, key):
-        # the integrand in y is E's log relative to v, and its constant p's
+        # the head's log f(t0) and the panels' are the density's kernel
+        # relative to v, and its constant p's
         d, q, g, v, alpha = key
         got = moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value
         assert got == pytest.approx(MOMENT_LARGE_D_MPMATH[key], rel=1e-13, abs=0.0)
@@ -861,8 +874,8 @@ class TestNearTheDivergence:
     @pytest.mark.parametrize("d, q, g", [(3, 2, 1), (12, 8, 1), (30, 3, 1)])
     @pytest.mark.parametrize("eps", [0.01, 0.001])
     def test_flat_limit(self, d, q, g, eps):
-        # at alpha = gamma - q + 0.001, t = v y^1000 underflows for y below
-        # about 0.5; the error falls 100-fold from v = 1e-3 to 1e-4: O(v^2)
+        # at alpha = gamma - q + 0.001 the closed-form head below t0 holds
+        # most of the mass; the error falls 100-fold from v = 1e-3 to 1e-4: O(v^2)
         alpha = g - q + eps
         errs = [moment(FlatConfig(d, q, g, v), K1, alpha, False, TOL).value / v**alpha
                 / flat_moment(d, q, g, alpha) - 1.0 for v in (1e-3, 1e-4)]
@@ -870,10 +883,12 @@ class TestNearTheDivergence:
         assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.01)
 
     @pytest.mark.parametrize("cfg", [FlatConfig(3, 2, 1, 1.0), FlatConfig(10, 9, 8, 1e-4)])
-    def test_negative_order_takes_few_calls(self, cfg, integrand_calls):
-        # bisection toward t = 0 took 29 and 31
+    def test_negative_order_takes_few_calls(self, cfg, panel_calls, integrand_calls):
+        # from a cold law, the store and the panels from t0 to the store's
+        # first end, and no adaptive integral; bisection toward t = 0 took 29
+        # and 31 integrand calls, the adaptive integral in y 2 and 4
         moment(cfg, K1, -0.5, False, TOL)
-        assert len(integrand_calls) <= 4
+        assert len(panel_calls) <= 2 and integrand_calls == []
 
     def test_where_the_flat_moment_diverges(self):
         # alpha = gamma + 1 at (7,4,0): the flat mean is infinite, the hyperbolic
@@ -888,28 +903,30 @@ class TestNearTheDivergence:
 
 # the critical constants the benchmark's law workload asks for, (u, q, gamma, kappa)
 BENCH_RHO = [(1.0, 2, 1, 1.0), (1.5, 3, 0, 2.0), (0.8, 1, 0, 0.5)]
-# integrand calls when the density integrals and rho bisected from one first
-# panel (the offset-radius integral already had its graded panels), at
-# K = -1: (conditional moment of order 1 with its p, unconditional moment of
-# order -1/2, distance_cdf at v/2, 3v/2 and 3v) per (d, q, gamma, v), and
-# the calls of rho per (u, q, gamma, kappa).  distance_cdf, a one-point
-# grid, is held to its columns in panel evaluations from a cold law: the
-# store, and past v the halvings of its settle; below v, none
+# per (d, q, gamma, v) at K = -1: the integrand calls of the conditional
+# moment of order 1 with its p, held to those when the density integrals
+# bisected from one first panel (the offset-radius integral already had its
+# graded panels); then the panel evaluations (_panel_integrals) and
+# integrand calls from a cold law of the unconditional moment of order -1/2
+# (the store, the panels from t0 where m < 5/2, and halvings) and of
+# distance_cdf, a one-point grid, at v/2, 3v/2 and 3v (the store, and past v
+# the halvings of its settle; below v, none).  And the integrand calls of
+# rho per (u, q, gamma, kappa), held to those from one first panel
 ONE_PANEL_CALLS = {
-    (3, 2, 1, 1.0): (13, 37, 1, 1, 1),
-    (12, 8, 1, 1.0): (15, 14, 1, 1, 1),
-    (40, 39, 38, 6.0): (25, 24, 1, 1, 4),
-    (600, 300, 0, 4.0): (37, 34, 1, 1, 1),
-    (100, 50, 25, 1.0): (23, 22, 1, 3, 3),
-    (10, 9, 8, 8.0): (21, 20, 1, 1, 4),
-    (7, 4, 0, 2.0): (15, 18, 1, 1, 1),
-    (30, 3, 1, 0.548): (17, 41, 1, 1, 1),
-    (1000, 999, 998, 12.0): (39, 38, 1, 1, 4),
-    (200, 199, 1, 8.0): (31, 30, 1, 1, 4),
-    (1000, 500, 0, 0.01): (33, 34, 1, 8, 8),
-    (10, 9, 8, 1e-4): (21, 47, 1, 3, 3),
-    (3, 2, 1, 1e-4): (19, 43, 1, 2, 2),
-    (533, 512, 509, 3.04e-5): (33, 46, 1, 5, 5),
+    (3, 2, 1, 1.0): (13, 2, 1, 1, 1),
+    (12, 8, 1, 1.0): (15, 1, 1, 1, 1),
+    (40, 39, 38, 6.0): (25, 2, 1, 1, 4),
+    (600, 300, 0, 4.0): (37, 2, 1, 1, 1),
+    (100, 50, 25, 1.0): (23, 1, 1, 3, 3),
+    (10, 9, 8, 8.0): (21, 2, 1, 1, 4),
+    (7, 4, 0, 2.0): (15, 1, 1, 1, 1),
+    (30, 3, 1, 0.548): (17, 2, 1, 1, 1),
+    (1000, 999, 998, 12.0): (39, 2, 1, 1, 4),
+    (200, 199, 1, 8.0): (31, 1, 1, 1, 4),
+    (1000, 500, 0, 0.01): (33, 2, 1, 8, 8),
+    (10, 9, 8, 1e-4): (21, 2, 1, 3, 3),
+    (3, 2, 1, 1e-4): (19, 2, 1, 2, 2),
+    (533, 512, 509, 3.04e-5): (33, 6, 1, 5, 5),
 }
 ONE_PANEL_RHO_CALLS = {
     (1.0, 2, 1, 1.0): 7, (1.5, 3, 0, 2.0): 5, (0.8, 1, 0, 0.5): 7, (0.1, 2, 0, 0.1): 17,
@@ -938,28 +955,17 @@ class TestFirstPanelsFromTheLaw:
         assert len(integrand_calls) == 1
 
     @pytest.mark.parametrize("key", sorted(ONE_PANEL_CALLS))
-    def test_no_more_calls_than_from_one_panel(self, key, integrand_calls, monkeypatch):
-        # the moments count integrate_adaptive's integrand calls, and a cold
-        # distance_cdf its panel evaluations (_panel_integrals) as well
+    def test_no_more_calls_than_from_one_panel(self, key, integrand_calls, panel_calls):
         cfg, v = FlatConfig(*key), key[3]
-        calls = []
-        for f in (lambda: moment(cfg, K1, 1.0, True, TOL),
-                  lambda: moment(cfg, K1, -0.5, False, TOL)):
+        moment(cfg, K1, 1.0, True, TOL)
+        calls = [len(integrand_calls)]
+        for f in [lambda: moment(cfg, K1, -0.5, False, TOL)] + [
+                lambda x=x: distance_cdf(cfg, K1, x * v, TOL) for x in (0.5, 1.5, 3.0)]:
+            analytic._unit_law.cache_clear()
+            panel_calls.clear()
             integrand_calls.clear()
             f()
-            calls.append(len(integrand_calls))
-
-        def spy(law, lo, hi, far):
-            integrand_calls.append(lo.size)
-            return panel_integrals(law, lo, hi, far)
-
-        panel_integrals = analytic._panel_integrals
-        monkeypatch.setattr(analytic, "_panel_integrals", spy)
-        for x in (0.5, 1.5, 3.0):
-            analytic._unit_law.cache_clear()
-            integrand_calls.clear()
-            distance_cdf(cfg, K1, x * v, TOL)
-            calls.append(len(integrand_calls))
+            calls.append(len(panel_calls) + len(integrand_calls))
         assert all(n <= ceiling for n, ceiling in zip(calls, ONE_PANEL_CALLS[key])), calls
 
     def test_rho_takes_no_more_calls_than_from_one_panel(self, integrand_calls):
@@ -1063,12 +1069,10 @@ class TestClosedForm:
         (FlatConfig(200, 199, 1, 8.0), K1), (FlatConfig(1000, 999, 998, 12.0), K1)])
     def test_density_integral_to_infinity_is_p(self, cfg, K):
         # the density's mass and p's offset-radius integral, one normaliser
-        # apart: the mass as a moment of order 0 takes it, by the store's sum
-        # where m >= 2 and by the adaptive integral in y = (t/v)^m where m = 1
+        # apart: the mass as a moment of order 0 takes it, the store's sum,
+        # with the closed-form head below t0 where m = 1
         tol = Tolerance(rel_tol=1e-12)
-        law = analytic._unit_law(cfg, K)
-        integral = analytic._moment_integral if law.m >= 2 else analytic._density_integral
-        res = integral(law, tol, 0.0)
+        res = analytic._moment_integral(analytic._unit_law(cfg, K), tol, 0.0)
         assert res.value == pytest.approx(intersection_probability(cfg, K, tol), rel=1e-11,
                                           abs=0.0)
 
@@ -1511,12 +1515,8 @@ class TestCdfGrid:
         # panel [5/12, 1/2] in w, never meets the tolerance on the panel that
         # holds the jump, and halving that panel ends at one a few doubles
         # wide, whose halves would put nodes on their ends
-        def log_integrands(law, alpha=0.0):
-            def log_g(x):
-                return np.where(x >= 1.6, 0.0, -1.0)
-            return log_g, log_g
-
-        monkeypatch.setattr(analytic, "_log_integrands", log_integrands)
+        monkeypatch.setattr(analytic, "_log_density",
+                            lambda law, t: np.where(t >= 1.6, 0.0, -1.0))
         with pytest.raises(QuadratureError, match="too narrow to halve"):
             distance_cdf_grid(CFG, K1, [1.5, 2.0], TOL)
 
@@ -1547,17 +1547,13 @@ class TestCdfGrid:
         # density integrand, with no panel to refine
         calls = []
 
-        def spy(law, alpha=0.0):
-            log_g, log_g_past = log_integrands(law, alpha)
-
-            def counted(t):
-                calls.append(t.size)
-                return log_g(t)
-            return counted, log_g_past
+        def spy(law, t):
+            calls.append(t.size)
+            return log_density(law, t)
 
         samples = estimate_samples(cfg, K, 5000)
-        log_integrands = analytic._log_integrands
-        monkeypatch.setattr(analytic, "_log_integrands", spy)
+        log_density = analytic._log_density
+        monkeypatch.setattr(analytic, "_log_density", spy)
         for deltas in (samples, [4.0 * cfg.u / 128 * (i + 1) for i in range(128)]):
             calls.clear()
             analytic._unit_law.cache_clear()
@@ -1725,13 +1721,15 @@ class TestSubnormal:
 
 
 class TestGuards:
-    def test_moment_tail_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("cfg, alpha", [(CFG, 0.5), (CFG, 1.0), (FlatConfig(5, 3, 0, 1.0), 0.5)])
+    def test_moment_tail_is_bounded(self, cfg, alpha, monkeypatch):
         # a density that never decays: the integral to infinity diverges, and
-        # the quadrature gives up and says so
+        # the quadrature gives up and says how far it got, with the closed-form
+        # head (m + alpha = 3/2) and without it (2 and 7/2)
         monkeypatch.setattr(analytic, "_log_density",
                             lambda law, t: np.zeros(np.shape(t)))
         with pytest.raises(QuadratureError) as info:
-            moment(CFG, K1, 0.5, True, TOL)
+            moment(cfg, K1, alpha, True, TOL)
         assert info.value.partial is not None
         assert not info.value.partial.converged
         assert info.value.partial.value > 0
