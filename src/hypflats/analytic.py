@@ -29,7 +29,7 @@ past v (_GRID_PANELS_PAST per unit of w), and graded toward v on both
 sides where the integral reaches v (_layer_knots).  The store holds those
 of the whole law: 4 equal panels and the graded ones below v, and the
 whole lattice in w, ends at exactly k / 12, all evaluated in one integrand
-call.  A moment is its node values weighted by t^alpha, halved in copies
+call.  A moment is its node values weighted by t^alpha, refined in copies
 against the moment's own total (_moment_integral); near its divergence,
 where m + alpha < 2, the store's first panel gives way to a head below a
 t0 of at most 2^-26.5 in closed form, to 2^-53, and panels doubling from
@@ -72,12 +72,15 @@ configuration evaluates it once; it has no memo of its own.  The law's
 reduction to unit curvature (reduce_to_unit_curvature) is also the one
 check of v: outside [_MIN_REDUCED_RADIUS, infinity) it raises DomainError.
 
-Every integral here keeps its scale in log space (integrate_adaptive in
-log form, or the store's panels): it converges on the relative tolerance
+Every integral here keeps its scale in log space.  p's, the atom's and
+rho's (integrate_adaptive in log form) and each moment's (from the store's
+panels) are refined to their total by quadrature's one loop, _refine, in
+rounds of one integrand call.  It converges on the relative tolerance
 alone, so a subnormal p or rho keeps its digits, and its log_value is
 finite where p underflows, so a conditional moment is a ratio of logs.  No
 function here uses a Tolerance's abs_tol: its rel_tol and max_subdivisions
-decide.
+decide.  A grid halves its panels past v to per-panel and per-point
+targets instead, with the same _halve as that loop.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ from .quadrature import (
     _exp_or_raise,
     _gk_panels,
     _gk_sums,
-    _nodes_inside,
+    _halve,
     _panel_scales,
+    _refine,
     integrate_adaptive,
     integrate_iterated_2d,  # re-exported: perfbench's traced run looks it up on this module
 )
@@ -907,7 +911,7 @@ def _law_store(law: _UnitLaw, tol: Tolerance):
     below the n-th lattice end, w = n / _GRID_PANELS_PAST: every grid's
     panels are such a prefix.  Nothing here is refined: a grid settles its
     prefix past v (_grid_law), and a moment refines against its own total
-    (_moment_integral), each on copies.
+    (_moment_integral, _refine), each on copies.
     """
     key = (tol, "panels")
     store = law.memo.get(key)
@@ -927,18 +931,16 @@ def _law_store(law: _UnitLaw, tol: Tolerance):
     return store
 
 
-def _moment_weigh(alpha: float):
-    """The map from _panel_integrals' panels to those of t^alpha times the
-    density: (values, errors, log_scale).  alpha log t is added to the log
-    node values, taken relative to their largest again, and summed
-    (_gk_sums): in log space, so neither factor's range within a panel can
-    underflow the other's mass."""
-    def weigh(lo, hi, far, raw):
-        y = raw[2] + alpha * np.log(raw[4])
-        top = y.max(axis=1)
-        top[top == -math.inf] = 0.0  # an empty panel: its log_scale is -inf already
-        return (*_gk_sums(np.exp(y - top[:, None])), raw[3] + top)
-    return weigh
+def _moment_weigh(raw, alpha: float):
+    """_panel_integrals' panels raw as those of t^alpha times the density:
+    (values, errors, log_scale).  alpha log t is added to the log node
+    values, taken relative to their largest again, and summed (_gk_sums): in
+    log space, so neither factor's range within a panel can underflow the
+    other's mass."""
+    y = raw[2] + alpha * np.log(raw[4])
+    top = y.max(axis=1)
+    top[top == -math.inf] = 0.0  # an empty panel: its log_scale is -inf already
+    return (*_gk_sums(np.exp(y - top[:, None])), raw[3] + top)
 
 
 def _moment_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
@@ -956,84 +958,44 @@ def _moment_integral(law: _UnitLaw, tol: Tolerance, alpha: float) -> QuadResult:
     t0 = min(e, 2^-26.5 / sqrt(max(e1, 1))).  The head is a panel of error 0
     whose log scale is that, log f(t0) from _log_density.
 
-    While the summed error estimate misses tol's relative target the panels
-    whose error exceeds that target's share per panel are halved, all in one
-    call (_halve), in copies: the store is never changed.  Sums are kept in
-    units of the largest panel scale, so log_value is finite where value
-    underflows.  _halve's QuadratureError carries the sum so far, unconverged.
+    Those panels are then refined in quadrature's loop (_refine): each
+    round halves, in one _panel_integrals call, every panel whose error
+    exceeds its share of tol's relative target, in copies: the store is
+    never changed.  Its QuadratureError carries the sum so far, unconverged.
     """
+    def evaluate(lo, hi, far):
+        return _moment_weigh(_panel_integrals(law, lo, hi, far), alpha)
+
     lo, hi, far, raw, _ = _law_store(law, tol)
-    weigh = _moment_weigh(alpha)
-    panels, evals = weigh(lo, hi, far, raw), _XK.size * lo.size
+    panels, evals = _moment_weigh(raw, alpha), _XK.size * lo.size
     k, e = law.m + alpha, float(hi[0])
     if k < 2.0:
         e1 = (law.m - 1) / 6.0 + 0.5 * law.cfg1.gamma
         t0 = min(e, 2.0**-26.5 / math.sqrt(max(e1, 1.0)))
         ends = np.geomspace(t0, e, 1 + math.ceil(math.log2(e / t0)))  # [t0] where t0 = e
         g_lo, g_hi, g_far = ends[:-1], ends[1:], np.zeros(ends.size - 1, dtype=bool)
-        grown = weigh(g_lo, g_hi, g_far, _panel_integrals(law, g_lo, g_hi, g_far))
+        grown = evaluate(g_lo, g_hi, g_far)
         head = (alpha + 1.0) * math.log(t0) + float(_log_density(law, t0)) - math.log(k)
         lo, hi = np.r_[0.0, g_lo, lo[1:]], np.r_[t0, g_hi, hi[1:]]
         far = np.r_[False, g_far, far[1:]]
         panels = tuple(np.r_[h, g, y[1:]] for h, g, y in zip((1.0, 0.0, head), grown, panels))
         evals += _XK.size * (g_lo.size - 1) + 1
-    while True:
-        vals, errs, log_scale = panels
-        ref = float(log_scale.max())
-        if ref == -math.inf:  # every node value is 0
-            return QuadResult(0.0, 0.0, evals, True)
-        unit = np.exp(log_scale - ref)
-        abs_errs = errs * unit
-        total, total_err = math.fsum(vals * unit), math.fsum(abs_errs)
-        log_value = ref + math.log(total)
-        value = _exp_or_raise(log_value, "the integral")
-        converged = total_err <= tol.rel_tol * total
-        res = QuadResult(value, value * (total_err / total), evals, converged, log_value)
-        if converged:
-            return res
-        split = abs_errs > tol.rel_tol * total / lo.size
-        split[np.argmax(abs_errs)] = True  # one at least, whatever the sums' rounding
-        try:
-            lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, weigh)
-        except QuadratureError as exc:
-            raise QuadratureError(str(exc), partial=res) from None
-        evals += 2 * _XK.size * np.count_nonzero(split)
+    return _refine(tol, evaluate, lo, hi, far, panels, evals)
 
 
-def _halve(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels, split, weigh):
-    """The panels with those marked in split cut at their midpoints:
-    (lo, hi, far, panels) as new arrays, the given ones untouched.  Only the
-    halves are evaluated, all in one call (_panel_integrals), and weigh
-    takes them to the caller's units (_absolute for a grid, _moment_weigh).
-
-    QuadratureError where the panels would pass tol.max_subdivisions or a
-    half is too narrow for its nodes to lie inside it (_nodes_inside).
-    """
-    at = np.flatnonzero(split)
-    if lo.size + at.size > tol.max_subdivisions:
-        raise QuadratureError(f"panel refinement exceeded {tol.max_subdivisions} panels")
-    # each panel cut becomes its halves, in place in the copies
-    cuts, keep = 0.5 * (lo[at] + hi[at]), np.sort(np.r_[np.arange(lo.size), at])
-    ends = at + np.arange(at.size)  # the first half of each panel cut
-    lo, hi, far = lo[keep], hi[keep], far[keep]
-    hi[ends], lo[ends + 1] = cuts, cuts
-    new = np.zeros(lo.size, dtype=bool)
-    new[ends] = new[ends + 1] = True
-    if not _nodes_inside(lo[new], hi[new]).all():
-        raise QuadratureError("a panel misses the tolerance and is too narrow to halve")
-    panels = tuple(y[keep] for y in panels)
-    pieces = weigh(lo[new], hi[new], far[new], _panel_integrals(law, lo[new], hi[new], far[new]))
-    for y, piece in zip(panels, pieces):
-        y[new] = piece
-    return lo, hi, far, panels
+def _grid_panels(law: _UnitLaw):
+    """_halve's evaluate for a grid: the density's panels (_panel_integrals) in
+    absolute units (_absolute)."""
+    return lambda lo, hi, far: _absolute(lo, hi, far, _panel_integrals(law, lo, hi, far))
 
 
 def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
-    """Halve (_halve) every grid panel past v whose error misses half tol's
-    relative target against its value or, with its interpolant's (_cdf_table),
-    against F at its start, all at once, until none does; each target is at
-    least F's rounding at the panel's end.  With F(v)'s error within the other
-    half (distance_cdf_grid), every point past v then meets the target."""
+    """Halve (_halve, _grid_panels) every grid panel past v whose error misses
+    half tol's relative target against its value or, with its interpolant's
+    (_cdf_table), against F at its start, all at once, until none does; each
+    target is at least F's rounding at the panel's end.  With F(v)'s error
+    within the other half (distance_cdf_grid), every point past v then meets
+    the target."""
     half = 0.5 * tol.rel_tol
     while True:
         vals, errs, nodes, scale = panels
@@ -1044,7 +1006,7 @@ def _settle(law: _UnitLaw, tol: Tolerance, lo, hi, far, panels):
                        | (own > half * np.maximum(end - vals, floor)))
         if not split.any():
             return lo, hi, far, panels
-        lo, hi, far, panels = _halve(law, tol, lo, hi, far, panels, split, _absolute)
+        lo, hi, far, panels = _halve(tol, _grid_panels(law), lo, hi, far, panels, split)
 
 
 def _cdf_table(lo, hi, far, vals, errs, nodes, scale) -> np.ndarray:
@@ -1202,7 +1164,7 @@ def distance_cdf_grid(cfg: FlatConfig, K: Curvature, deltas,
         split = np.zeros(lo.size, dtype=bool)
         split[row[n_near:][miss[n_near:]]] = True
         lo, hi, far, panels = _settle(
-            law, tol, *_halve(law, tol, lo, hi, far, panels, split, _absolute))
+            law, tol, *_halve(tol, _grid_panels(law), lo, hi, far, panels, split))
         value[n_near:], err[n_near:], row[n_near:] = _cdf_at(
             past, 0, lo, p_near, _cdf_table(lo, hi, far, *panels))
         value[n_near:] += shift

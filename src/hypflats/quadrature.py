@@ -1,27 +1,25 @@
 """Adaptive one- and two-dimensional quadrature with log-space integrands.
 
-The base rule is a nested Gauss-Kronrod 7/15 pair with bisection of the
-worst panel.  It comes in two forms with one convention, a panel's value
-and error relative to exp(log_scale): _gk_panel on one panel, and
-_gk_panels on many independent panels with one call of the integrand.
-integrate_adaptive evaluates all its first panels (one per pair of
-neighbouring break points) with one _gk_panels call (_gk_panel where there
-is one), so an integral whose break points already resolve it costs one
-call of its integrand, and then bisects one panel at a time with
-_gk_panel.  That plain bisection is all it does: its error estimate meets
-the tolerance or QuadratureError is raised with the partial result, and
-no node lies on an end of the interval, so a singularity the rule cannot
-resolve in doubles (a power x^-0.99 at an end, say) raises rather than
-returns a sum that misses its mass.  Integrands may be supplied in log
-form: each panel is then summed relative to its own scale, the sums are
-kept relative to the largest scale, and only the result leaves log space,
-so integrands that underflow or overflow pointwise still integrate
-correctly and a result below the smallest double keeps its log.
+The base rule is a nested Gauss-Kronrod 7/15 pair.  It comes in two forms
+with one convention, a panel's value and error relative to
+exp(log_scale): _gk_panel on one panel, and _gk_panels on many independent
+panels with one call of the integrand.  One loop refines every integral to
+a total tolerance (_refine): each round halves, in one call, every panel
+whose error exceeds its share of the tolerance, and always the worst.  Its
+error estimate meets the tolerance or QuadratureError is raised with the
+partial result, and no node lies on an end of a panel: a panel too narrow
+to halve is parked, so a singularity the rule cannot resolve in doubles (a
+power x^-0.99 at an end, say) raises rather than returns a sum that misses
+its mass.  integrate_adaptive is its first panels plus that loop.
+Integrands may be supplied in log form: each panel is then summed relative
+to its own scale, the sums are kept relative to the largest scale, and
+only the result leaves log space, so integrands that underflow or overflow
+pointwise still integrate correctly and a result below the smallest double
+keeps its log.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -178,8 +176,7 @@ def _gk_panels(f, a, b, log_form):
     interpolant through exp(nodes[i]) on [-1, 1] (_panel_scales gives those
     factors), and weights may be added to them in log space.  Its NumPy calls on
     (n, 15) arrays cost about 2.5 times _gk_panel's scalar arithmetic at
-    n = 1, so the adaptive loop, which bisects one panel at a time, keeps
-    _gk_panel for its refinement.
+    n = 1, so integrate_adaptive keeps _gk_panel for a single first panel.
     """
     if not a.size:
         return a, a, np.empty((0, 15)), a
@@ -255,26 +252,100 @@ def _exp_or_raise(log_value, what):
         raise QuadratureError(f"{what} is e^{log_value:.6g}, beyond the largest double") from None
 
 
+def _halve(tol: Tolerance, evaluate, lo, hi, far, panels, split):
+    """The panels with those marked in split cut at their midpoints:
+    (lo, hi, far, panels) as new arrays, the given ones untouched.  panels is
+    a tuple of arrays with one entry per panel, in the caller's units; only
+    the halves are evaluated, all in one call of evaluate(lo, hi, far), which
+    returns theirs in those units.  far is carried along for evaluate.
+
+    QuadratureError where the panels would pass tol.max_subdivisions or a
+    half is too narrow for its nodes to lie inside it (_nodes_inside).
+    """
+    at = np.flatnonzero(split)
+    if lo.size + at.size > tol.max_subdivisions:
+        raise QuadratureError(f"panel refinement exceeded {tol.max_subdivisions} panels")
+    # each panel cut becomes its halves, in place in the copies
+    cuts, keep = 0.5 * (lo[at] + hi[at]), np.sort(np.r_[np.arange(lo.size), at])
+    ends = at + np.arange(at.size)  # the first half of each panel cut
+    lo, hi, far = lo[keep], hi[keep], far[keep]
+    hi[ends], lo[ends + 1] = cuts, cuts
+    new = np.zeros(lo.size, dtype=bool)
+    new[ends] = new[ends + 1] = True
+    if not _nodes_inside(lo[new], hi[new]).all():
+        raise QuadratureError("a panel misses the tolerance and is too narrow to halve")
+    panels = tuple(y[keep] for y in panels)
+    for y, piece in zip(panels, evaluate(lo[new], hi[new], far[new])):
+        y[new] = piece
+    return lo, hi, far, panels
+
+
+def _refine(tol: Tolerance, evaluate, lo, hi, far, panels, evals, *,
+            log_form=True, log_offset=0.0):
+    """An integral to tol's target from its first panels [lo[i], hi[i]], whose
+    (values, errors, log_scale) are panels in _gk_panel's units and cost
+    evals nodes; evaluate(lo, hi, far) gives those of new panels (_halve).
+
+    The target is rel_tol |total| in log form and tol.target(total) in
+    direct form.  While the summed error misses it, each round halves every
+    panel whose error exceeds its share of the target (the target over the
+    number of panels), and always the worst, in one _halve.  A panel whose
+    halves' outer nodes would round onto their ends (_nodes_inside) is
+    parked: never halved, still summed.  The sums are kept in units of the
+    largest panel scale, and log_offset is applied once, to the result: its
+    log_value is finite where its value underflows.
+
+    Raises QuadratureError with the unconverged partial result attached where
+    every panel left is parked or the halving would pass tol.max_subdivisions.
+    """
+    def result(converged):  # of this round's sums
+        if not log_form:
+            return QuadResult(total, total_err, evals, converged)
+        if total == 0.0:
+            return QuadResult(0.0, 0.0, evals, converged)
+        log_value = ref + log_offset + math.log(total)
+        value = _exp_or_raise(log_value, "the integral")
+        return QuadResult(value, value * (total_err / total), evals, converged, log_value)
+
+    while True:
+        vals, errs, log_scale = panels
+        ref = float(log_scale.max()) if log_scale.size else -math.inf
+        if ref == -math.inf:  # no panel, or (log form) no node with a finite value
+            return QuadResult(0.0, 0.0, evals, True)
+        unit = np.exp(log_scale - ref)
+        abs_errs = errs * unit
+        total, total_err = math.fsum(vals * unit), math.fsum(abs_errs)
+        target = tol.rel_tol * abs(total) if log_form else tol.target(total)
+        if total_err <= target:
+            return result(True)
+        mid = 0.5 * (lo + hi)
+        halvable = _nodes_inside(lo, mid) & _nodes_inside(mid, hi)
+        if not halvable.any():
+            raise QuadratureError("every panel left is too narrow to halve",
+                                  partial=result(False))
+        split = halvable & (abs_errs > target / lo.size)
+        # one at least, whatever the sums' rounding
+        split[np.argmax(np.where(halvable, abs_errs, -1.0))] = True
+        try:
+            lo, hi, far, panels = _halve(tol, evaluate, lo, hi, far, panels, split)
+        except QuadratureError as exc:
+            raise QuadratureError(str(exc), partial=result(False)) from None
+        evals += 2 * _XK.size * np.count_nonzero(split)
+
+
 def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
                        log_form=False, log_offset=0.0, break_points=()):
-    """Adaptively integrate f over [a, b].
+    """Adaptively integrate f over [a, b]: its first panels, then _refine.
 
     f must accept a 1-d NumPy array of interior nodes and return the
-    (log-)values elementwise.  It is plain bisection: the panel with the
-    largest error estimate is halved until the summed estimate meets the
-    tolerance.  A panel whose halves' outer nodes would round onto their
-    ends is not halved (_nodes_inside), so f is never evaluated at a, at b
-    or at any panel's end.  break_points are interior abscissae (e.g.
-    kinks, or the edges of a layer that holds the mass) used as initial
-    panel boundaries: the first panels take one call of f (_gk_panels, or
-    _gk_panel where there is one), and each bisection after them one more.
-
-    In log form the integral is of exp(f + log_offset).  The sums are kept
-    in units of exp(ref), ref the largest panel scale so far (_gk_panel),
-    and log_offset is applied once, to the result: its log_value is finite
-    where its value underflows to 0, and only a result beyond the largest
-    double raises.  A log-form integral converges on tol's relative
-    tolerance alone; a direct one on max(abs_tol, rel_tol |value|).
+    (log-)values elementwise; in log form the integral is of
+    exp(f + log_offset).  break_points are interior abscissae (e.g. kinks,
+    or the edges of a layer that holds the mass) used as the ends of the
+    first panels, which take one call of f (_gk_panels, or _gk_panel where
+    there is one); each round of refinement takes one more.  f is never
+    evaluated at a, at b or at any panel's end.  A log-form integral
+    converges on tol's relative tolerance alone, a direct one on tol.target,
+    and only a result beyond the largest double raises.
 
     Raises QuadratureError with the partial result attached when the
     subdivision budget is exhausted, or when every panel left is too narrow
@@ -284,75 +355,17 @@ def integrate_adaptive(f, a, b, tol: Tolerance = DEFAULT_TOLERANCE, *,
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise DomainError(f"invalid interval [{a}, {b}]")
 
-    pts = sorted({a, b, *(p for p in break_points if a < p < b)})
-    if len(pts) == 2:
-        first = [(a, b, *_gk_panel(f, a, b, log_form))]
-    else:
-        # one call of f for all of them; _gk_panel is cheaper for one panel
-        vals, errs, _, log_scale = _gk_panels(f, np.array(pts[:-1], dtype=float),
-                                              np.array(pts[1:], dtype=float), log_form)
-        first = list(zip(pts[:-1], pts[1:], vals.tolist(), errs.tolist(), log_scale.tolist()))
-    evals = 15 * len(first)
-    ref = max((panel[4] for panel in first), default=-math.inf)
-    if ref == -math.inf:  # no panel, or (log form) no node with a finite value
-        return QuadResult(0.0, 0.0, evals, True)
-    abs_floor = 0.0 if log_form else tol.abs_tol
-    heap = []  # (key, lo, hi, value, error, log_scale); no two share lo
-    done = []  # (value, error, log_scale): too narrow to halve
-    total = 0.0  # over heap and done
-    total_err = 0.0
+    def evaluate(lo, hi, far):
+        vals, errs, _, log_scale = _gk_panels(f, lo, hi, log_form)
+        return vals, errs, log_scale
 
-    def push(lo, hi, v, e, scale):
-        nonlocal ref, total, total_err
-        if scale > ref:
-            total *= math.exp(ref - scale)
-            total_err *= math.exp(ref - scale)
-            ref = scale
-        unit = math.exp(scale - ref)
-        # the panel with the largest absolute error estimate pops first
-        key = -(math.log(e) + scale) if e > 0.0 else math.inf
-        heapq.heappush(heap, (key, lo, hi, v, e, scale))
-        total += v * unit
-        total_err += e * unit
-
-    for panel in first:
-        push(*panel)
-    nsub = len(heap)
-
-    def _result(converged):
-        # re-sum in deterministic order to shed accumulated cancellation
-        parts = [item[3:6] for item in heap] + done
-        value = math.fsum(v * math.exp(s - ref) for v, _, s in parts)
-        err = math.fsum(e * math.exp(s - ref) for _, e, s in parts)
-        if not log_form:
-            return QuadResult(value, err, evals, converged)
-        if value == 0.0:
-            return QuadResult(0.0, 0.0, evals, converged)
-        log_value = ref + log_offset + math.log(value)
-        scaled = _exp_or_raise(log_value, "the integral")
-        return QuadResult(scaled, scaled * (err / value), evals, converged, log_value)
-
-    while True:
-        if total_err <= max(abs_floor, tol.rel_tol * abs(total)):
-            return _result(True)
-        if not heap:
-            raise QuadratureError("every panel left is too narrow to halve",
-                                  partial=_result(False))
-        if nsub >= tol.max_subdivisions:
-            raise QuadratureError(f"exceeded {tol.max_subdivisions} subdivisions",
-                                  partial=_result(False))
-        _, lo, hi, v, e, scale = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if not (_nodes_inside(lo, mid) and _nodes_inside(mid, hi)):
-            done.append((v, e, scale))  # a half would evaluate f at one of its ends
-            continue
-        unit = math.exp(scale - ref)
-        total -= v * unit
-        total_err -= e * unit
-        for plo, phi in ((lo, mid), (mid, hi)):
-            push(plo, phi, *_gk_panel(f, plo, phi, log_form))
-        evals += 30
-        nsub += 1
+    pts = np.array(sorted({a, b, *(p for p in break_points if a < p < b)}), dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    # one panel: _gk_panel's scalar arithmetic is cheaper than _gk_panels' array calls
+    panels = (tuple(np.array([y]) for y in _gk_panel(f, a, b, log_form)) if lo.size == 1
+              else evaluate(lo, hi, None))
+    return _refine(tol, evaluate, lo, hi, np.zeros(lo.size, dtype=bool), panels,
+                   _XK.size * lo.size, log_form=log_form, log_offset=log_offset)
 
 
 def integrate_iterated_2d(g, a, b, inner_upper, tol: Tolerance = DEFAULT_TOLERANCE, *,

@@ -609,6 +609,18 @@ ATOM_NEAR_ONE_MPMATH = {
     (40, 39, 38, 12.0): 0.9999375595601627,
     (10, 9, 8, 20.0): 0.9999999892027059,
 }
+# probability_offset_mp_oracle and atom_mass_mp_oracle at 30 digits,
+# 2026-10-21, the same in every digit shown at 40 digits: (p, atom) on rows
+# where p's first panels miss the default tolerance, so that its integral
+# refines.  The atom at (114, 3, 0) and (1000, 2, 0) is 1 to double
+# precision.  Keys (d, q, g, v).
+P_REFINED_MPMATH = {
+    (5, 2, 0, 2.5): (0.006600256843227635, 0.9933997431567724),
+    (7, 1, 0, 4.5): (1.2203166256270111e-09, 0.9999999987796834),
+    (114, 3, 0, 5.5): (8.073732188594773e-232, 1.0),
+    (183, 6, 4, 0.625): (9.702746656379219e-12, 0.9999999999902972),
+    (1000, 2, 0, 1.0): (1.8077296352539024e-187, 1.0),
+}
 # probability_offset_mp_oracle at 30 digits with layer=8 and at 40 digits with
 # layer=12, 2026-10, equal in every digit shown; past the documented d of
 # about 10^3.  The v = 300 and v = 20 entries at layer=3 and layer=4, the

@@ -38,7 +38,8 @@ from oracles import (AT_THE_LOG_FLOOR_MPMATH, ATOM_MPMATH, ATOM_NEAR_ONE_MPMATH,
                      EUCLID_CDF_MPMATH, LOG_DENSITY_LARGE_D_MPMATH,
                      LOG_RADIAL_MASS_1000_V300_MPMATH, MOMENT_LARGE_D_MPMATH,
                      MOMENT_NEAR_DIVERGENCE_MPMATH, P_1E5_V12_MPMATH,
-                     P_GAMMA_0_SMALL_V_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_STAR_3_2_1,
+                     P_GAMMA_0_SMALL_V_MPMATH, P_PAST_THE_DOMAIN_MPMATH, P_REFINED_MPMATH,
+                     P_STAR_3_2_1,
                      P_STAR_3_2_1_MPMATH,
                      P_STAR_10_9_8_V8_MPMATH, P_STAR_30_2_1_V4_MPMATH,
                      P_STAR_40_39_38_V6_MPMATH, P_STAR_200_199_1_V8_MPMATH,
@@ -401,6 +402,13 @@ class TestReduction:
         assert analytic._layer_knots(4.0, 8.0) == [0.5, 1.0, 2.0, 4.0]
 
 
+# per (d, q, gamma, v) of P_REFINED_MPMATH at K = -1: the integrand calls of
+# p when its integral bisected one panel at a time from the same first panels
+# (refining in rounds takes 2, 3, 3, 2 and 5)
+P_REFINED_CALLS = {(5, 2, 0, 2.5): 3, (7, 1, 0, 4.5): 5, (114, 3, 0, 5.5): 5,
+                   (183, 6, 4, 0.625): 3, (1000, 2, 0, 1.0): 9}
+
+
 class TestIntersectionProbability:
     def test_matches_independent_oracle(self):
         p = intersection_probability(CFG, K1, TOL)
@@ -441,6 +449,16 @@ class TestIntersectionProbability:
                     FlatConfig(20, 5, 2, 1e-4)):
             total = intersection_probability(cfg, K1, TOL) + atom_mass(cfg, K1, TOL)
             assert abs(total - 1.0) <= 2 * TOL.rel_tol, cfg
+
+    @pytest.mark.parametrize("key", sorted(P_REFINED_MPMATH))
+    def test_refined_p_matches_mpmath(self, key, integrand_calls):
+        # p's first panels miss the tolerance here; it refines in no more
+        # integrand calls than bisecting one panel at a time took
+        # (P_REFINED_CALLS), and the atom's settle it
+        cfg, (p_ref, atom_ref) = FlatConfig(*key), P_REFINED_MPMATH[key]
+        assert intersection_probability(cfg, K1, TOL) == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+        assert 1 < len(integrand_calls) <= P_REFINED_CALLS[key]
+        assert atom_mass(cfg, K1, TOL) == pytest.approx(atom_ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("key", sorted(ATOM_MPMATH))
     def test_atom_mass_matches_mpmath(self, key):

@@ -57,7 +57,7 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     def test_endpoint_singularity(self):
-        # (1 - z^2)^(-1/2) at z = 1: plain bisection stops where the doubles
+        # (1 - z^2)^(-1/2) at z = 1: halving stops where the doubles
         # next to 1 run out, some 1e-8 of mass short, and raises with that
         # partial sum rather than returning it
         with pytest.raises(QuadratureError) as info:
@@ -184,6 +184,21 @@ class TestLogForm:
         assert direct.evaluations == 15  # the direct form stops at the first panel
         res = integrate_adaptive(self.peak, 0.0, 2.0, loose, log_form=True)
         assert res.value == pytest.approx(exact, rel=1e-9)
+
+    def test_the_peak_refines_in_rounds(self):
+        # each round halves every panel over its share of the tolerance in one
+        # call: 315 evaluations in 8 calls, where halving the worst panel one
+        # call at a time took the same 315 in 21
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return self.peak(x)
+
+        res = integrate_adaptive(counted, 0.0, 2.0, TOL, log_form=True)
+        assert res.value == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-9)
+        assert res.evaluations == sum(calls) <= 315
+        assert len(calls) <= 8
 
     def test_a_result_beyond_the_largest_double_raises(self):
         # every node is e^709, a double; the integral over [0, 1] is one, over [0, 4] not
